@@ -24,12 +24,14 @@ from .bounds import (
     sign_certificate,
 )
 from .discretize import (
+    CollocationPlan,
     ErrorModel,
     MatrixTriple,
     Mesh,
     MeshUnion,
     SparseNonnegMatrix,
     assemble,
+    collocation_plan,
     dump_matrix,
     error_model,
     interp_weights,

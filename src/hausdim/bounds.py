@@ -413,6 +413,24 @@ def sign_certificate(fam: MapFamily, s: float) -> bool:
     return True
 
 
+def family_constants(fam: MapFamily, s: float,
+                     constants: BoundConstants | None = None
+                     ) -> BoundConstants | None:
+    """Bound constants of a Cantor or custom family at s.
+
+    Returns `constants` unchanged when they were built for this s.
+    PerturbedCantor uses the closed forms, Custom the brute-force
+    suprema; MobiusDigits needs none (None), its bounds are explicit.
+    """
+    if fam.kind == MOBIUS:
+        return None
+    if constants is not None and constants.s == s:
+        return constants
+    if fam.kind == CANTOR:
+        return cantor_constants(fam.cantor_a, s)
+    return general_constants(fam, s)
+
+
 def second_ratio_bounds(fam: MapFamily, s: float,
                         constants: BoundConstants | None = None
                         ) -> tuple[float, float]:
@@ -428,12 +446,9 @@ def second_ratio_bounds(fam: MapFamily, s: float,
         Gamma = float(fam.digits[-1])
         pair = mobius_ratio_bounds(gamma, Gamma, 1.0 / gamma, s, 2)
         return pair.lo, pair.hi
+    constants = family_constants(fam, s, constants)
     if fam.kind == CANTOR:
-        if constants is None or constants.s != s:
-            constants = cantor_constants(fam.cantor_a, s)
         return constants.R_lo, constants.R_hi
-    if constants is None or constants.s != s:
-        constants = general_constants(fam, s)
     return -constants.M2, constants.M2
 
 
@@ -442,10 +457,4 @@ def osc_rate(fam: MapFamily, s: float,
     """Bound on |v'|/v: 2s/gamma for digit families, M1 otherwise."""
     if fam.kind == MOBIUS:
         return 2.0 * s / float(fam.digits[0])
-    if fam.kind == CANTOR:
-        if constants is None or constants.s != s:
-            constants = cantor_constants(fam.cantor_a, s)
-        return constants.M1
-    if constants is None or constants.s != s:
-        constants = general_constants(fam, s)
-    return constants.M1
+    return family_constants(fam, s, constants).M1

@@ -18,13 +18,12 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import reference_data as ref
-from .bounds import osc_rate
-from .discretize import _pieces, dump_matrix, make_mesh
+from .discretize import _pieces, assemble, dump_matrix, make_mesh
 from .errors import BadParams, ConfigError, NumericError
 from .higher_order import highorder_dimension
 from .ifs import MapFamily, make_cantor_family, make_mobius_family, reduce_domain
-from .solver import bracket_dimension, cached_triple, convergence_study, enclosure_at
-from .spectral import ConeParams, cone_membership
+from .solver import bracket_dimension, convergence_study
+from .spectral import ConeParams, cone_membership, power_enclosure
 
 _DOMAIN_RE = re.compile(r"^(full|reduced:[1-9][0-9]*)$")
 _FORMATS = ("text", "csv", "json")
@@ -46,7 +45,6 @@ class RunConfig:
     radius_tol: float = 1e-13
     domain: str = "full"
     format: str = "text"
-    threads: int = 1
     scale: float = 1.0
     dump_matrix: str | None = None
 
@@ -70,9 +68,6 @@ class RunConfig:
                 f"--domain must be 'full' or 'reduced:k', got {self.domain!r}")
         if self.format not in _FORMATS:
             raise BadParams(f"--format must be one of {_FORMATS}")
-        if int(self.threads) < 1:
-            raise BadParams("--threads must be >= 1")
-        self.threads = int(self.threads)
         if not float(self.scale) > 0.0:
             raise BadParams("--scale must be positive")
         self.scale = float(self.scale)
@@ -127,16 +122,17 @@ def cmd_radius(cfg: RunConfig) -> int:
     if cfg.s is None:
         raise BadParams("radius needs --s")
     s = cfg.s
-    encs = {w: enclosure_at(fam, mesh, s, w, cfg.radius_tol) for w in "AMB"}
+    triple = assemble(fam, mesh, s)
+    encs = {w: power_enclosure(getattr(triple, w), tol=cfg.radius_tol)
+            for w in "AMB"}
     if cfg.dump_matrix:
-        triple = cached_triple(fam, mesh, s)
         cells = _mesh_cells(mesh)
         for tag in "AMB":
             path = f"{cfg.dump_matrix}.{tag}"
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(dump_matrix(getattr(triple, tag), cells, s,
                                      fam.family_id))
-    cone = ConeParams(M=osc_rate(fam, s) + 1.0, h=mesh.h)
+    cone = ConeParams(M=triple.model.osc + 1.0, h=mesh.h)
     pieces, offsets = _pieces(mesh)
     member = all(
         cone_membership(encs["B"].eigvec[offsets[i]:offsets[i + 1]], cone)
@@ -357,8 +353,6 @@ def _common_parser() -> argparse.ArgumentParser:
                    help="relative enclosure gap tolerance (default 1e-13)")
     p.add_argument("--domain", help="'full' or 'reduced:k' (k refinement steps)")
     p.add_argument("--format", choices=_FORMATS, help="output format")
-    p.add_argument("--threads", type=int,
-                   help="worker cap (reserved; runs are sequential)")
     p.add_argument("--scale", type=float,
                    help="multiply preset table mesh widths by this factor")
     p.add_argument("--dump-matrix", dest="dump_matrix", metavar="PATH",

@@ -13,6 +13,12 @@ with err_hi(y) = coef_hi * Q(y), err_lo(y) = coef_lo * Q(y) and
 Q(y) = (x_{r+1} - y)(y - x_r) on the cell containing y.  The coefficients
 come from certified bounds on v''/v tilted by the oscillation rate, so
 r(A) <= r(L_s) <= r(B) holds for the underlying operator.
+
+Where theta_j(x_k) lands, its basis weights, Q and log g_j(x_k) do not
+depend on s.  A CollocationPlan computes them once per (family, mesh,
+degree) together with the merged sparsity pattern; each matrix at one s
+is then a single pass over the plan's entries.  The degree-d Lagrange
+basis of higher_order shares the same plan.
 """
 
 from __future__ import annotations
@@ -23,20 +29,26 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .bounds import BoundConstants, osc_rate, second_ratio_bounds
+from .bounds import (
+    BoundConstants,
+    family_constants,
+    osc_rate,
+    second_ratio_bounds,
+)
 from .errors import (
     BadParams,
     ErrTooLarge,
     MapEscapesDomain,
     NegativeEntry,
     OutOfDomain,
+    ParamOutOfRange,
 )
-from .ifs import CLAMP_REL_TOL, MapFamily
+from .ifs import CLAMP_REL_TOL, MapFamily, eval_map
 
 __all__ = [
     "Mesh", "MeshUnion", "make_mesh", "interp_weights", "ErrorModel",
-    "error_model", "SparseNonnegMatrix", "MatrixTriple", "assemble",
-    "row_sums", "dump_matrix",
+    "error_model", "SparseNonnegMatrix", "MatrixTriple", "CollocationPlan",
+    "collocation_plan", "assemble", "row_sums", "dump_matrix",
 ]
 
 
@@ -53,9 +65,6 @@ class Mesh:
     @property
     def dim(self) -> int:
         return self.n + 1
-
-    def key(self) -> tuple:
-        return (self.a, self.b, self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +90,6 @@ class MeshUnion:
     @property
     def span(self) -> tuple[float, float]:
         return self.pieces[0].a, self.pieces[-1].b
-
-    def key(self) -> tuple:
-        return tuple(p.key() for p in self.pieces)
 
 
 def _mesh_interval(a: float, b: float, n: int) -> Mesh:
@@ -213,6 +219,7 @@ def error_model(fam: MapFamily, s: float, h: float,
     """Build the correction model from the certified v''/v enclosure."""
     if h <= 0.0:
         raise BadParams(f"need h > 0, got {h}")
+    constants = family_constants(fam, s, constants)
     r_lo, r_hi = second_ratio_bounds(fam, s, constants)
     osc = osc_rate(fam, s, constants)
     coef_hi = 0.5 * r_hi * math.exp(osc * h)
@@ -229,7 +236,33 @@ def error_model(fam: MapFamily, s: float, h: float,
 # sparse matrices
 
 
-class SparseNonnegMatrix:
+class CsrMatrix:
+    """Square matrix held only as a scipy CSR matrix.
+
+    indptr, indices and data are the CSR's own arrays, so matrices built
+    from one collocation plan share its pattern arrays.
+    """
+
+    def __init__(self, dim: int, indptr: np.ndarray, indices: np.ndarray,
+                 data: np.ndarray):
+        self.dim = int(dim)
+        csr = scipy.sparse.csr_matrix((data, indices, indptr),
+                                      shape=(self.dim, self.dim))
+        self._csr = csr
+        self.indptr, self.indices, self.data = csr.indptr, csr.indices, csr.data
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        return self._csr @ w
+
+    def toarray(self) -> np.ndarray:
+        return self._csr.toarray()
+
+
+class SparseNonnegMatrix(CsrMatrix):
     """Row-compressed nonnegative matrix with a fixed entry order.
 
     Within each row the columns are sorted ascending and duplicate
@@ -241,20 +274,7 @@ class SparseNonnegMatrix:
                  data: np.ndarray):
         if np.any(data < 0.0):
             raise NegativeEntry("matrix entries must be nonnegative")
-        self.dim = int(dim)
-        self.indptr = indptr
-        self.indices = indices
-        self.data = data
-        self._csr = scipy.sparse.csr_matrix(
-            (data, indices, indptr), shape=(dim, dim)
-        )
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indptr[-1])
-
-    def matvec(self, w: np.ndarray) -> np.ndarray:
-        return self._csr @ w
+        super().__init__(dim, indptr, indices, data)
 
     def row(self, k: int) -> list[tuple[int, float]]:
         sl = slice(self.indptr[k], self.indptr[k + 1])
@@ -267,9 +287,6 @@ class SparseNonnegMatrix:
             out[nz] = np.add.reduceat(self.data, self.indptr[nz])
             return out
         return np.add.reduceat(self.data, self.indptr[:-1])
-
-    def toarray(self) -> np.ndarray:
-        return self._csr.toarray()
 
 
 def row_sums(matrix: SparseNonnegMatrix) -> np.ndarray:
@@ -299,65 +316,149 @@ class MatrixTriple:
     family_id: str
 
 
+# ---------------------------------------------------------------------------
+# collocation plan
+
+_MAX_DEGREE = 8
+
+
+def _lagrange_rows(t: np.ndarray, degree: int) -> np.ndarray:
+    """Weights of the d+1 equispaced-node Lagrange basis at local t."""
+    u = degree * t
+    out = np.ones((degree + 1, t.size))
+    for q in range(degree + 1):
+        for p in range(degree + 1):
+            if p != q:
+                out[q] *= (u - p) / (q - p)
+    return out
+
+
+def _fine_nodes(mesh, degree: int):
+    """Global degree-d node vector plus per-piece offsets (fine and coarse)."""
+    pieces, _ = _pieces(mesh)
+    xs = []
+    fine_offsets = [0]
+    coarse_offsets = [0]
+    for piece in pieces:
+        m = piece.n * degree
+        xs.append(piece.a + np.arange(m + 1) * (piece.h / degree))
+        fine_offsets.append(fine_offsets[-1] + m + 1)
+        coarse_offsets.append(coarse_offsets[-1] + piece.n + 1)
+    return (np.concatenate(xs), np.asarray(fine_offsets),
+            np.asarray(coarse_offsets))
+
+
+@dataclass(frozen=True, eq=False)
+class CollocationPlan:
+    """The s-independent part of the collocation matrices on one mesh.
+
+    indptr/indices (int32) are the merged sparsity pattern shared by
+    every matrix built from the plan.  weight, log_weight and q hold one
+    value per contribution before coincident (row, col) pairs merge,
+    already in merged order: contributions starts[k] .. starts[k+1]-1
+    sum into stored entry k.  q is Q(y) of the hat basis (None for
+    degree > 1).
+    """
+
+    dim: int
+    degree: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    starts: np.ndarray
+    weight: np.ndarray
+    log_weight: np.ndarray
+    q: np.ndarray | None
+
+    def data(self, s: float, coef: float | None = None) -> np.ndarray:
+        """Entries at s: merged sums of g^s * (1 - coef Q) * weight.
+
+        coef = None builds the plain matrix (M, or the degree-d matrix);
+        coef_hi gives A and coef_lo gives B.
+        """
+        vals = np.exp(s * self.log_weight)
+        if coef is not None:
+            fac = 1.0 - coef * self.q
+            if np.any(fac <= 0.0):
+                raise ErrTooLarge("matrix correction reached 1; refine the mesh")
+            vals *= fac
+        vals *= self.weight
+        return np.add.reduceat(vals, self.starts)
+
+    def matrix(self, s: float, coef: float | None = None) -> SparseNonnegMatrix:
+        """Nonnegative matrix at s on the plan's pattern (see data)."""
+        return SparseNonnegMatrix(self.dim, self.indptr, self.indices,
+                                  self.data(s, coef))
+
+
+def collocation_plan(fam: MapFamily, mesh, degree: int = 1) -> CollocationPlan:
+    """Map images, basis weights and the merged pattern of one collocation.
+
+    degree 1 collocates at the mesh nodes on the hat basis; degree d at
+    the d*n+1 equispaced nodes of each piece on the piecewise degree-d
+    Lagrange basis.  Row k collects, for every map j in index order, the
+    basis weights of theta_j(x_k); a stable sort by (row, col) keeps map
+    order among coincident pairs, which fixes their accumulation order.
+    """
+    if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool):
+        raise ParamOutOfRange(f"degree must be an integer, got {degree!r}")
+    degree = int(degree)
+    if not 1 <= degree <= _MAX_DEGREE:
+        raise ParamOutOfRange(f"degree must be in 1..{_MAX_DEGREE}, got {degree}")
+    if degree == 1:
+        xs = mesh.nodes
+    else:
+        xs, fine_off, coarse_off = _fine_nodes(mesh, degree)
+    cols, weights, log_weights, qs = [], [], [], []
+    for j, spec in enumerate(fam.maps):
+        if degree == 1:
+            try:
+                c0, c1, wl, wr, q = _locate(mesh, spec.eval(xs))
+            except OutOfDomain as exc:
+                raise MapEscapesDomain(f"map {spec.label!r}: {exc}") from None
+            parts = ((c0, wl), (c1, wr))
+            qs += [q, q]
+        else:
+            c0, _, _, wr, _ = _locate(mesh, eval_map(fam, j, xs))
+            piece = np.searchsorted(coarse_off, c0, side="right") - 1
+            base = fine_off[piece] + (c0 - coarse_off[piece]) * degree
+            parts = [(base + p, lag)
+                     for p, lag in enumerate(_lagrange_rows(wr, degree))]
+        logw = np.asarray(spec.log_weight(xs), dtype=float)
+        for c, w in parts:
+            cols.append(c)
+            weights.append(w)
+            log_weights.append(logw)
+    dim = xs.size
+    rows = np.tile(np.arange(dim), len(cols))
+    cols = np.concatenate(cols)
+    order = np.lexsort((cols, rows))
+    rows = rows[order]
+    cols = cols[order]
+    newseg = np.ones(rows.shape, dtype=bool)
+    newseg[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(newseg)
+    indptr = np.searchsorted(rows[starts], np.arange(dim + 1))
+    return CollocationPlan(
+        dim=dim, degree=degree, indptr=indptr.astype(np.int32),
+        indices=cols[starts].astype(np.int32), starts=starts,
+        weight=np.concatenate(weights)[order],
+        log_weight=np.concatenate(log_weights)[order],
+        q=np.concatenate(qs)[order] if degree == 1 else None,
+    )
+
+
 def assemble(fam: MapFamily, mesh, s: float,
              model: ErrorModel | None = None) -> MatrixTriple:
     """Assemble the lower/plain/upper collocation matrices at parameter s.
 
-    Row k collects, for every map j in index order, the hat weights of
-    theta_j(x_k) scaled by g_j(x_k)^s and the per-matrix correction
-    factor.  Coincident (row, col) pairs accumulate by addition in map
-    order; the three matrices share one sparsity pattern.
+    All three come from one hat-basis collocation plan and share its
+    sparsity pattern; A and B scale each contribution by its correction
+    factor 1 - coef_hi Q and 1 - coef_lo Q before coincident entries
+    accumulate.
     """
     if model is None:
         model = error_model(fam, s, mesh.h)
-    nodes = mesh.nodes
-    dim = mesh.dim
-    rows_parts, cols_parts = [], []
-    vals_a, vals_m, vals_b = [], [], []
-    lo, hi = (mesh.span if isinstance(mesh, MeshUnion) else (mesh.a, mesh.b))
-    tol = CLAMP_REL_TOL * (hi - lo)
-    karr = np.arange(dim, dtype=np.int64)
-    for spec in fam.maps:
-        ys = np.asarray(spec.eval(nodes), dtype=float)
-        if np.any(ys < lo - tol) or np.any(ys > hi + tol):
-            worst = float(np.max(np.maximum(lo - ys, ys - hi)))
-            raise MapEscapesDomain(
-                f"map {spec.label!r} leaves the meshed domain by {worst:.3g}"
-            )
-        try:
-            c0, c1, wl, wr, q = _locate(mesh, ys)
-        except OutOfDomain as exc:
-            raise MapEscapesDomain(str(exc)) from None
-        gpow = np.exp(s * np.asarray(spec.log_weight(nodes), dtype=float))
-        fac_a = 1.0 - model.coef_hi * q
-        fac_b = 1.0 - model.coef_lo * q
-        if np.any(fac_a <= 0.0):
-            raise ErrTooLarge("lower-matrix correction reached 1; refine the mesh")
-        for cc, ww in ((c0, wl), (c1, wr)):
-            rows_parts.append(karr)
-            cols_parts.append(cc)
-            vals_m.append(gpow * ww)
-            vals_a.append(gpow * fac_a * ww)
-            vals_b.append(gpow * fac_b * ww)
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    # stable sort by (row, col): ties keep map order, fixing the
-    # accumulation order of coincident entries
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-    newseg = np.empty(rows.shape, dtype=bool)
-    newseg[0] = True
-    newseg[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(newseg)
-    out_rows = rows[starts]
-    out_cols = cols[starts]
-    indptr = np.zeros(dim + 1, dtype=np.int64)
-    np.add.at(indptr, out_rows + 1, 1)
-    indptr = np.cumsum(indptr)
-    mats = []
-    for parts in (vals_a, vals_m, vals_b):
-        data = np.add.reduceat(np.concatenate(parts)[order], starts)
-        mats.append(SparseNonnegMatrix(dim, indptr, out_cols, data))
-    return MatrixTriple(A=mats[0], M=mats[1], B=mats[2], s=s, model=model,
+    plan = collocation_plan(fam, mesh)
+    return MatrixTriple(A=plan.matrix(s, model.coef_hi), M=plan.matrix(s),
+                        B=plan.matrix(s, model.coef_lo), s=s, model=model,
                         family_id=fam.family_id)

@@ -16,113 +16,32 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
-from .discretize import ErrorModel, _locate, _pieces, assemble
-from .errors import ParamOutOfRange, PowerDivergence
-from .ifs import MapFamily, eval_map
+from .discretize import CollocationPlan, CsrMatrix, collocation_plan
+from .errors import PowerDivergence
+from .ifs import MapFamily
 from .solver import solve_root
 
-_MAX_DEGREE = 8
 
-
-@dataclass(eq=False)
-class HighOrderMatrix:
+class HighOrderMatrix(CsrMatrix):
     """Signed sparse collocation matrix in CSR form."""
 
-    dim: int
-    degree: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-    def __post_init__(self):
-        self._csr = scipy.sparse.csr_matrix(
-            (self.data, self.indices, self.indptr), shape=(self.dim, self.dim))
-
-    @property
-    def nnz(self) -> int:
-        return int(self.data.size)
-
-    def matvec(self, w: np.ndarray) -> np.ndarray:
-        return self._csr @ w
-
-    def toarray(self) -> np.ndarray:
-        return self._csr.toarray()
+    def __init__(self, dim: int, degree: int, indptr: np.ndarray,
+                 indices: np.ndarray, data: np.ndarray):
+        super().__init__(dim, indptr, indices, data)
+        self.degree = int(degree)
 
 
-def _lagrange_rows(t: np.ndarray, degree: int) -> np.ndarray:
-    """Weights of the d+1 equispaced-node Lagrange basis at local t."""
-    u = degree * t
-    out = np.ones((degree + 1, t.size))
-    for q in range(degree + 1):
-        for p in range(degree + 1):
-            if p != q:
-                out[q] *= (u - p) / (q - p)
-    return out
-
-
-def _fine_nodes(mesh, degree: int):
-    """Global degree-d node vector plus per-piece offsets (fine and coarse)."""
-    pieces, _ = _pieces(mesh)
-    xs = []
-    fine_offsets = [0]
-    coarse_offsets = [0]
-    for piece in pieces:
-        m = piece.n * degree
-        xs.append(piece.a + np.arange(m + 1) * (piece.h / degree))
-        fine_offsets.append(fine_offsets[-1] + m + 1)
-        coarse_offsets.append(coarse_offsets[-1] + piece.n + 1)
-    return (np.concatenate(xs), np.asarray(fine_offsets),
-            np.asarray(coarse_offsets), pieces)
+def _plan_matrix(plan: CollocationPlan, s: float) -> HighOrderMatrix:
+    return HighOrderMatrix(dim=plan.dim, degree=plan.degree,
+                           indptr=plan.indptr, indices=plan.indices,
+                           data=plan.data(s))
 
 
 def assemble_highorder(fam: MapFamily, mesh, s: float,
                        degree: int) -> HighOrderMatrix:
-    """Degree-d collocation matrix; degree 1 reuses the hat-basis path."""
-    if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool):
-        raise ParamOutOfRange(f"degree must be an integer, got {degree!r}")
-    degree = int(degree)
-    if not 1 <= degree <= _MAX_DEGREE:
-        raise ParamOutOfRange(f"degree must be in 1..{_MAX_DEGREE}, got {degree}")
-    if degree == 1:
-        m = assemble(fam, mesh, s, model=ErrorModel.zero(mesh.h)).M
-        return HighOrderMatrix(dim=m.dim, degree=1, indptr=m.indptr,
-                               indices=m.indices, data=m.data)
-
-    xs, fine_off, coarse_off, pieces = _fine_nodes(mesh, degree)
-    dim = int(fine_off[-1])
-    rows_parts, cols_parts, vals_parts = [], [], []
-    nrows = xs.size
-    row_idx = np.arange(nrows)
-    for j in range(fam.n_maps):
-        ys = eval_map(fam, j, xs)
-        c0, _, _, wr, _ = _locate(mesh, ys)
-        piece_of = np.searchsorted(coarse_off, c0, side="right") - 1
-        cell = c0 - coarse_off[piece_of]
-        base = fine_off[piece_of] + cell * degree
-        gpow = np.exp(s * fam.maps[j].log_weight(xs))
-        lag = _lagrange_rows(wr, degree)
-        for q in range(degree + 1):
-            rows_parts.append(row_idx)
-            cols_parts.append(base + q)
-            vals_parts.append(gpow * lag[q])
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    vals = np.concatenate(vals_parts)
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    newseg = np.ones(rows.size, dtype=bool)
-    newseg[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(newseg)
-    out_rows = rows[starts]
-    out_cols = cols[starts]
-    out_vals = np.add.reduceat(vals, starts)
-    counts = np.zeros(dim + 1, dtype=np.int64)
-    np.add.at(counts, out_rows + 1, 1)
-    indptr = np.cumsum(counts)
-    return HighOrderMatrix(dim=dim, degree=degree, indptr=indptr,
-                           indices=out_cols.astype(np.int64), data=out_vals)
+    """Degree-d collocation matrix; degree 1 is the plain hat matrix M."""
+    return _plan_matrix(collocation_plan(fam, mesh, degree), s)
 
 
 _SETTLE_RUNS = 10
@@ -180,13 +99,12 @@ def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
                         initial: tuple[float, float] = (0.01, 1.5)
                         ) -> HighOrderResult:
     """Dimension estimate: root of log |lambda_dom(s)| (no certificate)."""
-    dims = {}
+    plan = collocation_plan(fam, mesh, degree)
 
     def f(s: float) -> float:
-        mat = assemble_highorder(fam, mesh, s, degree)
-        dims["dim"] = mat.dim
-        return math.log(dominant_magnitude(mat, tol=radius_tol))
+        return math.log(dominant_magnitude(_plan_matrix(plan, s),
+                                           tol=radius_tol))
 
     s, evals = solve_root(f, initial, root_tol)
-    return HighOrderResult(s=s, degree=int(degree), dim=dims["dim"],
+    return HighOrderResult(s=s, degree=plan.degree, dim=plan.dim,
                            mesh_h=mesh.h, family_id=fam.family_id, evals=evals)

@@ -101,10 +101,6 @@ class MapFamily:
             return f"cantor:{self.cantor_a!r}"
         return f"custom:{self.label}"
 
-    def key(self) -> tuple:
-        """Hashable identity used for caching assembled matrices."""
-        return (self.kind, self.digits, self.cantor_a, self.label, self.domain)
-
     @property
     def n_maps(self) -> int:
         return len(self.maps)

@@ -12,48 +12,21 @@ certifies the inequality.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import MatrixTriple, assemble, make_mesh
+from .discretize import ErrorModel, collocation_plan, error_model, make_mesh
 from .errors import BadParams, NoSignChange, PowerDivergence
 from .ifs import MapFamily
 from .spectral import SpectralEnclosure, power_enclosure
 
 _EPS = float(np.finfo(float).eps)
 
-_TRIPLE_CACHE_LIMIT = 16
-_triple_cache: OrderedDict[tuple, MatrixTriple] = OrderedDict()
-_radius_cache: dict[tuple, tuple[float, float, int, bool]] = {}
-_assembly_count = 0
 
-
-def clear_cache() -> None:
-    _triple_cache.clear()
-    _radius_cache.clear()
-
-
-def assembly_count() -> int:
-    """Total matrix assemblies since import (cache misses)."""
-    return _assembly_count
-
-
-def cached_triple(fam: MapFamily, mesh, s: float) -> MatrixTriple:
-    """Assemble (A, M, B) at s, reusing a small LRU of recent triples."""
-    global _assembly_count
-    key = (fam.key(), mesh.key(), s)
-    hit = _triple_cache.get(key)
-    if hit is not None:
-        _triple_cache.move_to_end(key)
-        return hit
-    triple = assemble(fam, mesh, s)
-    _assembly_count += 1
-    _triple_cache[key] = triple
-    if len(_triple_cache) > _TRIPLE_CACHE_LIMIT:
-        _triple_cache.popitem(last=False)
-    return triple
+def _coef(model: ErrorModel, which: str) -> float:
+    """Correction coefficient of the lower (A) or upper (B) matrix."""
+    return model.coef_hi if which == "A" else model.coef_lo
 
 
 def enclosure_at(fam: MapFamily, mesh, s: float, which: str,
@@ -61,31 +34,28 @@ def enclosure_at(fam: MapFamily, mesh, s: float, which: str,
     """Spectral enclosure of the requested matrix (fresh iteration)."""
     if which not in ("A", "M", "B"):
         raise BadParams(f"which must be A, M or B, got {which!r}")
-    triple = cached_triple(fam, mesh, s)
-    return power_enclosure(getattr(triple, which), tol=radius_tol)
+    plan = collocation_plan(fam, mesh)
+    if which == "M":
+        matrix = plan.matrix(s)
+    else:
+        matrix = plan.matrix(s, _coef(error_model(fam, s, mesh.h), which))
+    return power_enclosure(matrix, tol=radius_tol)
 
 
-def _radius_scalars(fam: MapFamily, mesh, s: float, which: str,
-                    radius_tol: float) -> tuple[float, float, int, bool]:
-    key = (fam.key(), mesh.key(), s, which, radius_tol)
-    hit = _radius_cache.get(key)
-    if hit is not None:
-        return hit
-    enc = enclosure_at(fam, mesh, s, which, radius_tol)
-    out = (enc.r_lo, enc.r_hi, enc.iterations, enc.converged)
-    _radius_cache[key] = out
-    return out
-
-
-def log_radius(fam: MapFamily, mesh, s: float, which: str = "B",
-               radius_tol: float = 1e-13) -> float:
-    """log of the enclosure midpoint of r(A_s|M_s|B_s); cached."""
-    r_lo, r_hi, _, converged = _radius_scalars(fam, mesh, s, which, radius_tol)
+def _log_midpoint(r_lo: float, r_hi: float, converged: bool,
+                  radius_tol: float) -> float:
     if not converged:
         raise PowerDivergence(
             f"enclosure gap stalled at {(r_hi - r_lo) / r_hi:.3g} (tol {radius_tol})"
         )
     return math.log(0.5 * (r_lo + r_hi))
+
+
+def log_radius(fam: MapFamily, mesh, s: float, which: str = "B",
+               radius_tol: float = 1e-13) -> float:
+    """log of the enclosure midpoint of r(A_s|M_s|B_s)."""
+    enc = enclosure_at(fam, mesh, s, which, radius_tol)
+    return _log_midpoint(enc.r_lo, enc.r_hi, enc.converged, radius_tol)
 
 
 def radius(fam: MapFamily, mesh, s: float, which: str = "M",
@@ -174,7 +144,7 @@ class DimensionBracket:
     family_id: str
     radius_tol: float
     root_tol: float
-    evals: int
+    evals: int  # matrices built by this call
     certified: bool
 
     @property
@@ -196,34 +166,43 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = 1e-12,
     log r(A_s) nudged downward until r_lo(A) >= 1.  If 64 nudge steps do
     not certify an endpoint the bracket is returned with certified=False.
     """
-    before = assembly_count()
+    plan = collocation_plan(fam, mesh)
+    models: dict[float, ErrorModel] = {}  # A and B share the start points
+    radii: dict[tuple[float, str], tuple[float, float, bool]] = {}
+
+    def enclose(s: float, which: str) -> tuple[float, float, bool]:
+        if (s, which) not in radii:
+            if s not in models:
+                models[s] = error_model(fam, s, mesh.h)
+            matrix = plan.matrix(s, _coef(models[s], which))
+            enc = power_enclosure(matrix, tol=radius_tol)
+            radii[s, which] = (enc.r_lo, enc.r_hi, enc.converged)
+        return radii[s, which]
 
     def f_upper(s: float) -> float:
-        return log_radius(fam, mesh, s, "B", radius_tol)
+        return _log_midpoint(*enclose(s, "B"), radius_tol)
 
     def f_lower(s: float) -> float:
-        return log_radius(fam, mesh, s, "A", radius_tol)
+        return _log_midpoint(*enclose(s, "A"), radius_tol)
 
     s_up, _ = solve_root(f_upper, initial, root_tol)
     cert_up = False
     for _ in range(_NUDGE_STEPS + 1):
-        _, r_hi, _, _ = _radius_scalars(fam, mesh, s_up, "B", radius_tol)
-        if r_hi <= 1.0:
+        if enclose(s_up, "B")[1] <= 1.0:
             cert_up = True
             break
         s_up += root_tol
     s_lo, _ = solve_root(f_lower, initial, root_tol)
     cert_lo = False
     for _ in range(_NUDGE_STEPS + 1):
-        r_lo, _, _, _ = _radius_scalars(fam, mesh, s_lo, "A", radius_tol)
-        if r_lo >= 1.0:
+        if enclose(s_lo, "A")[0] >= 1.0:
             cert_lo = True
             break
         s_lo -= root_tol
     return DimensionBracket(
         s_lower=s_lo, s_upper=s_up, mesh_h=mesh.h, family_id=fam.family_id,
         radius_tol=radius_tol, root_tol=root_tol,
-        evals=assembly_count() - before, certified=cert_up and cert_lo,
+        evals=len(radii), certified=cert_up and cert_lo,
     )
 
 

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import BadParams, NonPositiveVector, ZeroRowSum
 
 _STALL_LIMIT = 200
-_EPS = float(np.finfo(float).eps)
 
 
 def _matvec(matrix, w: np.ndarray) -> np.ndarray:
@@ -60,7 +59,6 @@ class SpectralEnclosure:
     eigvec: np.ndarray
     iterations: int
     converged: bool
-    float_slack: float
     history: list[tuple[float, float]] = field(default_factory=list)
 
     @property
@@ -122,8 +120,7 @@ def power_enclosure(matrix, tol: float = 1e-13, max_iter: int | None = None,
                 break
     return SpectralEnclosure(
         r_lo=lo, r_hi=hi, eigvec=w, iterations=iterations,
-        converged=converged, float_slack=_EPS * max(abs(hi), 1.0),
-        history=history,
+        converged=converged, history=history,
     )
 
 

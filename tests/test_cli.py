@@ -234,6 +234,17 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "bogus" in err
 
 
+def test_threads_setting_removed(tmp_path, capsys):
+    cfgfile = tmp_path / "threads.json"
+    cfgfile.write_text(json.dumps({"cf": [1, 2], "n": 50, "threads": 2}))
+    code, _, err = run_cli(capsys, "--config", str(cfgfile), "dim")
+    assert code == 2
+    assert "threads" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--cf", "1,2", "--n", "50", "--threads", "2", "dim"])
+    assert exc.value.code == 2
+
+
 def test_config_file_invalid_json(tmp_path, capsys):
     cfgfile = tmp_path / "broken.json"
     cfgfile.write_text("{not json")

@@ -146,6 +146,25 @@ def test_error_model_too_large():
         error_model(fam, 0.5, -0.1)
 
 
+def test_error_model_builds_constants_once(poly_fam, monkeypatch):
+    # The v''/v enclosure and the oscillation rate share one constants set.
+    import hausdim.bounds as bounds
+
+    calls = []
+    real = bounds.general_constants
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "general_constants", counting)
+    model = error_model(poly_fam, 0.8, 0.01)
+    assert len(calls) == 1
+    bc = real(poly_fam, 0.8)
+    assert (model.R_lo, model.R_hi) == (-bc.M2, bc.M2)
+    assert model.osc == bc.M1
+
+
 def test_assemble_column_support():
     # Maps into [1/6, 1/3] touch only the first two cells of a 4-cell
     # mesh on [0, 1]: columns 0, 1, 2.

@@ -13,7 +13,7 @@ from hausdim import (
     make_mesh,
     make_mobius_family,
 )
-from hausdim.higher_order import _lagrange_rows
+from hausdim.discretize import _lagrange_rows
 from hausdim.reference_data import DIM_12_BEST, TABLE2, TABLE2B
 
 
@@ -77,9 +77,9 @@ def test_highorder_row_sums_partition():
     s = 0.5
     mat = assemble_highorder(fam, mesh, s, 3)
     arr = mat.toarray()
-    from hausdim.higher_order import _fine_nodes
+    from hausdim.discretize import _fine_nodes
 
-    xs, _, _, _ = _fine_nodes(mesh, 3)
+    xs, _, _ = _fine_nodes(mesh, 3)
     expect = sum(np.abs(-1.0 / (xs + b) ** 2) ** s for b in (1.0, 2.0))
     assert np.allclose(arr.sum(axis=1), expect, rtol=1e-12)
 

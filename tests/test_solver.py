@@ -5,6 +5,7 @@ import pytest
 
 from hausdim import (
     BadParams,
+    MapSpec,
     NoSignChange,
     assemble,
     bracket_dimension,
@@ -12,6 +13,7 @@ from hausdim import (
     enclosure_at,
     log_radius,
     make_cantor_family,
+    make_custom_family,
     make_mesh,
     make_mobius_family,
     power_enclosure,
@@ -20,7 +22,7 @@ from hausdim import (
     solve_root,
 )
 from hausdim.bounds import bound_M3, mobius_ratio_bounds
-from hausdim.solver import assembly_count, cached_triple, clear_cache
+from hausdim.discretize import CollocationPlan
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -201,22 +203,61 @@ def test_convergence_study_needs_two_widths():
         convergence_study(make_cantor_family(0.0), [0.01])
 
 
-def test_triple_cache_reuses_assemblies():
-    clear_cache()
+def test_bracket_builds_each_matrix_once(monkeypatch):
+    # Within one bracket the root solves and the nudge passes revisit s
+    # values; every (s, matrix) pair is built once and evals counts them.
+    # A and B at a shared s also share one error model.
+    import hausdim.solver as solver
+
+    built, modelled = [], []
+    data = CollocationPlan.data
+    model = solver.error_model
+
+    def counting(self, s, coef=None):
+        built.append((s, coef))
+        return data(self, s, coef)
+
+    def counting_model(fam, s, h):
+        modelled.append(s)
+        return model(fam, s, h)
+
+    monkeypatch.setattr(CollocationPlan, "data", counting)
+    monkeypatch.setattr(solver, "error_model", counting_model)
     fam = make_mobius_family([1, 2])
-    mesh = make_mesh(fam.domain, n=80)
-    cached_triple(fam, mesh, 0.5)
-    once = assembly_count()
-    cached_triple(fam, mesh, 0.5)
-    assert assembly_count() == once
-    # Same s requested through the radius path: still no new assembly.
-    radius(fam, mesh, 0.5, "A")
-    radius(fam, mesh, 0.5, "B")
-    assert assembly_count() == once
+    br = bracket_dimension(fam, make_mesh(fam.domain, n=80))
+    assert len(built) == len(set(built)) == br.evals > 0
+    assert sorted(modelled) == sorted({s for s, _ in built})
+
+
+def _affine_pair(ratio):
+    """x -> r x and x -> r x + 1 - r on [0, 1], with the default label."""
+    def const(value):
+        return lambda x: np.full_like(np.asarray(x, dtype=float), value)
+
+    def spec(offset, label):
+        return MapSpec(label=label,
+                       eval=lambda x: ratio * np.asarray(x, dtype=float) + offset,
+                       d1=const(ratio), d2=const(0.0), d3=const(0.0),
+                       log_weight=const(math.log(ratio)), weight_r1=const(0.0),
+                       weight_r2=const(0.0), weight_r3=const(0.0),
+                       d1_sup=ratio)
+
+    return make_custom_family([spec(0.0, "left"), spec(1.0 - ratio, "right")],
+                              (0.0, 1.0))
+
+
+def test_brackets_of_same_label_families_stay_independent():
+    # Two custom families share the default label, domain and mesh; the
+    # second bracket must come from its own matrices.
+    mesh = make_mesh((0.0, 1.0), h=1e-2)
+    first = bracket_dimension(_affine_pair(1.0 / 3.0), mesh)
+    assert first.s_lower <= LOG2_3 <= first.s_upper
+    second = bracket_dimension(_affine_pair(0.25), mesh)
+    assert second.evals > 0
+    assert second.s_lower <= 0.5 <= second.s_upper
 
 
 def test_solver_economy_on_discretized_curve():
-    clear_cache()
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, n=200)
     f = lambda s: log_radius(fam, mesh, s, "B")
