@@ -18,9 +18,8 @@ from .bounds import (
     cantor_constants,
     general_constants,
     mobius_ratio_bounds,
-    osc_rate,
+    ratio_bounds,
     refined_M2_upper,
-    second_ratio_bounds,
     sign_certificate,
 )
 from .discretize import (

@@ -13,6 +13,7 @@ length mu.  Three routes are implemented:
 
 The perturbed Cantor family has closed forms for its constants; those are
 cross-checked against the brute-force suprema in the test suite.
+ratio_bounds picks the route for a family and is the one place that does.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, MissingDerivatives, SignNotCertified
-from .ifs import CANTOR, CUSTOM, MOBIUS, MapFamily, contraction_data
+from .ifs import CANTOR, MOBIUS, MapFamily, contraction_data
 
 
 @dataclass(frozen=True)
@@ -137,22 +138,23 @@ def mobius_ratio_bounds(gamma: float, Gamma: float, A_right: float,
 # golden-section maximization (1-D, seeded)
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_SEEDS = 64
+_GOLDEN_TOL = 1e-12
 
 
-def golden_max(f, lo: float, hi: float, seeds: int = 64,
-               tol: float = 1e-12) -> float:
-    """Maximum of f on [lo, hi]: seeded bracketing plus golden-section."""
-    xs = np.linspace(lo, hi, seeds + 1)
+def golden_max(f, lo: float, hi: float) -> float:
+    """Maximum of f on [lo, hi]: 64 seeds bracket it, golden-section to 1e-12."""
+    xs = np.linspace(lo, hi, _GOLDEN_SEEDS + 1)
     vals = np.asarray(f(xs), dtype=float)
     i = int(np.argmax(vals))
     best = float(vals[i])
     a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, seeds)]
+    b = xs[min(i + 1, _GOLDEN_SEEDS)]
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc = float(f(c))
     fd = float(f(d))
-    while b - a > tol:
+    while b - a > _GOLDEN_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -185,7 +187,7 @@ def cantor_g2_quotient(a: float, s: float):
     return q
 
 
-def cantor_constants(a: float, s: float, *, direct_k2: bool = True) -> BoundConstants:
+def cantor_constants(a: float, s: float) -> BoundConstants:
     """Closed-form constants for the perturbed Cantor family.
 
     C1, C2, E2 and kappa come from the exact formulas (with the branch
@@ -219,10 +221,7 @@ def cantor_constants(a: float, s: float, *, direct_k2: bool = True) -> BoundCons
     E3 = 13.125 * a / (3.0 + 2.0 * a)
     q = cantor_g2_quotient(a, s)
     G2 = golden_max(q, 0.0, 1.0)
-    if direct_k2:
-        K2 = golden_max(lambda x: np.abs(q(x)), 0.0, 1.0)
-    else:
-        K2 = C2 + abs(1.0 - s) * C1**2
+    K2 = golden_max(lambda x: np.abs(q(x)), 0.0, 1.0)
     M1 = bound_M1(s, C1, kappa)
     M2 = bound_M2(s, K2=K2, C1=C1, M1=M1, E2=E2, kappa=kappa)
     sign_cert = s > cantor_sign_threshold(a)
@@ -304,31 +303,33 @@ def _quantities(chain: dict, s: float) -> dict:
     }
 
 
+_GRID = 2049
+_REFINE_ROUNDS = 5
+_REFINE_PTS = 257
+
+
 def _refine_max(fam: MapFamily, word: tuple[int, ...], s: float, key: str,
-                lo: float, hi: float, rounds: int = 5, pts: int = 257) -> float:
+                lo: float, hi: float) -> float:
     best = -math.inf
-    for _ in range(rounds):
-        xs = np.linspace(lo, hi, pts)
+    for _ in range(_REFINE_ROUNDS):
+        xs = np.linspace(lo, hi, _REFINE_PTS)
         vals = _quantities(_word_chain(fam, word, xs), s)[key]
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
         if not math.isfinite(best):
             return best
-        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, pts - 1)]
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, _REFINE_PTS - 1)]
     return best
 
 
-def general_constants(fam: MapFamily, s: float, *, grid: int = 2049,
-                      safety: float = 1.01, refine: bool = True,
-                      direct_k: bool = True) -> BoundConstants:
+def general_constants(fam: MapFamily, s: float, *,
+                      safety: float = 1.01) -> BoundConstants:
     """Brute-force constants for any family with order-3 derivative data.
 
     Maximizes each quantity over all words of the contraction length mu
-    on a dense grid, then refines around the argmax.  The returned
+    on a 2049-point grid, then refines around the argmax.  The returned
     suprema are inflated by the configurable safety factor (recorded in
     the result); consistency tests against closed forms use safety=1.
-    When direct_k is false, K2/K3 come from the closed-form fallbacks
-    K2 = C2 + |1-s| C1^2 and K3 = |s-1||s-2| C1^3 + 3|s-1| C1 C2 + C3.
     """
     if s <= 0.0:
         raise BadParams(f"need s > 0, got {s}")
@@ -336,11 +337,11 @@ def general_constants(fam: MapFamily, s: float, *, grid: int = 2049,
         raise BadParams(f"safety factor must be >= 1, got {safety}")
     kappa, mu = contraction_data(fam)
     a, b = fam.domain
-    xs = np.linspace(a, b, grid)
+    xs = np.linspace(a, b, _GRID)
     keys = ["C1", "C2", "C3", "E2", "E3", "K2", "K3", "G2", "KAP"]
     sup = {k: -math.inf for k in keys}
     arg = {k: (None, 0.0, 0.0) for k in keys}
-    step = (b - a) / (grid - 1)
+    step = (b - a) / (_GRID - 1)
     with np.errstate(invalid="ignore"):
         for word in itertools.product(range(fam.n_maps), repeat=mu):
             q = _quantities(_word_chain(fam, word, xs), s)
@@ -350,20 +351,15 @@ def general_constants(fam: MapFamily, s: float, *, grid: int = 2049,
                 if v > sup[k]:
                     sup[k] = v
                     arg[k] = (word, max(a, xs[i] - step), min(b, xs[i] + step))
-        if refine:
-            for k in keys:
-                word, lo, hi = arg[k]
-                if word is not None and math.isfinite(sup[k]):
-                    sup[k] = max(sup[k], _refine_max(fam, word, s, k, lo, hi))
+        for k in keys:
+            word, lo, hi = arg[k]
+            if word is not None and math.isfinite(sup[k]):
+                sup[k] = max(sup[k], _refine_max(fam, word, s, k, lo, hi))
     for k in keys:
         sup[k] *= safety
     C1, C2, C3 = sup["C1"], sup["C2"], sup["C3"]
     E2, E3 = sup["E2"], sup["E3"]
-    if direct_k:
-        K2, K3 = sup["K2"], sup["K3"]
-    else:
-        K2 = C2 + abs(1.0 - s) * C1**2
-        K3 = abs(s - 1.0) * abs(s - 2.0) * C1**3 + 3.0 * abs(s - 1.0) * C1 * C2 + C3
+    K2, K3 = sup["K2"], sup["K3"]
     M1 = bound_M1(s, C1, kappa) if C1 > 0.0 else 0.0
     M2 = bound_M2(s, K2=K2, C1=C1, M1=M1, E2=E2, kappa=kappa)
     M3 = bound_M3(s, K3=K3, K2=K2, C1=C1, M1=M1, M2=M2, E2=E2, E3=E3,
@@ -413,48 +409,22 @@ def sign_certificate(fam: MapFamily, s: float) -> bool:
     return True
 
 
-def family_constants(fam: MapFamily, s: float,
-                     constants: BoundConstants | None = None
-                     ) -> BoundConstants | None:
-    """Bound constants of a Cantor or custom family at s.
+def ratio_bounds(fam: MapFamily, s: float) -> tuple[float, float, float]:
+    """Enclosure (R_lo, R_hi) of v''/v and the bound osc on |v'|/v.
 
-    Returns `constants` unchanged when they were built for this s.
-    PerturbedCantor uses the closed forms, Custom the brute-force
-    suprema; MobiusDigits needs none (None), its bounds are explicit.
-    """
-    if fam.kind == MOBIUS:
-        return None
-    if constants is not None and constants.s == s:
-        return constants
-    if fam.kind == CANTOR:
-        return cantor_constants(fam.cantor_a, s)
-    return general_constants(fam, s)
-
-
-def second_ratio_bounds(fam: MapFamily, s: float,
-                        constants: BoundConstants | None = None
-                        ) -> tuple[float, float]:
-    """Enclosure (R_lo, R_hi) of v''/v for the family's eigenfunction.
-
-    MobiusDigits uses the sharp order-2 digit bounds with right endpoint
-    1/gamma; PerturbedCantor uses (0, refined) under its sign certificate
-    and the symmetric generic pair (-M2, M2) otherwise; Custom always
-    uses the symmetric generic pair.
+    MobiusDigits: the sharp order-2 digit bounds with right endpoint
+    1/gamma, and osc = 2s/gamma.  PerturbedCantor: the closed-form
+    constants, (0, refined) under the sign certificate and the symmetric
+    pair (-M2, M2) otherwise.  Custom: the generic M1-M3 chain with the
+    symmetric pair (-M2, M2).  Cantor and custom families use osc = M1.
     """
     if fam.kind == MOBIUS:
         gamma = float(fam.digits[0])
         Gamma = float(fam.digits[-1])
         pair = mobius_ratio_bounds(gamma, Gamma, 1.0 / gamma, s, 2)
-        return pair.lo, pair.hi
-    constants = family_constants(fam, s, constants)
+        return pair.lo, pair.hi, 2.0 * s / gamma
     if fam.kind == CANTOR:
-        return constants.R_lo, constants.R_hi
-    return -constants.M2, constants.M2
-
-
-def osc_rate(fam: MapFamily, s: float,
-             constants: BoundConstants | None = None) -> float:
-    """Bound on |v'|/v: 2s/gamma for digit families, M1 otherwise."""
-    if fam.kind == MOBIUS:
-        return 2.0 * s / float(fam.digits[0])
-    return family_constants(fam, s, constants).M1
+        c = cantor_constants(fam.cantor_a, s)
+    else:
+        c = general_constants(fam, s)
+    return c.R_lo, c.R_hi, c.M1

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -234,12 +233,13 @@ def _print_table(cfg: RunConfig, header: list[str], rows: list[dict],
         print(f"# all rows pass: {all_pass}")
 
 
-def cmd_table1(cfg: RunConfig) -> int:
+def _bracket_table(cfg: RunConfig, table: tuple[dict, ...], family) -> int:
+    """Certified brackets for a published table; family(row) builds the IFS."""
     header = ["family", "h", "s_lower", "s_upper", "ref_lower", "ref_upper",
               "status"]
     rows, ok = [], True
-    for row in ref.TABLE1:
-        fam = make_mobius_family(row["digits"])
+    for row in table:
+        fam = family(row)
         h = row["h"] * cfg.scale
         mesh = make_mesh(_intervals(cfg, fam, h), h=h)
         br = bracket_dimension(fam, mesh, root_tol=cfg.root_tol,
@@ -254,6 +254,11 @@ def cmd_table1(cfg: RunConfig) -> int:
         })
     _print_table(cfg, header, rows, ok)
     return 0 if ok else 3
+
+
+def cmd_table1(cfg: RunConfig) -> int:
+    return _bracket_table(cfg, ref.TABLE1,
+                          lambda row: make_mobius_family(row["digits"]))
 
 
 def cmd_table2(cfg: RunConfig) -> int:
@@ -285,25 +290,8 @@ def cmd_table2(cfg: RunConfig) -> int:
 
 
 def cmd_table3(cfg: RunConfig) -> int:
-    header = ["family", "h", "s_lower", "s_upper", "ref_lower", "ref_upper",
-              "status"]
-    rows, ok = [], True
-    for row in ref.TABLE3:
-        fam = make_cantor_family(row["a"])
-        h = row["h"] * cfg.scale
-        mesh = make_mesh(_intervals(cfg, fam, h), h=h)
-        br = bracket_dimension(fam, mesh, root_tol=cfg.root_tol,
-                               radius_tol=cfg.radius_tol)
-        passed = br.s_lower <= row["upper"] and row["lower"] <= br.s_upper
-        ok &= passed
-        rows.append({
-            "family": fam.family_id, "h": mesh.h,
-            "s_lower": br.s_lower, "s_upper": br.s_upper,
-            "ref_lower": row["lower"], "ref_upper": row["upper"],
-            "status": "pass" if passed else "FAIL",
-        })
-    _print_table(cfg, header, rows, ok)
-    return 0 if ok else 3
+    return _bracket_table(cfg, ref.TABLE3,
+                          lambda row: make_cantor_family(row["a"]))
 
 
 _COMMANDS = {

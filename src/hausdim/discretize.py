@@ -29,12 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .bounds import (
-    BoundConstants,
-    family_constants,
-    osc_rate,
-    second_ratio_bounds,
-)
+from .bounds import ratio_bounds
 from .errors import (
     BadParams,
     ErrTooLarge,
@@ -209,19 +204,12 @@ class ErrorModel:
     R_lo: float
     R_hi: float
 
-    @staticmethod
-    def zero(h: float) -> "ErrorModel":
-        return ErrorModel(0.0, 0.0, 0.0, h, 0.0, 0.0)
 
-
-def error_model(fam: MapFamily, s: float, h: float,
-                constants: BoundConstants | None = None) -> ErrorModel:
+def error_model(fam: MapFamily, s: float, h: float) -> ErrorModel:
     """Build the correction model from the certified v''/v enclosure."""
     if h <= 0.0:
         raise BadParams(f"need h > 0, got {h}")
-    constants = family_constants(fam, s, constants)
-    r_lo, r_hi = second_ratio_bounds(fam, s, constants)
-    osc = osc_rate(fam, s, constants)
+    r_lo, r_hi, osc = ratio_bounds(fam, s)
     coef_hi = 0.5 * r_hi * math.exp(osc * h)
     coef_lo = 0.5 * r_lo * math.exp(-osc * h)
     if coef_hi * h * h / 4.0 >= 1.0:
@@ -311,9 +299,7 @@ class MatrixTriple:
     A: SparseNonnegMatrix
     M: SparseNonnegMatrix
     B: SparseNonnegMatrix
-    s: float
     model: ErrorModel
-    family_id: str
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +396,15 @@ def collocation_plan(fam: MapFamily, mesh, degree: int = 1) -> CollocationPlan:
         xs, fine_off, coarse_off = _fine_nodes(mesh, degree)
     cols, weights, log_weights, qs = [], [], [], []
     for j, spec in enumerate(fam.maps):
+        ys = spec.eval(xs) if degree == 1 else eval_map(fam, j, xs)
+        try:
+            c0, c1, wl, wr, q = _locate(mesh, ys)
+        except OutOfDomain as exc:
+            raise MapEscapesDomain(f"map {spec.label!r}: {exc}") from None
         if degree == 1:
-            try:
-                c0, c1, wl, wr, q = _locate(mesh, spec.eval(xs))
-            except OutOfDomain as exc:
-                raise MapEscapesDomain(f"map {spec.label!r}: {exc}") from None
             parts = ((c0, wl), (c1, wr))
             qs += [q, q]
         else:
-            c0, _, _, wr, _ = _locate(mesh, eval_map(fam, j, xs))
             piece = np.searchsorted(coarse_off, c0, side="right") - 1
             base = fine_off[piece] + (c0 - coarse_off[piece]) * degree
             parts = [(base + p, lag)
@@ -460,5 +446,4 @@ def assemble(fam: MapFamily, mesh, s: float,
         model = error_model(fam, s, mesh.h)
     plan = collocation_plan(fam, mesh)
     return MatrixTriple(A=plan.matrix(s, model.coef_hi), M=plan.matrix(s),
-                        B=plan.matrix(s, model.coef_lo), s=s, model=model,
-                        family_id=fam.family_id)
+                        B=plan.matrix(s, model.coef_lo), model=model)

@@ -47,17 +47,16 @@ def assemble_highorder(fam: MapFamily, mesh, s: float,
 _SETTLE_RUNS = 10
 
 
-def dominant_magnitude(mat: HighOrderMatrix, tol: float = 1e-13,
-                       max_iter: int | None = None) -> float:
+def dominant_magnitude(mat: HighOrderMatrix, tol: float = 1e-13) -> float:
     """|lambda| of the dominant eigenvalue of a signed matrix.
 
-    Power iteration on sup norms settles for a real dominant eigenvalue
-    of either sign; oscillation (complex pair) falls back to a dense
-    eigensolve for dim <= 2000 and raises PowerDivergence beyond.
+    Power iteration on sup norms (at most 10*dim + 2000 steps) settles for
+    a real dominant eigenvalue of either sign; oscillation (complex pair)
+    falls back to a dense eigensolve for dim <= 2000 and raises
+    PowerDivergence beyond.
     """
     dim = mat.dim
-    if max_iter is None:
-        max_iter = 10 * dim + 2000
+    max_iter = 10 * dim + 2000
     w = 1.0 + np.arange(dim) / (1000.0 * max(dim, 1))
     est_prev = math.inf
     settle = 0

@@ -68,15 +68,19 @@ def radius(fam: MapFamily, mesh, s: float, which: str = "M",
 # root solving
 
 
-def solve_root(f, bracket: tuple[float, float], root_tol: float = 1e-12,
-               *, max_evals: int = 40, expand: float = 2.0,
-               limits: tuple[float, float] = (1e-6, 64.0)) -> tuple[float, int]:
+_MAX_EVALS = 40
+_EXPAND = 2.0
+_S_MIN, _S_MAX = 1e-6, 64.0
+
+
+def solve_root(f, bracket: tuple[float, float],
+               root_tol: float = 1e-12) -> tuple[float, int]:
     """Root of a decreasing function by secant steps inside a sign bracket.
 
-    The bracket is expanded geometrically until f changes sign, then each
+    The bracket is halved or doubled until f changes sign, then each
     secant candidate is accepted only inside the current bracket
-    (bisection otherwise).  Returns (root, evaluations); NoSignChange if
-    no sign change exists within the expansion limits.
+    (bisection otherwise).  Returns (root, evaluations) after at most 40
+    evaluations; NoSignChange if no sign change exists in [1e-6, 64].
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
@@ -91,16 +95,16 @@ def solve_root(f, bracket: tuple[float, float], root_tol: float = 1e-12,
     flo = ev(lo)
     fhi = ev(hi)
     while flo < 0.0:
-        if lo <= limits[0] or evals >= max_evals:
+        if lo <= _S_MIN or evals >= _MAX_EVALS:
             raise NoSignChange(f"no positive value down to s = {lo}")
         hi, fhi = lo, flo
-        lo = max(limits[0], lo / expand)
+        lo = max(_S_MIN, lo / _EXPAND)
         flo = ev(lo)
     while fhi > 0.0:
-        if hi >= limits[1] or evals >= max_evals:
+        if hi >= _S_MAX or evals >= _MAX_EVALS:
             raise NoSignChange(f"no negative value up to s = {hi}")
         lo, flo = hi, fhi
-        hi = min(limits[1], hi * expand)
+        hi = min(_S_MAX, hi * _EXPAND)
         fhi = ev(hi)
     if abs(flo) <= root_tol:
         return lo, evals
@@ -109,7 +113,7 @@ def solve_root(f, bracket: tuple[float, float], root_tol: float = 1e-12,
     a, fa = lo, flo
     b, fb = hi, fhi
     x0, f0, x1, f1 = a, fa, b, fb
-    while evals < max_evals:
+    while evals < _MAX_EVALS:
         denom = f1 - f0
         if denom != 0.0 and math.isfinite(denom):
             x = x1 - f1 * (x1 - x0) / denom
@@ -142,8 +146,6 @@ class DimensionBracket:
     s_upper: float
     mesh_h: float
     family_id: str
-    radius_tol: float
-    root_tol: float
     evals: int  # matrices built by this call
     certified: bool
 
@@ -179,29 +181,22 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = 1e-12,
             radii[s, which] = (enc.r_lo, enc.r_hi, enc.converged)
         return radii[s, which]
 
-    def f_upper(s: float) -> float:
-        return _log_midpoint(*enclose(s, "B"), radius_tol)
+    def endpoint(which: str, step: float) -> tuple[float, bool]:
+        """Root of log r(which), moved by step until its enclosure certifies."""
+        s, _ = solve_root(
+            lambda x: _log_midpoint(*enclose(x, which), radius_tol),
+            initial, root_tol)
+        for _ in range(_NUDGE_STEPS + 1):
+            r_lo, r_hi, _ = enclose(s, which)
+            if (r_hi <= 1.0) if which == "B" else (r_lo >= 1.0):
+                return s, True
+            s += step
+        return s, False
 
-    def f_lower(s: float) -> float:
-        return _log_midpoint(*enclose(s, "A"), radius_tol)
-
-    s_up, _ = solve_root(f_upper, initial, root_tol)
-    cert_up = False
-    for _ in range(_NUDGE_STEPS + 1):
-        if enclose(s_up, "B")[1] <= 1.0:
-            cert_up = True
-            break
-        s_up += root_tol
-    s_lo, _ = solve_root(f_lower, initial, root_tol)
-    cert_lo = False
-    for _ in range(_NUDGE_STEPS + 1):
-        if enclose(s_lo, "A")[0] >= 1.0:
-            cert_lo = True
-            break
-        s_lo -= root_tol
+    s_up, cert_up = endpoint("B", root_tol)
+    s_lo, cert_lo = endpoint("A", -root_tol)
     return DimensionBracket(
         s_lower=s_lo, s_upper=s_up, mesh_h=mesh.h, family_id=fam.family_id,
-        radius_tol=radius_tol, root_tol=root_tol,
         evals=len(radii), certified=cert_up and cert_lo,
     )
 

@@ -70,21 +70,19 @@ class SpectralEnclosure:
         return (self.r_hi - self.r_lo) / self.r_hi if self.r_hi > 0 else math.inf
 
 
-def power_enclosure(matrix, tol: float = 1e-13, max_iter: int | None = None,
+def power_enclosure(matrix, tol: float = 1e-13,
                     seed_vec: np.ndarray | None = None,
                     collect_history: bool = False) -> SpectralEnclosure:
     """Iterate w <- M w / ||M w||_inf from all-ones, tightening the enclosure.
 
     Stops when the relative gap (hi - lo)/hi falls below tol.  If the gap
-    stalls above tol for 200 consecutive iterations, or max_iter
-    (default 10*dim + 1000) is exhausted, the current enclosure is
-    returned with converged=False; the bounds are certified either way.
+    stalls above tol for 200 consecutive iterations, or 10*dim + 1000
+    iterations are exhausted, the current enclosure is returned with
+    converged=False; the bounds are certified either way.
     """
     if tol <= 0.0:
         raise BadParams(f"need tol > 0, got {tol}")
     n = _dim(matrix)
-    if max_iter is None:
-        max_iter = 10 * n + 1000
     if seed_vec is None:
         w = np.ones(n, dtype=float)
     else:
@@ -97,7 +95,7 @@ def power_enclosure(matrix, tol: float = 1e-13, max_iter: int | None = None,
     stall = 0
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, 10 * n + 1001):
         mv = _matvec(matrix, w)
         if np.any(mv <= 0.0):
             raise ZeroRowSum("matrix has a zero row; enclosure iteration degenerates")

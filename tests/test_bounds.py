@@ -17,9 +17,8 @@ from hausdim import (
     make_custom_family,
     make_mobius_family,
     mobius_ratio_bounds,
-    osc_rate,
+    ratio_bounds,
     refined_M2_upper,
-    second_ratio_bounds,
     sign_certificate,
 )
 from hausdim.bounds import cantor_sign_threshold, golden_max
@@ -154,7 +153,7 @@ def test_cantor_c2_branch_continuity():
 def test_cantor_k2_direct_below_fallback():
     for a in (0.2, 0.5, 0.8, 1.0):
         for s in (0.4, 0.7, 1.0):
-            direct = cantor_constants(a, s, direct_k2=True)
+            direct = cantor_constants(a, s)
             assert direct.K2 <= direct.C2 + abs(1 - s) * direct.C1**2 + 1e-12
 
 
@@ -203,34 +202,46 @@ def test_mobius_sharp_bound_scaling():
     fam12 = make_mobius_family([1, 2])
     prev = 0.0
     for s in (0.3, 0.5, 0.8):
-        _, hi = second_ratio_bounds(fam12, s)
+        _, hi, _ = ratio_bounds(fam12, s)
         assert hi == pytest.approx(2 * s * (2 * s + 1), rel=1e-12)
         assert hi > prev
         prev = hi
-    _, hi23 = second_ratio_bounds(make_mobius_family([2, 3]), 0.5)
+    _, hi23, _ = ratio_bounds(make_mobius_family([2, 3]), 0.5)
     assert hi23 == pytest.approx(2.0 / 4.0, rel=1e-12)
 
 
 def test_second_ratio_bounds_dispatch(poly_fam):
-    lo, hi = second_ratio_bounds(make_mobius_family([1, 2]), 0.5)
+    lo, hi, _ = ratio_bounds(make_mobius_family([1, 2]), 0.5)
     assert lo == pytest.approx(0.125)
     assert hi == pytest.approx(2.0)
-    lo0, hi0 = second_ratio_bounds(make_cantor_family(0.0), 0.6)
+    lo0, hi0, _ = ratio_bounds(make_cantor_family(0.0), 0.6)
     assert (lo0, hi0) == (0.0, 0.0)
-    lo1, hi1 = second_ratio_bounds(make_cantor_family(0.5), 0.8)
+    lo1, hi1, _ = ratio_bounds(make_cantor_family(0.5), 0.8)
     assert lo1 == 0.0
     assert hi1 > 0.0
-    loc, hic = second_ratio_bounds(poly_fam, 0.8)
+    loc, hic, _ = ratio_bounds(poly_fam, 0.8)
     assert loc == pytest.approx(-hic)
     assert hic > 0.0
 
 
 def test_osc_rate_dispatch(poly_fam):
-    assert osc_rate(make_mobius_family([1, 2]), 0.5) == pytest.approx(1.0)
-    assert osc_rate(make_mobius_family([2, 3]), 0.7) == pytest.approx(0.7)
-    assert osc_rate(make_cantor_family(0.0), 0.6) == 0.0
+    assert ratio_bounds(make_mobius_family([1, 2]), 0.5)[2] == pytest.approx(1.0)
+    assert ratio_bounds(make_mobius_family([2, 3]), 0.7)[2] == pytest.approx(0.7)
+    assert ratio_bounds(make_cantor_family(0.0), 0.6)[2] == 0.0
     bc = general_constants(poly_fam, 0.8)
-    assert osc_rate(poly_fam, 0.8) == pytest.approx(bc.M1, rel=1e-12)
+    assert ratio_bounds(poly_fam, 0.8)[2] == pytest.approx(bc.M1, rel=1e-12)
+
+
+def test_ratio_bounds_routes(poly_fam):
+    # Each family kind takes exactly one route to its constants.
+    pair = mobius_ratio_bounds(2.0, 5.0, 0.5, 0.6, 2)
+    assert ratio_bounds(make_mobius_family([2, 5]), 0.6) == (
+        pair.lo, pair.hi, 2.0 * 0.6 / 2.0)
+    for a, s in ((0.5, 0.8), (1.0, 0.2)):
+        c = cantor_constants(a, s)
+        assert ratio_bounds(make_cantor_family(a), s) == (c.R_lo, c.R_hi, c.M1)
+    c = general_constants(poly_fam, 0.8)
+    assert ratio_bounds(poly_fam, 0.8) == (-c.M2, c.M2, c.M1)
 
 
 def test_sign_certificate_dispatch(poly_fam):
@@ -276,6 +287,6 @@ def test_bound_constants_internal_consistency(poly_fam):
     for fam in (make_mobius_family([1, 2]), make_cantor_family(0.5),
                 poly_fam):
         for s in (0.5, 0.8):
-            lo, hi = second_ratio_bounds(fam, s)
+            lo, hi, osc = ratio_bounds(fam, s)
             assert lo <= hi
-            assert osc_rate(fam, s) >= 0.0
+            assert osc >= 0.0

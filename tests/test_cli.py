@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -311,10 +312,14 @@ def test_table2_scaled_rows_not_judged(capsys):
 
 
 def test_console_script_installed():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
     proc = subprocess.run([sys.executable, "-m", "hausdim.cli",
                            "--cantor", "0", "--n", "60", "--format", "json",
                            "dim"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
     assert obj["certified"] is True

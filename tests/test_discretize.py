@@ -6,7 +6,6 @@ import pytest
 from hausdim import (
     BadParams,
     ErrTooLarge,
-    ErrorModel,
     MapEscapesDomain,
     Mesh,
     MeshUnion,
@@ -14,6 +13,7 @@ from hausdim import (
     OutOfDomain,
     SparseNonnegMatrix,
     assemble,
+    collocation_plan,
     dump_matrix,
     error_model,
     eval_map,
@@ -268,6 +268,16 @@ def test_assemble_map_escapes_mesh():
         assemble(fam, mesh, 0.5)
 
 
+@pytest.mark.parametrize("degree", [1, 2, 4])
+def test_collocation_plan_map_escape_names_the_map(degree):
+    # 1/(x+1) maps [0, 0.5] onto [2/3, 1], outside the mesh: a numeric
+    # failure (exit 3) at every degree, not a configuration error.
+    fam = make_mobius_family([1, 2])
+    mesh = make_mesh((0.0, 0.5), n=10)
+    with pytest.raises(MapEscapesDomain, match=r"map '1/\(x\+1\)'"):
+        collocation_plan(fam, mesh, degree)
+
+
 def test_assemble_on_reduced_union():
     fam = make_mobius_family([1, 2])
     parts = reduce_domain(fam, 2)
@@ -323,10 +333,3 @@ def test_dump_matrix_format():
     # Full precision round trip.
     vals = sorted(float(ln.split()[2]) for ln in lines[1:])
     assert vals == sorted(triple.M.data.tolist())
-
-
-def test_error_model_zero_constructor():
-    z = ErrorModel.zero(0.01)
-    assert z.coef_hi == 0.0
-    assert z.coef_lo == 0.0
-    assert z.h == 0.01

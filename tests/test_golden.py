@@ -1,15 +1,20 @@
-"""Bit-exact pins on bracket endpoints and degree-d estimates.
+"""Bit-exact pins on bracket endpoints, degree-d estimates and error models.
 
-The values were recorded with float.hex() before the collocation
-matrices were rebuilt from an s-independent plan.  Entry order, the
-accumulation order of coincident entries and the weight products are
-all visible here, so any change to that arithmetic fails these tests.
+The bracket and degree-d values were recorded with float.hex() before the
+collocation matrices were rebuilt from an s-independent plan.  Entry
+order, the accumulation order of coincident entries and the weight
+products are all visible here, so any change to that arithmetic fails
+these tests.  The error-model values were recorded before the choice of
+bound route moved into bounds.ratio_bounds; they cover the digit route,
+the Cantor closed forms (certified and, at a = 1, s = 0.2, the symmetric
+uncertified pair) and the generic chain of a custom family.
 """
 
 import pytest
 
 from hausdim import (
     bracket_dimension,
+    error_model,
     highorder_dimension,
     make_cantor_family,
     make_mesh,
@@ -57,3 +62,55 @@ def test_highorder_estimate_bit_exact(degree, h, expect):
     fam = make_mobius_family([1, 2])
     res = highorder_dimension(fam, make_mesh(fam.domain, h=h), degree)
     assert res.s.hex() == expect
+
+
+ERROR_MODELS = {
+    # (family, s): (coef_hi, coef_lo, osc, R_lo, R_hi) at h = 0.01
+    ("cf12", 0.2): ("0x1.1fde825f4662ep-2", "0x1.1d934e1dae7e9p-6",
+                    "0x1.999999999999ap-2", "0x1.1eb851eb851ebp-5",
+                    "0x1.1eb851eb851ebp-1"),
+    ("cf12", 0.5): ("0x1.0292a5d2f2226p+0", "0x1.fae7cfd2b9cfep-5",
+                    "0x1.0000000000000p+0", "0x1.0000000000000p-3",
+                    "0x1.0000000000000p+1"),
+    ("cf12", 0.8): ("0x1.0e88badb3d928p+1", "0x1.06039948ed54fp-3",
+                    "0x1.999999999999ap+0", "0x1.0a3d70a3d70a4p-2",
+                    "0x1.0a3d70a3d70a4p+2"),
+    ("cantor05", 0.2): ("0x1.086dd40e86ef2p+1", "0x0.0p+0",
+                        "0x1.0563fc552a81dp+0", "0x0.0p+0",
+                        "0x1.05be2710193c3p+2"),
+    ("cantor05", 0.5): ("0x1.bd4747d6910f2p+2", "0x0.0p+0",
+                        "0x1.46bcfb6a75224p+1", "0x0.0p+0",
+                        "0x1.b20e50b5034f7p+3"),
+    ("cantor05", 0.8): ("0x1.c4693d30ecf17p+3", "0x0.0p+0",
+                        "0x1.0563fc552a81dp+2", "0x0.0p+0",
+                        "0x1.b24e4b617ff66p+4"),
+    ("cantor10", 0.2): ("0x1.fcf57e581f5d4p+4", "-0x1.d3db428a92782p+4",
+                        "0x1.0d75627dae5c6p+2", "-0x1.e7f9a392edb2fp+5",
+                        "0x1.e7f9a392edb2fp+5"),
+    ("cantor10", 0.5): ("0x1.e06cf7f18a4e7p+6", "0x0.0p+0",
+                        "0x1.50d2bb1d19f38p+3", "0x0.0p+0",
+                        "0x1.b06d80fd98c87p+7"),
+    ("cantor10", 0.8): ("0x1.094df1e4b68dcp+8", "0x0.0p+0",
+                        "0x1.0d75627dae5c6p+4", "0x0.0p+0",
+                        "0x1.c05e235c7da64p+8"),
+    ("poly", 0.2): ("0x1.ab25aa3c4ad99p-3", "-0x1.a8fed7573f9aep-3",
+                    "0x1.028f5c28f5c2ap-2", "-0x1.aa11e7c66c047p-2",
+                    "0x1.aa11e7c66c047p-2"),
+    ("poly", 0.5): ("0x1.2f2d24e766c4cp-1", "-0x1.2b5f700ae8265p-1",
+                    "0x1.4333333333334p-1", "-0x1.2d44c118de5abp+0",
+                    "0x1.2d44c118de5abp+0"),
+    ("poly", 0.8): ("0x1.0fb9b0f0b73ccp+0", "-0x1.0a4aa454242a3p+0",
+                    "0x1.028f5c28f5c2ap+0", "-0x1.0cfea777c75bcp+1",
+                    "0x1.0cfea777c75bcp+1"),
+}
+
+
+@pytest.mark.parametrize("name,s", sorted(ERROR_MODELS))
+def test_error_model_bit_exact(name, s):
+    fam = {"cf12": lambda: make_mobius_family([1, 2]),
+           "cantor05": lambda: make_cantor_family(0.5),
+           "cantor10": lambda: make_cantor_family(1.0),
+           "poly": make_poly_family}[name]()
+    m = error_model(fam, s, 0.01)
+    got = (m.coef_hi, m.coef_lo, m.osc, m.R_lo, m.R_hi)
+    assert tuple(x.hex() for x in got) == ERROR_MODELS[name, s]

@@ -18,7 +18,7 @@ from hausdim import (
     make_mobius_family,
     power_enclosure,
     radius,
-    second_ratio_bounds,
+    ratio_bounds,
     solve_root,
 )
 from hausdim.bounds import bound_M3, mobius_ratio_bounds
@@ -277,7 +277,7 @@ def test_eigenvector_second_difference_within_certified_bounds():
     v = enc.eigvec
     h = mesh.h
     d2 = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / (h * h * v[1:-1])
-    r_lo, r_hi = second_ratio_bounds(fam, s)
+    r_lo, r_hi, _ = ratio_bounds(fam, s)
     # Third-derivative bound controls the finite-difference defect.
     m3 = mobius_ratio_bounds(1.0, 2.0, 1.0, s, 3).hi
     tau = 10.0 * h * m3

@@ -17,7 +17,7 @@ from hausdim import (
     make_mobius_family,
     power_enclosure,
 )
-from hausdim.bounds import osc_rate
+from hausdim.bounds import ratio_bounds
 
 
 def _squared_radius(mat, steps=60):
@@ -197,7 +197,7 @@ def test_eigenvector_in_oscillation_cone():
     s = 0.53
     triple = assemble(fam, mesh, s)
     enc = power_enclosure(triple.B)
-    cone = ConeParams(M=osc_rate(fam, s) + 1.0, h=mesh.h)
+    cone = ConeParams(M=ratio_bounds(fam, s)[2] + 1.0, h=mesh.h)
     assert cone_membership(enc.eigvec, cone)
 
 
