@@ -12,7 +12,8 @@ length mu.  Three routes are implemented:
   g'' g - (1-s) g'^2 >= 0), giving 0 <= v''/v <= R_hi.
 
 The perturbed Cantor family has closed forms for its constants; those are
-cross-checked against the brute-force suprema in the test suite.
+cross-checked against the sampled suprema of general_constants in the
+test suite.
 ratio_bounds picks the route for a family and is the one place that does.
 """
 
@@ -34,38 +35,32 @@ class RatioBoundPair:
 
     lo: float
     hi: float
-    order: int
 
 
 @dataclass(frozen=True)
 class BoundConstants:
     """Constants controlling the eigenfunction of one family at one s.
 
-    kappa/mu: words of length mu contract by kappa.  C1..C3 bound
+    Words of the contraction length contract by kappa.  C1/C2 bound
     |g_w^(k)|/g_w, E2/E3 bound |theta_w^(k)|, K2/K3 the mixed quotients
-    entering the chain, G2 the signed second-quotient maximum.  M1..M3
-    bound |v'|/v, |v''|/v, |v'''|/v.  (R_lo, R_hi) enclose v''/v.
+    entering the chain.  M1..M3 bound |v'|/v, |v''|/v, |v'''|/v.
+    (R_lo, R_hi) enclose v''/v; sign_cert says whether the one-sided
+    sign conditions hold.
     """
 
-    s: float
     kappa: float
-    mu: int
     C1: float
     C2: float
-    C3: float
     E2: float
     E3: float
     K2: float
     K3: float
-    G2: float
     M1: float
     M2: float
     M3: float
     R_lo: float
     R_hi: float
     sign_cert: bool
-    safety: float = 1.0
-    kappa_grid: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +71,7 @@ def bound_M1(s: float, C1: float, kappa: float) -> float:
     """First ratio bound |v'|/v <= s*C1/(1-kappa)."""
     if not 0.0 < kappa < 1.0:
         raise BadParams(f"kappa must lie in (0,1), got {kappa}")
-    if s <= 0.0 or C1 < 0.0:
+    if not s > 0.0 or C1 < 0.0:
         raise BadParams("need s > 0 and C1 >= 0")
     return s * C1 / (1.0 - kappa)
 
@@ -125,13 +120,13 @@ def mobius_ratio_bounds(gamma: float, Gamma: float, A_right: float,
     """
     if not (0 < gamma <= Gamma):
         raise BadParams(f"need 0 < gamma <= Gamma, got {gamma}, {Gamma}")
-    if s <= 0.0 or p < 1 or A_right < 0.0:
+    if not s > 0.0 or p < 1 or A_right < 0.0:
         raise BadParams("need s > 0, p >= 1, A_right >= 0")
     prod = 1.0
     for i in range(p):
         prod *= 2.0 * s + i
     K = 1.0 / gamma + Gamma
-    return RatioBoundPair(prod * (K + A_right) ** -p, prod * gamma ** -p, p)
+    return RatioBoundPair(prod * (K + A_right) ** -p, prod * gamma ** -p)
 
 
 # ---------------------------------------------------------------------------
@@ -192,21 +187,20 @@ def cantor_constants(a: float, s: float) -> BoundConstants:
 
     C1, C2, E2 and kappa come from the exact formulas (with the branch
     points a = 3/7 and a = 1/14 for C1 and C2); G2 and K2 come from a
-    seeded golden-section maximization of the explicit quotient.  The
-    weight's third derivative is unbounded at 0 for a > 0, so C3, K3 and
-    M3 are infinite; E3 stays finite.
+    seeded golden-section maximization of the explicit quotient; G2 feeds
+    the refined one-sided bound.  The weight's third derivative is
+    unbounded at 0 for a > 0, so K3 and M3 are infinite; E3 stays finite.
     """
     if not 0.0 <= a <= 1.0:
         raise BadParams(f"perturbation must lie in [0, 1], got {a}")
-    if s <= 0.0:
+    if not s > 0.0:
         raise BadParams(f"need s > 0, got {s}")
     kappa = (2.0 + 7.0 * a) / (6.0 + 4.0 * a)
     if a == 0.0:
         # affine pair: constant weight, eigenfunction constant
         return BoundConstants(
-            s=s, kappa=kappa, mu=1, C1=0.0, C2=0.0, C3=0.0, E2=0.0, E3=0.0,
-            K2=0.0, K3=0.0, G2=0.0, M1=0.0, M2=0.0, M3=0.0,
-            R_lo=0.0, R_hi=0.0, sign_cert=True,
+            kappa=kappa, C1=0.0, C2=0.0, E2=0.0, E3=0.0, K2=0.0, K3=0.0,
+            M1=0.0, M2=0.0, M3=0.0, R_lo=0.0, R_hi=0.0, sign_cert=True,
         )
     c = 3.5 * a
     if a <= 3.0 / 7.0:
@@ -232,9 +226,8 @@ def cantor_constants(a: float, s: float) -> BoundConstants:
     else:
         R_lo, R_hi = -M2, M2
     return BoundConstants(
-        s=s, kappa=kappa, mu=1, C1=C1, C2=C2, C3=math.inf, E2=E2, E3=E3,
-        K2=K2, K3=math.inf, G2=G2, M1=M1, M2=M2, M3=math.inf,
-        R_lo=R_lo, R_hi=R_hi, sign_cert=sign_cert,
+        kappa=kappa, C1=C1, C2=C2, E2=E2, E3=E3, K2=K2, K3=math.inf,
+        M1=M1, M2=M2, M3=math.inf, R_lo=R_lo, R_hi=R_hi, sign_cert=sign_cert,
     )
 
 
@@ -246,7 +239,7 @@ def _word_chain(fam: MapFamily, word: tuple[int, ...], xs: np.ndarray) -> dict:
     """Derivatives of theta_w and log-derivative ratios of g_w on a grid.
 
     Applies the word left to right (word[0] acts first).  Returns the
-    first three derivatives of the composition and the ratios
+    second and third derivatives of the composition and the ratios
     g_w'/g_w, g_w''/g_w, g_w'''/g_w via the chain rule on log g_w.
     """
     x = np.asarray(xs, dtype=float)
@@ -282,7 +275,7 @@ def _word_chain(fam: MapFamily, word: tuple[int, ...], xs: np.ndarray) -> dict:
         d1 = t1 * d1
         xi = np.asarray(spec.eval(xi), dtype=float)
     return {
-        "d1": d1, "d2": d2, "d3": d3,
+        "d2": d2, "d3": d3,
         "gw1": F1, "gw2": F2 + F1**2, "gw3": F3 + 3.0 * F1 * F2 + F1**3,
     }
 
@@ -292,14 +285,11 @@ def _quantities(chain: dict, s: float) -> dict:
     return {
         "C1": np.abs(gw1),
         "C2": np.abs(gw2),
-        "C3": np.abs(gw3),
         "E2": np.abs(chain["d2"]),
         "E3": np.abs(chain["d3"]),
         "K2": np.abs(gw2 - (1.0 - s) * gw1**2),
         "K3": np.abs((s - 1.0) * (s - 2.0) * gw1**3
                      + 3.0 * (s - 1.0) * gw1 * gw2 + gw3),
-        "G2": gw2 - (1.0 - s) * gw1**2,
-        "KAP": np.abs(chain["d1"]),
     }
 
 
@@ -324,21 +314,22 @@ def _refine_max(fam: MapFamily, word: tuple[int, ...], s: float, key: str,
 
 def general_constants(fam: MapFamily, s: float, *,
                       safety: float = 1.01) -> BoundConstants:
-    """Brute-force constants for any family with order-3 derivative data.
+    """Sampled constants for any family with order-3 derivative data.
 
-    Maximizes each quantity over all words of the contraction length mu
-    on a 2049-point grid, then refines around the argmax.  The returned
-    suprema are inflated by the configurable safety factor (recorded in
-    the result); consistency tests against closed forms use safety=1.
+    Samples the six suprema the chain reads (C1, C2, E2, E3, K2, K3) on
+    a 2049-point grid over all words of the contraction length mu, then
+    refines around each argmax and multiplies by the safety factor.
+    These are sampled maxima, not rigorous upper bounds.  Consistency
+    tests against closed forms use safety=1.
     """
-    if s <= 0.0:
+    if not s > 0.0:
         raise BadParams(f"need s > 0, got {s}")
-    if safety < 1.0:
+    if not safety >= 1.0:
         raise BadParams(f"safety factor must be >= 1, got {safety}")
     kappa, mu = contraction_data(fam)
     a, b = fam.domain
     xs = np.linspace(a, b, _GRID)
-    keys = ["C1", "C2", "C3", "E2", "E3", "K2", "K3", "G2", "KAP"]
+    keys = ["C1", "C2", "E2", "E3", "K2", "K3"]
     sup = {k: -math.inf for k in keys}
     arg = {k: (None, 0.0, 0.0) for k in keys}
     step = (b - a) / (_GRID - 1)
@@ -357,7 +348,7 @@ def general_constants(fam: MapFamily, s: float, *,
                 sup[k] = max(sup[k], _refine_max(fam, word, s, k, lo, hi))
     for k in keys:
         sup[k] *= safety
-    C1, C2, C3 = sup["C1"], sup["C2"], sup["C3"]
+    C1, C2 = sup["C1"], sup["C2"]
     E2, E3 = sup["E2"], sup["E3"]
     K2, K3 = sup["K2"], sup["K3"]
     M1 = bound_M1(s, C1, kappa) if C1 > 0.0 else 0.0
@@ -365,10 +356,9 @@ def general_constants(fam: MapFamily, s: float, *,
     M3 = bound_M3(s, K3=K3, K2=K2, C1=C1, M1=M1, M2=M2, E2=E2, E3=E3,
                   kappa=kappa)
     return BoundConstants(
-        s=s, kappa=kappa, mu=mu, C1=C1, C2=C2, C3=C3, E2=E2, E3=E3,
-        K2=K2, K3=K3, G2=sup["G2"], M1=M1, M2=M2, M3=M3,
-        R_lo=-M2, R_hi=M2, sign_cert=sign_certificate(fam, s),
-        safety=safety, kappa_grid=sup["KAP"],
+        kappa=kappa, C1=C1, C2=C2, E2=E2, E3=E3, K2=K2, K3=K3,
+        M1=M1, M2=M2, M3=M3, R_lo=-M2, R_hi=M2,
+        sign_cert=sign_certificate(fam, s),
     )
 
 
@@ -383,7 +373,7 @@ def sign_certificate(fam: MapFamily, s: float) -> bool:
     criterion s > (2/5)(1 - 3/(7a)), always true at a = 0.  Custom: a
     heuristic dense grid check of all five sign conditions.
     """
-    if s <= 0.0:
+    if not s > 0.0:
         raise BadParams(f"need s > 0, got {s}")
     if fam.kind == MOBIUS:
         return False

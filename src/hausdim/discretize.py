@@ -110,8 +110,8 @@ def make_mesh(intervals, *, n: int | None = None, h: float | None = None):
     intervals = [(float(a), float(b)) for a, b in intervals]
     if any(b <= a for a, b in intervals):
         raise BadParams("empty interval in mesh request")
-    if h is not None and h <= 0.0:
-        raise BadParams(f"need h > 0, got {h}")
+    if h is not None and not (h > 0.0 and math.isfinite(h)):
+        raise BadParams(f"need finite h > 0, got {h}")
     if len(intervals) == 1:
         a, b = intervals[0]
         nn = int(n) if n is not None else max(2, int(round((b - a) / h)))
@@ -200,14 +200,13 @@ class ErrorModel:
     coef_hi: float
     coef_lo: float
     osc: float
-    h: float
     R_lo: float
     R_hi: float
 
 
 def error_model(fam: MapFamily, s: float, h: float) -> ErrorModel:
     """Build the correction model from the certified v''/v enclosure."""
-    if h <= 0.0:
+    if not h > 0.0:
         raise BadParams(f"need h > 0, got {h}")
     r_lo, r_hi, osc = ratio_bounds(fam, s)
     coef_hi = 0.5 * r_hi * math.exp(osc * h)
@@ -216,7 +215,7 @@ def error_model(fam: MapFamily, s: float, h: float) -> ErrorModel:
         raise ErrTooLarge(
             f"correction {coef_hi * h * h / 4.0:.3g} >= 1 at h = {h}; refine the mesh"
         )
-    return ErrorModel(coef_hi=coef_hi, coef_lo=coef_lo, osc=osc, h=h,
+    return ErrorModel(coef_hi=coef_hi, coef_lo=coef_lo, osc=osc,
                       R_lo=r_lo, R_hi=r_hi)
 
 

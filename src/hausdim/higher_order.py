@@ -80,6 +80,9 @@ def dominant_magnitude(mat: HighOrderMatrix, tol: float = 1e-13) -> float:
         f"power iteration did not settle in {max_iter} steps (dim {dim})")
 
 
+_INITIAL = (0.01, 1.5)  # starting bracket of the root solve
+
+
 @dataclass(frozen=True)
 class HighOrderResult:
     """Non-certified dimension estimate from degree-d collocation."""
@@ -94,9 +97,7 @@ class HighOrderResult:
 
 def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
                         root_tol: float = 1e-12,
-                        radius_tol: float = 1e-13,
-                        initial: tuple[float, float] = (0.01, 1.5)
-                        ) -> HighOrderResult:
+                        radius_tol: float = 1e-13) -> HighOrderResult:
     """Dimension estimate: root of log |lambda_dom(s)| (no certificate)."""
     plan = collocation_plan(fam, mesh, degree)
 
@@ -104,6 +105,6 @@ def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
         return math.log(dominant_magnitude(_plan_matrix(plan, s),
                                            tol=radius_tol))
 
-    s, evals = solve_root(f, initial, root_tol)
+    s, evals = solve_root(f, _INITIAL, root_tol)
     return HighOrderResult(s=s, degree=plan.degree, dim=plan.dim,
                            mesh_h=mesh.h, family_id=fam.family_id, evals=evals)

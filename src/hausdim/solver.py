@@ -22,6 +22,7 @@ from .ifs import MapFamily
 from .spectral import SpectralEnclosure, power_enclosure
 
 _EPS = float(np.finfo(float).eps)
+_RADIUS_TOL = 1e-13  # enclosure gap for the single-s helpers below
 
 
 def _coef(model: ErrorModel, which: str) -> float:
@@ -29,8 +30,8 @@ def _coef(model: ErrorModel, which: str) -> float:
     return model.coef_hi if which == "A" else model.coef_lo
 
 
-def enclosure_at(fam: MapFamily, mesh, s: float, which: str,
-                 radius_tol: float = 1e-13) -> SpectralEnclosure:
+def enclosure_at(fam: MapFamily, mesh, s: float,
+                 which: str) -> SpectralEnclosure:
     """Spectral enclosure of the requested matrix (fresh iteration)."""
     if which not in ("A", "M", "B"):
         raise BadParams(f"which must be A, M or B, got {which!r}")
@@ -39,7 +40,7 @@ def enclosure_at(fam: MapFamily, mesh, s: float, which: str,
         matrix = plan.matrix(s)
     else:
         matrix = plan.matrix(s, _coef(error_model(fam, s, mesh.h), which))
-    return power_enclosure(matrix, tol=radius_tol)
+    return power_enclosure(matrix, tol=_RADIUS_TOL)
 
 
 def _log_midpoint(r_lo: float, r_hi: float, converged: bool,
@@ -51,17 +52,15 @@ def _log_midpoint(r_lo: float, r_hi: float, converged: bool,
     return math.log(0.5 * (r_lo + r_hi))
 
 
-def log_radius(fam: MapFamily, mesh, s: float, which: str = "B",
-               radius_tol: float = 1e-13) -> float:
+def log_radius(fam: MapFamily, mesh, s: float, which: str = "B") -> float:
     """log of the enclosure midpoint of r(A_s|M_s|B_s)."""
-    enc = enclosure_at(fam, mesh, s, which, radius_tol)
-    return _log_midpoint(enc.r_lo, enc.r_hi, enc.converged, radius_tol)
+    enc = enclosure_at(fam, mesh, s, which)
+    return _log_midpoint(enc.r_lo, enc.r_hi, enc.converged, _RADIUS_TOL)
 
 
-def radius(fam: MapFamily, mesh, s: float, which: str = "M",
-           radius_tol: float = 1e-13) -> float:
+def radius(fam: MapFamily, mesh, s: float, which: str = "M") -> float:
     """Enclosure midpoint of the spectral radius (convenience)."""
-    return math.exp(log_radius(fam, mesh, s, which, radius_tol))
+    return math.exp(log_radius(fam, mesh, s, which))
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def power_enclosure(matrix, tol: float = 1e-13,
     iterations are exhausted, the current enclosure is returned with
     converged=False; the bounds are certified either way.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise BadParams(f"need tol > 0, got {tol}")
     n = _dim(matrix)
     if seed_vec is None:

@@ -198,6 +198,19 @@ def test_bad_flag_values(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("--cf", "1,2", "--h", "nan", "dim"),
+    ("--cf", "1,2", "--hs", "0.01,nan", "study"),
+    ("--cf", "1,2", "--h", "inf", "dim"),
+    ("--cf", "1,2", "--h", "0.01", "--s", "nan", "radius"),
+], ids=["h_nan", "hs_nan", "h_inf", "s_nan"])
+def test_non_finite_values_exit_2(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+
+
 def test_unknown_format_rejected_by_parser():
     with pytest.raises(SystemExit) as exc:
         main(["--cf", "1,2", "--h", "0.01", "--s", "0.5",

@@ -53,6 +53,12 @@ def test_make_mesh_argument_validation():
         make_mesh((0.0, 1.0), n=1)
     with pytest.raises(BadParams):
         make_mesh((1.0, 0.0), n=4)
+    # h must be finite: round() fails on NaN, and inf would give 2 cells.
+    for h in (math.nan, math.inf):
+        with pytest.raises(BadParams):
+            make_mesh((0.0, 1.0), h=h)
+        with pytest.raises(BadParams):
+            make_mesh([(0.0, 0.4), (0.6, 1.0)], h=h)
 
 
 def test_make_mesh_union():
@@ -144,6 +150,10 @@ def test_error_model_too_large():
         error_model(fam, 1.5, 0.5)
     with pytest.raises(BadParams):
         error_model(fam, 0.5, -0.1)
+    with pytest.raises(BadParams):
+        error_model(fam, 0.5, math.nan)
+    with pytest.raises(BadParams):
+        error_model(fam, math.nan, 0.01)
 
 
 def test_error_model_builds_constants_once(poly_fam, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hausdim import (
+    BadParams,
     ConeParams,
     NonPositiveVector,
     ZeroRowSum,
@@ -130,6 +131,14 @@ def test_power_enclosure_periodic_matrix_stalls():
     enc = power_enclosure(mat, tol=1e-13)
     assert not enc.converged
     assert enc.r_lo <= math.sqrt(2.0) <= enc.r_hi
+
+
+def test_power_enclosure_rejects_bad_tolerance():
+    # A NaN tolerance never compares true, so the iteration would run
+    # until the stall guard gave up.
+    for tol in (0.0, -1e-13, math.nan):
+        with pytest.raises(BadParams):
+            power_enclosure(np.array([[0.7]]), tol=tol)
 
 
 def test_power_enclosure_zero_row():
