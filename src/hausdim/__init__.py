@@ -20,7 +20,6 @@ from .bounds import (
     mobius_ratio_bounds,
     ratio_bounds,
     refined_M2_upper,
-    sign_certificate,
 )
 from .discretize import (
     CollocationPlan,

@@ -7,9 +7,11 @@ length mu.  Three routes are implemented:
 
 * sharp digit-family bounds from continuant estimates (any ratio order p),
 * a generic three-stage chain M1, M2, M3 valid for any C^3 family,
-* a refined one-sided bound available when all maps and weights satisfy
-  the sign conditions (theta', theta'', g', g'' >= 0 and
-  g'' g - (1-s) g'^2 >= 0), giving 0 <= v''/v <= R_hi.
+* a refined one-sided bound 0 <= v''/v <= R_hi, which needs the sign
+  conditions (theta', theta'', g', g'' >= 0 and g'' g - (1-s) g'^2 >= 0).
+  Only the perturbed Cantor family takes it: cantor_constants decides the
+  conditions exactly (s above cantor_sign_threshold(a)), and there the
+  signed quotient is nonnegative, so its maximum G2 equals K2.
 
 The perturbed Cantor family has closed forms for its constants; those are
 cross-checked against the sampled suprema of general_constants in the
@@ -25,7 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, MissingDerivatives, SignNotCertified
+from .errors import (
+    BadParams,
+    MissingDerivatives,
+    ParamOutOfRange,
+    SignNotCertified,
+)
 from .ifs import CANTOR, MOBIUS, MapFamily, contraction_data
 
 
@@ -44,8 +51,9 @@ class BoundConstants:
     Words of the contraction length contract by kappa.  C1/C2 bound
     |g_w^(k)|/g_w, E2/E3 bound |theta_w^(k)|, K2/K3 the mixed quotients
     entering the chain.  M1..M3 bound |v'|/v, |v''|/v, |v'''|/v.
-    (R_lo, R_hi) enclose v''/v; sign_cert says whether the one-sided
-    sign conditions hold.
+    (R_lo, R_hi) enclose v''/v: (0, refined bound) on the Cantor route
+    above its sign threshold, where the refined bound reads K2 as G2, and
+    (-M2, M2) everywhere else.
     """
 
     kappa: float
@@ -60,7 +68,6 @@ class BoundConstants:
     M3: float
     R_lo: float
     R_hi: float
-    sign_cert: bool
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +173,7 @@ def golden_max(f, lo: float, hi: float) -> float:
 
 
 def cantor_sign_threshold(a: float) -> float:
-    """Smallest s for which the Cantor sign certificate holds (a > 0)."""
+    """The Cantor sign conditions hold exactly for s above this (a > 0)."""
     return 0.4 * (1.0 - 3.0 / (7.0 * a))
 
 
@@ -186,10 +193,13 @@ def cantor_constants(a: float, s: float) -> BoundConstants:
     """Closed-form constants for the perturbed Cantor family.
 
     C1, C2, E2 and kappa come from the exact formulas (with the branch
-    points a = 3/7 and a = 1/14 for C1 and C2); G2 and K2 come from a
-    seeded golden-section maximization of the explicit quotient; G2 feeds
-    the refined one-sided bound.  The weight's third derivative is
-    unbounded at 0 for a > 0, so K3 and M3 are infinite; E3 stays finite.
+    points a = 3/7 and a = 1/14 for C1 and C2); K2 comes from a seeded
+    golden-section maximization of |q| for the explicit quotient q.  For
+    s above cantor_sign_threshold(a) the sign conditions hold and q >= 0
+    on [0, 1], so max q = K2 serves as G2 in the refined one-sided bound
+    and R_lo = 0; otherwise the pair is (-M2, M2).  The weight's third
+    derivative is unbounded at 0 for a > 0, so K3 and M3 are infinite;
+    E3 stays finite.
     """
     if not 0.0 <= a <= 1.0:
         raise BadParams(f"perturbation must lie in [0, 1], got {a}")
@@ -200,7 +210,7 @@ def cantor_constants(a: float, s: float) -> BoundConstants:
         # affine pair: constant weight, eigenfunction constant
         return BoundConstants(
             kappa=kappa, C1=0.0, C2=0.0, E2=0.0, E3=0.0, K2=0.0, K3=0.0,
-            M1=0.0, M2=0.0, M3=0.0, R_lo=0.0, R_hi=0.0, sign_cert=True,
+            M1=0.0, M2=0.0, M3=0.0, R_lo=0.0, R_hi=0.0,
         )
     c = 3.5 * a
     if a <= 3.0 / 7.0:
@@ -214,20 +224,18 @@ def cantor_constants(a: float, s: float) -> BoundConstants:
     E2 = c * 5.0 / (6.0 + 4.0 * a)
     E3 = 13.125 * a / (3.0 + 2.0 * a)
     q = cantor_g2_quotient(a, s)
-    G2 = golden_max(q, 0.0, 1.0)
     K2 = golden_max(lambda x: np.abs(q(x)), 0.0, 1.0)
     M1 = bound_M1(s, C1, kappa)
     M2 = bound_M2(s, K2=K2, C1=C1, M1=M1, E2=E2, kappa=kappa)
-    sign_cert = s > cantor_sign_threshold(a)
-    if sign_cert:
+    if s > cantor_sign_threshold(a):
         R_lo = 0.0
-        R_hi = refined_M2_upper(s, G2=G2, C1=C1, E2=E2, kappa=kappa,
+        R_hi = refined_M2_upper(s, G2=K2, C1=C1, E2=E2, kappa=kappa,
                                 sign_cert=True)
     else:
         R_lo, R_hi = -M2, M2
     return BoundConstants(
         kappa=kappa, C1=C1, C2=C2, E2=E2, E3=E3, K2=K2, K3=math.inf,
-        M1=M1, M2=M2, M3=math.inf, R_lo=R_lo, R_hi=R_hi, sign_cert=sign_cert,
+        M1=M1, M2=M2, M3=math.inf, R_lo=R_lo, R_hi=R_hi,
     )
 
 
@@ -298,14 +306,26 @@ _REFINE_ROUNDS = 5
 _REFINE_PTS = 257
 
 
+def _argmax(fam: MapFamily, word: tuple[int, ...], key: str,
+            vals: np.ndarray) -> tuple[int, float]:
+    """Index and value of the sampled maximum; NaN data is an error."""
+    i = int(np.argmax(vals))  # the first NaN, if there is one
+    v = float(vals[i])
+    if math.isnan(v):
+        labels = ", ".join(fam.maps[j].label for j in word)
+        raise ParamOutOfRange(
+            f"derivative data give NaN in {key} on word {word} ({labels})")
+    return i, v
+
+
 def _refine_max(fam: MapFamily, word: tuple[int, ...], s: float, key: str,
                 lo: float, hi: float) -> float:
     best = -math.inf
     for _ in range(_REFINE_ROUNDS):
         xs = np.linspace(lo, hi, _REFINE_PTS)
         vals = _quantities(_word_chain(fam, word, xs), s)[key]
-        i = int(np.argmax(vals))
-        best = max(best, float(vals[i]))
+        i, v = _argmax(fam, word, key, vals)
+        best = max(best, v)
         if not math.isfinite(best):
             return best
         lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, _REFINE_PTS - 1)]
@@ -337,8 +357,7 @@ def general_constants(fam: MapFamily, s: float, *,
         for word in itertools.product(range(fam.n_maps), repeat=mu):
             q = _quantities(_word_chain(fam, word, xs), s)
             for k in keys:
-                i = int(np.argmax(q[k]))
-                v = float(q[k][i])
+                i, v = _argmax(fam, word, k, q[k])
                 if v > sup[k]:
                     sup[k] = v
                     arg[k] = (word, max(a, xs[i] - step), min(b, xs[i] + step))
@@ -358,7 +377,6 @@ def general_constants(fam: MapFamily, s: float, *,
     return BoundConstants(
         kappa=kappa, C1=C1, C2=C2, E2=E2, E3=E3, K2=K2, K3=K3,
         M1=M1, M2=M2, M3=M3, R_lo=-M2, R_hi=M2,
-        sign_cert=sign_certificate(fam, s),
     )
 
 
@@ -366,45 +384,12 @@ def general_constants(fam: MapFamily, s: float, *,
 # family-kind dispatch
 
 
-def sign_certificate(fam: MapFamily, s: float) -> bool:
-    """Whether the one-sided convexity hypotheses hold for this family.
-
-    MobiusDigits: false (weights decrease).  PerturbedCantor: the exact
-    criterion s > (2/5)(1 - 3/(7a)), always true at a = 0.  Custom: a
-    heuristic dense grid check of all five sign conditions.
-    """
-    if not s > 0.0:
-        raise BadParams(f"need s > 0, got {s}")
-    if fam.kind == MOBIUS:
-        return False
-    if fam.kind == CANTOR:
-        a = fam.cantor_a
-        return True if a == 0.0 else s > cantor_sign_threshold(a)
-    lo, hi = fam.domain
-    xs = np.linspace(lo, hi, 1002)
-    for spec in fam.maps:
-        if None in (spec.d2, spec.weight_r1, spec.weight_r2):
-            raise MissingDerivatives(
-                f"map {spec.label!r} lacks the derivatives for the sign check"
-            )
-        r1 = np.asarray(spec.weight_r1(xs), dtype=float)
-        r2 = np.asarray(spec.weight_r2(xs), dtype=float)
-        ok = (np.all(np.asarray(spec.d1(xs)) >= 0.0)
-              and np.all(np.asarray(spec.d2(xs)) >= 0.0)
-              and np.all(r1 >= 0.0)
-              and np.all(r2 >= 0.0)
-              and np.all(r2 - (1.0 - s) * r1**2 >= 0.0))
-        if not ok:
-            return False
-    return True
-
-
 def ratio_bounds(fam: MapFamily, s: float) -> tuple[float, float, float]:
     """Enclosure (R_lo, R_hi) of v''/v and the bound osc on |v'|/v.
 
     MobiusDigits: the sharp order-2 digit bounds with right endpoint
     1/gamma, and osc = 2s/gamma.  PerturbedCantor: the closed-form
-    constants, (0, refined) under the sign certificate and the symmetric
+    constants, (0, refined) above the sign threshold and the symmetric
     pair (-M2, M2) otherwise.  Custom: the generic M1-M3 chain with the
     symmetric pair (-M2, M2).  Cantor and custom families use osc = M1.
     """

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, fields
 
 from . import reference_data as ref
-from .discretize import _pieces, assemble, dump_matrix, make_mesh
+from .discretize import assemble, dump_matrix, make_mesh
 from .errors import BadParams, ConfigError, NumericError
 from .higher_order import highorder_dimension
 from .ifs import MapFamily, make_cantor_family, make_mobius_family, reduce_domain
@@ -52,9 +53,12 @@ class RunConfig:
             self.cf = tuple(int(b) for b in self.cf)
         if self.cantor is not None:
             self.cantor = float(self.cantor)
-        for name in ("h", "s", "smin", "smax"):
+        for name in ("h", "s", "smin", "smax", "root_tol", "radius_tol"):
             v = getattr(self, name)
             if v is not None:
+                if not math.isfinite(float(v)):
+                    flag = "--" + name.replace("_", "-")
+                    raise BadParams(f"{flag} must be finite, got {v}")
                 setattr(self, name, float(v))
         if self.n is not None:
             self.n = int(self.n)
@@ -108,7 +112,7 @@ def _mesh(cfg: RunConfig, fam: MapFamily):
 
 
 def _mesh_cells(mesh) -> int:
-    return sum(p.n for p in _pieces(mesh)[0])
+    return sum(p.n for p in mesh.pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +136,9 @@ def cmd_radius(cfg: RunConfig) -> int:
                 fh.write(dump_matrix(getattr(triple, tag), cells, s,
                                      fam.family_id))
     cone = ConeParams(M=triple.model.osc + 1.0, h=mesh.h)
-    pieces, offsets = _pieces(mesh)
     member = all(
-        cone_membership(encs["B"].eigvec[offsets[i]:offsets[i + 1]], cone)
-        for i in range(len(pieces))
+        cone_membership(encs["B"].eigvec[lo:hi], cone)
+        for lo, hi in zip(mesh.offsets, mesh.offsets[1:])
     )
     if cfg.format == "json":
         obj = {

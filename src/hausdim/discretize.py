@@ -49,7 +49,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Uniform mesh of n >= 2 cells on [a, b]; nodes x_k = a + k (b-a)/n."""
+    """Uniform mesh of n >= 2 cells on [a, b]; nodes x_k = a + k (b-a)/n.
+
+    pieces and offsets read as for a one-piece MeshUnion.
+    """
 
     a: float
     b: float
@@ -60,6 +63,14 @@ class Mesh:
     @property
     def dim(self) -> int:
         return self.n + 1
+
+    @property
+    def pieces(self) -> tuple[Mesh]:
+        return (self,)
+
+    @property
+    def offsets(self) -> tuple[int, int]:
+        return (0, self.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,12 +140,6 @@ def make_mesh(intervals, *, n: int | None = None, h: float | None = None):
     return MeshUnion(pieces=pieces, nodes=nodes, offsets=tuple(offsets))
 
 
-def _pieces(mesh) -> tuple[tuple[Mesh, ...], tuple[int, ...]]:
-    if isinstance(mesh, MeshUnion):
-        return mesh.pieces, mesh.offsets
-    return (mesh,), (0, mesh.dim)
-
-
 def _locate(mesh, ys: np.ndarray):
     """Cells and hat weights for query points, numbered globally.
 
@@ -142,7 +147,7 @@ def _locate(mesh, ys: np.ndarray):
     exactly and Q(y) = (x_{r+1} - y)(y - x_r) >= 0.  Points outside every
     piece by more than the clamp tolerance raise OutOfDomain.
     """
-    pieces, offsets = _pieces(mesh)
+    pieces, offsets = mesh.pieces, mesh.offsets
     lo = pieces[0].a
     hi = pieces[-1].b
     tol = CLAMP_REL_TOL * (hi - lo)
@@ -320,17 +325,14 @@ def _lagrange_rows(t: np.ndarray, degree: int) -> np.ndarray:
 
 def _fine_nodes(mesh, degree: int):
     """Global degree-d node vector plus per-piece offsets (fine and coarse)."""
-    pieces, _ = _pieces(mesh)
     xs = []
     fine_offsets = [0]
-    coarse_offsets = [0]
-    for piece in pieces:
+    for piece in mesh.pieces:
         m = piece.n * degree
         xs.append(piece.a + np.arange(m + 1) * (piece.h / degree))
         fine_offsets.append(fine_offsets[-1] + m + 1)
-        coarse_offsets.append(coarse_offsets[-1] + piece.n + 1)
     return (np.concatenate(xs), np.asarray(fine_offsets),
-            np.asarray(coarse_offsets))
+            np.asarray(mesh.offsets))
 
 
 @dataclass(frozen=True, eq=False)

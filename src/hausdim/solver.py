@@ -210,15 +210,21 @@ class ConvergenceStudy:
 
 def convergence_study(fam: MapFamily, hs, intervals=None,
                       **kwargs) -> ConvergenceStudy:
-    """Brackets on a ladder of mesh widths; order fit on log width vs log h."""
+    """Brackets on a ladder of mesh widths; order fit on log width vs log h.
+
+    The meshes are built first; if fewer than two distinct realized
+    widths remain, BadParams is raised before any bracket.
+    """
     hs = sorted(float(h) for h in hs)
-    if len(hs) < 2:
-        raise BadParams("mesh ladder needs at least two widths")
     if intervals is None:
         intervals = [fam.domain]
+    meshes = [make_mesh(intervals, h=h) for h in hs]
+    realized = sorted({mesh.h for mesh in meshes})
+    if len(realized) < 2:
+        raise BadParams(
+            f"mesh ladder needs two distinct realized widths, got {realized}")
     rows = []
-    for h in hs:
-        mesh = make_mesh(intervals, h=h)
+    for mesh in meshes:
         br = bracket_dimension(fam, mesh, **kwargs)
         rows.append((mesh.h, br.s_lower, br.s_upper, br.width))
     slope = float(np.polyfit(np.log([r[0] for r in rows]),

@@ -1,27 +1,40 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from hausdim import (
     BadParams,
+    BoundConstants,
     MapSpec,
     MissingDerivatives,
+    ParamOutOfRange,
     SignNotCertified,
     bound_M1,
     bound_M2,
     bound_M3,
+    bounds,
+    bracket_dimension,
     cantor_constants,
+    error_model,
     general_constants,
     make_cantor_family,
     make_custom_family,
+    make_mesh,
     make_mobius_family,
     mobius_ratio_bounds,
     ratio_bounds,
     refined_M2_upper,
-    sign_certificate,
 )
-from hausdim.bounds import cantor_sign_threshold, golden_max
+from hausdim.bounds import (
+    cantor_g2_quotient,
+    cantor_sign_threshold,
+    golden_max,
+)
+
+from conftest import make_poly_family
 
 
 def test_bound_m1_unit_case():
@@ -124,7 +137,6 @@ def test_cantor_constants_affine_case():
     assert bc.C1 == 0.0
     assert bc.R_lo == 0.0
     assert bc.R_hi == 0.0
-    assert bc.sign_cert
 
 
 def test_cantor_c1_branch_continuity():
@@ -157,19 +169,49 @@ def test_cantor_k2_direct_below_fallback():
 
 
 def test_cantor_sign_certificate_cases():
-    assert cantor_constants(1.0, 0.3).sign_cert
-    assert not cantor_constants(1.0, 0.2).sign_cert
-    assert cantor_constants(0.5, 0.8).sign_cert
+    # Above the sign threshold the enclosure is one-sided (R_lo = 0),
+    # below it the symmetric pair (-M2, M2).
+    assert cantor_constants(1.0, 0.3).R_lo == 0.0
+    assert cantor_constants(0.0, 0.5).R_lo == 0.0
+    bc2 = cantor_constants(1.0, 0.2)
+    assert bc2.R_lo == -bc2.M2 < 0.0
+    assert bc2.R_hi == bc2.M2
     # Certified constants give one-sided enclosure 0 <= R_lo <= R_hi.
     bc = cantor_constants(0.5, 0.8)
     assert bc.R_lo == 0.0
     assert bc.R_hi > 0.0
     # refined bound never exceeds the two-sided one (equal when q >= 0)
     assert bc.R_hi <= bc.M2 * (1 + 1e-12)
-    # Uncertified fall back to the symmetric pair.
-    bc2 = cantor_constants(1.0, 0.2)
-    assert bc2.R_lo == pytest.approx(-bc2.M2)
-    assert bc2.R_hi == pytest.approx(bc2.M2)
+
+
+def _above_threshold(a):
+    th = max(cantor_sign_threshold(a), 0.0)
+    return [math.nextafter(th, math.inf)] + [
+        s for s in (th + 1e-9, 0.05, 0.3, 0.5, 0.8, 1.0, 1.5) if s > th]
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.75, 1.0])
+def test_cantor_k2_is_signed_maximum_above_threshold(a):
+    # Above the threshold the quotient q is >= 0 on [0, 1], so the search
+    # for max |q| that gives K2 also gives the refined bound's max q.
+    for s in _above_threshold(a):
+        signed = golden_max(cantor_g2_quotient(a, s), 0.0, 1.0)
+        assert signed.hex() == cantor_constants(a, s).K2.hex()
+
+
+def test_cantor_constants_one_golden_search():
+    with mock.patch.object(bounds, "golden_max",
+                           wraps=bounds.golden_max) as search:
+        cantor_constants(0.5, 0.8)
+        assert search.call_count == 1
+        cantor_constants(1.0, 0.2)
+        assert search.call_count == 2
+
+
+def test_bound_constants_fields():
+    assert [f.name for f in dataclasses.fields(BoundConstants)] == [
+        "kappa", "C1", "C2", "E2", "E3", "K2", "K3", "M1", "M2", "M3",
+        "R_lo", "R_hi"]
 
 
 def test_general_constants_match_cantor_closed_forms():
@@ -240,34 +282,6 @@ def test_ratio_bounds_routes(poly_fam):
     assert ratio_bounds(poly_fam, 0.8) == (-c.M2, c.M2, c.M1)
 
 
-def test_sign_certificate_dispatch(poly_fam):
-    assert not sign_certificate(make_mobius_family([1, 2]), 0.5)
-    assert sign_certificate(make_cantor_family(0.0), 0.5)
-    assert sign_certificate(make_cantor_family(1.0), 0.3)
-    assert not sign_certificate(make_cantor_family(1.0), 0.2)
-    assert sign_certificate(poly_fam, 0.8)
-
-
-def test_sign_certificate_rejects_decreasing_weight():
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        return 0.3 + 0.25 * x - 0.05 * x**2
-
-    def d1(x):
-        return 0.25 - 0.1 * np.asarray(x, dtype=float)
-
-    spec = MapSpec(label="dec", eval=ev, d1=d1,
-                   d2=lambda x: np.full_like(np.asarray(x, float), -0.1),
-                   d3=lambda x: np.zeros_like(np.asarray(x, float)),
-                   log_weight=lambda x: np.log(d1(x)),
-                   weight_r1=lambda x: -0.1 / d1(np.asarray(x, float)),
-                   weight_r2=lambda x: np.zeros_like(np.asarray(x, float)),
-                   weight_r3=lambda x: np.zeros_like(np.asarray(x, float)),
-                   d1_sup=0.25)
-    fam = make_custom_family([spec], (0.0, 1.0))
-    assert not sign_certificate(fam, 0.7)
-
-
 def test_general_constants_needs_derivatives():
     lin = MapSpec(label="lin", eval=lambda x: 0.25 * np.asarray(x, float),
                   d1=lambda x: np.full_like(np.asarray(x, float), 0.25),
@@ -294,10 +308,33 @@ def test_bound_constants_internal_consistency(poly_fam):
     lambda fam: cantor_constants(0.5, math.nan),
     lambda fam: general_constants(fam, math.nan),
     lambda fam: general_constants(fam, 0.5, safety=math.nan),
-    lambda fam: sign_certificate(fam, math.nan),
 ], ids=["bound_M1", "mobius_ratio_bounds", "cantor_constants",
-        "general_constants_s", "general_constants_safety",
-        "sign_certificate"])
+        "general_constants_s", "general_constants_safety"])
 def test_nan_parameters_rejected(poly_fam, call):
     with pytest.raises(BadParams):
         call(poly_fam)
+
+
+def _nan_weight_family():
+    """poly_fam whose weight_r2 returns NaN on (0.5, 1]."""
+    fam = make_poly_family()
+    r2 = fam.maps[0].weight_r2
+
+    def bad_r2(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 0.5, math.nan, r2(x))
+
+    maps = [dataclasses.replace(spec, weight_r2=bad_r2) for spec in fam.maps]
+    return make_custom_family(maps, fam.domain, label="poly-nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda fam: general_constants(fam, 0.8),
+    lambda fam: ratio_bounds(fam, 0.8),
+    lambda fam: error_model(fam, 0.8, 0.01),
+    lambda fam: bracket_dimension(fam, make_mesh(fam.domain, h=0.01)),
+], ids=["general_constants", "ratio_bounds", "error_model",
+        "bracket_dimension"])
+def test_nan_derivative_data_rejected(call):
+    with pytest.raises(ParamOutOfRange, match="word"):
+        call(_nan_weight_family())

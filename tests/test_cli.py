@@ -166,6 +166,15 @@ def test_study_needs_ladder(capsys):
     assert "two" in err
 
 
+@pytest.mark.parametrize("hs", ["0.01,0.01", "0.01,0.0100001"])
+def test_study_needs_two_realized_widths(capsys, hs):
+    # Both ladders round to one 100-cell mesh.
+    code, out, err = run_cli(capsys, "--cf", "1,2", "--hs", hs, "study")
+    assert code == 2
+    assert out == ""
+    assert "two distinct" in err
+
+
 def test_exactly_one_family_required(capsys):
     code, _, err = run_cli(capsys, "--h", "0.01", "--s", "0.5", "radius")
     assert code == 2
@@ -203,7 +212,12 @@ def test_bad_flag_values(capsys):
     ("--cf", "1,2", "--hs", "0.01,nan", "study"),
     ("--cf", "1,2", "--h", "inf", "dim"),
     ("--cf", "1,2", "--h", "0.01", "--s", "nan", "radius"),
-], ids=["h_nan", "hs_nan", "h_inf", "s_nan"])
+    ("--cf", "1,2", "--h", "0.01", "--s", "inf", "radius"),
+    ("--cf", "1,2", "--h", "0.01", "--root-tol", "inf", "dim"),
+    ("--cf", "1,2", "--h", "0.01", "--smin", "0.1", "--smax", "inf", "dim"),
+    ("--cf", "1,2", "--h", "0.01", "--radius-tol", "inf", "dim"),
+], ids=["h_nan", "hs_nan", "h_inf", "s_nan", "s_inf", "root_tol_inf",
+        "smax_inf", "radius_tol_inf"])
 def test_non_finite_values_exit_2(capsys, args):
     code, out, err = run_cli(capsys, *args)
     assert code == 2

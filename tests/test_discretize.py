@@ -34,6 +34,8 @@ def test_make_mesh_single_interval():
     assert mesh.dim == 5
     assert np.allclose(mesh.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert mesh.nodes[-1] == 1.0
+    assert mesh.pieces == (mesh,)
+    assert mesh.offsets == (0, 5)
 
 
 def test_make_mesh_by_width():

@@ -9,15 +9,18 @@ bound route moved into bounds.ratio_bounds; they cover the digit route,
 the Cantor closed forms (certified and, at a = 1, s = 0.2, the symmetric
 uncertified pair) and the generic chain of a custom family.  The
 general_constants values were recorded before the sweep dropped the
-suprema that no bound reads.
+suprema that no bound reads.  The sha256 pins of the CLI's JSON tables
+were recorded before the sampled sign check was removed.
 """
 
+import hashlib
 from unittest import mock
 
 import pytest
 
 from hausdim import (
     bounds,
+    cli,
     bracket_dimension,
     error_model,
     highorder_dimension,
@@ -185,3 +188,21 @@ def test_general_constants_sweeps_only_read_suprema():
                            wraps=bounds._word_chain) as chain:
         general_constants(fam, 0.8)
     assert chain.call_count == 32
+
+
+CLI_TABLES = {
+    # sha256 of the stdout of `hausdim --format json <args>`; exit code 0
+    "table1 --scale 100":
+        "f1ae7fd45bc5a5600e3c5741acba92f56db12ea5eb7358cebcd30f16f4e53771",
+    "table2":
+        "75ee257c83796fba7ad34373479b4a6f5b7e84e9657e4580c2c7140b090c688a",
+    "table3 --scale 20":
+        "fec3b91ca377f57bc28c47413d953b7bdcf1a190525d5d5c4239f06dc779dc0b",
+}
+
+
+@pytest.mark.parametrize("args", sorted(CLI_TABLES))
+def test_cli_json_tables_bit_exact(args, capsys):
+    assert cli.main(["--format", "json", *args.split()]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CLI_TABLES[args]

@@ -203,6 +203,19 @@ def test_convergence_study_needs_two_widths():
         convergence_study(make_cantor_family(0.0), [0.01])
 
 
+@pytest.mark.parametrize("hs", [[0.01, 0.01], [0.01, 0.0100001]])
+def test_convergence_study_needs_two_realized_widths(monkeypatch, hs):
+    # Both ladders round to one mesh; the study stops before any bracket.
+    import hausdim.solver as solver
+
+    def no_bracket(*args, **kwargs):
+        raise AssertionError("bracket built before the ladder was checked")
+
+    monkeypatch.setattr(solver, "bracket_dimension", no_bracket)
+    with pytest.raises(BadParams, match="two distinct"):
+        convergence_study(make_mobius_family([1, 2]), hs)
+
+
 def test_bracket_builds_each_matrix_once(monkeypatch):
     # Within one bracket the root solves and the nudge passes revisit s
     # values; every (s, matrix) pair is built once and evals counts them.
