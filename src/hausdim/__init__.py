@@ -26,7 +26,6 @@ from .discretize import (
     ErrorModel,
     MatrixTriple,
     Mesh,
-    MeshUnion,
     SparseNonnegMatrix,
     assemble,
     collocation_plan,
@@ -70,7 +69,6 @@ from .ifs import (
     MapSpec,
     apply_word,
     continuants,
-    contraction_data,
     eval_map,
     make_cantor_family,
     make_custom_family,

@@ -30,10 +30,11 @@ import numpy as np
 from .errors import (
     BadParams,
     MissingDerivatives,
+    NoContractionBound,
     ParamOutOfRange,
     SignNotCertified,
 )
-from .ifs import CANTOR, MOBIUS, MapFamily, contraction_data
+from .ifs import CANTOR, MOBIUS, MapFamily, cantor_kappa
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,7 @@ def cantor_constants(a: float, s: float) -> BoundConstants:
         raise BadParams(f"perturbation must lie in [0, 1], got {a}")
     if not s > 0.0:
         raise BadParams(f"need s > 0, got {s}")
-    kappa = (2.0 + 7.0 * a) / (6.0 + 4.0 * a)
+    kappa = cantor_kappa(a)
     if a == 0.0:
         # affine pair: constant weight, eigenfunction constant
         return BoundConstants(
@@ -337,16 +338,20 @@ def general_constants(fam: MapFamily, s: float, *,
     """Sampled constants for any family with order-3 derivative data.
 
     Samples the six suprema the chain reads (C1, C2, E2, E3, K2, K3) on
-    a 2049-point grid over all words of the contraction length mu, then
-    refines around each argmax and multiplies by the safety factor.
-    These are sampled maxima, not rigorous upper bounds.  Consistency
-    tests against closed forms use safety=1.
+    a 2049-point grid over all words of length fam.mu, then refines
+    around each argmax and multiplies by the safety factor.  These are
+    sampled maxima, not rigorous upper bounds.  Consistency tests
+    against closed forms use safety=1.  A family whose kappa is >= 1
+    (only a custom one can be) raises NoContractionBound.
     """
     if not s > 0.0:
         raise BadParams(f"need s > 0, got {s}")
     if not safety >= 1.0:
         raise BadParams(f"safety factor must be >= 1, got {safety}")
-    kappa, mu = contraction_data(fam)
+    kappa = fam.kappa
+    if kappa >= 1.0:
+        raise NoContractionBound(
+            f"custom family has sup |theta'| = {kappa} >= 1")
     a, b = fam.domain
     xs = np.linspace(a, b, _GRID)
     keys = ["C1", "C2", "E2", "E3", "K2", "K3"]
@@ -354,7 +359,7 @@ def general_constants(fam: MapFamily, s: float, *,
     arg = {k: (None, 0.0, 0.0) for k in keys}
     step = (b - a) / (_GRID - 1)
     with np.errstate(invalid="ignore"):
-        for word in itertools.product(range(fam.n_maps), repeat=mu):
+        for word in itertools.product(range(fam.n_maps), repeat=fam.mu):
             q = _quantities(_word_chain(fam, word, xs), s)
             for k in keys:
                 i, v = _argmax(fam, word, k, q[k])

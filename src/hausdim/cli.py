@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -22,11 +23,31 @@ from .discretize import assemble, dump_matrix, make_mesh
 from .errors import BadParams, ConfigError, NumericError
 from .higher_order import highorder_dimension
 from .ifs import MapFamily, make_cantor_family, make_mobius_family, reduce_domain
-from .solver import bracket_dimension, convergence_study
-from .spectral import ConeParams, cone_membership, power_enclosure
+from .solver import (
+    INITIAL_BRACKET,
+    ROOT_TOL,
+    bracket_dimension,
+    convergence_study,
+)
+from .spectral import RADIUS_TOL, ConeParams, cone_membership, power_enclosure
 
 _DOMAIN_RE = re.compile(r"^(full|reduced:[1-9][0-9]*)$")
 _FORMATS = ("text", "csv", "json")
+_FINITE = ("h", "s", "smin", "smax", "root_tol", "radius_tol")
+
+
+def _several(convert):
+    def several(v) -> tuple:
+        if isinstance(v, str):
+            raise TypeError(v)
+        return tuple(convert(x) for x in v)
+    return several
+
+
+# How RunConfig takes each field; TypeError or ValueError rejects a value.
+_CONVERT = dict(
+    cf=_several(operator.index), n=operator.index, hs=_several(float),
+    **dict.fromkeys(("cantor", "scale") + _FINITE, float))
 
 
 @dataclass
@@ -41,39 +62,35 @@ class RunConfig:
     smin: float | None = None
     smax: float | None = None
     hs: tuple[float, ...] | None = None
-    root_tol: float = 1e-12
-    radius_tol: float = 1e-13
+    root_tol: float = ROOT_TOL
+    radius_tol: float = RADIUS_TOL
     domain: str = "full"
     format: str = "text"
     scale: float = 1.0
     dump_matrix: str | None = None
 
     def __post_init__(self):
-        if self.cf is not None:
-            self.cf = tuple(int(b) for b in self.cf)
-        if self.cantor is not None:
-            self.cantor = float(self.cantor)
-        for name in ("h", "s", "smin", "smax", "root_tol", "radius_tol"):
+        for name, convert in _CONVERT.items():
             v = getattr(self, name)
-            if v is not None:
-                if not math.isfinite(float(v)):
-                    flag = "--" + name.replace("_", "-")
-                    raise BadParams(f"{flag} must be finite, got {v}")
-                setattr(self, name, float(v))
-        if self.n is not None:
-            self.n = int(self.n)
-        if self.hs is not None:
-            self.hs = tuple(float(x) for x in self.hs)
+            if v is None:
+                continue
+            try:
+                v = convert(v)
+            except (TypeError, ValueError):
+                raise BadParams(f"{name} has the wrong type: {v!r}") from None
+            if name in _FINITE and not math.isfinite(v):
+                flag = "--" + name.replace("_", "-")
+                raise BadParams(f"{flag} must be finite, got {v}")
+            setattr(self, name, v)
         if not self.root_tol > 0.0 or not self.radius_tol > 0.0:
             raise BadParams("tolerances must be positive")
-        if not _DOMAIN_RE.match(self.domain):
+        if not (isinstance(self.domain, str) and _DOMAIN_RE.match(self.domain)):
             raise BadParams(
                 f"--domain must be 'full' or 'reduced:k', got {self.domain!r}")
         if self.format not in _FORMATS:
             raise BadParams(f"--format must be one of {_FORMATS}")
-        if not float(self.scale) > 0.0:
+        if not self.scale > 0.0:
             raise BadParams("--scale must be positive")
-        self.scale = float(self.scale)
         if (self.smin is None) != (self.smax is None):
             raise BadParams("give both --smin and --smax or neither")
         if self.smin is not None and not 0.0 < self.smin < self.smax:
@@ -83,7 +100,7 @@ class RunConfig:
     def initial_bracket(self) -> tuple[float, float]:
         if self.smin is not None:
             return (self.smin, self.smax)
-        return (0.01, 1.5)
+        return INITIAL_BRACKET
 
 
 def _fmt(x: float) -> str:
@@ -111,10 +128,6 @@ def _mesh(cfg: RunConfig, fam: MapFamily):
     return make_mesh(_intervals(cfg, fam, cfg.h), n=cfg.n, h=cfg.h)
 
 
-def _mesh_cells(mesh) -> int:
-    return sum(p.n for p in mesh.pieces)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -129,11 +142,10 @@ def cmd_radius(cfg: RunConfig) -> int:
     encs = {w: power_enclosure(getattr(triple, w), tol=cfg.radius_tol)
             for w in "AMB"}
     if cfg.dump_matrix:
-        cells = _mesh_cells(mesh)
         for tag in "AMB":
             path = f"{cfg.dump_matrix}.{tag}"
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dump_matrix(getattr(triple, tag), cells, s,
+                fh.write(dump_matrix(getattr(triple, tag), mesh.n, s,
                                      fam.family_id))
     cone = ConeParams(M=triple.model.osc + 1.0, h=mesh.h)
     member = all(
@@ -339,9 +351,11 @@ def _common_parser() -> argparse.ArgumentParser:
     p.add_argument("--hs", type=_parse_hs, metavar="H1,H2,...",
                    help="mesh-width ladder for the study command")
     p.add_argument("--root-tol", type=float, dest="root_tol",
-                   help="tolerance on log-radius at the root (default 1e-12)")
+                   help=f"tolerance on log-radius at the root "
+                        f"(default {ROOT_TOL:g})")
     p.add_argument("--radius-tol", type=float, dest="radius_tol",
-                   help="relative enclosure gap tolerance (default 1e-13)")
+                   help=f"relative enclosure gap tolerance "
+                        f"(default {RADIUS_TOL:g})")
     p.add_argument("--domain", help="'full' or 'reduced:k' (k refinement steps)")
     p.add_argument("--format", choices=_FORMATS, help="output format")
     p.add_argument("--scale", type=float,

@@ -41,18 +41,15 @@ from .errors import (
 from .ifs import CLAMP_REL_TOL, MapFamily, eval_map
 
 __all__ = [
-    "Mesh", "MeshUnion", "make_mesh", "interp_weights", "ErrorModel",
+    "Mesh", "make_mesh", "interp_weights", "ErrorModel",
     "error_model", "SparseNonnegMatrix", "MatrixTriple", "CollocationPlan",
     "collocation_plan", "assemble", "row_sums", "dump_matrix",
 ]
 
 
 @dataclass(frozen=True, eq=False)
-class Mesh:
-    """Uniform mesh of n >= 2 cells on [a, b]; nodes x_k = a + k (b-a)/n.
-
-    pieces and offsets read as for a one-piece MeshUnion.
-    """
+class MeshPiece:
+    """Uniform n >= 2 cells on [a, b]; nodes x_k = a + k h with h = (b-a)/n."""
 
     a: float
     b: float
@@ -60,34 +57,29 @@ class Mesh:
     h: float
     nodes: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.n + 1
-
-    @property
-    def pieces(self) -> tuple[Mesh]:
-        return (self,)
-
-    @property
-    def offsets(self) -> tuple[int, int]:
-        return (0, self.dim)
-
 
 @dataclass(frozen=True, eq=False)
-class MeshUnion:
-    """Disjoint meshes over an increasing union of intervals.
+class Mesh:
+    """Uniform meshes on an increasing union of one or more intervals.
 
-    Node numbering concatenates the pieces; interpolation never crosses a
-    gap because mapped points always land inside some piece.
+    Node numbering concatenates the pieces: piece i owns the global nodes
+    offsets[i] .. offsets[i+1]-1.  Interpolation never crosses a gap
+    because mapped points always land inside some piece.  n is the total
+    cell count, dim the total node count, h the widest piece's cell
+    width and span the outer ends of the union.
     """
 
-    pieces: tuple[Mesh, ...]
+    pieces: tuple[MeshPiece, ...]
     nodes: np.ndarray
     offsets: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return int(self.offsets[-1])
+
+    @property
+    def n(self) -> int:
+        return sum(p.n for p in self.pieces)
 
     @property
     def h(self) -> float:
@@ -98,21 +90,19 @@ class MeshUnion:
         return self.pieces[0].a, self.pieces[-1].b
 
 
-def _mesh_interval(a: float, b: float, n: int) -> Mesh:
-    if n < 2:
-        raise BadParams(f"mesh needs n >= 2 cells, got {n}")
-    if not b > a:
-        raise BadParams(f"empty mesh interval [{a}, {b}]")
+def _mesh_piece(a: float, b: float, n: int) -> MeshPiece:
     nodes = a + np.arange(n + 1, dtype=float) * (b - a) / n
-    return Mesh(a=a, b=b, n=n, h=(b - a) / n, nodes=nodes)
+    return MeshPiece(a=a, b=b, n=n, h=(b - a) / n, nodes=nodes)
 
 
-def make_mesh(intervals, *, n: int | None = None, h: float | None = None):
+def make_mesh(intervals, *, n: int | None = None,
+              h: float | None = None) -> Mesh:
     """Mesh one interval or an ordered union with a shared target width.
 
-    Exactly one of n (total cell count) and h (cell width) must be given.
+    Exactly one of n (total cell count, at least 2) and h (cell width)
+    must be given; n sets the target width to the total length over n.
     Per-piece counts are rounded so every piece has at least two cells;
-    the realized widths can differ from h by the rounding.
+    the realized widths can differ from the target by the rounding.
     """
     if (n is None) == (h is None):
         raise BadParams("give exactly one of n and h")
@@ -123,24 +113,21 @@ def make_mesh(intervals, *, n: int | None = None, h: float | None = None):
         raise BadParams("empty interval in mesh request")
     if h is not None and not (h > 0.0 and math.isfinite(h)):
         raise BadParams(f"need finite h > 0, got {h}")
-    if len(intervals) == 1:
-        a, b = intervals[0]
-        nn = int(n) if n is not None else max(2, int(round((b - a) / h)))
-        return _mesh_interval(a, b, nn)
-    total = sum(b - a for a, b in intervals)
-    width = h if h is not None else total / int(n)
+    if n is not None and int(n) < 2:
+        raise BadParams(f"mesh needs n >= 2 cells, got {n}")
+    width = h if h is not None else sum(b - a for a, b in intervals) / int(n)
     pieces = tuple(
-        _mesh_interval(a, b, max(2, int(round((b - a) / width))))
+        _mesh_piece(a, b, max(2, int(round((b - a) / width))))
         for a, b in intervals
     )
     offsets = [0]
     for p in pieces:
-        offsets.append(offsets[-1] + p.dim)
+        offsets.append(offsets[-1] + p.n + 1)
     nodes = np.concatenate([p.nodes for p in pieces])
-    return MeshUnion(pieces=pieces, nodes=nodes, offsets=tuple(offsets))
+    return Mesh(pieces=pieces, nodes=nodes, offsets=tuple(offsets))
 
 
-def _locate(mesh, ys: np.ndarray):
+def _locate(mesh: Mesh, ys: np.ndarray):
     """Cells and hat weights for query points, numbered globally.
 
     Returns (c_left, c_right, w_left, w_right, Q) with w_left + w_right = 1
@@ -148,8 +135,7 @@ def _locate(mesh, ys: np.ndarray):
     piece by more than the clamp tolerance raise OutOfDomain.
     """
     pieces, offsets = mesh.pieces, mesh.offsets
-    lo = pieces[0].a
-    hi = pieces[-1].b
+    lo, hi = mesh.span
     tol = CLAMP_REL_TOL * (hi - lo)
     ys = np.asarray(ys, dtype=float)
     if np.any(ys < lo - tol) or np.any(ys > hi + tol):
@@ -175,7 +161,7 @@ def _locate(mesh, ys: np.ndarray):
     return c0, c0 + 1, wl, 1.0 - wl, q
 
 
-def interp_weights(mesh, y: float) -> tuple[int, float, float]:
+def interp_weights(mesh: Mesh, y: float) -> tuple[int, float, float]:
     """Cell index and hat weights of one point: y -> (r, w_left, w_right).
 
     Node hits give a unit weight; the left cell owns interior nodes and
@@ -323,7 +309,7 @@ def _lagrange_rows(t: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def _fine_nodes(mesh, degree: int):
+def _fine_nodes(mesh: Mesh, degree: int):
     """Global degree-d node vector plus per-piece offsets (fine and coarse)."""
     xs = []
     fine_offsets = [0]
@@ -377,7 +363,8 @@ class CollocationPlan:
                                   self.data(s, coef))
 
 
-def collocation_plan(fam: MapFamily, mesh, degree: int = 1) -> CollocationPlan:
+def collocation_plan(fam: MapFamily, mesh: Mesh,
+                     degree: int = 1) -> CollocationPlan:
     """Map images, basis weights and the merged pattern of one collocation.
 
     degree 1 collocates at the mesh nodes on the hat basis; degree d at
@@ -434,7 +421,7 @@ def collocation_plan(fam: MapFamily, mesh, degree: int = 1) -> CollocationPlan:
     )
 
 
-def assemble(fam: MapFamily, mesh, s: float,
+def assemble(fam: MapFamily, mesh: Mesh, s: float,
              model: ErrorModel | None = None) -> MatrixTriple:
     """Assemble the lower/plain/upper collocation matrices at parameter s.
 

@@ -20,7 +20,8 @@ import numpy as np
 from .discretize import CollocationPlan, CsrMatrix, collocation_plan
 from .errors import PowerDivergence
 from .ifs import MapFamily
-from .solver import solve_root
+from .solver import INITIAL_BRACKET, ROOT_TOL, solve_root
+from .spectral import RADIUS_TOL
 
 
 class HighOrderMatrix(CsrMatrix):
@@ -47,7 +48,8 @@ def assemble_highorder(fam: MapFamily, mesh, s: float,
 _SETTLE_RUNS = 10
 
 
-def dominant_magnitude(mat: HighOrderMatrix, tol: float = 1e-13) -> float:
+def dominant_magnitude(mat: HighOrderMatrix,
+                       tol: float = RADIUS_TOL) -> float:
     """|lambda| of the dominant eigenvalue of a signed matrix.
 
     Power iteration on sup norms (at most 10*dim + 2000 steps) settles for
@@ -80,9 +82,6 @@ def dominant_magnitude(mat: HighOrderMatrix, tol: float = 1e-13) -> float:
         f"power iteration did not settle in {max_iter} steps (dim {dim})")
 
 
-_INITIAL = (0.01, 1.5)  # starting bracket of the root solve
-
-
 @dataclass(frozen=True)
 class HighOrderResult:
     """Non-certified dimension estimate from degree-d collocation."""
@@ -96,8 +95,8 @@ class HighOrderResult:
 
 
 def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
-                        root_tol: float = 1e-12,
-                        radius_tol: float = 1e-13) -> HighOrderResult:
+                        root_tol: float = ROOT_TOL,
+                        radius_tol: float = RADIUS_TOL) -> HighOrderResult:
     """Dimension estimate: root of log |lambda_dom(s)| (no certificate)."""
     plan = collocation_plan(fam, mesh, degree)
 
@@ -105,6 +104,6 @@ def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
         return math.log(dominant_magnitude(_plan_matrix(plan, s),
                                            tol=radius_tol))
 
-    s, evals = solve_root(f, _INITIAL, root_tol)
+    s, evals = solve_root(f, INITIAL_BRACKET, root_tol)
     return HighOrderResult(s=s, degree=plan.degree, dim=plan.dim,
                            mesh_h=mesh.h, family_id=fam.family_id, evals=evals)

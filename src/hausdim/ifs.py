@@ -26,7 +26,6 @@ from .errors import (
     BadIndex,
     EmptyFamily,
     MissingDerivatives,
-    NoContractionBound,
     NonPositiveDigit,
     OutOfDomain,
     ParamOutOfRange,
@@ -84,22 +83,21 @@ class MapSpec:
 
 @dataclass(frozen=True)
 class MapFamily:
-    """A finite family of contractions on a common closed interval."""
+    """A finite family of contractions on a common closed interval.
+
+    Its constructor fixes family_id and the contraction data: words of
+    length mu contract by the factor kappa.  A custom family's kappa is
+    sampled, not certified, and may be >= 1 (see make_custom_family).
+    """
 
     kind: str
     maps: tuple[MapSpec, ...]
     domain: tuple[float, float]
+    family_id: str
+    kappa: float
+    mu: int
     digits: tuple[int, ...] | None = None
     cantor_a: float | None = None
-    label: str = ""
-
-    @property
-    def family_id(self) -> str:
-        if self.kind == MOBIUS:
-            return "cf:" + ",".join(str(b) for b in self.digits)
-        if self.kind == CANTOR:
-            return f"cantor:{self.cantor_a!r}"
-        return f"custom:{self.label}"
 
     @property
     def n_maps(self) -> int:
@@ -205,6 +203,9 @@ def make_mobius_family(
         kind=MOBIUS,
         maps=tuple(_mobius_map(b) for b in digits),
         domain=domain,
+        family_id="cf:" + ",".join(str(b) for b in digits),
+        kappa=(1.0 + float(gamma) ** 2) ** -2,
+        mu=2,
         digits=digits,
     )
     _validate_family(fam)
@@ -262,6 +263,11 @@ def _cantor_maps(a: float) -> tuple[MapSpec, MapSpec]:
     return left, right
 
 
+def cantor_kappa(a: float) -> float:
+    """Contraction factor (2+7a)/(6+4a) = sup theta_1' of the Cantor pair."""
+    return (2.0 + 7.0 * a) / (6.0 + 4.0 * a)
+
+
 def make_cantor_family(a: float) -> MapFamily:
     """Perturbed Cantor pair on [0, 1] with perturbation 0 <= a <= 1.
 
@@ -276,6 +282,9 @@ def make_cantor_family(a: float) -> MapFamily:
         kind=CANTOR,
         maps=_cantor_maps(a),
         domain=(0.0, 1.0),
+        family_id=f"cantor:{a!r}",
+        kappa=cantor_kappa(a),
+        mu=1,
         cantor_a=a,
     )
     _validate_family(fam)
@@ -287,13 +296,22 @@ def make_custom_family(
     domain: tuple[float, float],
     label: str = "custom",
 ) -> MapFamily:
-    """Wrap user-supplied map specs after validating the family invariants."""
+    """Wrap user-supplied map specs after validating the family invariants.
+
+    The family is named custom:<label>, with mu = 1 and kappa the largest
+    d1_sup, or |theta'| sampled on 4096 points for a map without one.
+    The bound layer raises NoContractionBound when kappa >= 1.
+    """
     if not maps:
         raise EmptyFamily("need at least one map")
     a, b = float(domain[0]), float(domain[1])
     if not b > a:
         raise ParamOutOfRange(f"empty domain [{a}, {b}]")
-    fam = MapFamily(kind=CUSTOM, maps=tuple(maps), domain=(a, b), label=label)
+    xs = np.linspace(a, b, 4096)
+    kappa = max(float(spec.d1_sup) if spec.d1_sup is not None
+                else float(np.max(np.abs(spec.d1(xs)))) for spec in maps)
+    fam = MapFamily(kind=CUSTOM, maps=tuple(maps), domain=(a, b),
+                    family_id=f"custom:{label}", kappa=kappa, mu=1)
     _validate_family(fam)
     return fam
 
@@ -338,35 +356,6 @@ def eval_map(fam: MapFamily, j: int, x, order: int = 0):
     xv = np.clip(xv, a, b)
     out = fam.maps[j].derivative(order)(xv)
     return out if np.ndim(x) else float(out)
-
-
-def contraction_data(fam: MapFamily) -> tuple[float, int]:
-    """Certified (kappa, mu): words of length mu contract by factor kappa.
-
-    MobiusDigits: ((1+gamma^2)^-2, 2) with gamma the smallest digit.
-    PerturbedCantor: ((2+7a)/(6+4a), 1).  Custom: (sup |theta'|, 1) from the
-    supplied per-map bounds, falling back to dense sampling.
-    """
-    if fam.kind == MOBIUS:
-        gamma = float(fam.digits[0])
-        return (1.0 + gamma**2) ** -2, 2
-    if fam.kind == CANTOR:
-        a = fam.cantor_a
-        return (2.0 + 7.0 * a) / (6.0 + 4.0 * a), 1
-    sups = []
-    lo, hi = fam.domain
-    xs = np.linspace(lo, hi, 4096)
-    for spec in fam.maps:
-        if spec.d1_sup is not None:
-            sups.append(float(spec.d1_sup))
-        else:
-            sups.append(float(np.max(np.abs(spec.d1(xs)))))
-    kappa = max(sups)
-    if kappa >= 1.0:
-        raise NoContractionBound(
-            f"custom family has sup |theta'| = {kappa} >= 1"
-        )
-    return kappa, 1
 
 
 def apply_word(fam: MapFamily, word: Sequence[int], x):

@@ -19,10 +19,11 @@ import numpy as np
 from .discretize import ErrorModel, collocation_plan, error_model, make_mesh
 from .errors import BadParams, NoSignChange, PowerDivergence
 from .ifs import MapFamily
-from .spectral import SpectralEnclosure, power_enclosure
+from .spectral import RADIUS_TOL, SpectralEnclosure, power_enclosure
 
+ROOT_TOL = 1e-12  # default tolerance on log-radius at a root
+INITIAL_BRACKET = (0.01, 1.5)  # default start bracket of every root solve
 _EPS = float(np.finfo(float).eps)
-_RADIUS_TOL = 1e-13  # enclosure gap for the single-s helpers below
 
 
 def _coef(model: ErrorModel, which: str) -> float:
@@ -40,7 +41,7 @@ def enclosure_at(fam: MapFamily, mesh, s: float,
         matrix = plan.matrix(s)
     else:
         matrix = plan.matrix(s, _coef(error_model(fam, s, mesh.h), which))
-    return power_enclosure(matrix, tol=_RADIUS_TOL)
+    return power_enclosure(matrix, tol=RADIUS_TOL)
 
 
 def _log_midpoint(r_lo: float, r_hi: float, converged: bool,
@@ -55,7 +56,7 @@ def _log_midpoint(r_lo: float, r_hi: float, converged: bool,
 def log_radius(fam: MapFamily, mesh, s: float, which: str = "B") -> float:
     """log of the enclosure midpoint of r(A_s|M_s|B_s)."""
     enc = enclosure_at(fam, mesh, s, which)
-    return _log_midpoint(enc.r_lo, enc.r_hi, enc.converged, _RADIUS_TOL)
+    return _log_midpoint(enc.r_lo, enc.r_hi, enc.converged, RADIUS_TOL)
 
 
 def radius(fam: MapFamily, mesh, s: float, which: str = "M") -> float:
@@ -73,7 +74,7 @@ _S_MIN, _S_MAX = 1e-6, 64.0
 
 
 def solve_root(f, bracket: tuple[float, float],
-               root_tol: float = 1e-12) -> tuple[float, int]:
+               root_tol: float = ROOT_TOL) -> tuple[float, int]:
     """Root of a decreasing function by secant steps inside a sign bracket.
 
     The bracket is halved or doubled until f changes sign, then each
@@ -156,9 +157,9 @@ class DimensionBracket:
 _NUDGE_STEPS = 64
 
 
-def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = 1e-12,
-                      radius_tol: float = 1e-13,
-                      initial: tuple[float, float] = (0.01, 1.5)
+def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
+                      radius_tol: float = RADIUS_TOL,
+                      initial: tuple[float, float] = INITIAL_BRACKET
                       ) -> DimensionBracket:
     """Bracket the dimension with certified enclosure endpoints.
 
@@ -212,19 +213,22 @@ def convergence_study(fam: MapFamily, hs, intervals=None,
                       **kwargs) -> ConvergenceStudy:
     """Brackets on a ladder of mesh widths; order fit on log width vs log h.
 
-    The meshes are built first; if fewer than two distinct realized
-    widths remain, BadParams is raised before any bracket.
+    The meshes are built first and each realized width mesh.h is
+    bracketed once (the first mesh that realizes it); if fewer than two
+    distinct realized widths remain, BadParams is raised before any
+    bracket.
     """
-    hs = sorted(float(h) for h in hs)
     if intervals is None:
         intervals = [fam.domain]
-    meshes = [make_mesh(intervals, h=h) for h in hs]
-    realized = sorted({mesh.h for mesh in meshes})
-    if len(realized) < 2:
-        raise BadParams(
-            f"mesh ladder needs two distinct realized widths, got {realized}")
+    meshes = {}  # realized width -> first mesh that realizes it
+    for h in sorted(float(h) for h in hs):
+        mesh = make_mesh(intervals, h=h)
+        meshes.setdefault(mesh.h, mesh)
+    if len(meshes) < 2:
+        raise BadParams("mesh ladder needs two distinct realized widths, "
+                        f"got {sorted(meshes)}")
     rows = []
-    for mesh in meshes:
+    for mesh in meshes.values():
         br = bracket_dimension(fam, mesh, **kwargs)
         rows.append((mesh.h, br.s_lower, br.s_upper, br.width))
     slope = float(np.polyfit(np.log([r[0] for r in rows]),

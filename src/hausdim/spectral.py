@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import BadParams, NonPositiveVector, ZeroRowSum
 
+RADIUS_TOL = 1e-13  # default relative enclosure gap of every radius solve
 _STALL_LIMIT = 200
 
 
@@ -70,7 +71,7 @@ class SpectralEnclosure:
         return (self.r_hi - self.r_lo) / self.r_hi if self.r_hi > 0 else math.inf
 
 
-def power_enclosure(matrix, tol: float = 1e-13,
+def power_enclosure(matrix, tol: float = RADIUS_TOL,
                     seed_vec: np.ndarray | None = None,
                     collect_history: bool = False) -> SpectralEnclosure:
     """Iterate w <- M w / ||M w||_inf from all-ones, tightening the enclosure.

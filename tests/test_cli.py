@@ -175,6 +175,19 @@ def test_study_needs_two_realized_widths(capsys, hs):
     assert "two distinct" in err
 
 
+def test_study_brackets_each_realized_width_once(capsys):
+    code, out, _ = run_cli(capsys, "--cf", "1,2", "--hs", "0.01,0.01,0.005",
+                           "study")
+    assert code == 0
+    rows = [line for line in out.splitlines()[1:] if not line.startswith("#")]
+    assert [row.split(",")[0] for row in rows] == ["0.0050000000000000001",
+                                                   "0.01"]
+    code, plain, _ = run_cli(capsys, "--cf", "1,2", "--hs", "0.01,0.005",
+                             "study")
+    assert code == 0
+    assert out == plain
+
+
 def test_exactly_one_family_required(capsys):
     code, _, err = run_cli(capsys, "--h", "0.01", "--s", "0.5", "radius")
     assert code == 2
@@ -271,6 +284,22 @@ def test_threads_setting_removed(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--cf", "1,2", "--n", "50", "--threads", "2", "dim"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key,value", [
+    ("root_tol", "abc"), ("cf", 5), ("domain", 5), ("hs", 0.01), ("n", 1.5),
+])
+def test_config_file_wrong_type_exits_2(tmp_path, capsys, key, value):
+    data = {"cf": [1, 2], "h": 0.01} if key != "n" else {"cf": [1, 2]}
+    data[key] = value
+    cfgfile = tmp_path / "typed.json"
+    cfgfile.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "--config", str(cfgfile), "dim")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert key in err
+    assert repr(value) in err
 
 
 def test_config_file_invalid_json(tmp_path, capsys):

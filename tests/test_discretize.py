@@ -8,7 +8,6 @@ from hausdim import (
     ErrTooLarge,
     MapEscapesDomain,
     Mesh,
-    MeshUnion,
     NegativeEntry,
     OutOfDomain,
     SparseNonnegMatrix,
@@ -34,8 +33,12 @@ def test_make_mesh_single_interval():
     assert mesh.dim == 5
     assert np.allclose(mesh.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert mesh.nodes[-1] == 1.0
-    assert mesh.pieces == (mesh,)
+    assert len(mesh.pieces) == 1
     assert mesh.offsets == (0, 5)
+    assert mesh.span == (0.0, 1.0)
+    piece = mesh.pieces[0]
+    assert (piece.a, piece.b, piece.n, piece.h) == (0.0, 1.0, 4, 0.25)
+    assert np.array_equal(piece.nodes, mesh.nodes)
 
 
 def test_make_mesh_by_width():
@@ -54,6 +57,8 @@ def test_make_mesh_argument_validation():
     with pytest.raises(BadParams):
         make_mesh((0.0, 1.0), n=1)
     with pytest.raises(BadParams):
+        make_mesh([(0.0, 0.4), (0.6, 1.0)], n=1)
+    with pytest.raises(BadParams):
         make_mesh((1.0, 0.0), n=4)
     # h must be finite: round() fails on NaN, and inf would give 2 cells.
     for h in (math.nan, math.inf):
@@ -67,10 +72,12 @@ def test_make_mesh_union():
     fam = make_mobius_family([1, 2])
     parts = reduce_domain(fam, 2)
     mesh = make_mesh(parts, h=0.01)
-    assert isinstance(mesh, MeshUnion)
+    assert type(mesh) is type(make_mesh(parts[0], h=0.01)) is Mesh
     assert len(mesh.pieces) == 2
     assert mesh.offsets[0] == 0
+    assert mesh.n == sum(p.n for p in mesh.pieces)
     assert mesh.dim == sum(p.n + 1 for p in mesh.pieces)
+    assert mesh.h == max(p.h for p in mesh.pieces)
     assert mesh.span[0] == pytest.approx(1.0 / 3.0)
     assert mesh.span[1] == pytest.approx(0.75)
     # Every piece knows its own nodes; concatenation matches.

@@ -19,12 +19,14 @@ from unittest import mock
 import pytest
 
 from hausdim import (
+    NoContractionBound,
     bounds,
     cli,
     bracket_dimension,
     error_model,
     highorder_dimension,
     make_cantor_family,
+    make_custom_family,
     make_mesh,
     make_mobius_family,
     reduce_domain,
@@ -71,6 +73,20 @@ def test_highorder_estimate_bit_exact(degree, h, expect):
     fam = make_mobius_family([1, 2])
     res = highorder_dimension(fam, make_mesh(fam.domain, h=h), degree)
     assert res.s.hex() == expect
+
+
+def test_custom_wrapped_digit_maps_keep_degree_d_estimate():
+    # The {1,2} inverse branches contract only over two steps: the custom
+    # family has kappa = d1_sup of 1/(x+1) = 1.  Its degree-d estimate needs
+    # no bound and matches the digit family's bit for bit; a certified
+    # bracket needs kappa < 1.
+    digits = make_mobius_family([1, 2])
+    fam = make_custom_family(digits.maps, digits.domain, label="cf12")
+    assert (fam.kappa, fam.mu) == (1.0, 1)
+    mesh = make_mesh(fam.domain, h=0.04)
+    assert highorder_dimension(fam, mesh, 4).s.hex() == "0x1.1003ff9eee1f3p-1"
+    with pytest.raises(NoContractionBound):
+        bracket_dimension(fam, mesh)
 
 
 ERROR_MODELS = {

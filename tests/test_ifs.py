@@ -12,8 +12,8 @@ from hausdim import (
     ParamOutOfRange,
     apply_word,
     continuants,
-    contraction_data,
     eval_map,
+    general_constants,
     make_cantor_family,
     make_custom_family,
     make_mobius_family,
@@ -110,31 +110,54 @@ def test_cantor_family_rejects_bad_parameter():
 
 
 def test_contraction_data():
-    kappa, mu = contraction_data(make_mobius_family([1, 2]))
-    assert kappa == pytest.approx(0.25)
-    assert mu == 2
-    kappa, mu = contraction_data(make_mobius_family([2, 3]))
-    assert kappa == pytest.approx((1 + 4) ** -2)
-    assert mu == 2
-    kappa, mu = contraction_data(make_cantor_family(1.0))
-    assert kappa == pytest.approx(0.9)
-    assert mu == 1
-    kappa, mu = contraction_data(make_cantor_family(0.0))
-    assert kappa == pytest.approx(1.0 / 3.0)
-    assert mu == 1
+    fam = make_mobius_family([1, 2])
+    assert (fam.kappa, fam.mu) == (pytest.approx(0.25), 2)
+    fam = make_mobius_family([2, 3])
+    assert (fam.kappa, fam.mu) == (pytest.approx((1 + 4) ** -2), 2)
+    fam = make_cantor_family(1.0)
+    assert (fam.kappa, fam.mu) == (pytest.approx(0.9), 1)
+    fam = make_cantor_family(0.0)
+    assert (fam.kappa, fam.mu) == (pytest.approx(1.0 / 3.0), 1)
 
 
 def test_contraction_data_custom_expansion_fails(poly_fam):
-    kappa, mu = contraction_data(poly_fam)
-    assert kappa == pytest.approx(0.4)
-    assert mu == 1
+    assert (poly_fam.kappa, poly_fam.mu) == (pytest.approx(0.4), 1)
     bad = MapSpec(label="expand", eval=lambda x: np.asarray(x, float),
                   d1=lambda x: np.ones_like(np.asarray(x, float)),
                   log_weight=lambda x: np.zeros_like(np.asarray(x, float)),
                   d1_sup=1.0)
+    # The family builds; the bound layer refuses it.
+    fam = make_custom_family([bad], (0.0, 1.0))
+    assert fam.kappa == 1.0
     with pytest.raises(NoContractionBound):
-        fam = make_custom_family([bad], (0.0, 1.0))
-        contraction_data(fam)
+        general_constants(fam, 0.5)
+
+
+def test_custom_kappa_samples_derivative_without_d1_sup():
+    # A map without d1_sup contributes max |theta'| on 4096 points.  The
+    # peak of theta' = c (1 - (x - x0)^2) lies off that grid, so the
+    # sampled maximum depends on the grid and stays below c.
+    x0 = 0.1234567
+
+    def d1(c):
+        return lambda x: c * (1.0 - (np.asarray(x, float) - x0) ** 2)
+
+    def spec(label, c):
+        return MapSpec(label=label, d1=d1(c), eval=lambda x: c * (
+            np.asarray(x, float) - (np.asarray(x, float) - x0) ** 3 / 3.0))
+    fam = make_custom_family([spec("lo", 0.1), spec("hi", 0.2)],
+                             (0.0, 1.0 / 3.0))
+    xs = np.linspace(0.0, 1.0 / 3.0, 4096)
+    assert fam.kappa == float(np.max(np.abs(d1(0.2)(xs))))
+    assert fam.kappa < 0.2
+    assert fam.kappa != float(np.max(d1(0.2)(np.linspace(0, 1 / 3, 1000))))
+    assert fam.mu == 1
+    # d1_sup, where given, wins over sampling.
+    with_sup = MapSpec(label="sup", eval=lambda x: 0.5 * np.asarray(x, float),
+                       d1=lambda x: np.full_like(np.asarray(x, float), 0.5),
+                       d1_sup=0.75)
+    fam = make_custom_family([spec("lo", 0.1), with_sup], (0.0, 1.0 / 3.0))
+    assert fam.kappa == 0.75
 
 
 def test_contraction_words():
@@ -142,7 +165,7 @@ def test_contraction_words():
     rng = np.random.default_rng(7)
     for fam in (make_mobius_family([1, 2]), make_mobius_family([2, 3]),
                 make_cantor_family(0.5)):
-        kappa, mu = contraction_data(fam)
+        kappa, mu = fam.kappa, fam.mu
         a, b = fam.domain
         for _ in range(50):
             word = rng.integers(0, fam.n_maps, size=mu)
@@ -269,6 +292,12 @@ def test_custom_family_must_stay_inside_domain():
                   d1_sup=0.5)
     with pytest.raises(OutOfDomain):
         make_custom_family([esc], (0.0, 1.0))
+
+
+def test_family_id_strings(poly_fam):
+    assert make_mobius_family([2, 1]).family_id == "cf:1,2"
+    assert make_cantor_family(0.5).family_id == "cantor:0.5"
+    assert poly_fam.family_id == "custom:poly-cubic"
 
 
 def test_family_id_distinguishes_families():

@@ -216,6 +216,24 @@ def test_convergence_study_needs_two_realized_widths(monkeypatch, hs):
         convergence_study(make_mobius_family([1, 2]), hs)
 
 
+def test_convergence_study_brackets_each_realized_width_once(monkeypatch):
+    import hausdim.solver as solver
+
+    meshes = []
+    bracket = solver.bracket_dimension
+
+    def counting(fam, mesh, **kwargs):
+        meshes.append(mesh.h)
+        return bracket(fam, mesh, **kwargs)
+
+    monkeypatch.setattr(solver, "bracket_dimension", counting)
+    fam = make_mobius_family([1, 2])
+    study = convergence_study(fam, [0.01, 0.01, 0.005])
+    assert meshes == [0.005, 0.01]
+    assert [row[0] for row in study.rows] == meshes
+    assert study == convergence_study(fam, [0.01, 0.005])
+
+
 def test_bracket_builds_each_matrix_once(monkeypatch):
     # Within one bracket the root solves and the nudge passes revisit s
     # values; every (s, matrix) pair is built once and evals counts them.
