@@ -53,7 +53,6 @@ from .errors import (
     OutOfDomain,
     ParamOutOfRange,
     PowerDivergence,
-    SignNotCertified,
     ZeroRowSum,
 )
 from .higher_order import (

@@ -13,9 +13,10 @@ length mu.  Three routes are implemented:
   conditions exactly (s above cantor_sign_threshold(a)), and there the
   signed quotient is nonnegative, so its maximum G2 equals K2.
 
-The perturbed Cantor family has closed forms for its constants; those are
-cross-checked against the sampled suprema of general_constants in the
-test suite.
+Every constant of the perturbed Cantor family is a closed form, K2
+included (the largest |q| over at most three points), so only
+general_constants, the custom-family route, samples suprema; the test
+suite cross-checks the closed forms against its sampled values.
 ratio_bounds picks the route for a family and is the one place that does.
 """
 
@@ -32,7 +33,6 @@ from .errors import (
     MissingDerivatives,
     NoContractionBound,
     ParamOutOfRange,
-    SignNotCertified,
 )
 from .ifs import CANTOR, MOBIUS, MapFamily, cantor_kappa
 
@@ -108,10 +108,8 @@ def bound_M3(s: float, *, K3: float, K2: float, C1: float, M1: float,
 
 
 def refined_M2_upper(s: float, *, G2: float, C1: float, E2: float,
-                     kappa: float, sign_cert: bool) -> float:
-    """One-sided bound v''/v <= ... valid only under the sign certificate."""
-    if not sign_cert:
-        raise SignNotCertified("refined second-ratio bound needs the sign conditions")
+                     kappa: float) -> float:
+    """One-sided bound v''/v <= ..., valid only where the sign conditions hold."""
     if not 0.0 < kappa < 1.0:
         raise BadParams(f"kappa must lie in (0,1), got {kappa}")
     num = (s * G2 + 2.0 * s**2 * C1**2 * kappa / (1.0 - kappa)
@@ -135,38 +133,6 @@ def mobius_ratio_bounds(gamma: float, Gamma: float, A_right: float,
         prod *= 2.0 * s + i
     K = 1.0 / gamma + Gamma
     return RatioBoundPair(prod * (K + A_right) ** -p, prod * gamma ** -p)
-
-
-# ---------------------------------------------------------------------------
-# golden-section maximization (1-D, seeded)
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_SEEDS = 64
-_GOLDEN_TOL = 1e-12
-
-
-def golden_max(f, lo: float, hi: float) -> float:
-    """Maximum of f on [lo, hi]: 64 seeds bracket it, golden-section to 1e-12."""
-    xs = np.linspace(lo, hi, _GOLDEN_SEEDS + 1)
-    vals = np.asarray(f(xs), dtype=float)
-    i = int(np.argmax(vals))
-    best = float(vals[i])
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, _GOLDEN_SEEDS)]
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = float(f(c))
-    fd = float(f(d))
-    while b - a > _GOLDEN_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = float(f(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = float(f(d))
-    return max(best, fc, fd)
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +160,16 @@ def cantor_constants(a: float, s: float) -> BoundConstants:
     """Closed-form constants for the perturbed Cantor family.
 
     C1, C2, E2 and kappa come from the exact formulas (with the branch
-    points a = 3/7 and a = 1/14 for C1 and C2); K2 comes from a seeded
-    golden-section maximization of |q| for the explicit quotient q.  For
-    s above cantor_sign_threshold(a) the sign conditions hold and q >= 0
-    on [0, 1], so max q = K2 serves as G2 in the refined one-sided bound
-    and R_lo = 0; otherwise the pair is (-M2, M2).  The weight's third
-    derivative is unbounded at 0 for a > 0, so K3 and M3 are infinite;
-    E3 stays finite.
+    points a = 3/7 and a = 1/14 for C1 and C2).  K2 = max |q| on [0, 1]
+    for the explicit quotient q is closed form too.  In u = c x^(5/2)
+    with c = 3.5a, q' vanishes only at the roots of
+    8w u^2 - (12w - 27) u - 3, w = 2.5s - 1, which do not depend on a;
+    with q(0) = 0, K2 is the largest |q| over x = 1 and the roots with
+    0 < u <= c.  For s above cantor_sign_threshold(a) the sign
+    conditions hold and q >= 0 on [0, 1], so max q = K2 serves as G2 in
+    the refined one-sided bound and R_lo = 0; otherwise the pair is
+    (-M2, M2).  The weight's third derivative is unbounded at 0 for
+    a > 0, so K3 and M3 are infinite; E3 stays finite.
     """
     if not 0.0 <= a <= 1.0:
         raise BadParams(f"perturbation must lie in [0, 1], got {a}")
@@ -224,14 +193,18 @@ def cantor_constants(a: float, s: float) -> BoundConstants:
         C2 = 3.0 * 0.25**0.2 * c**0.8
     E2 = c * 5.0 / (6.0 + 4.0 * a)
     E3 = 13.125 * a / (3.0 + 2.0 * a)
-    q = cantor_g2_quotient(a, s)
-    K2 = golden_max(lambda x: np.abs(q(x)), 0.0, 1.0)
+    w = 2.5 * s - 1.0
+    b = 27.0 - 12.0 * w
+    # cancellation-free roots: b^2 + 96w = (12w - 23)^2 + 200, so m != 0
+    m = -0.5 * (b + math.copysign(math.sqrt(b * b + 96.0 * w), b))
+    roots = [-3.0 / m] + ([m / (8.0 * w)] if w != 0.0 else [])
+    xs = [1.0] + [(u / c) ** 0.4 for u in roots if 0.0 < u <= c]
+    K2 = float(np.max(np.abs(cantor_g2_quotient(a, s)(xs))))
     M1 = bound_M1(s, C1, kappa)
     M2 = bound_M2(s, K2=K2, C1=C1, M1=M1, E2=E2, kappa=kappa)
     if s > cantor_sign_threshold(a):
         R_lo = 0.0
-        R_hi = refined_M2_upper(s, G2=K2, C1=C1, E2=E2, kappa=kappa,
-                                sign_cert=True)
+        R_hi = refined_M2_upper(s, G2=K2, C1=C1, E2=E2, kappa=kappa)
     else:
         R_lo, R_hi = -M2, M2
     return BoundConstants(

@@ -101,16 +101,22 @@ def make_mesh(intervals, *, n: int | None = None,
 
     Exactly one of n (total cell count, at least 2) and h (cell width)
     must be given; n sets the target width to the total length over n.
-    Per-piece counts are rounded so every piece has at least two cells;
-    the realized widths can differ from the target by the rounding.
+    The intervals must be nonempty, increasing and disjoint.  Per-piece
+    counts are rounded so every piece has at least two cells; the
+    realized widths can differ from the target by the rounding.
     """
     if (n is None) == (h is None):
         raise BadParams("give exactly one of n and h")
-    if isinstance(intervals, tuple) and np.isscalar(intervals[0]):
+    if isinstance(intervals, tuple) and intervals and np.isscalar(intervals[0]):
         intervals = [intervals]
     intervals = [(float(a), float(b)) for a, b in intervals]
+    if not intervals:
+        raise BadParams("mesh request has no interval")
     if any(b <= a for a, b in intervals):
         raise BadParams("empty interval in mesh request")
+    if any(b >= a for (_, b), (a, _) in zip(intervals, intervals[1:])):
+        raise BadParams(f"mesh intervals must increase and be disjoint, "
+                        f"got {intervals}")
     if h is not None and not (h > 0.0 and math.isfinite(h)):
         raise BadParams(f"need finite h > 0, got {h}")
     if n is not None and int(n) < 2:
@@ -372,12 +378,18 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
     Lagrange basis.  Row k collects, for every map j in index order, the
     basis weights of theta_j(x_k); a stable sort by (row, col) keeps map
     order among coincident pairs, which fixes their accumulation order.
+    A mesh that reaches outside fam.domain raises OutOfDomain.
     """
     if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool):
         raise ParamOutOfRange(f"degree must be an integer, got {degree!r}")
     degree = int(degree)
     if not 1 <= degree <= _MAX_DEGREE:
         raise ParamOutOfRange(f"degree must be in 1..{_MAX_DEGREE}, got {degree}")
+    lo, hi = fam.domain
+    tol = CLAMP_REL_TOL * (hi - lo)
+    if mesh.span[0] < lo - tol or mesh.span[1] > hi + tol:
+        raise OutOfDomain(
+            f"mesh span {mesh.span} leaves the domain [{lo}, {hi}]")
     if degree == 1:
         xs = mesh.nodes
     else:

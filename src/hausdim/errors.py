@@ -48,11 +48,7 @@ class NoContractionBound(NumericError):
     pass
 
 
-# --- derivative bounds ---
-
-class SignNotCertified(NumericError):
-    pass
-
+# --- call arguments ---
 
 class BadParams(ConfigError):
     pass

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import CollocationPlan, CsrMatrix, collocation_plan
-from .errors import PowerDivergence
+from .errors import BadParams, PowerDivergence
 from .ifs import MapFamily
 from .solver import INITIAL_BRACKET, ROOT_TOL, solve_root
 from .spectral import RADIUS_TOL
@@ -57,6 +57,8 @@ def dominant_magnitude(mat: HighOrderMatrix,
     falls back to a dense eigensolve for dim <= 2000 and raises
     PowerDivergence beyond.
     """
+    if not tol > 0.0:
+        raise BadParams(f"need tol > 0, got {tol}")
     dim = mat.dim
     max_iter = 10 * dim + 2000
     w = 1.0 + np.arange(dim) / (1000.0 * max(dim, 1))

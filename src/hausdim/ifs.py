@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     BadIndex,
+    BadParams,
     EmptyFamily,
     MissingDerivatives,
     NonPositiveDigit,
@@ -43,6 +44,10 @@ CANTOR = "PerturbedCantor"
 CUSTOM = "Custom"
 
 _VALIDATION_SAMPLES = 1000
+# d1_sup may sit this far (relative) below the sampled max |theta'|: a
+# closed form such as 1/b^2 can round one ulp below the sampled (x+b)^-2.
+_D1_SUP_REL_TOL = 1e-12
+_MAX_WORDS = 2**21  # most words reduce_domain enumerates
 
 
 @dataclass(frozen=True)
@@ -327,6 +332,14 @@ def _validate_family(fam: MapFamily) -> None:
             raise ParamOutOfRange(
                 f"map {spec.label!r} is not monotone on the domain"
             )
+        top = float(np.max(np.abs(d1)))
+        if spec.d1_sup is not None and not (
+                math.isfinite(spec.d1_sup)
+                and spec.d1_sup >= top * (1.0 - _D1_SUP_REL_TOL)):
+            raise ParamOutOfRange(
+                f"map {spec.label!r} has d1_sup {spec.d1_sup}, but |theta'| "
+                f"reaches {top} on the domain"
+            )
         lo, hi = min(ya, yb), max(ya, yb)
         if lo < a - tol or hi > b + tol:
             raise OutOfDomain(
@@ -373,10 +386,15 @@ def reduce_domain(
 
     Images of the domain under all words of the given length, merged when
     adjacent intervals overlap or leave a gap smaller than merge_gap.
-    iterations = 0 returns the full domain.
+    iterations = 0 returns the full domain.  More than 2^21 words
+    (n_maps^iterations) raise BadParams before any is enumerated.
     """
     if iterations < 0:
         raise ParamOutOfRange("iterations must be >= 0")
+    if iterations * math.log2(fam.n_maps) > math.log2(_MAX_WORDS):
+        raise BadParams(
+            f"reduce_domain needs {fam.n_maps}^{iterations} words, "
+            f"more than 2^21")
     a, b = fam.domain
     if iterations == 0:
         return [(a, b)]

@@ -81,10 +81,13 @@ def solve_root(f, bracket: tuple[float, float],
     secant candidate is accepted only inside the current bracket
     (bisection otherwise).  Returns (root, evaluations) after at most 40
     evaluations; NoSignChange if no sign change exists in [1e-6, 64].
+    root_tol must be finite and positive (BadParams otherwise).
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
         raise BadParams(f"bad bracket {bracket}")
+    if not 0.0 < root_tol < math.inf:
+        raise BadParams(f"need finite root_tol > 0, got {root_tol}")
     evals = 0
 
     def ev(x: float) -> float:

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,11 +10,9 @@ from hausdim import (
     MapSpec,
     MissingDerivatives,
     ParamOutOfRange,
-    SignNotCertified,
     bound_M1,
     bound_M2,
     bound_M3,
-    bounds,
     bracket_dimension,
     cantor_constants,
     error_model,
@@ -28,11 +25,7 @@ from hausdim import (
     ratio_bounds,
     refined_M2_upper,
 )
-from hausdim.bounds import (
-    cantor_g2_quotient,
-    cantor_sign_threshold,
-    golden_max,
-)
+from hausdim.bounds import cantor_g2_quotient, cantor_sign_threshold
 
 from conftest import make_poly_family
 
@@ -63,21 +56,16 @@ def test_bound_m3_unit_case():
 
 
 def test_refined_m2_upper():
-    with pytest.raises(SignNotCertified):
-        refined_M2_upper(0.7, G2=1.0, C1=1.0, E2=1.0, kappa=0.5,
-                         sign_cert=False)
-    assert refined_M2_upper(0.7, G2=0.0, C1=0.0, E2=0.0, kappa=0.5,
-                            sign_cert=True) == 0.0
+    assert refined_M2_upper(0.7, G2=0.0, C1=0.0, E2=0.0, kappa=0.5) == 0.0
     # kappa -> 0 limit is s*G2.
-    v = refined_M2_upper(0.7, G2=2.0, C1=1.0, E2=1.0, kappa=1e-12,
-                         sign_cert=True)
+    v = refined_M2_upper(0.7, G2=2.0, C1=1.0, E2=1.0, kappa=1e-12)
     assert v == pytest.approx(0.7 * 2.0 + 0.7 * 1.0, rel=1e-9)
     # Recompute the closed form directly for a generic input.
     s, G2, C1, E2, kappa = 0.7, 1.3, 0.9, 0.4, 0.35
     direct = (s * G2 + 2 * s**2 * C1**2 * kappa / (1 - kappa)
               + s * C1 * E2 / (1 - kappa)) / (1 - kappa**2)
-    assert refined_M2_upper(s, G2=G2, C1=C1, E2=E2, kappa=kappa,
-                            sign_cert=True) == pytest.approx(direct, rel=1e-14)
+    assert refined_M2_upper(s, G2=G2, C1=C1, E2=E2,
+                            kappa=kappa) == pytest.approx(direct, rel=1e-14)
 
 
 def test_mobius_ratio_bounds_values():
@@ -102,15 +90,6 @@ def test_mobius_ratio_bounds_ordering():
             for p in (1, 2, 3):
                 pair = mobius_ratio_bounds(gamma, Gamma, 1.0 / gamma, s, p)
                 assert 0.0 < pair.lo <= pair.hi
-
-
-def test_golden_max():
-    assert golden_max(np.sin, 0.0, math.pi) == pytest.approx(1.0, abs=1e-12)
-    f = lambda x: -((np.asarray(x) - 0.3) ** 2)
-    assert golden_max(f, 0.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-    # Maximum at an endpoint is found too.
-    g = lambda x: np.asarray(x) * 2.0
-    assert golden_max(g, 0.0, 1.0) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_cantor_sign_threshold():
@@ -190,22 +169,32 @@ def _above_threshold(a):
         s for s in (th + 1e-9, 0.05, 0.3, 0.5, 0.8, 1.0, 1.5) if s > th]
 
 
+_K2_GRID = np.linspace(0.0, 1.0, 400001)
+
+
+def _assert_k2_is_grid_max(a, s, signed):
+    # The closed form evaluates q at its critical points, so it is never
+    # below a grid maximum and only rounding above it.
+    q = cantor_g2_quotient(a, s)(_K2_GRID)
+    peak = float(np.max(q if signed else np.abs(q)))
+    assert peak <= cantor_constants(a, s).K2 <= peak * (1.0 + 1e-10)
+
+
 @pytest.mark.parametrize("a", [0.25, 0.5, 0.75, 1.0])
 def test_cantor_k2_is_signed_maximum_above_threshold(a):
-    # Above the threshold the quotient q is >= 0 on [0, 1], so the search
-    # for max |q| that gives K2 also gives the refined bound's max q.
+    # Above the threshold the quotient q is >= 0 on [0, 1], so max |q|,
+    # which gives K2, is also the refined bound's max q.
     for s in _above_threshold(a):
-        signed = golden_max(cantor_g2_quotient(a, s), 0.0, 1.0)
-        assert signed.hex() == cantor_constants(a, s).K2.hex()
+        _assert_k2_is_grid_max(a, s, signed=True)
 
 
-def test_cantor_constants_one_golden_search():
-    with mock.patch.object(bounds, "golden_max",
-                           wraps=bounds.golden_max) as search:
-        cantor_constants(0.5, 0.8)
-        assert search.call_count == 1
-        cantor_constants(1.0, 0.2)
-        assert search.call_count == 2
+# a = 1e-200 puts c^2 below the smallest double; 0.1 and 0.2 lie below
+# a = 1's threshold 0.229, and at s = 0.4 the quadratic in u degenerates
+# to a linear one.
+@pytest.mark.parametrize("a", [1e-200, 1e-9, 1.0 / 14.0, 3.0 / 7.0, 1.0])
+@pytest.mark.parametrize("s", [1e-6, 0.1, 0.2, 0.4, 1.3, 64.0])
+def test_cantor_k2_is_maximum_of_abs_quotient(a, s):
+    _assert_k2_is_grid_max(a, s, signed=False)
 
 
 def test_bound_constants_fields():

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from hausdim import ifs
 from hausdim.cli import main
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
@@ -218,6 +219,18 @@ def test_bad_flag_values(capsys):
     code, _, _ = run_cli(capsys, "--cantor", "2.0", "--h", "0.01",
                          "--s", "0.5", "radius")
     assert code == 2
+
+
+def test_reduced_domain_word_cap_exits_2(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("word enumerated")
+
+    monkeypatch.setattr(ifs, "apply_word", fail)
+    digits = ",".join(str(d) for d in range(1, 35))
+    code, out, err = run_cli(capsys, "--cf", digits, "--h", "0.01",
+                             "--domain", "reduced:5", "dim")
+    assert (code, out) == (2, "")
+    assert "more than 2^21" in err
 
 
 @pytest.mark.parametrize("args", [

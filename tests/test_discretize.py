@@ -60,6 +60,11 @@ def test_make_mesh_argument_validation():
         make_mesh([(0.0, 0.4), (0.6, 1.0)], n=1)
     with pytest.raises(BadParams):
         make_mesh((1.0, 0.0), n=4)
+    # Intervals must be present, increasing and disjoint.
+    for intervals in ([], (), [(0.5, 1.0), (0.0, 0.4)],
+                      [(0.0, 0.6), (0.4, 1.0)], [(0.0, 0.5), (0.5, 1.0)]):
+        with pytest.raises(BadParams):
+            make_mesh(intervals, h=0.1)
     # h must be finite: round() fails on NaN, and inf would give 2 cells.
     for h in (math.nan, math.inf):
         with pytest.raises(BadParams):
@@ -295,6 +300,16 @@ def test_collocation_plan_map_escape_names_the_map(degree):
     mesh = make_mesh((0.0, 0.5), n=10)
     with pytest.raises(MapEscapesDomain, match=r"map '1/\(x\+1\)'"):
         collocation_plan(fam, mesh, degree)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4])
+@pytest.mark.parametrize("span", [(0.0, 2.0), (-0.5, 1.0)])
+def test_collocation_plan_mesh_must_stay_in_domain(degree, span):
+    # cf{1,2} lives on [0, 1]; its maps are defined beyond, but the mesh
+    # may not leave the domain at any degree (a configuration error).
+    with pytest.raises(OutOfDomain, match="leaves the domain"):
+        collocation_plan(make_mobius_family([1, 2]), make_mesh(span, n=20),
+                         degree)
 
 
 def test_assemble_on_reduced_union():

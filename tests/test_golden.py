@@ -8,6 +8,9 @@ these tests.  The error-model values were recorded before the choice of
 bound route moved into bounds.ratio_bounds; they cover the digit route,
 the Cantor closed forms (certified and, at a = 1, s = 0.2, the symmetric
 uncertified pair) and the generic chain of a custom family.  The
+Cantor a = 0.5, s = 0.8 pair was re-recorded when K2 became a closed
+form: coef_hi and R_hi each moved down one ulp, because the old seeded
+search read max |q| a few ulps high.  The
 general_constants values were recorded before the sweep dropped the
 suprema that no bound reads.  The sha256 pins of the CLI's JSON tables
 were recorded before the sampled sign check was removed.
@@ -106,9 +109,9 @@ ERROR_MODELS = {
     ("cantor05", 0.5): ("0x1.bd4747d6910f2p+2", "0x0.0p+0",
                         "0x1.46bcfb6a75224p+1", "0x0.0p+0",
                         "0x1.b20e50b5034f7p+3"),
-    ("cantor05", 0.8): ("0x1.c4693d30ecf17p+3", "0x0.0p+0",
+    ("cantor05", 0.8): ("0x1.c4693d30ecf16p+3", "0x0.0p+0",
                         "0x1.0563fc552a81dp+2", "0x0.0p+0",
-                        "0x1.b24e4b617ff66p+4"),
+                        "0x1.b24e4b617ff65p+4"),
     ("cantor10", 0.2): ("0x1.fcf57e581f5d4p+4", "-0x1.d3db428a92782p+4",
                         "0x1.0d75627dae5c6p+2", "-0x1.e7f9a392edb2fp+5",
                         "0x1.e7f9a392edb2fp+5"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hausdim import (
+    BadParams,
     ParamOutOfRange,
     assemble,
     assemble_highorder,
@@ -112,6 +113,14 @@ def test_dominant_magnitude_known_matrices():
     # Complex pair +-i sqrt(2) settles through the dense fallback.
     assert dominant_magnitude(Dense([[0.0, -2.0], [1.0, 0.0]])) \
         == pytest.approx(math.sqrt(2.0), rel=1e-8)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-13, math.nan])
+def test_dominant_magnitude_rejects_bad_tolerance(tol):
+    fam = make_mobius_family([1, 2])
+    mat = assemble_highorder(fam, make_mesh(fam.domain, n=10), 0.5, 2)
+    with pytest.raises(BadParams):
+        dominant_magnitude(mat, tol=tol)
 
 
 def test_highorder_dimension_matches_reference_rows():

@@ -1,8 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from hausdim import (
     BadIndex,
+    BadParams,
     EmptyFamily,
     MapSpec,
     MissingDerivatives,
@@ -14,6 +18,7 @@ from hausdim import (
     continuants,
     eval_map,
     general_constants,
+    ifs,
     make_cantor_family,
     make_custom_family,
     make_mobius_family,
@@ -282,6 +287,43 @@ def test_reduce_domain_merge_gap():
     assert len(merged) == 1
     assert merged[0][0] == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert merged[0][1] == pytest.approx(0.75, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_reduce_domain_caps_word_count(monkeypatch, k):
+    # 34^5 words would take gigabytes; refuse before enumerating any.
+    def fail(*args):
+        raise AssertionError("word enumerated")
+
+    monkeypatch.setattr(ifs, "apply_word", fail)
+    with pytest.raises(BadParams, match=r"34\^%d words" % k):
+        reduce_domain(make_mobius_family(range(1, 35)), k)
+    with pytest.raises(BadParams):
+        reduce_domain(make_mobius_family([1, 2]), 22)
+
+
+@pytest.mark.parametrize("sups,bad", [
+    ((0.4, math.nan), "poly-right"),
+    ((math.nan, 0.4), "poly-left"),
+    ((0.1, 0.1), "poly-left"),
+    ((0.4, math.inf), "poly-right"),
+    ((0.4, 0.0), "poly-right"),
+])
+def test_custom_family_rejects_bad_d1_sup(poly_fam, sups, bad):
+    # The poly maps reach slope 0.4 at x = 1.
+    maps = [dataclasses.replace(spec, d1_sup=sup)
+            for spec, sup in zip(poly_fam.maps, sups)]
+    with pytest.raises(ParamOutOfRange, match=f"map '{bad}' has d1_sup"):
+        make_custom_family(maps, poly_fam.domain)
+
+
+def test_d1_sup_may_round_just_below_sampled_slope(poly_fam):
+    # 1/157^2 can round one ulp below the sampled (x + 157)^-2 (numpy's
+    # vectorized pow); the family must still build.
+    make_mobius_family([157])
+    maps = [dataclasses.replace(spec, d1_sup=math.nextafter(0.4, 0.0))
+            for spec in poly_fam.maps]
+    assert make_custom_family(maps, poly_fam.domain).kappa < 0.4
 
 
 def test_custom_family_must_stay_inside_domain():

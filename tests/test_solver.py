@@ -11,6 +11,7 @@ from hausdim import (
     bracket_dimension,
     convergence_study,
     enclosure_at,
+    highorder_dimension,
     log_radius,
     make_cantor_family,
     make_custom_family,
@@ -107,6 +108,28 @@ def test_solve_root_hard_curve_stays_bracketed():
     root, evals = solve_root(f, (0.01, 1.0))
     assert root == pytest.approx(0.05, rel=1e-9)
     assert evals <= 40
+
+
+@pytest.mark.parametrize("root_tol", [0.0, -1e-12, math.nan, math.inf])
+def test_solve_root_rejects_bad_tolerance(root_tol):
+    f = lambda s: math.log(2.0) - s * math.log(3.0)
+    with pytest.raises(BadParams):
+        solve_root(f, (0.4, 0.9), root_tol)
+
+
+def test_callers_reject_bad_root_tolerance_before_any_matrix(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("matrix built")
+
+    monkeypatch.setattr(CollocationPlan, "data", fail)
+    fam = make_mobius_family([1, 2])
+    mesh = make_mesh(fam.domain, h=0.01)
+    with pytest.raises(BadParams):
+        bracket_dimension(fam, mesh, root_tol=-1e-12)
+    with pytest.raises(BadParams):
+        convergence_study(fam, [0.02, 0.01], root_tol=0.0)
+    with pytest.raises(BadParams):
+        highorder_dimension(fam, mesh, 2, root_tol=math.nan)
 
 
 def test_bracket_dimension_affine_cantor():
