@@ -11,6 +11,7 @@ study and cli the command-line front end.
 
 from .bounds import (
     BoundConstants,
+    BoundPlan,
     RatioBoundPair,
     bound_M1,
     bound_M2,

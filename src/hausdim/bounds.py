@@ -14,14 +14,18 @@ length mu.  Three routes are implemented:
   signed quotient is nonnegative, so its maximum G2 equals K2.
 
 Every constant of the perturbed Cantor family is a closed form, K2
-included (the largest |q| over at most three points), so only
-general_constants, the custom-family route, samples suprema; the test
-suite cross-checks the closed forms against its sampled values.
-ratio_bounds picks the route for a family and is the one place that does.
+included (the largest |q| over at most three points), so only the
+custom-family route samples suprema; the test suite cross-checks the
+closed forms against general_constants' sampled values.  The sampling
+lives in a BoundPlan, built once per bracket: it samples every word's
+chain once, refines the s-independent C1 and E2 once, and computes only
+K2 afresh at each s.  ratio_bounds picks the route for a family and is
+the one place that does.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -262,22 +266,31 @@ def _word_chain(fam: MapFamily, word: tuple[int, ...], xs: np.ndarray) -> dict:
     }
 
 
-def _quantities(chain: dict, s: float) -> dict:
-    gw1, gw2, gw3 = chain["gw1"], chain["gw2"], chain["gw3"]
-    return {
-        "C1": np.abs(gw1),
-        "C2": np.abs(gw2),
-        "E2": np.abs(chain["d2"]),
-        "E3": np.abs(chain["d3"]),
-        "K2": np.abs(gw2 - (1.0 - s) * gw1**2),
-        "K3": np.abs((s - 1.0) * (s - 2.0) * gw1**3
-                     + 3.0 * (s - 1.0) * gw1 * gw2 + gw3),
-    }
-
+# The sampled quantities: C1/C2 and E2/E3 read the word chain alone,
+# K2 and K3 also read s.
+_SUPREMANDS = {
+    "C1": lambda c, s: np.abs(c["gw1"]),
+    "C2": lambda c, s: np.abs(c["gw2"]),
+    "E2": lambda c, s: np.abs(c["d2"]),
+    "E3": lambda c, s: np.abs(c["d3"]),
+    "K2": lambda c, s: np.abs(c["gw2"] - (1.0 - s) * c["gw1"]**2),
+    "K3": lambda c, s: np.abs((s - 1.0) * (s - 2.0) * c["gw1"]**3
+                              + 3.0 * (s - 1.0) * c["gw1"] * c["gw2"]
+                              + c["gw3"]),
+}
+_S_FREE = ("C1", "C2", "E2", "E3")
 
 _GRID = 2049
 _REFINE_ROUNDS = 5
 _REFINE_PTS = 257
+_SAFETY = 1.01
+
+
+def _nan_error(fam: MapFamily, word: tuple[int, ...],
+               what: str) -> ParamOutOfRange:
+    labels = ", ".join(fam.maps[j].label for j in word)
+    return ParamOutOfRange(
+        f"derivative data give NaN in {what} on word {word} ({labels})")
 
 
 def _argmax(fam: MapFamily, word: tuple[int, ...], key: str,
@@ -286,70 +299,113 @@ def _argmax(fam: MapFamily, word: tuple[int, ...], key: str,
     i = int(np.argmax(vals))  # the first NaN, if there is one
     v = float(vals[i])
     if math.isnan(v):
-        labels = ", ".join(fam.maps[j].label for j in word)
-        raise ParamOutOfRange(
-            f"derivative data give NaN in {key} on word {word} ({labels})")
+        raise _nan_error(fam, word, key)
     return i, v
 
 
-def _refine_max(fam: MapFamily, word: tuple[int, ...], s: float, key: str,
-                lo: float, hi: float) -> float:
-    best = -math.inf
-    for _ in range(_REFINE_ROUNDS):
-        xs = np.linspace(lo, hi, _REFINE_PTS)
-        vals = _quantities(_word_chain(fam, word, xs), s)[key]
-        i, v = _argmax(fam, word, key, vals)
-        best = max(best, v)
-        if not math.isfinite(best):
+class BoundPlan:
+    """The s-independent part of a custom family's sampled suprema.
+
+    Keeps the chain of every word of length fam.mu on the 2049-point grid
+    over fam.domain, and of every refinement window, each computed once
+    (NaN in any chain array raises ParamOutOfRange naming the word).  C1,
+    C2, E2 and E3 do not depend on s and are refined once; K2 and K3 are
+    swept over the kept chains at each s.  Nothing is sampled before the
+    first read, so a plan costs nothing on the digit and Cantor routes.
+    A family whose kappa is >= 1 (only a custom one can be) raises
+    NoContractionBound.
+    """
+
+    def __init__(self, fam: MapFamily):
+        if fam.kappa >= 1.0:
+            raise NoContractionBound(
+                f"custom family has sup |theta'| = {fam.kappa} >= 1")
+        self.fam = fam
+        self._chains: dict[tuple, dict] = {}
+        self._s_free: dict[str, float] = {}
+
+    @functools.cached_property
+    def _grid(self) -> tuple[np.ndarray, list]:
+        """The 2049-point grid and each word's chain on it, in word order."""
+        a, b = self.fam.domain
+        xs = np.linspace(a, b, _GRID)
+        words = itertools.product(range(self.fam.n_maps), repeat=self.fam.mu)
+        return xs, [(word, self._chain(word, xs)) for word in words]
+
+    def _chain(self, word: tuple[int, ...], xs: np.ndarray) -> dict:
+        key = (word, xs[0], xs[-1], xs.size)
+        if key not in self._chains:
+            chain = _word_chain(self.fam, word, xs)
+            for name, arr in chain.items():
+                if np.isnan(arr).any():
+                    raise _nan_error(self.fam, word, name)
+            self._chains[key] = chain
+        return self._chains[key]
+
+    def sup(self, key: str, s: float) -> float:
+        """Sampled supremum of one of C1, C2, E2, E3, K2, K3 at s.
+
+        The maximum over all words on the grid, then five rounds of 257
+        points around its first argmax; no safety factor applied.
+        """
+        if not s > 0.0:
+            raise BadParams(f"need s > 0, got {s}")
+        if key in self._s_free:
+            return self._s_free[key]
+        with np.errstate(invalid="ignore"):
+            best = self._sweep(key, s)
+        if key in _S_FREE:
+            self._s_free[key] = best
+        return best
+
+    def _sweep(self, key: str, s: float) -> float:
+        f = _SUPREMANDS[key]
+        a, b = self.fam.domain
+        xs, chains = self._grid
+        step = (b - a) / (_GRID - 1)
+        best, arg = -math.inf, None
+        for word, chain in chains:
+            i, v = _argmax(self.fam, word, key, f(chain, s))
+            if v > best:
+                best = v
+                arg = (word, max(a, xs[i] - step), min(b, xs[i] + step))
+        if arg is None or not math.isfinite(best):
             return best
-        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, _REFINE_PTS - 1)]
-    return best
+        word, lo, hi = arg
+        for _ in range(_REFINE_ROUNDS):
+            xs = np.linspace(lo, hi, _REFINE_PTS)
+            i, v = _argmax(self.fam, word, key, f(self._chain(word, xs), s))
+            best = max(best, v)
+            if not math.isfinite(best):
+                break
+            lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, _REFINE_PTS - 1)]
+        return best
+
+
+def _generic_M1_M2(s: float, kappa: float, C1: float, E2: float,
+                   K2: float) -> tuple[float, float]:
+    M1 = bound_M1(s, C1, kappa) if C1 > 0.0 else 0.0
+    return M1, bound_M2(s, K2=K2, C1=C1, M1=M1, E2=E2, kappa=kappa)
 
 
 def general_constants(fam: MapFamily, s: float, *,
-                      safety: float = 1.01) -> BoundConstants:
+                      safety: float = _SAFETY) -> BoundConstants:
     """Sampled constants for any family with order-3 derivative data.
 
-    Samples the six suprema the chain reads (C1, C2, E2, E3, K2, K3) on
-    a 2049-point grid over all words of length fam.mu, then refines
-    around each argmax and multiplies by the safety factor.  These are
-    sampled maxima, not rigorous upper bounds.  Consistency tests
-    against closed forms use safety=1.  A family whose kappa is >= 1
-    (only a custom one can be) raises NoContractionBound.
+    Reads the six suprema the chain uses (C1, C2, E2, E3, K2, K3) from a
+    fresh BoundPlan: the maximum on a 2049-point grid over all words of
+    length fam.mu, refined around its argmax, times the safety factor.
+    These are sampled maxima, not rigorous upper bounds.  Consistency
+    tests against closed forms use safety=1.  A bracket does not call
+    this: ratio_bounds reads only C1, E2 and K2 from the bracket's own
+    plan, which samples the chains once and recomputes only K2 per s.
     """
-    if not s > 0.0:
-        raise BadParams(f"need s > 0, got {s}")
     if not safety >= 1.0:
         raise BadParams(f"safety factor must be >= 1, got {safety}")
+    plan = BoundPlan(fam)
+    C1, C2, E2, E3, K2, K3 = (plan.sup(k, s) * safety for k in _SUPREMANDS)
     kappa = fam.kappa
-    if kappa >= 1.0:
-        raise NoContractionBound(
-            f"custom family has sup |theta'| = {kappa} >= 1")
-    a, b = fam.domain
-    xs = np.linspace(a, b, _GRID)
-    keys = ["C1", "C2", "E2", "E3", "K2", "K3"]
-    sup = {k: -math.inf for k in keys}
-    arg = {k: (None, 0.0, 0.0) for k in keys}
-    step = (b - a) / (_GRID - 1)
-    with np.errstate(invalid="ignore"):
-        for word in itertools.product(range(fam.n_maps), repeat=fam.mu):
-            q = _quantities(_word_chain(fam, word, xs), s)
-            for k in keys:
-                i, v = _argmax(fam, word, k, q[k])
-                if v > sup[k]:
-                    sup[k] = v
-                    arg[k] = (word, max(a, xs[i] - step), min(b, xs[i] + step))
-        for k in keys:
-            word, lo, hi = arg[k]
-            if word is not None and math.isfinite(sup[k]):
-                sup[k] = max(sup[k], _refine_max(fam, word, s, k, lo, hi))
-    for k in keys:
-        sup[k] *= safety
-    C1, C2 = sup["C1"], sup["C2"]
-    E2, E3 = sup["E2"], sup["E3"]
-    K2, K3 = sup["K2"], sup["K3"]
-    M1 = bound_M1(s, C1, kappa) if C1 > 0.0 else 0.0
-    M2 = bound_M2(s, K2=K2, C1=C1, M1=M1, E2=E2, kappa=kappa)
+    M1, M2 = _generic_M1_M2(s, kappa, C1, E2, K2)
     M3 = bound_M3(s, K3=K3, K2=K2, C1=C1, M1=M1, M2=M2, E2=E2, E3=E3,
                   kappa=kappa)
     return BoundConstants(
@@ -362,14 +418,18 @@ def general_constants(fam: MapFamily, s: float, *,
 # family-kind dispatch
 
 
-def ratio_bounds(fam: MapFamily, s: float) -> tuple[float, float, float]:
+def ratio_bounds(fam: MapFamily, s: float,
+                 bound_plan: BoundPlan | None = None
+                 ) -> tuple[float, float, float]:
     """Enclosure (R_lo, R_hi) of v''/v and the bound osc on |v'|/v.
 
     MobiusDigits: the sharp order-2 digit bounds with right endpoint
     1/gamma, and osc = 2s/gamma.  PerturbedCantor: the closed-form
     constants, (0, refined) above the sign threshold and the symmetric
-    pair (-M2, M2) otherwise.  Custom: the generic M1-M3 chain with the
-    symmetric pair (-M2, M2).  Cantor and custom families use osc = M1.
+    pair (-M2, M2) otherwise; osc = M1.  Custom: the generic chain's
+    symmetric pair (-M2, M2) and osc = M1, from C1, E2 and K2 read off
+    bound_plan (a BoundPlan of fam; a fresh one if None) times the
+    default safety factor of general_constants.
     """
     if fam.kind == MOBIUS:
         gamma = float(fam.digits[0])
@@ -378,6 +438,10 @@ def ratio_bounds(fam: MapFamily, s: float) -> tuple[float, float, float]:
         return pair.lo, pair.hi, 2.0 * s / gamma
     if fam.kind == CANTOR:
         c = cantor_constants(fam.cantor_a, s)
-    else:
-        c = general_constants(fam, s)
-    return c.R_lo, c.R_hi, c.M1
+        return c.R_lo, c.R_hi, c.M1
+    plan = BoundPlan(fam) if bound_plan is None else bound_plan
+    if plan.fam is not fam:
+        raise BadParams("bound_plan belongs to another family")
+    C1, E2, K2 = (plan.sup(k, s) * _SAFETY for k in ("C1", "E2", "K2"))
+    M1, M2 = _generic_M1_M2(s, fam.kappa, C1, E2, K2)
+    return -M2, M2, M1

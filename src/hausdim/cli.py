@@ -31,7 +31,7 @@ from .solver import (
 )
 from .spectral import RADIUS_TOL, ConeParams, cone_membership, power_enclosure
 
-_DOMAIN_RE = re.compile(r"^(full|reduced:[1-9][0-9]*)$")
+_DOMAIN_RE = re.compile(r"^(full|reduced:[1-9][0-9]{0,3})$")  # k <= 9999
 _FORMATS = ("text", "csv", "json")
 _FINITE = ("h", "s", "smin", "smax", "root_tol", "radius_tol")
 
@@ -86,7 +86,8 @@ class RunConfig:
             raise BadParams("tolerances must be positive")
         if not (isinstance(self.domain, str) and _DOMAIN_RE.match(self.domain)):
             raise BadParams(
-                f"--domain must be 'full' or 'reduced:k', got {self.domain!r}")
+                "--domain must be 'full' or 'reduced:k' with k in 1..9999, "
+                f"got {self.domain!r:.40}")
         if self.format not in _FORMATS:
             raise BadParams(f"--format must be one of {_FORMATS}")
         if not self.scale > 0.0:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .bounds import ratio_bounds
+from .bounds import BoundPlan, ratio_bounds
 from .errors import (
     BadParams,
     ErrTooLarge,
@@ -201,11 +201,16 @@ class ErrorModel:
     R_hi: float
 
 
-def error_model(fam: MapFamily, s: float, h: float) -> ErrorModel:
-    """Build the correction model from the certified v''/v enclosure."""
+def error_model(fam: MapFamily, s: float, h: float,
+                bound_plan: BoundPlan | None = None) -> ErrorModel:
+    """Build the correction model from the certified v''/v enclosure.
+
+    A custom family's bounds are read off bound_plan (see ratio_bounds);
+    a caller that needs many s passes one plan to all of them.
+    """
     if not h > 0.0:
         raise BadParams(f"need h > 0, got {h}")
-    r_lo, r_hi, osc = ratio_bounds(fam, s)
+    r_lo, r_hi, osc = ratio_bounds(fam, s, bound_plan)
     coef_hi = 0.5 * r_hi * math.exp(osc * h)
     coef_lo = 0.5 * r_lo * math.exp(-osc * h)
     if coef_hi * h * h / 4.0 >= 1.0:

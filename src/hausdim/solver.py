@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import BoundPlan
 from .discretize import ErrorModel, collocation_plan, error_model, make_mesh
 from .errors import BadParams, NoSignChange, PowerDivergence
 from .ifs import MapFamily
@@ -170,15 +171,18 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     enclosure satisfies r_hi(B) <= 1; s_lower from the root of
     log r(A_s) nudged downward until r_lo(A) >= 1.  If 64 nudge steps do
     not certify an endpoint the bracket is returned with certified=False.
+    The collocation plan and the bound plan are built once and serve
+    every s the solves visit.
     """
     plan = collocation_plan(fam, mesh)
+    bound_plan = BoundPlan(fam)
     models: dict[float, ErrorModel] = {}  # A and B share the start points
     radii: dict[tuple[float, str], tuple[float, float, bool]] = {}
 
     def enclose(s: float, which: str) -> tuple[float, float, bool]:
         if (s, which) not in radii:
             if s not in models:
-                models[s] = error_model(fam, s, mesh.h)
+                models[s] = error_model(fam, s, mesh.h, bound_plan)
             matrix = plan.matrix(s, _coef(models[s], which))
             enc = power_enclosure(matrix, tol=radius_tol)
             radii[s, which] = (enc.r_lo, enc.r_hi, enc.converged)

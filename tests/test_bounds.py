@@ -7,6 +7,7 @@ import pytest
 from hausdim import (
     BadParams,
     BoundConstants,
+    BoundPlan,
     MapSpec,
     MissingDerivatives,
     ParamOutOfRange,
@@ -282,6 +283,14 @@ def test_general_constants_needs_derivatives():
         general_constants(fam, 0.5)
 
 
+def test_ratio_bounds_rejects_another_familys_plan(poly_fam):
+    plan = BoundPlan(make_poly_family())
+    with pytest.raises(BadParams, match="another family"):
+        ratio_bounds(poly_fam, 0.8, plan)
+    assert ratio_bounds(poly_fam, 0.8, BoundPlan(poly_fam)) == \
+        ratio_bounds(poly_fam, 0.8)
+
+
 def test_bound_constants_internal_consistency(poly_fam):
     for fam in (make_mobius_family([1, 2]), make_cantor_family(0.5),
                 poly_fam):
@@ -304,26 +313,37 @@ def test_nan_parameters_rejected(poly_fam, call):
         call(poly_fam)
 
 
-def _nan_weight_family():
-    """poly_fam whose weight_r2 returns NaN on (0.5, 1]."""
+def _nan_weight_family(field="weight_r2"):
+    """poly_fam whose derivative data `field` returns NaN on (0.5, 1]."""
     fam = make_poly_family()
-    r2 = fam.maps[0].weight_r2
+    good = getattr(fam.maps[0], field)
 
-    def bad_r2(x):
+    def bad(x):
         x = np.asarray(x, dtype=float)
-        return np.where(x > 0.5, math.nan, r2(x))
+        return np.where(x > 0.5, math.nan, good(x))
 
-    maps = [dataclasses.replace(spec, weight_r2=bad_r2) for spec in fam.maps]
+    maps = [dataclasses.replace(spec, **{field: bad}) for spec in fam.maps]
     return make_custom_family(maps, fam.domain, label="poly-nan")
 
 
-@pytest.mark.parametrize("call", [
-    lambda fam: general_constants(fam, 0.8),
-    lambda fam: ratio_bounds(fam, 0.8),
-    lambda fam: error_model(fam, 0.8, 0.01),
-    lambda fam: bracket_dimension(fam, make_mesh(fam.domain, h=0.01)),
-], ids=["general_constants", "ratio_bounds", "error_model",
-        "bracket_dimension"])
-def test_nan_derivative_data_rejected(call):
+_NAN_CALLS = {
+    "general_constants": lambda fam: general_constants(fam, 0.8),
+    "ratio_bounds": lambda fam: ratio_bounds(fam, 0.8),
+    "error_model": lambda fam: error_model(fam, 0.8, 0.01),
+    "bracket_dimension": lambda fam: bracket_dimension(
+        fam, make_mesh(fam.domain, h=0.01)),
+}
+
+
+@pytest.mark.parametrize("name,field", [
+    pytest.param(name, "weight_r2", id=name) for name in _NAN_CALLS
+] + [
+    # NaN that only the third-order suprema (K3, E3) see: the custom
+    # route reads C1, E2 and K2, so the chain itself must be rejected.
+    pytest.param(name, field, id=f"{name}-{field}")
+    for field in ("weight_r3", "d3")
+    for name in ("ratio_bounds", "error_model", "bracket_dimension")
+])
+def test_nan_derivative_data_rejected(name, field):
     with pytest.raises(ParamOutOfRange, match="word"):
-        call(_nan_weight_family())
+        _NAN_CALLS[name](_nan_weight_family(field))

@@ -233,6 +233,15 @@ def test_reduced_domain_word_cap_exits_2(capsys, monkeypatch):
     assert "more than 2^21" in err
 
 
+def test_reduced_domain_huge_k_exits_2(capsys):
+    # A k past Python's 4300-digit int() limit is a configuration error,
+    # not a ValueError traceback.
+    code, out, err = run_cli(capsys, "--cf", "1,2", "--h", "0.01",
+                             "--domain", "reduced:" + "1" * 4301, "dim")
+    assert (code, out) == (2, "")
+    assert "k in 1..9999" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("args", [
     ("--cf", "1,2", "--h", "nan", "dim"),
     ("--cf", "1,2", "--hs", "0.01,nan", "study"),

@@ -171,20 +171,23 @@ def test_error_model_too_large():
 
 
 def test_error_model_builds_constants_once(poly_fam, monkeypatch):
-    # The v''/v enclosure and the oscillation rate share one constants set.
+    # The v''/v enclosure and the oscillation rate share one bound plan,
+    # which reads each of the three suprema they need once.
     import hausdim.bounds as bounds
 
     calls = []
-    real = bounds.general_constants
+    real = bounds.BoundPlan.sup
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(self, key, s):
+        calls.append((id(self), key))
+        return real(self, key, s)
 
-    monkeypatch.setattr(bounds, "general_constants", counting)
+    monkeypatch.setattr(bounds.BoundPlan, "sup", counting)
     model = error_model(poly_fam, 0.8, 0.01)
-    assert len(calls) == 1
-    bc = real(poly_fam, 0.8)
+    assert len({plan for plan, _ in calls}) == 1
+    assert [key for _, key in calls] == ["C1", "E2", "K2"]
+    monkeypatch.undo()
+    bc = bounds.general_constants(poly_fam, 0.8)
     assert (model.R_lo, model.R_hi) == (-bc.M2, bc.M2)
     assert model.osc == bc.M1
 

@@ -13,15 +13,22 @@ form: coef_hi and R_hi each moved down one ulp, because the old seeded
 search read max |q| a few ulps high.  The
 general_constants values were recorded before the sweep dropped the
 suprema that no bound reads.  The sha256 pins of the CLI's JSON tables
-were recorded before the sampled sign check was removed.
+were recorded before the sampled sign check was removed.  The brackets
+and error models of the custom-wrapped Cantor a = 0.5 maps and of a
+three-map affine custom family were recorded before a custom family's
+word chains moved into a plan built once per bracket; they cover the
+multi-word sweep and its refinement rounds.
 """
 
 import hashlib
+import math
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from hausdim import (
+    MapSpec,
     NoContractionBound,
     bounds,
     cli,
@@ -39,6 +46,28 @@ from hausdim.bounds import general_constants
 from conftest import make_poly_family
 
 
+def _affine3():
+    """Three disjoint affine maps on [0, 1]: constant weights, zero d2, d3."""
+    def const(value):
+        return lambda x: np.full_like(np.asarray(x, dtype=float), value)
+
+    def spec(j, ratio, offset):
+        return MapSpec(label=f"affine-{j}",
+                       eval=lambda x: ratio * np.asarray(x, dtype=float) + offset,
+                       d1=const(ratio), d2=const(0.0), d3=const(0.0),
+                       log_weight=const(math.log(ratio)), weight_r1=const(0.0),
+                       weight_r2=const(0.0), weight_r3=const(0.0),
+                       d1_sup=ratio)
+
+    maps = [spec(j, r, t)
+            for j, (r, t) in enumerate([(0.2, 0.0), (0.3, 0.35), (0.25, 0.75)])]
+    return make_custom_family(maps, (0.0, 1.0), label="affine3")
+
+
+def _cantor05_custom():
+    return make_custom_family(make_cantor_family(0.5).maps, (0.0, 1.0))
+
+
 def _cases():
     cf12 = make_mobius_family([1, 2])
     poly = make_poly_family()
@@ -49,6 +78,9 @@ def _cases():
         "poly_h1e-2": (poly, make_mesh(poly.domain, h=1e-2)),
         "cf12_reduced2_h005": (cf12, make_mesh(reduce_domain(cf12, 2),
                                                h=0.005)),
+        "cantor05custom_h1e-2": (_cantor05_custom(),
+                                 make_mesh((0.0, 1.0), h=1e-2)),
+        "affine3_h1e-2": (_affine3(), make_mesh((0.0, 1.0), h=1e-2)),
     }
 
 
@@ -57,6 +89,8 @@ BRACKETS = {
     "cantor05_h1e-3": ("0x1.7789c2718f188p-1", "0x1.778a13efd7459p-1"),
     "poly_h1e-2": ("0x1.1edee1a88e4a8p-1", "0x1.1ee1217dc8b51p-1"),
     "cf12_reduced2_h005": ("0x1.10039c00668d9p-1", "0x1.10040e418b63bp-1"),
+    "cantor05custom_h1e-2": ("0x1.7771dfe8171bap-1", "0x1.77b20b8f8abe1p-1"),
+    "affine3_h1e-2": ("0x1.94ed79f49a0ecp-1", "0x1.94ed79f49c41bp-1"),
 }
 
 
@@ -130,6 +164,16 @@ ERROR_MODELS = {
     ("poly", 0.8): ("0x1.0fb9b0f0b73ccp+0", "-0x1.0a4aa454242a3p+0",
                     "0x1.028f5c28f5c2ap+0", "-0x1.0cfea777c75bcp+1",
                     "0x1.0cfea777c75bcp+1"),
+    ("cantor05custom", 0.5): ("0x1.c55cd71515861p+2", "-0x1.ae9406179e7fdp+2",
+                              "0x1.4a016e91ec10dp+1", "-0x1.b9d2d6cf6c398p+3",
+                              "0x1.b9d2d6cf6c398p+3"),
+    ("cantor05custom", 0.8): ("0x1.ccd65dad879afp+3", "-0x1.a857fe5d93c82p+3",
+                              "0x1.0801254189a71p+2", "-0x1.ba36d93cd2134p+4",
+                              "0x1.ba36d93cd2134p+4"),
+    ("affine3", 0.5): ("0x0.0p+0", "-0x0.0p+0", "0x0.0p+0", "-0x0.0p+0",
+                       "0x0.0p+0"),
+    ("affine3", 0.8): ("0x0.0p+0", "-0x0.0p+0", "0x0.0p+0", "-0x0.0p+0",
+                       "0x0.0p+0"),
 }
 
 
@@ -138,7 +182,9 @@ def test_error_model_bit_exact(name, s):
     fam = {"cf12": lambda: make_mobius_family([1, 2]),
            "cantor05": lambda: make_cantor_family(0.5),
            "cantor10": lambda: make_cantor_family(1.0),
-           "poly": make_poly_family}[name]()
+           "poly": make_poly_family,
+           "cantor05custom": _cantor05_custom,
+           "affine3": _affine3}[name]()
     m = error_model(fam, s, 0.01)
     got = (m.coef_hi, m.coef_lo, m.osc, m.R_lo, m.R_hi)
     assert tuple(x.hex() for x in got) == ERROR_MODELS[name, s]
@@ -201,12 +247,15 @@ def test_general_constants_bit_exact(name, s):
 
 def test_general_constants_sweeps_only_read_suprema():
     # 2 words on the grid, then 5 refinement rounds for each of the six
-    # suprema C1, C2, E2, E3, K2, K3.
+    # suprema C1, C2, E2, E3, K2, K3: 32 grids, of which 17 differ,
+    # because suprema that peak at the same end of [0, 1] share their
+    # windows.  Each distinct (word, grid) chain is computed once.
     fam = make_poly_family()
     with mock.patch.object(bounds, "_word_chain",
                            wraps=bounds._word_chain) as chain:
         general_constants(fam, 0.8)
-    assert chain.call_count == 32
+    grids = {(c.args[1], c.args[2].tobytes()) for c in chain.call_args_list}
+    assert chain.call_count == len(grids) == 17
 
 
 CLI_TABLES = {

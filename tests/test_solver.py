@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -271,9 +272,9 @@ def test_bracket_builds_each_matrix_once(monkeypatch):
         built.append((s, coef))
         return data(self, s, coef)
 
-    def counting_model(fam, s, h):
+    def counting_model(fam, s, h, bound_plan=None):
         modelled.append(s)
-        return model(fam, s, h)
+        return model(fam, s, h, bound_plan)
 
     monkeypatch.setattr(CollocationPlan, "data", counting)
     monkeypatch.setattr(solver, "error_model", counting_model)
@@ -281,6 +282,23 @@ def test_bracket_builds_each_matrix_once(monkeypatch):
     br = bracket_dimension(fam, make_mesh(fam.domain, n=80))
     assert len(built) == len(set(built)) == br.evals > 0
     assert sorted(modelled) == sorted({s for s, _ in built})
+
+
+def test_bracket_builds_bound_plan_once(poly_fam):
+    # The word chains do not depend on s: one bracket samples each word on
+    # the 2049-point grid once, and computes no (word, grid) chain twice
+    # across the s values its root solves visit.
+    import hausdim.bounds as bounds
+
+    with mock.patch.object(bounds, "_word_chain",
+                           wraps=bounds._word_chain) as chain:
+        br = bracket_dimension(poly_fam, make_mesh(poly_fam.domain, h=0.01))
+    assert br.certified
+    calls = [(c.args[1], c.args[2]) for c in chain.call_args_list]
+    on_grid = [word for word, xs in calls if xs.size == 2049]
+    assert len(on_grid) == poly_fam.n_maps ** poly_fam.mu
+    grids = [(word, xs.tobytes()) for word, xs in calls]
+    assert len(grids) == len(set(grids))
 
 
 def _affine_pair(ratio):
