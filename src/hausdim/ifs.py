@@ -387,14 +387,16 @@ def reduce_domain(
     Images of the domain under all words of the given length, merged when
     adjacent intervals overlap or leave a gap smaller than merge_gap.
     iterations = 0 returns the full domain.  More than 2^21 words
-    (n_maps^iterations) raise BadParams before any is enumerated.
+    (n_maps^iterations, with n_maps counted as at least 2 so that a
+    one-map family's word length is capped at 21 too) raise BadParams
+    before any is enumerated.
     """
     if iterations < 0:
         raise ParamOutOfRange("iterations must be >= 0")
-    if iterations * math.log2(fam.n_maps) > math.log2(_MAX_WORDS):
+    if iterations * math.log2(max(fam.n_maps, 2)) > math.log2(_MAX_WORDS):
         raise BadParams(
-            f"reduce_domain needs {fam.n_maps}^{iterations} words, "
-            f"more than 2^21")
+            f"reduce_domain needs {fam.n_maps}^{iterations} words of length "
+            f"{iterations}, more than 2^21 (one map counts as two)")
     a, b = fam.domain
     if iterations == 0:
         return [(a, b)]

@@ -7,6 +7,12 @@ certified lower dimension bound (r(A_s) >= 1), the upper matrix roots a
 certified upper bound (r(B_s) <= 1); a nudge pass moves each endpoint
 outward in steps of root_tol until the enclosure endpoint itself
 certifies the inequality.
+
+Within one bracket every power solve starts from the eigenvector of the
+one before it, and a solve away from the root stops as soon as its
+enclosure excludes 1 and pins log r to 1%, which is all a secant step
+needs there.  The A solve starts on a short bracket below the B root:
+A <= B entrywise, so r(A) <= 1 there.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .spectral import RADIUS_TOL, SpectralEnclosure, power_enclosure
 ROOT_TOL = 1e-12  # default tolerance on log-radius at a root
 INITIAL_BRACKET = (0.01, 1.5)  # default start bracket of every root solve
 _EPS = float(np.finfo(float).eps)
+_SIGN_REL = 0.01  # relative accuracy of log r at which a solve may stop
 
 
 def _coef(model: ErrorModel, which: str) -> float:
@@ -171,28 +178,35 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     enclosure satisfies r_hi(B) <= 1; s_lower from the root of
     log r(A_s) nudged downward until r_lo(A) >= 1.  If 64 nudge steps do
     not certify an endpoint the bracket is returned with certified=False.
-    The collocation plan and the bound plan are built once and serve
-    every s the solves visit.
+    The A solve starts on a short bracket just below the B root.  The
+    collocation plan and the bound plan are built once and serve every s
+    the solves visit; each power solve starts from the eigenvector of
+    the one before and may stop once its enclosure settles the sign of
+    log r to 1% (sign_rel).
     """
     plan = collocation_plan(fam, mesh)
     bound_plan = BoundPlan(fam)
-    models: dict[float, ErrorModel] = {}  # A and B share the start points
+    models: dict[float, ErrorModel] = {}  # A and B share an s at B's root
     radii: dict[tuple[float, str], tuple[float, float, bool]] = {}
+    seed = None  # eigenvector of the latest solve, the next one's start
 
     def enclose(s: float, which: str) -> tuple[float, float, bool]:
+        nonlocal seed
         if (s, which) not in radii:
             if s not in models:
                 models[s] = error_model(fam, s, mesh.h, bound_plan)
             matrix = plan.matrix(s, _coef(models[s], which))
-            enc = power_enclosure(matrix, tol=radius_tol)
+            enc = power_enclosure(matrix, tol=radius_tol, seed_vec=seed,
+                                  sign_rel=_SIGN_REL)
+            seed = enc.eigvec
             radii[s, which] = (enc.r_lo, enc.r_hi, enc.converged)
         return radii[s, which]
 
-    def endpoint(which: str, step: float) -> tuple[float, bool]:
-        """Root of log r(which), moved by step until its enclosure certifies."""
-        s, _ = solve_root(
-            lambda x: _log_midpoint(*enclose(x, which), radius_tol),
-            initial, root_tol)
+    def log_r(s: float, which: str) -> float:
+        return _log_midpoint(*enclose(s, which), radius_tol)
+
+    def certify(s: float, which: str, step: float) -> tuple[float, bool]:
+        """Move s by step until its enclosure certifies the endpoint."""
         for _ in range(_NUDGE_STEPS + 1):
             r_lo, r_hi, _ = enclose(s, which)
             if (r_hi <= 1.0) if which == "B" else (r_lo >= 1.0):
@@ -200,8 +214,21 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
             s += step
         return s, False
 
-    s_up, cert_up = endpoint("B", root_tol)
-    s_lo, cert_lo = endpoint("A", -root_tol)
+    s_b, _ = solve_root(lambda x: log_r(x, "B"), initial, root_tol)
+    # The slope of log r(B) near s_b, from the two points of its root
+    # solve nearest s_b (radii holds no other point yet).
+    (s0, f0), (s1, f1) = sorted(((s, log_r(s, "B")) for s, _ in radii),
+                                key=lambda v: abs(v[0] - s_b))[:2]
+    slope = (f1 - f0) / (s1 - s0)
+    s_up, cert_up = certify(s_b, "B", root_tol)
+    # log r(A) <= log r(B) ~ 0 at s_b, and both fall at about B's slope:
+    # twice that step below s_b, plus four root_tol, should reach
+    # log r(A) > 0; solve_root widens a bracket that falls short.
+    reach = 2.0 * abs(log_r(s_b, "A")) / abs(slope) if slope else math.inf
+    s_a, _ = solve_root(lambda x: log_r(x, "A"),
+                        (max(0.5 * s_b, s_b - reach - 4.0 * root_tol), s_b),
+                        root_tol)
+    s_lo, cert_lo = certify(s_a, "A", -root_tol)
     return DimensionBracket(
         s_lower=s_lo, s_upper=s_up, mesh_h=mesh.h, family_id=fam.family_id,
         evals=len(radii), certified=cert_up and cert_lo,

@@ -4,10 +4,13 @@ For a nonnegative matrix M and a positive vector w,
 
     min_k (M w)_k / w_k  <=  r(M)  <=  max_k (M w)_k / w_k,
 
-so every power-iteration step yields a two-sided enclosure; the iteration
-is run until the relative gap closes below a tolerance.  Also provides
-the Hilbert projective metric, a ratio-cone membership test used as a
-diagnostic, and a midpoint log-convexity check for radius curves.
+so every power-iteration step yields a two-sided enclosure.  The iteration
+starts from all-ones or from a given positive seed vector (a warm start)
+and runs until the relative gap closes below a tolerance or, on request,
+until the enclosure excludes 1 and pins log r to a relative accuracy.
+Also provides the Hilbert projective metric, a ratio-cone membership test
+used as a diagnostic, and a midpoint log-convexity check for radius
+curves.
 """
 
 from __future__ import annotations
@@ -73,16 +76,22 @@ class SpectralEnclosure:
 
 def power_enclosure(matrix, tol: float = RADIUS_TOL,
                     seed_vec: np.ndarray | None = None,
-                    collect_history: bool = False) -> SpectralEnclosure:
-    """Iterate w <- M w / ||M w||_inf from all-ones, tightening the enclosure.
+                    collect_history: bool = False, *,
+                    sign_rel: float | None = None) -> SpectralEnclosure:
+    """Iterate w <- M w / ||M w||_inf from all-ones (or seed_vec).
 
-    Stops when the relative gap (hi - lo)/hi falls below tol.  If the gap
-    stalls above tol for 200 consecutive iterations, or 10*dim + 1000
-    iterations are exhausted, the current enclosure is returned with
-    converged=False; the bounds are certified either way.
+    Stops when the relative gap (hi - lo)/hi falls below tol.  With
+    sign_rel > 0 it also stops, converged, once the enclosure excludes 1
+    (lo > 1 or hi < 1) and log(hi/lo) <= sign_rel * min(|log lo|, |log hi|):
+    the side of 1 is certain and the midpoint pins log r to that relative
+    accuracy.  If the gap stalls above tol for 200 consecutive iterations,
+    or 10*dim + 1000 iterations are exhausted, the current enclosure is
+    returned with converged=False; the bounds are certified either way.
     """
     if not tol > 0.0:
         raise BadParams(f"need tol > 0, got {tol}")
+    if sign_rel is not None and not sign_rel > 0.0:
+        raise BadParams(f"need sign_rel > 0, got {sign_rel}")
     n = _dim(matrix)
     if seed_vec is None:
         w = np.ones(n, dtype=float)
@@ -98,16 +107,17 @@ def power_enclosure(matrix, tol: float = RADIUS_TOL,
     converged = False
     for iterations in range(1, 10 * n + 1001):
         mv = _matvec(matrix, w)
-        if np.any(mv <= 0.0):
+        if mv.min() <= 0.0:
             raise ZeroRowSum("matrix has a zero row; enclosure iteration degenerates")
         ratios = mv / w
-        lo = float(np.min(ratios))
-        hi = float(np.max(ratios))
+        lo = float(ratios.min())
+        hi = float(ratios.max())
         if collect_history:
             history.append((lo, hi))
         gap = (hi - lo) / hi if hi > 0.0 else math.inf
-        w = mv / float(np.max(mv))
-        if gap <= tol:
+        w = mv / float(mv.max())
+        if gap <= tol or (sign_rel is not None
+                          and _sign_settled(lo, hi, sign_rel)):
             converged = True
             break
         if gap < best_gap * (1.0 - 1e-3):
@@ -121,6 +131,14 @@ def power_enclosure(matrix, tol: float = RADIUS_TOL,
         r_lo=lo, r_hi=hi, eigvec=w, iterations=iterations,
         converged=converged, history=history,
     )
+
+
+def _sign_settled(lo: float, hi: float, rel: float) -> bool:
+    """Whether [lo, hi] excludes 1 with log(hi/lo) <= rel * min |log|."""
+    if not (lo > 1.0 or 0.0 < lo <= hi < 1.0):
+        return False
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    return math.log(hi / lo) <= rel * min(abs(log_lo), abs(log_hi))
 
 
 def hilbert_metric(u: np.ndarray, v: np.ndarray) -> float:

@@ -302,6 +302,21 @@ def test_reduce_domain_caps_word_count(monkeypatch, k):
         reduce_domain(make_mobius_family([1, 2]), 22)
 
 
+def test_reduce_domain_caps_one_map_word_length(monkeypatch):
+    # One map has one word of each length, but applying it k times is
+    # O(k) work: the budget counts a one-map family as two maps.
+    def fail(*args):
+        raise AssertionError("word enumerated")
+
+    fam = make_mobius_family([2])
+    assert len(reduce_domain(fam, 21)) == 1
+    monkeypatch.setattr(ifs, "apply_word", fail)
+    with pytest.raises(BadParams, match=r"1\^1000000 words"):
+        reduce_domain(fam, 10**6)
+    with pytest.raises(BadParams):
+        reduce_domain(fam, 22)
+
+
 @pytest.mark.parametrize("sups,bad", [
     ((0.4, math.nan), "poly-right"),
     ((math.nan, 0.4), "poly-left"),

@@ -284,6 +284,42 @@ def test_bracket_builds_each_matrix_once(monkeypatch):
     assert sorted(modelled) == sorted({s for s, _ in built})
 
 
+@pytest.mark.parametrize("case,before_its,before_evals", [
+    ("cf12_n200", 430, 16),
+    ("cantor05_h1e-3", 1030, 18),
+])
+def test_bracket_power_iteration_budget(monkeypatch, case, before_its,
+                                        before_evals):
+    """Warm starts and sign-sufficient stops cut the power iterations.
+
+    Before them every solve started from all-ones and ran to the 1e-13
+    gap: cf{1,2} at n = 200 took 430 iterations over 16 solves and
+    Cantor a = 0.5 at h = 1e-3 took 1030 over 18.  A bracket must now
+    take at most half of that, and build no more matrices.
+    """
+    import hausdim.solver as solver
+
+    iterations = []
+    power = solver.power_enclosure
+
+    def counting(*args, **kwargs):
+        enc = power(*args, **kwargs)
+        iterations.append(enc.iterations)
+        return enc
+
+    monkeypatch.setattr(solver, "power_enclosure", counting)
+    fam, mesh = {
+        "cf12_n200": lambda: (make_mobius_family([1, 2]),
+                              make_mesh((0.0, 1.0), n=200)),
+        "cantor05_h1e-3": lambda: (make_cantor_family(0.5),
+                                   make_mesh((0.0, 1.0), h=1e-3)),
+    }[case]()
+    br = bracket_dimension(fam, mesh)
+    assert br.certified
+    assert len(iterations) == br.evals <= before_evals
+    assert sum(iterations) <= before_its // 2
+
+
 def test_bracket_builds_bound_plan_once(poly_fam):
     # The word chains do not depend on s: one bracket samples each word on
     # the 2049-point grid once, and computes no (word, grid) chain twice

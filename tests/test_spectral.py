@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hausdim import (
     BadParams,
     ConeParams,
     NonPositiveVector,
+    PowerDivergence,
     ZeroRowSum,
     assemble,
     collatz_wielandt,
@@ -19,6 +23,7 @@ from hausdim import (
     power_enclosure,
 )
 from hausdim.bounds import ratio_bounds
+from hausdim.solver import _log_midpoint
 
 
 def _squared_radius(mat, steps=60):
@@ -158,6 +163,67 @@ def test_power_enclosure_seed_vector():
     assert seeded.midpoint == pytest.approx(base.midpoint, rel=1e-12)
     with pytest.raises(NonPositiveVector):
         power_enclosure(triple.M, seed_vec=np.zeros(mesh.dim))
+
+
+def test_power_enclosure_rejects_bad_sign_rel():
+    for sign_rel in (0.0, -0.01, math.nan):
+        with pytest.raises(BadParams):
+            power_enclosure(np.array([[0.7]]), sign_rel=sign_rel)
+
+
+_SIGN_REL = 0.01
+
+
+@st.composite
+def _positive_systems(draw):
+    """(matrix with radius near `scale`, seed vector or None, sign_rel)."""
+    n = draw(st.integers(1, 6))
+    mat = draw(hnp.arrays(float, (n, n), elements=st.floats(0.01, 10.0)))
+    scale = draw(st.one_of(st.just(1.0), st.floats(0.5, 2.0)))
+    mat *= scale / max(abs(np.linalg.eigvals(mat)))
+    seed = draw(st.none() | hnp.arrays(float, n, elements=st.floats(0.1, 10.0)))
+    sign_rel = draw(st.sampled_from([None, _SIGN_REL]))
+    return mat, seed, sign_rel
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_positive_systems())
+def test_power_enclosure_stays_rigorous(system):
+    # Every iterate's Collatz-Wielandt ratios enclose the radius, so a
+    # solve that stops early, or stalls, still encloses it (up to the
+    # ~1e-15 rounding of numpy's eigenvalues and of the ratios).  The
+    # sign-sufficient stop fires only once the enclosure excludes 1 and is
+    # tight enough, and an unconverged midpoint is refused.
+    mat, seed, sign_rel = system
+    tol = 1e-13
+    enc = power_enclosure(mat, tol=tol, seed_vec=seed, sign_rel=sign_rel)
+    radius = max(abs(np.linalg.eigvals(mat)))
+    assert enc.r_lo <= radius * (1.0 + 1e-12)
+    assert radius <= enc.r_hi * (1.0 + 1e-12)
+    if not enc.converged:
+        with pytest.raises(PowerDivergence):
+            _log_midpoint(enc.r_lo, enc.r_hi, enc.converged, tol)
+    elif enc.gap > tol:
+        assert sign_rel is not None
+        assert enc.r_lo > 1.0 or enc.r_hi < 1.0
+        log_lo, log_hi = math.log(enc.r_lo), math.log(enc.r_hi)
+        assert math.log(enc.r_hi / enc.r_lo) <= sign_rel * min(
+            abs(log_lo), abs(log_hi))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(st.floats(0.9, 1.1), st.floats(2.0, 10.0))
+def test_sign_stop_never_fires_on_an_enclosure_holding_1(c, skew):
+    # A period-two matrix of radius c keeps the enclosure [c/u, c*u]
+    # (u >= 2) around 1 for ever: the sign-sufficient stop must not
+    # fire, the solve stalls unconverged, and its midpoint is refused.
+    mat = np.array([[0.0, c], [c, 0.0]])
+    enc = power_enclosure(mat, seed_vec=np.array([1.0, skew]),
+                          sign_rel=_SIGN_REL)
+    assert not enc.converged
+    assert enc.r_lo <= 1.0 <= enc.r_hi
+    with pytest.raises(PowerDivergence):
+        _log_midpoint(enc.r_lo, enc.r_hi, enc.converged, 1e-13)
 
 
 def test_hilbert_metric_values():
