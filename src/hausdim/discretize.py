@@ -16,9 +16,9 @@ r(A) <= r(L_s) <= r(B) holds for the underlying operator.
 
 Where theta_j(x_k) lands, its basis weights, Q and log g_j(x_k) do not
 depend on s.  A CollocationPlan computes them once per (family, mesh,
-degree) together with the merged sparsity pattern; each matrix at one s
-is then a single pass over the plan's entries.  The degree-d Lagrange
-basis of higher_order shares the same plan.
+degree) with a sparsity pattern of one stored entry per contribution;
+each matrix at one s is then one product per entry.  The degree-d
+Lagrange basis of higher_order shares the same plan.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .errors import (
     BadParams,
     ErrTooLarge,
     MapEscapesDomain,
+    MissingDerivatives,
     NegativeEntry,
     OutOfDomain,
     ParamOutOfRange,
@@ -254,15 +255,15 @@ class CsrMatrix:
 class SparseNonnegMatrix(CsrMatrix):
     """Row-compressed nonnegative matrix with a fixed entry order.
 
-    Within each row the columns are sorted ascending and duplicate
-    (row, col) contributions were accumulated in map order, so repeated
-    assemblies are bit-identical.
+    A collocation matrix sorts each row's columns ascending and keeps one
+    entry per contribution, so a (row, col) pair repeats, in map order,
+    where two maps share a cell; the matvec sums them.
     """
 
     def __init__(self, dim: int, indptr: np.ndarray, indices: np.ndarray,
                  data: np.ndarray):
-        if np.any(data < 0.0):
-            raise NegativeEntry("matrix entries must be nonnegative")
+        if not (data >= 0.0).all():
+            raise NegativeEntry("matrix entries must be nonnegative, not NaN")
         super().__init__(dim, indptr, indices, data)
 
     def row(self, k: int) -> list[tuple[int, float]]:
@@ -270,12 +271,10 @@ class SparseNonnegMatrix(CsrMatrix):
         return list(zip(self.indices[sl].tolist(), self.data[sl].tolist()))
 
     def row_sums(self) -> np.ndarray:
-        if np.any(np.diff(self.indptr) == 0):
-            out = np.zeros(self.dim)
-            nz = np.flatnonzero(np.diff(self.indptr) > 0)
-            out[nz] = np.add.reduceat(self.data, self.indptr[nz])
-            return out
-        return np.add.reduceat(self.data, self.indptr[:-1])
+        out = np.zeros(self.dim)
+        nz = np.flatnonzero(np.diff(self.indptr) > 0)
+        out[nz] = np.add.reduceat(self.data, self.indptr[nz])
+        return out
 
 
 def row_sums(matrix: SparseNonnegMatrix) -> np.ndarray:
@@ -285,7 +284,7 @@ def row_sums(matrix: SparseNonnegMatrix) -> np.ndarray:
 
 def dump_matrix(matrix: SparseNonnegMatrix, n: int, s: float,
                 family_id: str) -> str:
-    """Text dump: header 'dim n s family-id', one 'row col value' per nonzero."""
+    """Text dump: header 'dim n s family-id', one 'row col value' per entry."""
     lines = [f"{matrix.dim} {n} {s:.17g} {family_id}"]
     for k in range(matrix.dim):
         for c, v in matrix.row(k):
@@ -336,37 +335,40 @@ def _fine_nodes(mesh: Mesh, degree: int):
 class CollocationPlan:
     """The s-independent part of the collocation matrices on one mesh.
 
-    indptr/indices (int32) are the merged sparsity pattern shared by
-    every matrix built from the plan.  weight, log_weight and q hold one
-    value per contribution before coincident (row, col) pairs merge,
-    already in merged order: contributions starts[k] .. starts[k+1]-1
-    sum into stored entry k.  q is Q(y) of the hat basis (None for
-    degree > 1).
+    Row k stores its P = (degree+1) * n_maps contributions as separate
+    entries, sorted by column with ties in map order: indptr is
+    arange(0, P*dim + 1, P).  indptr/indices (int32) are shared by every
+    matrix built from the plan; weight, log_weight and q (the hat basis's
+    Q, largest value q_max; None for degree > 1) hold one value per entry.
     """
 
     dim: int
     degree: int
     indptr: np.ndarray
     indices: np.ndarray
-    starts: np.ndarray
     weight: np.ndarray
     log_weight: np.ndarray
     q: np.ndarray | None
+    q_max: float | None
 
     def data(self, s: float, coef: float | None = None) -> np.ndarray:
-        """Entries at s: merged sums of g^s * (1 - coef Q) * weight.
+        """Entries at s: g^s * (1 - coef Q) * weight, one per contribution.
 
         coef = None builds the plain matrix (M, or the degree-d matrix);
-        coef_hi gives A and coef_lo gives B.
+        coef_hi gives A and coef_lo gives B (hat basis only).  Every
+        factor 1 - coef Q is positive when coef * q_max < 1.
         """
         vals = np.exp(s * self.log_weight)
         if coef is not None:
-            fac = 1.0 - coef * self.q
-            if np.any(fac <= 0.0):
-                raise ErrTooLarge("matrix correction reached 1; refine the mesh")
-            vals *= fac
+            if self.q is None:
+                raise BadParams(
+                    f"a correction needs the hat basis, not degree {self.degree}")
+            if not (math.isfinite(coef) and coef * self.q_max < 1.0):
+                raise ErrTooLarge(f"matrix correction {coef!r} * Q reaches 1; "
+                                  "refine the mesh")
+            vals *= 1.0 - coef * self.q
         vals *= self.weight
-        return np.add.reduceat(vals, self.starts)
+        return vals
 
     def matrix(self, s: float, coef: float | None = None) -> SparseNonnegMatrix:
         """Nonnegative matrix at s on the plan's pattern (see data)."""
@@ -376,14 +378,14 @@ class CollocationPlan:
 
 def collocation_plan(fam: MapFamily, mesh: Mesh,
                      degree: int = 1) -> CollocationPlan:
-    """Map images, basis weights and the merged pattern of one collocation.
+    """Map images, basis weights and the CSR pattern of one collocation.
 
     degree 1 collocates at the mesh nodes on the hat basis; degree d at
     the d*n+1 equispaced nodes of each piece on the piecewise degree-d
-    Lagrange basis.  Row k collects, for every map j in index order, the
-    basis weights of theta_j(x_k); a stable sort by (row, col) keeps map
-    order among coincident pairs, which fixes their accumulation order.
-    A mesh that reaches outside fam.domain raises OutOfDomain.
+    Lagrange basis.  Row k holds, for every map j, the basis weights of
+    theta_j(x_k); a stable per-row sort by column keeps map order among
+    coincident columns.  A mesh that reaches outside fam.domain raises
+    OutOfDomain, a map without log_weight MissingDerivatives.
     """
     if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool):
         raise ParamOutOfRange(f"degree must be an integer, got {degree!r}")
@@ -401,6 +403,8 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
         xs, fine_off, coarse_off = _fine_nodes(mesh, degree)
     cols, weights, log_weights, qs = [], [], [], []
     for j, spec in enumerate(fam.maps):
+        if spec.log_weight is None:
+            raise MissingDerivatives(f"map {spec.label!r} has no log_weight")
         ys = spec.eval(xs) if degree == 1 else eval_map(fam, j, xs)
         try:
             c0, c1, wl, wr, q = _locate(mesh, ys)
@@ -419,22 +423,18 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
             cols.append(c)
             weights.append(w)
             log_weights.append(logw)
-    dim = xs.size
-    rows = np.tile(np.arange(dim), len(cols))
-    cols = np.concatenate(cols)
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-    newseg = np.ones(rows.shape, dtype=bool)
-    newseg[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(newseg)
-    indptr = np.searchsorted(rows[starts], np.arange(dim + 1))
+    order = np.argsort(np.stack(cols, axis=1), axis=1, kind="stable")
+
+    def in_order(parts) -> np.ndarray:
+        return np.take_along_axis(np.stack(parts, axis=1), order, axis=1).ravel()
+
+    q = in_order(qs) if degree == 1 else None
     return CollocationPlan(
-        dim=dim, degree=degree, indptr=indptr.astype(np.int32),
-        indices=cols[starts].astype(np.int32), starts=starts,
-        weight=np.concatenate(weights)[order],
-        log_weight=np.concatenate(log_weights)[order],
-        q=np.concatenate(qs)[order] if degree == 1 else None,
+        dim=xs.size, degree=degree,
+        indptr=np.arange(0, order.size + 1, len(cols), dtype=np.int32),
+        indices=in_order(cols).astype(np.int32), weight=in_order(weights),
+        log_weight=in_order(log_weights), q=q,
+        q_max=None if q is None else float(q.max()),
     )
 
 
@@ -443,9 +443,8 @@ def assemble(fam: MapFamily, mesh: Mesh, s: float,
     """Assemble the lower/plain/upper collocation matrices at parameter s.
 
     All three come from one hat-basis collocation plan and share its
-    sparsity pattern; A and B scale each contribution by its correction
-    factor 1 - coef_hi Q and 1 - coef_lo Q before coincident entries
-    accumulate.
+    sparsity pattern; A and B scale each entry by its correction factor
+    1 - coef_hi Q and 1 - coef_lo Q.
     """
     if model is None:
         model = error_model(fam, s, mesh.h)

@@ -85,11 +85,11 @@ def solve_root(f, bracket: tuple[float, float],
                root_tol: float = ROOT_TOL) -> tuple[float, int]:
     """Root of a decreasing function by secant steps inside a sign bracket.
 
-    The bracket is halved or doubled until f changes sign, then each
-    secant candidate is accepted only inside the current bracket
-    (bisection otherwise).  Returns (root, evaluations) after at most 40
-    evaluations; NoSignChange if no sign change exists in [1e-6, 64].
-    root_tol must be finite and positive (BadParams otherwise).
+    An endpoint with |f| <= root_tol is returned at once.  Otherwise the
+    bracket is halved or doubled until f changes sign; each secant step
+    stays inside the current bracket (bisection otherwise).  Returns
+    (root, evaluations) after at most 40 evaluations; NoSignChange if no
+    sign change exists in [1e-6, 64], BadParams unless 0 < root_tol < inf.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
@@ -105,13 +105,13 @@ def solve_root(f, bracket: tuple[float, float],
 
     flo = ev(lo)
     fhi = ev(hi)
-    while flo < 0.0:
+    while flo < -root_tol:
         if lo <= _S_MIN or evals >= _MAX_EVALS:
             raise NoSignChange(f"no positive value down to s = {lo}")
         hi, fhi = lo, flo
         lo = max(_S_MIN, lo / _EXPAND)
         flo = ev(lo)
-    while fhi > 0.0:
+    while fhi > root_tol:
         if hi >= _S_MAX or evals >= _MAX_EVALS:
             raise NoSignChange(f"no negative value up to s = {hi}")
         lo, flo = hi, fhi

@@ -7,17 +7,22 @@ from hausdim import (
     BadParams,
     ErrTooLarge,
     MapEscapesDomain,
+    MapSpec,
     Mesh,
+    MissingDerivatives,
     NegativeEntry,
     OutOfDomain,
     SparseNonnegMatrix,
     assemble,
+    bracket_dimension,
     collocation_plan,
     dump_matrix,
     error_model,
     eval_map,
+    highorder_dimension,
     interp_weights,
     make_cantor_family,
+    make_custom_family,
     make_mesh,
     make_mobius_family,
     reduce_domain,
@@ -341,6 +346,82 @@ def test_sparse_matrix_rejects_negative_entries():
     with pytest.raises(NegativeEntry):
         SparseNonnegMatrix(2, np.array([0, 1, 2]), np.array([0, 1]),
                            np.array([1.0, -0.5]))
+
+
+def _shared_cell_plans():
+    # {3, 5} on four cells and cf{1..34} at h = 1e-3 both have maps
+    # whose images share a cell, so (row, col) pairs repeat.
+    yield make_mobius_family([3, 5], domain=(0.0, 1.0)), make_mesh((0.0, 1.0), n=4)
+    fam = make_mobius_family(list(range(1, 35)))
+    yield fam, make_mesh(fam.domain, h=1e-3)
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_collocation_plan_one_entry_per_contribution(degree):
+    for fam, mesh in _shared_cell_plans():
+        plan = collocation_plan(fam, mesh, degree)
+        per_row = (degree + 1) * len(fam.maps)
+        assert np.array_equal(plan.indptr,
+                              np.arange(0, per_row * plan.dim + 1, per_row))
+        cols = plan.indices.reshape(plan.dim, per_row)
+        assert np.all(np.diff(cols, axis=1) >= 0)
+        assert np.any(np.diff(cols, axis=1) == 0)
+
+
+def test_collocation_plan_matrices_share_the_pattern():
+    rng = np.random.default_rng(3)
+    for fam, mesh in _shared_cell_plans():
+        plan = collocation_plan(fam, mesh)
+        model = error_model(fam, 0.5, mesh.h)
+        mats = (plan.matrix(0.5, model.coef_hi), plan.matrix(0.5),
+                plan.matrix(0.5, model.coef_lo))
+        w = rng.uniform(0.5, 2.0, size=plan.dim)
+        for mat in mats:
+            assert np.shares_memory(mat.indptr, plan.indptr)
+            assert np.shares_memory(mat.indices, plan.indices)
+            dense = mat.toarray() @ w
+            assert np.allclose(mat.matvec(w), dense, rtol=1e-14, atol=0)
+
+
+def test_plan_correction_must_stay_below_one():
+    fam = make_mobius_family([1, 2])
+    mesh = make_mesh(fam.domain, h=0.01)
+    plan = collocation_plan(fam, mesh)
+    for coef in (math.nan, math.inf, -math.inf, 2.0 / plan.q_max):
+        with pytest.raises(ErrTooLarge):
+            plan.matrix(0.5, coef)
+    # Inside the limit every factor 1 - coef Q stays positive.
+    positive = plan.data(0.5) > 0.0
+    for coef in (0.999 / plan.q_max, -1e6):
+        assert np.array_equal(plan.data(0.5, coef) > 0.0, positive)
+
+
+def test_plan_correction_needs_the_hat_basis():
+    fam = make_mobius_family([1, 2])
+    plan = collocation_plan(fam, make_mesh(fam.domain, n=10), 2)
+    assert plan.q is None and plan.q_max is None
+    with pytest.raises(BadParams, match="degree 2"):
+        plan.matrix(0.5, 0.0)
+
+
+def test_sparse_matrix_rejects_nan_entries():
+    with pytest.raises(NegativeEntry):
+        SparseNonnegMatrix(2, np.array([0, 1, 2]), np.array([0, 1]),
+                           np.array([1.0, math.nan]))
+
+
+def test_map_without_log_weight_is_named():
+    maps = [MapSpec(label=f"half-{j}", eval=lambda x, j=j: 0.5 * (x + j),
+                    d1=lambda x: np.full_like(np.asarray(x, float), 0.5))
+            for j in range(2)]
+    fam = make_custom_family(maps, (0.0, 1.0))
+    mesh = make_mesh(fam.domain, n=10)
+    with pytest.raises(MissingDerivatives, match="'half-0' has no log_weight"):
+        collocation_plan(fam, mesh)
+    with pytest.raises(MissingDerivatives):
+        bracket_dimension(fam, mesh)
+    with pytest.raises(MissingDerivatives):
+        highorder_dimension(fam, mesh, 2)
 
 
 def test_row_sums_with_empty_row():

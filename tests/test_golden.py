@@ -2,8 +2,8 @@
 
 The bracket and degree-d values were recorded with float.hex() before the
 collocation matrices were rebuilt from an s-independent plan.  Entry
-order, the accumulation order of coincident entries and the weight
-products are all visible here, so any change to that arithmetic fails
+order within each row, the order the matvec adds a row's entries and
+the weight products are all visible here, so any change to that arithmetic fails
 these tests.  The error-model values were recorded before the choice of
 bound route moved into bounds.ratio_bounds; they cover the digit route,
 the Cantor closed forms (certified and, at a = 1, s = 0.2, the symmetric
@@ -22,7 +22,14 @@ the table1 and table3 CLI digests were re-recorded when each power solve
 of a bracket started from the previous solve's eigenvector and stopped
 once its enclosure settled the sign of log r: the secant iterates move,
 so every endpoint moved by at most one root_tol step (1e-12) and every
-re-recorded bracket is still certified.
+re-recorded bracket is still certified.  The table1 --scale 100 and
+table2 CLI digests were re-recorded when every collocation contribution
+became its own CSR entry: where two maps share a cell the matvec now
+adds their products itself instead of reading one pre-merged entry.
+Four table1 rows (cf{10,11} at h = 0.005, the odd and even 17-digit sets)
+moved by at most 1.11e-16, the two degree-3 table2 estimates of
+cf{2,4,6,8,10} by 1.11e-16, and every row still passes.  The other pins
+did not move.
 """
 
 import hashlib
@@ -266,9 +273,9 @@ def test_general_constants_sweeps_only_read_suprema():
 CLI_TABLES = {
     # sha256 of the stdout of `hausdim --format json <args>`; exit code 0
     "table1 --scale 100":
-        "5bcc66d884139090ab46449d0783c5983b16890828e8b51e715e9bd544efd26d",
+        "3a6814f24ac48f859a5ffaadbaaa19d0e594b288010071684f89312742301348",
     "table2":
-        "75ee257c83796fba7ad34373479b4a6f5b7e84e9657e4580c2c7140b090c688a",
+        "746ecc15352f6d977b73ab1bf44ecb206adc07b701de3917aa29ccbe8c5d7dee",
     "table3 --scale 20":
         "ac7a1bc7846e1d55e8dcfbb2e8b185d69403f6c3e1f7b388712b6e2a49a22594",
 }

@@ -74,6 +74,21 @@ def test_solve_root_loglinear_is_three_evals():
     assert evals <= 3
 
 
+def test_solve_root_takes_a_root_endpoint_before_widening():
+    # f is a rounding-level positive at hi: hi is the root, and no
+    # widened bracket is evaluated to find that out.
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return 1e-16 if s == 0.9 else 0.9 - s
+
+    assert solve_root(f, (0.4, 0.9)) == (0.9, 2)
+    assert calls == [0.4, 0.9]
+    assert solve_root(lambda s: -1e-16 if s == 0.4 else 0.4 - s,
+                      (0.4, 0.9)) == (0.4, 2)
+
+
 def test_solve_root_expands_bracket():
     f = lambda s: math.log(2.0) - s * math.log(3.0)
     # Root 0.6309 lies above the seed bracket; expansion must find it.
