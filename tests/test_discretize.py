@@ -343,9 +343,10 @@ def test_assemble_deterministic():
 
 
 def test_sparse_matrix_rejects_negative_entries():
-    with pytest.raises(NegativeEntry):
-        SparseNonnegMatrix(2, np.array([0, 1, 2]), np.array([0, 1]),
-                           np.array([1.0, -0.5]))
+    for bad in (-0.5, math.nan):
+        with pytest.raises(NegativeEntry):
+            SparseNonnegMatrix(2, np.array([0, 1, 2]), np.array([0, 1]),
+                               np.array([1.0, bad]))
 
 
 def _shared_cell_plans():
@@ -402,12 +403,6 @@ def test_plan_correction_needs_the_hat_basis():
     assert plan.q is None and plan.q_max is None
     with pytest.raises(BadParams, match="degree 2"):
         plan.matrix(0.5, 0.0)
-
-
-def test_sparse_matrix_rejects_nan_entries():
-    with pytest.raises(NegativeEntry):
-        SparseNonnegMatrix(2, np.array([0, 1, 2]), np.array([0, 1]),
-                           np.array([1.0, math.nan]))
 
 
 def test_map_without_log_weight_is_named():
