@@ -15,7 +15,6 @@ from .bounds import (
     RatioBoundPair,
     bound_M1,
     bound_M2,
-    bound_M3,
     cantor_constants,
     general_constants,
     mobius_ratio_bounds,

@@ -6,7 +6,8 @@ suprema of the map and weight derivatives over words of the contraction
 length mu.  Three routes are implemented:
 
 * sharp digit-family bounds from continuant estimates (any ratio order p),
-* a generic three-stage chain M1, M2, M3 valid for any C^3 family,
+* a generic two-stage chain M1, M2 valid for any C^3 family; it reads
+  theta up to theta''' through the suprema C1, E2 and K2,
 * a refined one-sided bound 0 <= v''/v <= R_hi, which needs the sign
   conditions (theta', theta'', g', g'' >= 0 and g'' g - (1-s) g'^2 >= 0).
   Only the perturbed Cantor family takes it: cantor_constants decides the
@@ -53,9 +54,10 @@ class RatioBoundPair:
 class BoundConstants:
     """Constants controlling the eigenfunction of one family at one s.
 
-    Words of the contraction length contract by kappa.  C1/C2 bound
-    |g_w^(k)|/g_w, E2/E3 bound |theta_w^(k)|, K2/K3 the mixed quotients
-    entering the chain.  M1..M3 bound |v'|/v, |v''|/v, |v'''|/v.
+    Words of the contraction length contract by kappa.  C1 bounds
+    |g_w'|/g_w, E2 bounds |theta_w''| and K2 the mixed quotient
+    |g_w''/g_w - (1-s) (g_w'/g_w)^2| entering the chain.  M1 and M2 bound
+    |v'|/v and |v''|/v.
     (R_lo, R_hi) enclose v''/v: (0, refined bound) on the Cantor route
     above its sign threshold, where the refined bound reads K2 as G2, and
     (-M2, M2) everywhere else.
@@ -63,14 +65,10 @@ class BoundConstants:
 
     kappa: float
     C1: float
-    C2: float
     E2: float
-    E3: float
     K2: float
-    K3: float
     M1: float
     M2: float
-    M3: float
     R_lo: float
     R_hi: float
 
@@ -94,21 +92,6 @@ def bound_M2(s: float, *, K2: float, C1: float, M1: float, E2: float,
     if not 0.0 < kappa < 1.0:
         raise BadParams(f"kappa must lie in (0,1), got {kappa}")
     return (s * K2 + 2.0 * s * C1 * M1 * kappa + M1 * E2) / (1.0 - kappa**2)
-
-
-def bound_M3(s: float, *, K3: float, K2: float, C1: float, M1: float,
-             M2: float, E2: float, E3: float, kappa: float) -> float:
-    """Third ratio bound from the chained estimate.
-
-    |v'''|/v <= (s K3 + 3 s K2 M1 kappa + 3 s C1 (M2 kappa^2 + M1 E2)
-                 + 3 M2 kappa E2 + M1 E3) / (1 - kappa^3).
-    """
-    if not 0.0 < kappa < 1.0:
-        raise BadParams(f"kappa must lie in (0,1), got {kappa}")
-    num = (s * K3 + 3.0 * s * K2 * M1 * kappa
-           + 3.0 * s * C1 * (M2 * kappa**2 + M1 * E2)
-           + 3.0 * M2 * kappa * E2 + M1 * E3)
-    return num / (1.0 - kappa**3)
 
 
 def refined_M2_upper(s: float, *, G2: float, C1: float, E2: float,
@@ -163,17 +146,16 @@ def cantor_g2_quotient(a: float, s: float):
 def cantor_constants(a: float, s: float) -> BoundConstants:
     """Closed-form constants for the perturbed Cantor family.
 
-    C1, C2, E2 and kappa come from the exact formulas (with the branch
-    points a = 3/7 and a = 1/14 for C1 and C2).  K2 = max |q| on [0, 1]
-    for the explicit quotient q is closed form too.  In u = c x^(5/2)
+    C1, E2 and kappa come from the exact formulas (with the branch point
+    a = 3/7 for C1).  K2 = max |q| on [0, 1] for the explicit quotient q
+    is closed form too.  In u = c x^(5/2)
     with c = 3.5a, q' vanishes only at the roots of
     8w u^2 - (12w - 27) u - 3, w = 2.5s - 1, which do not depend on a;
     with q(0) = 0, K2 is the largest |q| over x = 1 and the roots with
     0 < u <= c.  For s above cantor_sign_threshold(a) the sign
     conditions hold and q >= 0 on [0, 1], so max q = K2 serves as G2 in
     the refined one-sided bound and R_lo = 0; otherwise the pair is
-    (-M2, M2).  The weight's third derivative is unbounded at 0 for
-    a > 0, so K3 and M3 are infinite; E3 stays finite.
+    (-M2, M2).
     """
     if not 0.0 <= a <= 1.0:
         raise BadParams(f"perturbation must lie in [0, 1], got {a}")
@@ -183,20 +165,15 @@ def cantor_constants(a: float, s: float) -> BoundConstants:
     if a == 0.0:
         # affine pair: constant weight, eigenfunction constant
         return BoundConstants(
-            kappa=kappa, C1=0.0, C2=0.0, E2=0.0, E3=0.0, K2=0.0, K3=0.0,
-            M1=0.0, M2=0.0, M3=0.0, R_lo=0.0, R_hi=0.0,
+            kappa=kappa, C1=0.0, E2=0.0, K2=0.0, M1=0.0, M2=0.0,
+            R_lo=0.0, R_hi=0.0,
         )
     c = 3.5 * a
     if a <= 3.0 / 7.0:
         C1 = c * 2.5 / (1.0 + c)
     else:
         C1 = c * (3.0 / (7.0 * a)) ** 0.6
-    if a <= 1.0 / 14.0:
-        C2 = 3.75 * c / (1.0 + c)
-    else:
-        C2 = 3.0 * 0.25**0.2 * c**0.8
     E2 = c * 5.0 / (6.0 + 4.0 * a)
-    E3 = 13.125 * a / (3.0 + 2.0 * a)
     w = 2.5 * s - 1.0
     b = 27.0 - 12.0 * w
     # cancellation-free roots: b^2 + 96w = (12w - 23)^2 + 200, so m != 0
@@ -212,8 +189,8 @@ def cantor_constants(a: float, s: float) -> BoundConstants:
     else:
         R_lo, R_hi = -M2, M2
     return BoundConstants(
-        kappa=kappa, C1=C1, C2=C2, E2=E2, E3=E3, K2=K2, K3=math.inf,
-        M1=M1, M2=M2, M3=math.inf, R_lo=R_lo, R_hi=R_hi,
+        kappa=kappa, C1=C1, E2=E2, K2=K2, M1=M1, M2=M2,
+        R_lo=R_lo, R_hi=R_hi,
     )
 
 
@@ -225,60 +202,46 @@ def _word_chain(fam: MapFamily, word: tuple[int, ...], xs: np.ndarray) -> dict:
     """Derivatives of theta_w and log-derivative ratios of g_w on a grid.
 
     Applies the word left to right (word[0] acts first).  Returns the
-    second and third derivatives of the composition and the ratios
-    g_w'/g_w, g_w''/g_w, g_w'''/g_w via the chain rule on log g_w.
+    second derivative of the composition and the ratios g_w'/g_w and
+    g_w''/g_w via the chain rule on log g_w.  Each map must supply d2,
+    weight_r1 and weight_r2; no third-order data is read.
     """
     x = np.asarray(xs, dtype=float)
     xi = x
     d1 = np.ones_like(x)
     d2 = np.zeros_like(x)
-    d3 = np.zeros_like(x)
     F1 = np.zeros_like(x)
     F2 = np.zeros_like(x)
-    F3 = np.zeros_like(x)
     for j in word:
         spec = fam.maps[j]
-        if None in (spec.d2, spec.d3, spec.weight_r1, spec.weight_r2,
-                    spec.weight_r3):
+        missing = [name for name in ("d2", "weight_r1", "weight_r2")
+                   if getattr(spec, name) is None]
+        if missing:
             raise MissingDerivatives(
-                f"map {spec.label!r} lacks order-3 derivative data"
-            )
+                f"map {spec.label!r} lacks {', '.join(missing)}")
         r1 = np.asarray(spec.weight_r1(xi), dtype=float)
         r2 = np.asarray(spec.weight_r2(xi), dtype=float)
-        r3 = np.asarray(spec.weight_r3(xi), dtype=float)
         u = r2 - r1**2
         # update logarithmic sums before advancing the chain (they use
         # the derivatives of the current inner composition)
-        F3 = F3 + (r3 - 3.0 * r2 * r1 + 2.0 * r1**3) * d1**3 \
-            + 3.0 * u * d1 * d2 + r1 * d3
         F2 = F2 + u * d1**2 + r1 * d2
         F1 = F1 + r1 * d1
         t1 = np.asarray(spec.d1(xi), dtype=float)
         t2 = np.asarray(spec.d2(xi), dtype=float)
-        t3 = np.asarray(spec.d3(xi), dtype=float)
-        d3 = t3 * d1**3 + 3.0 * t2 * d1 * d2 + t1 * d3
         d2 = t2 * d1**2 + t1 * d2
         d1 = t1 * d1
         xi = np.asarray(spec.eval(xi), dtype=float)
-    return {
-        "d2": d2, "d3": d3,
-        "gw1": F1, "gw2": F2 + F1**2, "gw3": F3 + 3.0 * F1 * F2 + F1**3,
-    }
+    return {"d2": d2, "gw1": F1, "gw2": F2 + F1**2}
 
 
-# The sampled quantities: C1/C2 and E2/E3 read the word chain alone,
-# K2 and K3 also read s.
+# The sampled quantities: C1 and E2 read the word chain alone, K2 also
+# reads s.
 _SUPREMANDS = {
     "C1": lambda c, s: np.abs(c["gw1"]),
-    "C2": lambda c, s: np.abs(c["gw2"]),
     "E2": lambda c, s: np.abs(c["d2"]),
-    "E3": lambda c, s: np.abs(c["d3"]),
     "K2": lambda c, s: np.abs(c["gw2"] - (1.0 - s) * c["gw1"]**2),
-    "K3": lambda c, s: np.abs((s - 1.0) * (s - 2.0) * c["gw1"]**3
-                              + 3.0 * (s - 1.0) * c["gw1"] * c["gw2"]
-                              + c["gw3"]),
 }
-_S_FREE = ("C1", "C2", "E2", "E3")
+_S_FREE = ("C1", "E2")
 
 _GRID = 2049
 _REFINE_ROUNDS = 5
@@ -308,10 +271,10 @@ class BoundPlan:
 
     Keeps the chain of every word of length fam.mu on the 2049-point grid
     over fam.domain, and of every refinement window, each computed once
-    (NaN in any chain array raises ParamOutOfRange naming the word).  C1,
-    C2, E2 and E3 do not depend on s and are refined once; K2 and K3 are
-    swept over the kept chains at each s.  Nothing is sampled before the
-    first read, so a plan costs nothing on the digit and Cantor routes.
+    (NaN in any chain array raises ParamOutOfRange naming the word).  C1
+    and E2 do not depend on s and are refined once; K2 is swept over the
+    kept chains at each s.  Nothing is sampled before the first read, so
+    a plan costs nothing on the digit and Cantor routes.
     A family whose kappa is >= 1 (only a custom one can be) raises
     NoContractionBound.
     """
@@ -343,7 +306,7 @@ class BoundPlan:
         return self._chains[key]
 
     def sup(self, key: str, s: float) -> float:
-        """Sampled supremum of one of C1, C2, E2, E3, K2, K3 at s.
+        """Sampled supremum of one of C1, E2, K2 at s.
 
         The maximum over all words on the grid, then five rounds of 257
         points around its first argmax; no safety factor applied.
@@ -390,27 +353,25 @@ def _generic_M1_M2(s: float, kappa: float, C1: float, E2: float,
 
 def general_constants(fam: MapFamily, s: float, *,
                       safety: float = _SAFETY) -> BoundConstants:
-    """Sampled constants for any family with order-3 derivative data.
+    """Sampled constants for any family with the chain's derivative data.
 
-    Reads the six suprema the chain uses (C1, C2, E2, E3, K2, K3) from a
-    fresh BoundPlan: the maximum on a 2049-point grid over all words of
-    length fam.mu, refined around its argmax, times the safety factor.
+    Each map must supply d2, weight_r1 and weight_r2.  Reads the three
+    suprema the chain uses (C1, E2, K2) from a fresh BoundPlan: the
+    maximum on a 2049-point grid over all words of length fam.mu,
+    refined around its argmax, times the safety factor.
     These are sampled maxima, not rigorous upper bounds.  Consistency
     tests against closed forms use safety=1.  A bracket does not call
-    this: ratio_bounds reads only C1, E2 and K2 from the bracket's own
+    this: ratio_bounds reads the same suprema from the bracket's own
     plan, which samples the chains once and recomputes only K2 per s.
     """
     if not safety >= 1.0:
         raise BadParams(f"safety factor must be >= 1, got {safety}")
     plan = BoundPlan(fam)
-    C1, C2, E2, E3, K2, K3 = (plan.sup(k, s) * safety for k in _SUPREMANDS)
+    C1, E2, K2 = (plan.sup(k, s) * safety for k in _SUPREMANDS)
     kappa = fam.kappa
     M1, M2 = _generic_M1_M2(s, kappa, C1, E2, K2)
-    M3 = bound_M3(s, K3=K3, K2=K2, C1=C1, M1=M1, M2=M2, E2=E2, E3=E3,
-                  kappa=kappa)
     return BoundConstants(
-        kappa=kappa, C1=C1, C2=C2, E2=E2, E3=E3, K2=K2, K3=K3,
-        M1=M1, M2=M2, M3=M3, R_lo=-M2, R_hi=M2,
+        kappa=kappa, C1=C1, E2=E2, K2=K2, M1=M1, M2=M2, R_lo=-M2, R_hi=M2,
     )
 
 

@@ -24,6 +24,7 @@ Lagrange basis of higher_order shares the same plan.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,7 @@ def make_mesh(intervals, *, n: int | None = None,
               h: float | None = None) -> Mesh:
     """Mesh one interval or an ordered union with a shared target width.
 
-    Exactly one of n (total cell count, at least 2) and h (cell width)
+    Exactly one of n (total cell count, an integer >= 2) and h (cell width)
     must be given; n sets the target width to the total length over n.
     The intervals must be nonempty, increasing and disjoint.  Per-piece
     counts are rounded so every piece has at least two cells; the
@@ -120,9 +121,15 @@ def make_mesh(intervals, *, n: int | None = None,
                         f"got {intervals}")
     if h is not None and not (h > 0.0 and math.isfinite(h)):
         raise BadParams(f"need finite h > 0, got {h}")
-    if n is not None and int(n) < 2:
-        raise BadParams(f"mesh needs n >= 2 cells, got {n}")
-    width = h if h is not None else sum(b - a for a, b in intervals) / int(n)
+    if n is not None:
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise BadParams(f"mesh cell count must be an integer, "
+                            f"got {n!r}") from None
+        if n < 2:
+            raise BadParams(f"mesh needs n >= 2 cells, got {n}")
+    width = h if h is not None else sum(b - a for a, b in intervals) / n
     pieces = tuple(
         _mesh_piece(a, b, max(2, int(round((b - a) / width))))
         for a, b in intervals
@@ -385,7 +392,8 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
     Lagrange basis.  Row k holds, for every map j, the basis weights of
     theta_j(x_k); a stable per-row sort by column keeps map order among
     coincident columns.  A mesh that reaches outside fam.domain raises
-    OutOfDomain, a map without log_weight MissingDerivatives.
+    OutOfDomain, a map without log_weight MissingDerivatives, and one
+    whose log_weight is not finite at a collocation node ParamOutOfRange.
     """
     if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool):
         raise ParamOutOfRange(f"degree must be an integer, got {degree!r}")
@@ -419,6 +427,9 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
             parts = [(base + p, lag)
                      for p, lag in enumerate(_lagrange_rows(wr, degree))]
         logw = np.asarray(spec.log_weight(xs), dtype=float)
+        if not np.isfinite(logw).all():
+            raise ParamOutOfRange(
+                f"weight of map {spec.label!r} is not positive on the domain")
         for c, w in parts:
             cols.append(c)
             weights.append(w)

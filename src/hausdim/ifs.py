@@ -55,10 +55,13 @@ class MapSpec:
     """One contraction branch: theta and derivatives, plus weight data.
 
     The weight g = |theta'| enters the transfer operator as g^s; it is
-    stored through log g and the logarithmic-derivative ratios g'/g,
-    g''/g, g'''/g, which is what both the matrix assembly (exp(s*log g))
-    and the derivative-bound machinery consume.  d1_sup, when given, is a
-    certified bound on sup |theta'| over the domain.
+    stored through log g and the logarithmic-derivative ratios g'/g
+    (weight_r1) and g''/g (weight_r2).  The matrix assembly reads
+    log_weight (as exp(s*log g)); the bound layer reads d1, d2,
+    weight_r1 and weight_r2, so C^3 data suffice.  d3 serves only
+    eval_map(order=3), and weight_r3 (g'''/g) is accepted but not read
+    by the library.  d1_sup, when given, is a certified bound on
+    sup |theta'| over the domain.
     """
 
     label: str
@@ -171,13 +174,10 @@ def _mobius_map(b: int) -> MapSpec:
     def r2(x):
         return 6.0 / (x + bf) ** 2
 
-    def r3(x):
-        return -24.0 / (x + bf) ** 3
-
     return MapSpec(
         label=f"1/(x+{b})",
         eval=ev, d1=d1, d2=d2, d3=d3,
-        log_weight=log_w, weight_r1=r1, weight_r2=r2, weight_r3=r3,
+        log_weight=log_w, weight_r1=r1, weight_r2=r2,
         d1_sup=1.0 / bf**2,
     )
 
@@ -242,18 +242,9 @@ def _cantor_maps(a: float) -> tuple[MapSpec, MapSpec]:
     def r2(x):
         return 13.125 * a * x**0.5 / (1.0 + 3.5 * a * x**2.5)
 
-    def r3(x):
-        # g''' ~ x^(-1/2): unbounded at 0 for a > 0.  Kept for suprema
-        # reporting; the Cantor bound path never relies on it.
-        x = np.asarray(x, dtype=float)
-        if a == 0.0:
-            return np.zeros_like(x)
-        with np.errstate(divide="ignore"):
-            return 6.5625 * a * x ** -0.5 / (1.0 + 3.5 * a * x**2.5)
-
     left = MapSpec(
         label="cantor-left", eval=base, d1=d1, d2=d2, d3=d3,
-        log_weight=log_w, weight_r1=r1, weight_r2=r2, weight_r3=r3,
+        log_weight=log_w, weight_r1=r1, weight_r2=r2,
         d1_sup=(1.0 + 3.5 * a) / den,
     )
 
@@ -262,7 +253,7 @@ def _cantor_maps(a: float) -> tuple[MapSpec, MapSpec]:
 
     right = MapSpec(
         label="cantor-right", eval=right_eval, d1=d1, d2=d2, d3=d3,
-        log_weight=log_w, weight_r1=r1, weight_r2=r2, weight_r3=r3,
+        log_weight=log_w, weight_r1=r1, weight_r2=r2,
         d1_sup=(1.0 + 3.5 * a) / den,
     )
     return left, right

@@ -89,7 +89,8 @@ def solve_root(f, bracket: tuple[float, float],
     bracket is halved or doubled until f changes sign; each secant step
     stays inside the current bracket (bisection otherwise).  Returns
     (root, evaluations) after at most 40 evaluations; NoSignChange if no
-    sign change exists in [1e-6, 64], BadParams unless 0 < root_tol < inf.
+    sign change exists in [1e-6, 64] or f gives NaN (+-inf are signs),
+    BadParams unless 0 < root_tol < inf.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
@@ -101,7 +102,10 @@ def solve_root(f, bracket: tuple[float, float],
     def ev(x: float) -> float:
         nonlocal evals
         evals += 1
-        return float(f(x))
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NoSignChange(f"f gives NaN at s = {x}")
+        return fx
 
     flo = ev(lo)
     fhi = ev(hi)

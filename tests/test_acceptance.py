@@ -219,7 +219,7 @@ def test_criterion_09_bound_cross_check():
         s = 0.7
         closed = cantor_constants(a, s)
         brute = general_constants(make_cantor_family(a), s, safety=1.0)
-        for name in ("kappa", "C1", "C2", "E2", "E3"):
+        for name in ("kappa", "C1", "E2"):
             c = getattr(closed, name)
             b = getattr(brute, name)
             rel = abs(b - c) / abs(c) if c != 0.0 else abs(b)

@@ -13,7 +13,6 @@ from hausdim import (
     ParamOutOfRange,
     bound_M1,
     bound_M2,
-    bound_M3,
     bracket_dimension,
     cantor_constants,
     error_model,
@@ -47,13 +46,6 @@ def test_bound_m2_unit_case():
     assert v == pytest.approx(20.0 / 3.0, rel=1e-12)
     with pytest.raises(BadParams):
         bound_M2(1.0, K2=1.0, C1=1.0, M1=1.0, E2=1.0, kappa=1.0)
-
-
-def test_bound_m3_unit_case():
-    # num = 1 + 1.5 + 3*(0.25+1) + 1.5 + 1 = 8.75, denom = 0.875.
-    v = bound_M3(1.0, K3=1.0, K2=1.0, C1=1.0, M1=1.0, M2=1.0,
-                 E2=1.0, E3=1.0, kappa=0.5)
-    assert v == pytest.approx(10.0, rel=1e-12)
 
 
 def test_refined_m2_upper():
@@ -102,13 +94,10 @@ def test_cantor_sign_threshold():
 def test_cantor_constants_closed_forms():
     bc = cantor_constants(1.0, 0.5)
     assert bc.kappa == pytest.approx(0.9)
-    # E2 = 5c/(6+4a) with c = 3.5a; E3 = 13.125a/(3+2a).
+    # E2 = 5c/(6+4a) with c = 3.5a.
     assert bc.E2 == pytest.approx(3.5 * 5.0 / 10.0)
-    assert bc.E3 == pytest.approx(13.125 / 5.0)
     # a > 3/7 branch: C1 = c (3/(7a))^0.6.
     assert bc.C1 == pytest.approx(3.5 * (3.0 / 7.0) ** 0.6)
-    assert math.isinf(bc.M3)
-    assert math.isfinite(bc.E3)
 
 
 def test_cantor_constants_affine_case():
@@ -130,22 +119,6 @@ def test_cantor_c1_branch_continuity():
     lo = cantor_constants(a - eps, 0.5).C1
     hi = cantor_constants(a + eps, 0.5).C1
     assert abs(lo - hi) <= 1e-8
-
-
-def test_cantor_c2_branch_continuity():
-    # C2 branches agree at a = 1/14 (c = 1/4).
-    a = 1.0 / 14.0
-    c = 3.5 * a
-    left = 3.75 * c / (1.0 + c)
-    right = 3.0 * 0.25**0.2 * c**0.8
-    assert abs(left - right) <= 1e-12
-
-
-def test_cantor_k2_direct_below_fallback():
-    for a in (0.2, 0.5, 0.8, 1.0):
-        for s in (0.4, 0.7, 1.0):
-            direct = cantor_constants(a, s)
-            assert direct.K2 <= direct.C2 + abs(1 - s) * direct.C1**2 + 1e-12
 
 
 def test_cantor_sign_certificate_cases():
@@ -200,8 +173,7 @@ def test_cantor_k2_is_maximum_of_abs_quotient(a, s):
 
 def test_bound_constants_fields():
     assert [f.name for f in dataclasses.fields(BoundConstants)] == [
-        "kappa", "C1", "C2", "E2", "E3", "K2", "K3", "M1", "M2", "M3",
-        "R_lo", "R_hi"]
+        "kappa", "C1", "E2", "K2", "M1", "M2", "R_lo", "R_hi"]
 
 
 def test_general_constants_match_cantor_closed_forms():
@@ -211,9 +183,7 @@ def test_general_constants_match_cantor_closed_forms():
         brute = general_constants(make_cantor_family(a), s, safety=1.0)
         assert brute.kappa == pytest.approx(closed.kappa, rel=1e-12)
         assert brute.C1 == pytest.approx(closed.C1, rel=1e-6)
-        assert brute.C2 == pytest.approx(closed.C2, rel=1e-6)
         assert brute.E2 == pytest.approx(closed.E2, rel=1e-6)
-        assert brute.E3 == pytest.approx(closed.E3, rel=1e-6)
 
 
 def test_general_constants_safety():
@@ -279,8 +249,31 @@ def test_general_constants_needs_derivatives():
                                                     np.log(0.25)),
                   d1_sup=0.25)
     fam = make_custom_family([lin], (0.0, 1.0))
-    with pytest.raises(MissingDerivatives):
+    with pytest.raises(MissingDerivatives,
+                       match="'lin' lacks d2, weight_r1, weight_r2$"):
         general_constants(fam, 0.5)
+    no_r2 = make_custom_family(
+        [dataclasses.replace(spec, weight_r2=None)
+         for spec in make_poly_family().maps], (0.0, 1.0))
+    with pytest.raises(MissingDerivatives,
+                       match="'poly-left' lacks weight_r2$"):
+        ratio_bounds(no_r2, 0.5)
+
+
+def test_c3_data_suffice_for_a_custom_bracket(poly_fam):
+    # The bound layer reads theta up to theta''' (d1, d2, g'/g, g''/g):
+    # without d3 and weight_r3 every constant and the bracket are
+    # bit-identical.
+    c3 = make_custom_family(
+        [dataclasses.replace(spec, d3=None, weight_r3=None)
+         for spec in poly_fam.maps], poly_fam.domain, label="poly-c3")
+    assert general_constants(c3, 0.8) == general_constants(poly_fam, 0.8)
+    mesh = make_mesh(poly_fam.domain, h=0.01)
+    full = bracket_dimension(poly_fam, mesh)
+    only_c3 = bracket_dimension(c3, mesh)
+    assert only_c3.certified
+    assert (only_c3.s_lower.hex(), only_c3.s_upper.hex()) == \
+        (full.s_lower.hex(), full.s_upper.hex())
 
 
 def test_ratio_bounds_rejects_another_familys_plan(poly_fam):
@@ -338,10 +331,9 @@ _NAN_CALLS = {
 @pytest.mark.parametrize("name,field", [
     pytest.param(name, "weight_r2", id=name) for name in _NAN_CALLS
 ] + [
-    # NaN that only the third-order suprema (K3, E3) see: the custom
-    # route reads C1, E2 and K2, so the chain itself must be rejected.
+    # NaN in the other chain inputs the custom route reads.
     pytest.param(name, field, id=f"{name}-{field}")
-    for field in ("weight_r3", "d3")
+    for field in ("weight_r1", "d2")
     for name in ("ratio_bounds", "error_model", "bracket_dimension")
 ])
 def test_nan_derivative_data_rejected(name, field):

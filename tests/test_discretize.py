@@ -12,6 +12,7 @@ from hausdim import (
     MissingDerivatives,
     NegativeEntry,
     OutOfDomain,
+    ParamOutOfRange,
     SparseNonnegMatrix,
     assemble,
     bracket_dimension,
@@ -61,6 +62,11 @@ def test_make_mesh_argument_validation():
         make_mesh((0.0, 1.0), n=4, h=0.1)
     with pytest.raises(BadParams):
         make_mesh((0.0, 1.0), n=1)
+    # n is a cell count: no truncation of a float, no parsing of a string.
+    for n in (2.5, 4.0, "4", 3 + 0j):
+        with pytest.raises(BadParams, match="integer"):
+            make_mesh((0.0, 1.0), n=n)
+    assert make_mesh((0.0, 1.0), n=np.int64(4)).n == 4
     with pytest.raises(BadParams):
         make_mesh([(0.0, 0.4), (0.6, 1.0)], n=1)
     with pytest.raises(BadParams):
@@ -417,6 +423,33 @@ def test_map_without_log_weight_is_named():
         bracket_dimension(fam, mesh)
     with pytest.raises(MissingDerivatives):
         highorder_dimension(fam, mesh, 2)
+
+    # log_weight NaN only at x = 0.5: a mesh node, but not one of the
+    # points make_custom_family samples.  Every route that builds a
+    # collocation plan names the map before any matrix is built.
+    def const(value):
+        return lambda x: np.full_like(np.asarray(x, float), value)
+
+    def log_w(x):
+        x = np.asarray(x, float)
+        return np.where(x == 0.5, math.nan, math.log(1.0 / 3.0))
+
+    maps = [MapSpec(label=f"third-{j}",
+                    eval=lambda x, j=j: (np.asarray(x, float) + 2 * j) / 3.0,
+                    d1=const(1.0 / 3.0), d2=const(0.0), log_weight=log_w,
+                    weight_r1=const(0.0), weight_r2=const(0.0),
+                    d1_sup=1.0 / 3.0)
+            for j in range(2)]
+    fam = make_custom_family(maps, (0.0, 1.0))
+    mesh = make_mesh(fam.domain, n=100)
+    match = "weight of map 'third-0' is not positive on the domain"
+    for degree in (1, 3):
+        with pytest.raises(ParamOutOfRange, match=match):
+            collocation_plan(fam, mesh, degree)
+    with pytest.raises(ParamOutOfRange, match=match):
+        bracket_dimension(fam, mesh)
+    with pytest.raises(ParamOutOfRange, match=match):
+        highorder_dimension(fam, mesh, 3)
 
 
 def test_row_sums_with_empty_row():

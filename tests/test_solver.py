@@ -23,7 +23,7 @@ from hausdim import (
     ratio_bounds,
     solve_root,
 )
-from hausdim.bounds import bound_M3, mobius_ratio_bounds
+from hausdim.bounds import mobius_ratio_bounds
 from hausdim.discretize import CollocationPlan
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
@@ -116,6 +116,16 @@ def test_solve_root_no_sign_change():
         solve_root(lambda s: -0.5, (0.4, 0.9))
     with pytest.raises(NoSignChange):
         solve_root(lambda s: 0.5 + s, (0.4, 0.9))
+    # NaN has no sign: it must not pass for a root or steer a step, at
+    # a bracket end or at a secant step.  +-inf are valid signs.
+    with pytest.raises(NoSignChange, match="NaN at s = 0.1"):
+        solve_root(lambda s: math.nan, (0.1, 1.0))
+    with pytest.raises(NoSignChange, match="NaN"):
+        solve_root(lambda s: math.nan if 0.3 < s < 0.7 else 0.5 - s,
+                   (0.1, 1.0))
+    root, _ = solve_root(lambda s: math.inf if s < 0.2 else 0.5 - s,
+                         (0.1, 1.0))
+    assert root == pytest.approx(0.5)
 
 
 def test_solve_root_hard_curve_stays_bracketed():
@@ -409,19 +419,3 @@ def test_eigenvector_second_difference_within_certified_bounds():
     # The observed ratios genuinely explore the interior of the bounds.
     assert d2.min() < r_hi
     assert d2.max() > r_lo
-
-
-def test_bound_m3_consistency_with_sharp_pair():
-    # Generic chained third bound stays finite and above the sharp one
-    # for the [1,2] family at s = 0.5.
-    from hausdim import general_constants
-
-    fam = make_mobius_family([1, 2])
-    bc = general_constants(fam, 0.5, safety=1.0)
-    sharp = mobius_ratio_bounds(1.0, 2.0, 1.0, 0.5, 3)
-    assert math.isfinite(bc.M3)
-    assert bc.M3 > 0.0
-    assert sharp.lo <= sharp.hi
-    recomputed = bound_M3(0.5, K3=bc.K3, K2=bc.K2, C1=bc.C1, M1=bc.M1,
-                          M2=bc.M2, E2=bc.E2, E3=bc.E3, kappa=bc.kappa)
-    assert recomputed == pytest.approx(bc.M3, rel=1e-12)
