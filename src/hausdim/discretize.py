@@ -16,15 +16,17 @@ r(A) <= r(L_s) <= r(B) holds for the underlying operator.
 
 Where theta_j(x_k) lands, its basis weights, Q and log g_j(x_k) do not
 depend on s.  A CollocationPlan computes them once per (family, mesh,
-degree) with a sparsity pattern of one stored entry per contribution;
-each matrix at one s is then one product per entry.  The degree-d
-Lagrange basis of higher_order shares the same plan.
+degree) with a sparsity pattern of one stored entry per contribution,
+kept in the order collocation makes them; each matrix at one s is then
+g^s and the correction once per (node, map) and one product per entry.
+One loop serves every degree: the hat basis is the degree-1 case of the
+piecewise Lagrange basis that higher_order uses.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +42,7 @@ from .errors import (
     OutOfDomain,
     ParamOutOfRange,
 )
-from .ifs import CLAMP_REL_TOL, MapFamily, eval_map
+from .ifs import CLAMP_REL_TOL, MapFamily, _as_index, eval_map
 
 __all__ = [
     "Mesh", "make_mesh", "interp_weights", "ErrorModel",
@@ -119,34 +121,35 @@ def make_mesh(intervals, *, n: int | None = None,
     if any(b >= a for (_, b), (a, _) in zip(intervals, intervals[1:])):
         raise BadParams(f"mesh intervals must increase and be disjoint, "
                         f"got {intervals}")
-    if h is not None and not (h > 0.0 and math.isfinite(h)):
-        raise BadParams(f"need finite h > 0, got {h}")
+    if h is not None and not (isinstance(h, numbers.Real) and h > 0.0
+                              and math.isfinite(h)):
+        raise BadParams(f"need a finite real h > 0, got {h!r}")
     if n is not None:
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise BadParams(f"mesh cell count must be an integer, "
-                            f"got {n!r}") from None
+        n = _as_index(n, "mesh cell count")
         if n < 2:
             raise BadParams(f"mesh needs n >= 2 cells, got {n}")
     width = h if h is not None else sum(b - a for a, b in intervals) / n
-    pieces = tuple(
-        _mesh_piece(a, b, max(2, int(round((b - a) / width))))
-        for a, b in intervals
-    )
+    return _join([_mesh_piece(a, b, max(2, int(round((b - a) / width))))
+                  for a, b in intervals])
+
+
+def _join(pieces) -> Mesh:
     offsets = [0]
     for p in pieces:
         offsets.append(offsets[-1] + p.n + 1)
     nodes = np.concatenate([p.nodes for p in pieces])
-    return Mesh(pieces=pieces, nodes=nodes, offsets=tuple(offsets))
+    return Mesh(pieces=tuple(pieces), nodes=nodes, offsets=tuple(offsets))
 
 
 def _locate(mesh: Mesh, ys: np.ndarray):
-    """Cells and hat weights for query points, numbered globally.
+    """Cells and right hat weights for query points, numbered globally.
 
-    Returns (c_left, c_right, w_left, w_right, Q) with w_left + w_right = 1
-    exactly and Q(y) = (x_{r+1} - y)(y - x_r) >= 0.  Points outside every
-    piece by more than the clamp tolerance raise OutOfDomain.
+    Returns (cell, w_right, Q): cell is the global index of the left node
+    x_r of the cell containing y, w_right = fl(1 - fl(1 - t)) for the
+    local coordinate t in [0, 1], so w_left = 1 - w_right is fl(1 - t)
+    and w_left + w_right = 1 exactly, and Q(y) = (x_{r+1} - y)(y - x_r)
+    >= 0.  Points outside every piece by more than the clamp tolerance
+    raise OutOfDomain.
     """
     pieces, offsets = mesh.pieces, mesh.offsets
     lo, hi = mesh.span
@@ -155,7 +158,7 @@ def _locate(mesh: Mesh, ys: np.ndarray):
     if np.any(ys < lo - tol) or np.any(ys > hi + tol):
         raise OutOfDomain("interpolation point outside the meshed domain")
     c0 = np.empty(ys.shape, dtype=np.int64)
-    wl = np.empty(ys.shape, dtype=float)
+    wr = np.empty(ys.shape, dtype=float)
     q = np.empty(ys.shape, dtype=float)
     assigned = np.zeros(ys.shape, dtype=bool)
     for piece, off in zip(pieces, offsets[:-1]):
@@ -167,12 +170,12 @@ def _locate(mesh: Mesh, ys: np.ndarray):
         r = np.clip(r, 0, piece.n - 1)
         t = np.clip((y - piece.nodes[r]) / piece.h, 0.0, 1.0)
         c0[mask] = off + r
-        wl[mask] = 1.0 - t
+        wr[mask] = 1.0 - (1.0 - t)
         q[mask] = np.maximum((piece.nodes[r + 1] - y) * (y - piece.nodes[r]), 0.0)
         assigned[mask] = True
     if not np.all(assigned):
         raise OutOfDomain("interpolation point falls in a gap between pieces")
-    return c0, c0 + 1, wl, 1.0 - wl, q
+    return c0, wr, q
 
 
 def interp_weights(mesh: Mesh, y: float) -> tuple[int, float, float]:
@@ -182,8 +185,8 @@ def interp_weights(mesh: Mesh, y: float) -> tuple[int, float, float]:
     the last cell owns the right endpoint.  Weights are normalized so
     w_left + w_right = 1 exactly.
     """
-    c0, _, wl, wr, _ = _locate(mesh, np.asarray([float(y)]))
-    return int(c0[0]), float(wl[0]), float(wr[0])
+    c0, wr, _ = _locate(mesh, np.asarray([float(y)]))
+    return int(c0[0]), float(1.0 - wr[0]), float(wr[0])
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +265,10 @@ class CsrMatrix:
 class SparseNonnegMatrix(CsrMatrix):
     """Row-compressed nonnegative matrix with a fixed entry order.
 
-    A collocation matrix sorts each row's columns ascending and keeps one
-    entry per contribution, so a (row, col) pair repeats, in map order,
-    where two maps share a cell; the matvec sums them.
+    A collocation matrix keeps one entry per contribution in the order
+    collocation makes them: within a row, map by map, each map's basis
+    columns consecutive.  A (row, col) pair repeats where two maps share
+    a cell; the matvec sums them.
     """
 
     def __init__(self, dim: int, indptr: np.ndarray, indices: np.ndarray,
@@ -326,27 +330,17 @@ def _lagrange_rows(t: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def _fine_nodes(mesh: Mesh, degree: int):
-    """Global degree-d node vector plus per-piece offsets (fine and coarse)."""
-    xs = []
-    fine_offsets = [0]
-    for piece in mesh.pieces:
-        m = piece.n * degree
-        xs.append(piece.a + np.arange(m + 1) * (piece.h / degree))
-        fine_offsets.append(fine_offsets[-1] + m + 1)
-    return (np.concatenate(xs), np.asarray(fine_offsets),
-            np.asarray(mesh.offsets))
-
-
 @dataclass(frozen=True, eq=False)
 class CollocationPlan:
     """The s-independent part of the collocation matrices on one mesh.
 
     Row k stores its P = (degree+1) * n_maps contributions as separate
-    entries, sorted by column with ties in map order: indptr is
+    entries, in the order collocation makes them: map j's d+1 consecutive
+    columns base_j(k) + p, maps in order, so indptr is
     arange(0, P*dim + 1, P).  indptr/indices (int32) are shared by every
-    matrix built from the plan; weight, log_weight and q (the hat basis's
-    Q, largest value q_max; None for degree > 1) hold one value per entry.
+    matrix built from the plan.  log_weight and q (the hat basis's Q,
+    largest value q_max; None for degree > 1) hold one value per
+    (node, map), weight one per entry.
     """
 
     dim: int
@@ -363,9 +357,11 @@ class CollocationPlan:
 
         coef = None builds the plain matrix (M, or the degree-d matrix);
         coef_hi gives A and coef_lo gives B (hat basis only).  Every
-        factor 1 - coef Q is positive when coef * q_max < 1.
+        factor 1 - coef Q is positive when coef * q_max < 1.  g^s and
+        1 - coef Q are computed once per (node, map) and repeated over
+        the d+1 basis entries.
         """
-        vals = np.exp(s * self.log_weight)
+        g = np.exp(s * self.log_weight)
         if coef is not None:
             if self.q is None:
                 raise BadParams(
@@ -373,7 +369,8 @@ class CollocationPlan:
             if not (math.isfinite(coef) and coef * self.q_max < 1.0):
                 raise ErrTooLarge(f"matrix correction {coef!r} * Q reaches 1; "
                                   "refine the mesh")
-            vals *= 1.0 - coef * self.q
+            g *= 1.0 - coef * self.q
+        vals = np.repeat(g, self.degree + 1)
         vals *= self.weight
         return vals
 
@@ -387,13 +384,13 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
                      degree: int = 1) -> CollocationPlan:
     """Map images, basis weights and the CSR pattern of one collocation.
 
-    degree 1 collocates at the mesh nodes on the hat basis; degree d at
-    the d*n+1 equispaced nodes of each piece on the piecewise degree-d
-    Lagrange basis.  Row k holds, for every map j, the basis weights of
-    theta_j(x_k); a stable per-row sort by column keeps map order among
-    coincident columns.  A mesh that reaches outside fam.domain raises
-    OutOfDomain, a map without log_weight MissingDerivatives, and one
-    whose log_weight is not finite at a collocation node ParamOutOfRange.
+    Degree d collocates at the nodes of the mesh with d*n cells per
+    piece on the piecewise degree-d Lagrange basis; degree 1 is the hat
+    basis on the mesh nodes.  Row k holds, for every map j in order, the
+    d+1 basis weights of theta_j(x_k) on consecutive columns.  A mesh
+    that reaches outside fam.domain raises OutOfDomain, a map without
+    log_weight MissingDerivatives, and one whose log_weight is not
+    finite at a collocation node ParamOutOfRange.
     """
     if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool):
         raise ParamOutOfRange(f"degree must be an integer, got {degree!r}")
@@ -405,46 +402,34 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
     if mesh.span[0] < lo - tol or mesh.span[1] > hi + tol:
         raise OutOfDomain(
             f"mesh span {mesh.span} leaves the domain [{lo}, {hi}]")
-    if degree == 1:
-        xs = mesh.nodes
-    else:
-        xs, fine_off, coarse_off = _fine_nodes(mesh, degree)
-    cols, weights, log_weights, qs = [], [], [], []
+    fine = _join([_mesh_piece(p.a, p.b, p.n * degree) for p in mesh.pieces])
+    # Degree-d column of each mesh node: cell c spans base[c] .. base[c]+d.
+    base = np.concatenate([off + degree * np.arange(p.n + 1)
+                           for p, off in zip(mesh.pieces, fine.offsets)])
+    shape = (fine.dim, fam.n_maps)
+    cols = np.empty(shape + (degree + 1,), dtype=np.int32)
+    weight = np.empty(shape + (degree + 1,))
+    log_weight = np.empty(shape)
+    q = np.empty(shape)
     for j, spec in enumerate(fam.maps):
         if spec.log_weight is None:
             raise MissingDerivatives(f"map {spec.label!r} has no log_weight")
-        ys = spec.eval(xs) if degree == 1 else eval_map(fam, j, xs)
         try:
-            c0, c1, wl, wr, q = _locate(mesh, ys)
+            cell, wr, q[:, j] = _locate(mesh, eval_map(fam, j, fine.nodes))
         except OutOfDomain as exc:
             raise MapEscapesDomain(f"map {spec.label!r}: {exc}") from None
-        if degree == 1:
-            parts = ((c0, wl), (c1, wr))
-            qs += [q, q]
-        else:
-            piece = np.searchsorted(coarse_off, c0, side="right") - 1
-            base = fine_off[piece] + (c0 - coarse_off[piece]) * degree
-            parts = [(base + p, lag)
-                     for p, lag in enumerate(_lagrange_rows(wr, degree))]
-        logw = np.asarray(spec.log_weight(xs), dtype=float)
-        if not np.isfinite(logw).all():
+        log_weight[:, j] = spec.log_weight(fine.nodes)
+        if not np.isfinite(log_weight[:, j]).all():
             raise ParamOutOfRange(
                 f"weight of map {spec.label!r} is not positive on the domain")
-        for c, w in parts:
-            cols.append(c)
-            weights.append(w)
-            log_weights.append(logw)
-    order = np.argsort(np.stack(cols, axis=1), axis=1, kind="stable")
-
-    def in_order(parts) -> np.ndarray:
-        return np.take_along_axis(np.stack(parts, axis=1), order, axis=1).ravel()
-
-    q = in_order(qs) if degree == 1 else None
+        cols[:, j] = base[cell, None] + np.arange(degree + 1)
+        weight[:, j] = _lagrange_rows(wr, degree).T
+    q = q.ravel() if degree == 1 else None
     return CollocationPlan(
-        dim=xs.size, degree=degree,
-        indptr=np.arange(0, order.size + 1, len(cols), dtype=np.int32),
-        indices=in_order(cols).astype(np.int32), weight=in_order(weights),
-        log_weight=in_order(log_weights), q=q,
+        dim=fine.dim, degree=degree,
+        indptr=np.arange(0, cols.size + 1, cols[0].size, dtype=np.int32),
+        indices=cols.ravel(), weight=weight.ravel(),
+        log_weight=log_weight.ravel(), q=q,
         q_max=None if q is None else float(q.max()),
     )
 

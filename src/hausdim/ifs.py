@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -48,6 +49,14 @@ _VALIDATION_SAMPLES = 1000
 # closed form such as 1/b^2 can round one ulp below the sampled (x+b)^-2.
 _D1_SUP_REL_TOL = 1e-12
 _MAX_WORDS = 2**21  # most words reduce_domain enumerates
+
+
+def _as_index(value, what: str, error=BadParams) -> int:
+    """value as an exact integer (numpy ints too); error names it if not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -133,7 +142,7 @@ class Continuants:
 
 def continuants(word: Sequence[int]) -> Continuants:
     """Compute the continuant sequences of a positive-integer word."""
-    word = tuple(int(b) for b in word)
+    word = tuple(_as_index(b, "digit") for b in word)
     if not word:
         raise ParamOutOfRange("continuants need a nonempty word")
     if any(b <= 0 for b in word):
@@ -191,7 +200,7 @@ def make_mobius_family(
     is g_b(x) = (x+b)^-2.  A wider explicit domain may be passed as long
     as the maps still send it into itself.
     """
-    digits = tuple(int(b) for b in digits)
+    digits = tuple(_as_index(b, "digit") for b in digits)
     if not digits:
         raise EmptyFamily("need at least one digit")
     if any(b <= 0 for b in digits):
@@ -350,6 +359,8 @@ def _validate_family(fam: MapFamily) -> None:
 
 def eval_map(fam: MapFamily, j: int, x, order: int = 0):
     """Evaluate theta_j or one of its first three derivatives at x."""
+    j = _as_index(j, "map index", BadIndex)
+    order = _as_index(order, "derivative order", BadIndex)
     if not 0 <= j < fam.n_maps:
         raise BadIndex(f"map index {j} outside 0..{fam.n_maps - 1}")
     a, b = fam.domain
@@ -382,6 +393,7 @@ def reduce_domain(
     one-map family's word length is capped at 21 too) raise BadParams
     before any is enumerated.
     """
+    iterations = _as_index(iterations, "iterations")
     if iterations < 0:
         raise ParamOutOfRange("iterations must be >= 0")
     if iterations * math.log2(max(fam.n_maps, 2)) > math.log2(_MAX_WORDS):

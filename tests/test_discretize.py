@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hausdim import (
     BadParams,
@@ -29,6 +31,7 @@ from hausdim import (
     reduce_domain,
     row_sums,
 )
+from hausdim.discretize import _lagrange_rows
 
 
 def test_make_mesh_single_interval():
@@ -67,6 +70,7 @@ def test_make_mesh_argument_validation():
         with pytest.raises(BadParams, match="integer"):
             make_mesh((0.0, 1.0), n=n)
     assert make_mesh((0.0, 1.0), n=np.int64(4)).n == 4
+    assert make_mesh((0.0, 1.0), h=np.float32(0.25)).n == 4
     with pytest.raises(BadParams):
         make_mesh([(0.0, 0.4), (0.6, 1.0)], n=1)
     with pytest.raises(BadParams):
@@ -76,8 +80,9 @@ def test_make_mesh_argument_validation():
                       [(0.0, 0.6), (0.4, 1.0)], [(0.0, 0.5), (0.5, 1.0)]):
         with pytest.raises(BadParams):
             make_mesh(intervals, h=0.1)
-    # h must be finite: round() fails on NaN, and inf would give 2 cells.
-    for h in (math.nan, math.inf):
+    # h must be a finite real: round() fails on NaN, inf would give 2
+    # cells, and a string or complex cannot be compared with 0.
+    for h in (math.nan, math.inf, "0.1", 0.5 + 0j):
         with pytest.raises(BadParams):
             make_mesh((0.0, 1.0), h=h)
         with pytest.raises(BadParams):
@@ -367,12 +372,34 @@ def _shared_cell_plans():
 def test_collocation_plan_one_entry_per_contribution(degree):
     for fam, mesh in _shared_cell_plans():
         plan = collocation_plan(fam, mesh, degree)
-        per_row = (degree + 1) * len(fam.maps)
+        n_maps = len(fam.maps)
+        per_row = (degree + 1) * n_maps
         assert np.array_equal(plan.indptr,
                               np.arange(0, per_row * plan.dim + 1, per_row))
-        cols = plan.indices.reshape(plan.dim, per_row)
-        assert np.all(np.diff(cols, axis=1) >= 0)
-        assert np.any(np.diff(cols, axis=1) == 0)
+        # Row k holds map j's d+1 consecutive columns, maps in order.
+        cols = plan.indices.reshape(plan.dim, n_maps, degree + 1)
+        assert np.all(np.diff(cols, axis=2) == 1)
+        assert plan.weight.size == plan.indices.size
+        assert plan.log_weight.size == plan.dim * n_maps
+        if degree == 1:
+            assert plan.q.size == plan.dim * n_maps
+        # Where two maps share a cell, a (row, col) pair repeats.
+        rows = np.repeat(np.arange(plan.dim), per_row)
+        pairs = rows.astype(np.int64) * plan.dim + plan.indices
+        assert np.unique(pairs).size < pairs.size
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.floats(0.0, 1.0))
+def test_hat_weights_from_the_right_weight(t):
+    # The hat basis is the degree-1 Lagrange basis at w_right: with
+    # w_left = fl(1 - t) and w_right = fl(1 - w_left), fl(1 - w_right)
+    # gives back w_left, so _lagrange_rows(w_right, 1) is (w_left, w_right).
+    wl = 1.0 - t
+    wr = 1.0 - wl
+    assert 1.0 - wr == wl
+    basis = _lagrange_rows(np.array([wr]), 1)
+    assert (basis[0, 0], basis[1, 0]) == (wl, wr)
 
 
 def test_collocation_plan_matrices_share_the_pattern():

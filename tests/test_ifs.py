@@ -56,6 +56,14 @@ def test_mobius_family_rejects_bad_digits():
         make_mobius_family([])
     with pytest.raises(ParamOutOfRange):
         make_mobius_family([2, 2])
+    # A digit is read exactly, never truncated or parsed.
+    for digits, bad in (([1.5, 2], "1.5"), (["3", 2], "'3'"),
+                        ([2.0, 3], "2.0")):
+        with pytest.raises(BadParams, match=f"digit must be an integer, "
+                                            f"got {bad}"):
+            make_mobius_family(digits)
+    fam = make_mobius_family(np.array([2, 1]))
+    assert fam.family_id == "cf:1,2" and fam.digits == (1, 2)
 
 
 def test_mobius_map_values():
@@ -77,6 +85,11 @@ def test_eval_map_errors():
         eval_map(fam, -1, 0.5)
     with pytest.raises(BadIndex):
         eval_map(fam, 0, 0.5, order=4)
+    # Index and order are integers, never truncated floats.
+    for j, order in ((0.0, 0), ("0", 0), (0, 1.0), (0, "1")):
+        with pytest.raises(BadIndex, match="must be an integer"):
+            eval_map(fam, j, 0.5, order=order)
+    assert eval_map(fam, np.int64(1), 0.0, order=np.int32(1)) == -0.25
     with pytest.raises(OutOfDomain):
         eval_map(fam, 0, 2.0)
 
@@ -208,6 +221,10 @@ def test_continuants_reject_bad_words():
         continuants([1, 0, 2])
     with pytest.raises(ParamOutOfRange):
         continuants([])
+    for word in ([1.5, 2], [1, "2"]):
+        with pytest.raises(BadParams, match="digit must be an integer"):
+            continuants(word)
+    assert continuants(np.array([1, 2])).word == (1, 2)
 
 
 def test_composition_matches_continuants():
@@ -273,6 +290,10 @@ def test_reduce_domain_two_steps():
 def test_reduce_domain_zero_steps_and_nesting():
     fam = make_mobius_family([1, 2])
     assert reduce_domain(fam, 0) == [fam.domain]
+    assert reduce_domain(fam, np.int64(2)) == reduce_domain(fam, 2)
+    for bad in (2.5, 2.0, "2"):
+        with pytest.raises(BadParams, match="iterations must be an integer"):
+            reduce_domain(fam, bad)
     outer = reduce_domain(fam, 1)
     inner = reduce_domain(fam, 2)
     # Each refined interval sits inside some interval of the coarser union.
