@@ -26,7 +26,6 @@ piecewise Lagrange basis that higher_order uses.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ from .errors import (
     OutOfDomain,
     ParamOutOfRange,
 )
-from .ifs import CLAMP_REL_TOL, MapFamily, _as_index, eval_map
+from .ifs import CLAMP_REL_TOL, MapFamily, _as_index, _as_real, eval_map
 
 __all__ = [
     "Mesh", "make_mesh", "interp_weights", "ErrorModel",
@@ -113,7 +112,8 @@ def make_mesh(intervals, *, n: int | None = None,
         raise BadParams("give exactly one of n and h")
     if isinstance(intervals, tuple) and intervals and np.isscalar(intervals[0]):
         intervals = [intervals]
-    intervals = [(float(a), float(b)) for a, b in intervals]
+    intervals = [(_as_real(a, "interval start"), _as_real(b, "interval end"))
+                 for a, b in intervals]
     if not intervals:
         raise BadParams("mesh request has no interval")
     if any(b <= a for a, b in intervals):
@@ -121,9 +121,10 @@ def make_mesh(intervals, *, n: int | None = None,
     if any(b >= a for (_, b), (a, _) in zip(intervals, intervals[1:])):
         raise BadParams(f"mesh intervals must increase and be disjoint, "
                         f"got {intervals}")
-    if h is not None and not (isinstance(h, numbers.Real) and h > 0.0
-                              and math.isfinite(h)):
-        raise BadParams(f"need a finite real h > 0, got {h!r}")
+    if h is not None:
+        h = _as_real(h, "mesh width h")
+        if not (h > 0.0 and math.isfinite(h)):
+            raise BadParams(f"need a finite real h > 0, got {h!r}")
     if n is not None:
         n = _as_index(n, "mesh cell count")
         if n < 2:

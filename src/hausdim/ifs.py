@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -52,11 +53,20 @@ _MAX_WORDS = 2**21  # most words reduce_domain enumerates
 
 
 def _as_index(value, what: str, error=BadParams) -> int:
-    """value as an exact integer (numpy ints too); error names it if not."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
+    """value as an exact integer (numpy ints too, not bool); error names it."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
+def _as_real(value, what: str) -> float:
+    """value as a float (numpy floats too, not bool); BadParams names it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise BadParams(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -212,7 +222,8 @@ def make_mobius_family(
     if domain is None:
         domain = (0.0, 1.0 / gamma)
     else:
-        domain = (float(domain[0]), float(domain[1]))
+        domain = (_as_real(domain[0], "domain start"),
+                  _as_real(domain[1], "domain end"))
     fam = MapFamily(
         kind=MOBIUS,
         maps=tuple(_mobius_map(b) for b in digits),
@@ -280,7 +291,7 @@ def make_cantor_family(a: float) -> MapFamily:
     both branches share the weight g = theta_1'.  a = 0 is the middle-thirds
     Cantor set.
     """
-    a = float(a)
+    a = _as_real(a, "perturbation a")
     if not 0.0 <= a <= 1.0:
         raise ParamOutOfRange(f"perturbation must lie in [0, 1], got {a}")
     fam = MapFamily(
@@ -309,7 +320,8 @@ def make_custom_family(
     """
     if not maps:
         raise EmptyFamily("need at least one map")
-    a, b = float(domain[0]), float(domain[1])
+    a = _as_real(domain[0], "domain start")
+    b = _as_real(domain[1], "domain end")
     if not b > a:
         raise ParamOutOfRange(f"empty domain [{a}, {b}]")
     xs = np.linspace(a, b, 4096)

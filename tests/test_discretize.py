@@ -66,7 +66,7 @@ def test_make_mesh_argument_validation():
     with pytest.raises(BadParams):
         make_mesh((0.0, 1.0), n=1)
     # n is a cell count: no truncation of a float, no parsing of a string.
-    for n in (2.5, 4.0, "4", 3 + 0j):
+    for n in (2.5, 4.0, "4", 3 + 0j, True):
         with pytest.raises(BadParams, match="integer"):
             make_mesh((0.0, 1.0), n=n)
     assert make_mesh((0.0, 1.0), n=np.int64(4)).n == 4
@@ -80,9 +80,14 @@ def test_make_mesh_argument_validation():
                       [(0.0, 0.6), (0.4, 1.0)], [(0.0, 0.5), (0.5, 1.0)]):
         with pytest.raises(BadParams):
             make_mesh(intervals, h=0.1)
+    # Interval ends are real numbers, never parsed strings or cast bools.
+    for intervals in (("0", "1"), [(True, 2.0)], (0.0, 1 + 0j)):
+        with pytest.raises(BadParams, match="must be a real number"):
+            make_mesh(intervals, h=0.25)
     # h must be a finite real: round() fails on NaN, inf would give 2
-    # cells, and a string or complex cannot be compared with 0.
-    for h in (math.nan, math.inf, "0.1", 0.5 + 0j):
+    # cells, a string or complex cannot be compared with 0, and a bool
+    # is not a width.
+    for h in (math.nan, math.inf, "0.1", 0.5 + 0j, True):
         with pytest.raises(BadParams):
             make_mesh((0.0, 1.0), h=h)
         with pytest.raises(BadParams):

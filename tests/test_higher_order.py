@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,23 @@ from hausdim import (
     make_mobius_family,
 )
 from hausdim.discretize import _lagrange_rows
+from hausdim.higher_order import HighOrderMatrix
 from hausdim.reference_data import DIM_12_BEST, TABLE2, TABLE2B
+from hausdim.solver import INITIAL_BRACKET, solve_root
+
+
+class Dense:
+    """A dense matrix with the matvec/toarray interface of the CSR types."""
+
+    def __init__(self, arr):
+        self.arr = np.asarray(arr, dtype=float)
+        self.dim = self.arr.shape[0]
+
+    def matvec(self, w):
+        return self.arr @ w
+
+    def toarray(self):
+        return self.arr
 
 
 def test_lagrange_rows_cardinal_at_nodes():
@@ -93,17 +110,6 @@ def test_degree_validation():
 
 
 def test_dominant_magnitude_known_matrices():
-    class Dense:
-        def __init__(self, arr):
-            self.arr = np.asarray(arr, dtype=float)
-            self.dim = self.arr.shape[0]
-
-        def matvec(self, w):
-            return self.arr @ w
-
-        def toarray(self):
-            return self.arr
-
     assert dominant_magnitude(Dense([[2.0, -0.5], [0.0, -1.0]])) \
         == pytest.approx(2.0, rel=1e-10)
     # Negative dominant eigenvalue: magnitude still recovered.
@@ -112,6 +118,68 @@ def test_dominant_magnitude_known_matrices():
     # Complex pair +-i sqrt(2) settles through the dense fallback.
     assert dominant_magnitude(Dense([[0.0, -2.0], [1.0, 0.0]])) \
         == pytest.approx(math.sqrt(2.0), rel=1e-8)
+
+
+def test_dominant_magnitude_warm_start_and_sign_stop():
+    # log|lambda| is pinned to sign_rel = 1% relative accuracy, and vec
+    # ends as the last normalized iterate, near the dominant eigenvector.
+    for arr, lam in (([[2.0, -0.5], [0.0, -1.0]], 2.0),
+                     ([[-3.0, 0.0], [0.0, 1.0]], 3.0)):
+        vec = np.array([1.0, 1.0])
+        got = dominant_magnitude(Dense(arr), vec=vec, sign_rel=0.01)
+        assert math.log(got) == pytest.approx(math.log(lam), rel=0.01)
+        assert np.max(np.abs(vec)) == 1.0
+        assert abs(vec[0]) == 1.0 and abs(vec[1]) < 0.05
+        # Restarted from its own iterate, the full-precision solve agrees.
+        assert dominant_magnitude(Dense(arr), vec=vec) \
+            == pytest.approx(lam, rel=1e-10)
+    # At |lambda| = 1 the sign stop cannot fire: full precision.
+    assert dominant_magnitude(Dense([[1.0, 0.2], [0.0, 0.5]]),
+                              vec=np.array([1.0, 1.0]), sign_rel=0.01) \
+        == pytest.approx(1.0, rel=1e-12)
+    # Complex pair +-i sqrt(2): the estimate alternates 2, 1, so neither
+    # stop fires and the dense fallback still answers.  The iterates cycle
+    # with period 4 through (1, 1), and the last one overwrites vec.
+    vec = np.array([2.0, 2.0])
+    got = dominant_magnitude(Dense([[0.0, -2.0], [1.0, 0.0]]), vec=vec,
+                             sign_rel=0.01)
+    assert got == pytest.approx(math.sqrt(2.0), rel=1e-8)
+    assert np.array_equal(vec, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("vec", [
+    np.ones(3), np.zeros(2), np.array([1.0, math.nan]),
+    np.array([1.0, math.inf]), np.array([1, 1]), [1.0, 1.0]],
+    ids=["shape", "zero", "nan", "inf", "int", "list"])
+def test_dominant_magnitude_rejects_bad_start_vector(vec):
+    before = np.array(vec, copy=True)
+    with pytest.raises(BadParams, match="start vector"):
+        dominant_magnitude(Dense([[2.0, 0.0], [0.0, 1.0]]), vec=vec)
+    assert np.array_equal(np.asarray(vec), before, equal_nan=True)
+
+
+@pytest.mark.parametrize("sign_rel", [0.0, -0.01, math.nan])
+def test_dominant_magnitude_rejects_bad_sign_rel(sign_rel):
+    with pytest.raises(BadParams, match="sign_rel"):
+        dominant_magnitude(Dense([[2.0, 0.0], [0.0, 1.0]]), sign_rel=sign_rel)
+
+
+def test_highorder_dimension_matvec_budget():
+    # One start vector carried across the root solve's evaluations, and
+    # sign-sufficient stops away from the root: 82 matvecs here, where
+    # cold full-precision solves take 257.
+    fam = make_mobius_family([1, 2])
+    mesh = make_mesh(fam.domain, h=0.04)
+    with mock.patch.object(HighOrderMatrix, "matvec", autospec=True,
+                           side_effect=HighOrderMatrix.matvec) as matvec:
+        res = highorder_dimension(fam, mesh, 4)
+    assert matvec.call_count <= 100
+    # The same root from cold, full-precision solves at every s.
+    cold, _ = solve_root(
+        lambda s: math.log(dominant_magnitude(
+            assemble_highorder(fam, mesh, s, 4), sign_rel=None)),
+        INITIAL_BRACKET)
+    assert abs(res.s - cold) <= 1e-12
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-13, math.nan])

@@ -47,6 +47,19 @@ def test_mobius_family_explicit_domain():
     assert eval_map(fam, 1, 0.0) == pytest.approx(0.2)
 
 
+def test_family_domains_are_real_numbers(poly_fam):
+    # Domain ends are read as real numbers, never parsed or cast.
+    for domain, bad in ((("0", 1.0), "domain start"),
+                        ((0.0, 1 + 0j), "domain end"),
+                        ((False, 1.0), "domain start")):
+        with pytest.raises(BadParams, match=f"{bad} must be a real number"):
+            make_mobius_family([3, 5], domain=domain)
+        with pytest.raises(BadParams, match=f"{bad} must be a real number"):
+            make_custom_family(poly_fam.maps, domain)
+    fam = make_mobius_family([3, 5], domain=(np.float32(0.0), np.int64(1)))
+    assert fam.domain == (0.0, 1.0)
+
+
 def test_mobius_family_rejects_bad_digits():
     with pytest.raises(NonPositiveDigit):
         make_mobius_family([0, 2])
@@ -58,7 +71,7 @@ def test_mobius_family_rejects_bad_digits():
         make_mobius_family([2, 2])
     # A digit is read exactly, never truncated or parsed.
     for digits, bad in (([1.5, 2], "1.5"), (["3", 2], "'3'"),
-                        ([2.0, 3], "2.0")):
+                        ([2.0, 3], "2.0"), ([True, 2], "True")):
         with pytest.raises(BadParams, match=f"digit must be an integer, "
                                             f"got {bad}"):
             make_mobius_family(digits)
@@ -86,7 +99,8 @@ def test_eval_map_errors():
     with pytest.raises(BadIndex):
         eval_map(fam, 0, 0.5, order=4)
     # Index and order are integers, never truncated floats.
-    for j, order in ((0.0, 0), ("0", 0), (0, 1.0), (0, "1")):
+    for j, order in ((0.0, 0), ("0", 0), (0, 1.0), (0, "1"), (True, 0),
+                     (0, False)):
         with pytest.raises(BadIndex, match="must be an integer"):
             eval_map(fam, j, 0.5, order=order)
     assert eval_map(fam, np.int64(1), 0.0, order=np.int32(1)) == -0.25
@@ -125,6 +139,12 @@ def test_cantor_family_rejects_bad_parameter():
         make_cantor_family(1.5)
     with pytest.raises(ParamOutOfRange):
         make_cantor_family(-0.1)
+    # a is a real number: a string is not parsed, nor a bool or a
+    # complex cast.
+    for a in ("0.5", 0.5 + 0j, True, None):
+        with pytest.raises(BadParams, match="perturbation a must be a real"):
+            make_cantor_family(a)
+    assert make_cantor_family(np.float64(0.5)).family_id == "cantor:0.5"
 
 
 def test_contraction_data():
@@ -221,7 +241,7 @@ def test_continuants_reject_bad_words():
         continuants([1, 0, 2])
     with pytest.raises(ParamOutOfRange):
         continuants([])
-    for word in ([1.5, 2], [1, "2"]):
+    for word in ([1.5, 2], [1, "2"], [1, True]):
         with pytest.raises(BadParams, match="digit must be an integer"):
             continuants(word)
     assert continuants(np.array([1, 2])).word == (1, 2)
@@ -291,7 +311,7 @@ def test_reduce_domain_zero_steps_and_nesting():
     fam = make_mobius_family([1, 2])
     assert reduce_domain(fam, 0) == [fam.domain]
     assert reduce_domain(fam, np.int64(2)) == reduce_domain(fam, 2)
-    for bad in (2.5, 2.0, "2"):
+    for bad in (2.5, 2.0, "2", True):
         with pytest.raises(BadParams, match="iterations must be an integer"):
             reduce_domain(fam, bad)
     outer = reduce_domain(fam, 1)
