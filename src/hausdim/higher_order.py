@@ -13,6 +13,7 @@ improves like h**(2d) but carries no certificate.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,7 @@ def assemble_highorder(fam: MapFamily, mesh, s: float,
 
 _SETTLE_RUNS = 10
 _TAIL_RHO = 0.9  # largest step ratio at which the sign stop trusts its tail
+_SHRINK_STEPS = 64  # steps within which the estimate changes must shrink
 
 
 def _start_vector(dim: int) -> np.ndarray:
@@ -60,9 +62,10 @@ def dominant_magnitude(mat: HighOrderMatrix, tol: float = RADIUS_TOL, *,
     """|lambda| of the dominant eigenvalue of a signed matrix.
 
     Power iteration on sup norms (at most 10*dim + 2000 steps) settles for
-    a real dominant eigenvalue of either sign; oscillation (complex pair)
-    falls back to a dense eigensolve for dim <= 2000 and raises
-    PowerDivergence beyond.
+    a real dominant eigenvalue of either sign.  Once the change of the
+    estimate is no smaller than it was 64 steps before (oscillation, as
+    for a complex pair), or the steps run out, it falls back to a dense
+    eigensolve for dim <= 2000 and raises PowerDivergence beyond.
 
     vec, a finite float64 array of shape (dim,) that is not all zero, is
     the start vector; the call overwrites it with its last normalized
@@ -90,8 +93,9 @@ def dominant_magnitude(mat: HighOrderMatrix, tol: float = RADIUS_TOL, *,
     max_iter = 10 * dim + 2000
     est_prev = d_prev = math.inf
     settle = 0
+    changes: deque[float] = deque(maxlen=_SHRINK_STEPS)
     try:
-        for _ in range(max_iter):
+        for step in range(1, max_iter + 1):
             mv = mat.matvec(w)
             nrm = float(np.max(np.abs(mv)))
             if nrm == 0.0:
@@ -109,11 +113,14 @@ def dominant_magnitude(mat: HighOrderMatrix, tol: float = RADIUS_TOL, *,
             if sign_rel is not None and rho < _TAIL_RHO and \
                     d / (1.0 - rho) <= sign_rel * abs(math.log(est)) * est:
                 return est
+            if len(changes) == _SHRINK_STEPS and d >= changes[0]:
+                break
+            changes.append(d)
             est_prev, d_prev = est, d
         if dim <= 2000:
             return float(np.max(np.abs(np.linalg.eigvals(mat.toarray()))))
         raise PowerDivergence(
-            f"power iteration did not settle in {max_iter} steps (dim {dim})")
+            f"power iteration did not settle in {step} steps (dim {dim})")
     finally:
         if vec is not None:
             vec[:] = w

@@ -8,11 +8,19 @@ certified upper bound (r(B_s) <= 1); a nudge pass moves each endpoint
 outward in steps of root_tol until the enclosure endpoint itself
 certifies the inequality.
 
-Within one bracket every power solve starts from the eigenvector of the
-one before it, and a solve away from the root stops as soon as its
-enclosure excludes 1 and pins log r to 1%, which is all a secant step
-needs there.  The A solve starts on a short bracket below the B root:
-A <= B entrywise, so r(A) <= 1 there.
+A bracket first finds the root of log r(M_s) on a mesh 16 times
+coarser, where a matrix costs a sixteenth as much; the A/B roots
+converge to the dimension like h**2, so that root lies close to the
+fine ones.  The fine B root is then taken from it by one Newton step
+with the coarse slope and secant steps, and the fine A root the same
+way from the B root.  Each fine root aims outward, at
+root_tol/10 <= |log r| <= root_tol on the side its certificate needs,
+so the nudge pass rarely has to move it.
+
+Within one bracket every power solve on a mesh starts from the
+eigenvector of the one before it, and a solve away from the root stops
+as soon as its enclosure excludes 1 and pins log r to 1%, which is all
+a secant step needs there.
 """
 
 from __future__ import annotations
@@ -170,6 +178,98 @@ class DimensionBracket:
 
 
 _NUDGE_STEPS = 64
+_COARSEN = 16  # cell width of the coarse mesh, in fine cell widths
+_START_STEPS = 4  # steps from a start point before solve_root takes over
+
+
+def _enclosures(plan, coef, radius_tol: float):
+    """Memoized enclose(s, which) -> (r_lo, r_hi, converged) on one plan.
+
+    coef(s, which) gives the matrix's correction coefficient (None for
+    M).  Every power solve starts from the eigenvector of the one before
+    and may stop once its enclosure settles the sign of log r to 1%.
+    """
+    radii: dict[tuple[float, str], tuple[float, float, bool]] = {}
+    seed = None  # eigenvector of the latest solve, the next one's start
+
+    def enclose(s: float, which: str) -> tuple[float, float, bool]:
+        nonlocal seed
+        if (s, which) not in radii:
+            enc = power_enclosure(plan.matrix(s, coef(s, which)),
+                                  tol=radius_tol, seed_vec=seed,
+                                  sign_rel=_SIGN_REL)
+            seed = enc.eigvec
+            radii[s, which] = (enc.r_lo, enc.r_hi, enc.converged)
+        return radii[s, which]
+
+    return enclose, radii
+
+
+def _slope(points: dict[float, float], s: float) -> float:
+    """Secant slope through the two points nearest s."""
+    (s0, f0), (s1, f1) = sorted(points.items(),
+                                key=lambda p: abs(p[0] - s))[:2]
+    return (f1 - f0) / (s1 - s0)
+
+
+def _coarse_root(fam: MapFamily, mesh, initial: tuple[float, float],
+                 root_tol: float, radius_tol: float
+                 ) -> tuple[float, float, int]:
+    """Root of log r(M_s) on the same intervals meshed 16 times coarser.
+
+    Returns the root, the slope of log r between the two evaluated
+    points nearest it, and the number of matrices built.  The coarse
+    plan is dropped on return.
+    """
+    coarse = make_mesh([(p.a, p.b) for p in mesh.pieces],
+                       h=_COARSEN * mesh.h)
+    enclose, _ = _enclosures(collocation_plan(fam, coarse),
+                             lambda s, which: None, radius_tol)
+    points: dict[float, float] = {}
+
+    def log_r(s: float) -> float:
+        points[s] = _log_midpoint(*enclose(s, "M"), radius_tol)
+        return points[s]
+
+    s_c, _ = solve_root(log_r, initial, root_tol)
+    return s_c, _slope(points, s_c), len(points)
+
+
+def _toward_root(x: float, fx: float, slope: float) -> float:
+    """Newton step of a decreasing f from x, kept within a factor 2 of x.
+
+    A step that would not move, or a slope that is not negative, goes
+    the factor 2 toward the root.
+    """
+    lo, hi = x / _EXPAND, x * _EXPAND
+    t = x - fx / slope if slope < 0.0 else math.nan
+    if not (lo <= t <= hi and t != x):
+        t = hi if fx > 0.0 else lo
+    return t
+
+
+def _root_from(f, s: float, slope: float, tol: float) -> float:
+    """Root of a decreasing convex f from a start s near it.
+
+    One Newton step with the given slope, then secant steps through the
+    last two points, until |f| <= tol or f changes sign.  As f is
+    convex, a step from its negative side crosses the root unless the
+    slope is off, and steps from its positive side close in on it.
+    After 4 steps, or at the first sign change, solve_root finishes on
+    the last two points: a bracket with its ends already evaluated,
+    which it widens as usual if f has not changed sign.
+    """
+    xs, fs = [s], [f(s)]
+    for _ in range(_START_STEPS):
+        if abs(fs[-1]) <= tol:
+            return xs[-1]
+        if len(xs) > 1:
+            if (fs[-1] > 0.0) != (fs[-2] > 0.0):
+                break
+            slope = (fs[-1] - fs[-2]) / (xs[-1] - xs[-2])
+        xs.append(_toward_root(xs[-1], fs[-1], slope))
+        fs.append(f(xs[-1]))
+    return solve_root(f, (min(xs[-2:]), max(xs[-2:])), tol)[0]
 
 
 def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
@@ -178,33 +278,32 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
                       ) -> DimensionBracket:
     """Bracket the dimension with certified enclosure endpoints.
 
-    s_upper comes from the root of log r(B_s) nudged upward until the
-    enclosure satisfies r_hi(B) <= 1; s_lower from the root of
-    log r(A_s) nudged downward until r_lo(A) >= 1.  If 64 nudge steps do
-    not certify an endpoint the bracket is returned with certified=False.
-    The A solve starts on a short bracket just below the B root.  The
-    collocation plan and the bound plan are built once and serve every s
-    the solves visit; each power solve starts from the eigenvector of
-    the one before and may stop once its enclosure settles the sign of
-    log r to 1% (sign_rel).
+    The root s_c of log r(M_s) on the same intervals meshed 16 times
+    coarser is found by solve_root from initial; that plan is dropped
+    before the fine one is built.  The fine B root starts at s_c with
+    one Newton step on the coarse slope and aims at
+    -root_tol <= log r(B) <= -root_tol/10; the A root starts the same
+    way at the B root, on the slope of log r(B), and aims at
+    root_tol/10 <= log r(A) <= root_tol.  Each lands on the side its
+    certificate needs: s_upper is nudged upward until the enclosure
+    satisfies r_hi(B) <= 1, s_lower downward until r_lo(A) >= 1.  If 64 nudge steps do not
+    certify an endpoint the bracket is returned with certified=False.
+    The fine collocation plan and the bound plan are built once and
+    serve every s the fine solves visit.  evals counts the matrices
+    built on both meshes.
     """
+    s_c, slope, coarse_evals = _coarse_root(fam, mesh, initial, root_tol,
+                                            radius_tol)
     plan = collocation_plan(fam, mesh)
     bound_plan = BoundPlan(fam)
     models: dict[float, ErrorModel] = {}  # A and B share an s at B's root
-    radii: dict[tuple[float, str], tuple[float, float, bool]] = {}
-    seed = None  # eigenvector of the latest solve, the next one's start
 
-    def enclose(s: float, which: str) -> tuple[float, float, bool]:
-        nonlocal seed
-        if (s, which) not in radii:
-            if s not in models:
-                models[s] = error_model(fam, s, mesh.h, bound_plan)
-            matrix = plan.matrix(s, _coef(models[s], which))
-            enc = power_enclosure(matrix, tol=radius_tol, seed_vec=seed,
-                                  sign_rel=_SIGN_REL)
-            seed = enc.eigvec
-            radii[s, which] = (enc.r_lo, enc.r_hi, enc.converged)
-        return radii[s, which]
+    def coef(s: float, which: str) -> float:
+        if s not in models:
+            models[s] = error_model(fam, s, mesh.h, bound_plan)
+        return _coef(models[s], which)
+
+    enclose, radii = _enclosures(plan, coef, radius_tol)
 
     def log_r(s: float, which: str) -> float:
         return _log_midpoint(*enclose(s, which), radius_tol)
@@ -218,24 +317,21 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
             s += step
         return s, False
 
-    s_b, _ = solve_root(lambda x: log_r(x, "B"), initial, root_tol)
-    # The slope of log r(B) near s_b, from the two points of its root
-    # solve nearest s_b (radii holds no other point yet).
-    (s0, f0), (s1, f1) = sorted(((s, log_r(s, "B")) for s, _ in radii),
-                                key=lambda v: abs(v[0] - s_b))[:2]
-    slope = (f1 - f0) / (s1 - s0)
+    # Aim for root_tol/10 <= |log r| <= root_tol on the side each
+    # certificate needs, so an endpoint keeps a margin of root_tol/10
+    # there, far above the rounding of the matrix and its power solve.
+    margin = 0.1 * root_tol
+    aim, tol = 0.5 * (root_tol + margin), 0.5 * (root_tol - margin)
+    s_b = _root_from(lambda x: log_r(x, "B") + aim, s_c, slope, tol)
+    b_points = {s: log_r(s, "B") for s, which in radii if which == "B"}
+    if len(b_points) > 1:
+        slope = _slope(b_points, s_b)
     s_up, cert_up = certify(s_b, "B", root_tol)
-    # log r(A) <= log r(B) ~ 0 at s_b, and both fall at about B's slope:
-    # twice that step below s_b, plus four root_tol, should reach
-    # log r(A) > 0; solve_root widens a bracket that falls short.
-    reach = 2.0 * abs(log_r(s_b, "A")) / abs(slope) if slope else math.inf
-    s_a, _ = solve_root(lambda x: log_r(x, "A"),
-                        (max(0.5 * s_b, s_b - reach - 4.0 * root_tol), s_b),
-                        root_tol)
+    s_a = _root_from(lambda x: log_r(x, "A") - aim, s_b, slope, tol)
     s_lo, cert_lo = certify(s_a, "A", -root_tol)
     return DimensionBracket(
         s_lower=s_lo, s_upper=s_up, mesh_h=mesh.h, family_id=fam.family_id,
-        evals=len(radii), certified=cert_up and cert_lo,
+        evals=coarse_evals + len(radii), certified=cert_up and cert_lo,
     )
 
 

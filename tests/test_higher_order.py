@@ -7,6 +7,7 @@ import pytest
 from hausdim import (
     BadParams,
     ParamOutOfRange,
+    PowerDivergence,
     assemble,
     assemble_highorder,
     dominant_magnitude,
@@ -139,12 +140,49 @@ def test_dominant_magnitude_warm_start_and_sign_stop():
         == pytest.approx(1.0, rel=1e-12)
     # Complex pair +-i sqrt(2): the estimate alternates 2, 1, so neither
     # stop fires and the dense fallback still answers.  The iterates cycle
-    # with period 4 through (1, 1), and the last one overwrites vec.
+    # with period 4 through (1, 1), (-1, 0.5), (-1, -1), (1, -0.5); the
+    # fallback comes after 66 steps, and that iterate overwrites vec.
     vec = np.array([2.0, 2.0])
     got = dominant_magnitude(Dense([[0.0, -2.0], [1.0, 0.0]]), vec=vec,
                              sign_rel=0.01)
     assert got == pytest.approx(math.sqrt(2.0), rel=1e-8)
-    assert np.array_equal(vec, [1.0, 1.0])
+    assert np.array_equal(vec, [-1.0, -1.0])
+
+
+def test_dominant_magnitude_complex_pair_falls_back_early():
+    # The estimate changes of a complex dominant pair do not shrink, so
+    # the dense fallback answers once 64 steps have shown that, not
+    # after all 10*dim + 2000 steps (2020 matvecs here before).
+    class Counting(Dense):
+        matvecs = 0
+
+        def matvec(self, w):
+            self.matvecs += 1
+            return super().matvec(w)
+
+    mat = Counting([[0.0, -2.0], [1.0, 0.0]])
+    assert dominant_magnitude(mat) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert mat.matvecs <= 100
+
+
+def test_dominant_magnitude_complex_pair_beyond_dense_size():
+    # Past dim 2000 there is no dense fallback: the oscillation is
+    # reported as PowerDivergence after a few dozen steps.
+    class Rotation:
+        dim = 2002
+        matvecs = 0
+
+        def matvec(self, w):
+            self.matvecs += 1
+            out = np.empty_like(w)
+            out[0::2] = -2.0 * w[1::2]
+            out[1::2] = w[0::2]
+            return out
+
+    mat = Rotation()
+    with pytest.raises(PowerDivergence):
+        dominant_magnitude(mat)
+    assert mat.matvecs <= 100
 
 
 @pytest.mark.parametrize("vec", [

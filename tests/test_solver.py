@@ -1,8 +1,11 @@
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hausdim import (
     BadParams,
@@ -27,6 +30,28 @@ from hausdim.bounds import mobius_ratio_bounds
 from hausdim.discretize import CollocationPlan
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
+EXACT_DIGITS = 40
+with mpmath.workdps(EXACT_DIGITS):
+    EXACT_LOG2_3 = mpmath.log(2) / mpmath.log(3)
+
+
+def _contains(lo: float, hi: float, exact) -> bool:
+    """Whether [lo, hi] contains an exact value (mpf, compared exactly)."""
+    return mpmath.mpf(lo) <= exact <= mpmath.mpf(hi)
+
+
+def _moran_root(ratios):
+    """Root of sum r_i^s = 1 to 40 digits, by bisection on (0, 1]."""
+    with mpmath.workdps(EXACT_DIGITS):
+        rs = [mpmath.mpf(r) for r in ratios]
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(4 * EXACT_DIGITS):
+            mid = (lo + hi) / 2
+            if sum(r ** mid for r in rs) > 1:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
 
 
 def test_log_radius_affine_cantor_closed_form():
@@ -163,10 +188,21 @@ def test_bracket_dimension_affine_cantor():
     mesh = make_mesh(fam.domain, n=500)
     br = bracket_dimension(fam, mesh)
     assert br.certified
-    assert br.s_lower <= LOG2_3 <= br.s_upper
+    assert _contains(br.s_lower, br.s_upper, EXACT_LOG2_3)
     assert br.width <= 1e-10
     assert br.family_id == fam.family_id
     assert br.mesh_h == mesh.h
+
+
+@pytest.mark.parametrize("h", [0.02, 0.01, 1e-3])
+def test_cantor_zero_bracket_contains_exact_dimension(h):
+    # A = B = M for the middle-thirds pair, so each endpoint is its root
+    # solve's point: the bracket must contain ln2/ln3 itself, not just
+    # the double below it.
+    br = bracket_dimension(make_cantor_family(0.0),
+                           make_mesh((0.0, 1.0), h=h))
+    assert br.certified
+    assert _contains(br.s_lower, br.s_upper, EXACT_LOG2_3)
 
 
 def test_bracket_dimension_certified_endpoints():
@@ -243,7 +279,7 @@ def test_convergence_study_floor_at_root_tolerance():
     fam = make_cantor_family(0.0)
     study = convergence_study(fam, [0.01, 0.005])
     for _, lo, up, width in study.rows:
-        assert lo <= LOG2_3 <= up
+        assert _contains(lo, up, EXACT_LOG2_3)
         assert width <= 1e-11
 
 
@@ -294,7 +330,7 @@ def test_bracket_builds_each_matrix_once(monkeypatch):
     model = solver.error_model
 
     def counting(self, s, coef=None):
-        built.append((s, coef))
+        built.append((self.dim, s, coef))
         return data(self, s, coef)
 
     def counting_model(fam, s, h, bound_plan=None):
@@ -304,9 +340,43 @@ def test_bracket_builds_each_matrix_once(monkeypatch):
     monkeypatch.setattr(CollocationPlan, "data", counting)
     monkeypatch.setattr(solver, "error_model", counting_model)
     fam = make_mobius_family([1, 2])
-    br = bracket_dimension(fam, make_mesh(fam.domain, n=80))
+    mesh = make_mesh(fam.domain, n=80)
+    br = bracket_dimension(fam, mesh)
     assert len(built) == len(set(built)) == br.evals > 0
-    assert sorted(modelled) == sorted({s for s, _ in built})
+    # evals counts the coarse-mesh M matrices too; they need no error
+    # model, so the models match the fine-mesh builds alone.
+    fine = {s for dim, s, _ in built if dim == mesh.dim}
+    assert 0 < len(fine) < br.evals
+    assert sorted(modelled) == sorted(fine)
+
+
+@pytest.mark.parametrize("case,fine_before,fine_budget", [
+    ("cf12_h1e-4", 14, 7),
+    ("cantor05_h1e-3", 13, 8),
+], ids=["cf12_h1e-4", "cantor05_h1e-3"])
+def test_bracket_fine_matrix_budget(monkeypatch, case, fine_before,
+                                    fine_budget):
+    """The root found on the coarse mesh leaves few fine matrices.
+
+    Started from the initial bracket on the fine mesh, cf{1,2} at
+    h = 1e-4 built 14 fine matrices and Cantor a = 0.5 at h = 1e-3
+    built 13.
+    """
+    dims = []
+    data = CollocationPlan.data
+
+    def counting(self, s, coef=None):
+        dims.append(self.dim)
+        return data(self, s, coef)
+
+    monkeypatch.setattr(CollocationPlan, "data", counting)
+    fam, h = {"cf12_h1e-4": (make_mobius_family([1, 2]), 1e-4),
+              "cantor05_h1e-3": (make_cantor_family(0.5), 1e-3)}[case]
+    mesh = make_mesh((0.0, 1.0), h=h)
+    br = bracket_dimension(fam, mesh)
+    assert br.certified
+    assert br.evals == len(dims)
+    assert dims.count(mesh.dim) <= fine_budget < fine_before
 
 
 @pytest.mark.parametrize("case,before_its,before_evals", [
@@ -362,12 +432,13 @@ def test_bracket_builds_bound_plan_once(poly_fam):
     assert len(grids) == len(set(grids))
 
 
-def _affine_pair(ratio):
-    """x -> r x and x -> r x + 1 - r on [0, 1], with the default label."""
+def _affine_family(ratios):
+    """Increasing affine maps x -> r_j x + t_j on [0, 1], left to right
+    with equal gaps, under the default label."""
     def const(value):
         return lambda x: np.full_like(np.asarray(x, dtype=float), value)
 
-    def spec(offset, label):
+    def spec(ratio, offset, label):
         return MapSpec(label=label,
                        eval=lambda x: ratio * np.asarray(x, dtype=float) + offset,
                        d1=const(ratio), d2=const(0.0), d3=const(0.0),
@@ -375,8 +446,17 @@ def _affine_pair(ratio):
                        weight_r2=const(0.0), weight_r3=const(0.0),
                        d1_sup=ratio)
 
-    return make_custom_family([spec(0.0, "left"), spec(1.0 - ratio, "right")],
-                              (0.0, 1.0))
+    gap = (1.0 - sum(ratios)) / (len(ratios) - 1)
+    specs, offset = [], 0.0
+    for j, ratio in enumerate(ratios):
+        specs.append(spec(ratio, offset, f"affine-{j}"))
+        offset += ratio + gap
+    return make_custom_family(specs, (0.0, 1.0))
+
+
+def _affine_pair(ratio):
+    """x -> r x and x -> r x + 1 - r on [0, 1], with the default label."""
+    return _affine_family([ratio, ratio])
 
 
 def test_brackets_of_same_label_families_stay_independent():
@@ -384,10 +464,24 @@ def test_brackets_of_same_label_families_stay_independent():
     # second bracket must come from its own matrices.
     mesh = make_mesh((0.0, 1.0), h=1e-2)
     first = bracket_dimension(_affine_pair(1.0 / 3.0), mesh)
-    assert first.s_lower <= LOG2_3 <= first.s_upper
+    assert _contains(first.s_lower, first.s_upper, EXACT_LOG2_3)
     second = bracket_dimension(_affine_pair(0.25), mesh)
     assert second.evals > 0
     assert second.s_lower <= 0.5 <= second.s_upper
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.integers(2, 3).flatmap(
+    lambda n: st.lists(st.floats(0.02, 0.9 / n), min_size=n, max_size=n)))
+def test_affine_bracket_contains_moran_root(ratios):
+    # L_s maps constants to sum r_j^s times themselves, so an affine
+    # family's dimension is the root of sum r_j^s = 1 (Moran), known to
+    # 40 digits; A = B = M, so nothing but the root solves and their
+    # certificates stands between the bracket and that root.
+    br = bracket_dimension(_affine_family(ratios),
+                           make_mesh((0.0, 1.0), h=0.01))
+    assert br.certified
+    assert _contains(br.s_lower, br.s_upper, _moran_root(ratios))
 
 
 def test_solver_economy_on_discretized_curve():
