@@ -33,7 +33,6 @@ from .discretize import (
     error_model,
     interp_weights,
     make_mesh,
-    row_sums,
 )
 from .errors import (
     BadIndex,

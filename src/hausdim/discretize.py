@@ -21,6 +21,12 @@ kept in the order collocation makes them; each matrix at one s is then
 g^s and the correction once per (node, map) and one product per entry.
 One loop serves every degree: the hat basis is the degree-1 case of the
 piecewise Lagrange basis that higher_order uses.
+
+The plan is filled in blocks of nodes, all maps at once, straight into
+its final (node, map, basis) order, and the matrix entries at one s are
+built block by block into their output buffer.  A point's cell on a
+uniform piece comes from floor((y - a)/h) and one correcting step
+against the piece's nodes, which picks the same cell as a binary search.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from .ifs import CLAMP_REL_TOL, MapFamily, _as_index, _as_real, eval_map
 __all__ = [
     "Mesh", "make_mesh", "interp_weights", "ErrorModel",
     "error_model", "SparseNonnegMatrix", "MatrixTriple", "CollocationPlan",
-    "collocation_plan", "assemble", "row_sums", "dump_matrix",
+    "collocation_plan", "assemble", "dump_matrix",
 ]
 
 
@@ -142,6 +148,26 @@ def _join(pieces) -> Mesh:
     return Mesh(pieces=tuple(pieces), nodes=nodes, offsets=tuple(offsets))
 
 
+def _cells(piece: MeshPiece, ys: np.ndarray):
+    """Local cells, right hat weights and Q of points within one piece.
+
+    The cell is the last node at or left of y, capped at n - 1, as
+    searchsorted(nodes, y, side="right") - 1 would choose it, but found
+    by arithmetic: floor((y - a) / h) and one step against the nodes.
+    The guess is off by a few ulps of (|a| + |y - a|) / h cells, so
+    one step suffices whenever a cell is wider than a few ulps of a.
+    """
+    nodes = piece.nodes
+    y = np.clip(ys, piece.a, piece.b)
+    r = np.minimum((y - piece.a) / piece.h, piece.n - 1).astype(np.intp)
+    r = r - (nodes[r] > y)
+    r = r + ((nodes[r + 1] <= y) & (r < piece.n - 1))
+    x_r = nodes[r]
+    t = np.clip((y - x_r) / piece.h, 0.0, 1.0)
+    q = np.maximum((nodes[r + 1] - y) * (y - x_r), 0.0)
+    return r, 1.0 - (1.0 - t), q
+
+
 def _locate(mesh: Mesh, ys: np.ndarray):
     """Cells and right hat weights for query points, numbered globally.
 
@@ -149,16 +175,20 @@ def _locate(mesh: Mesh, ys: np.ndarray):
     x_r of the cell containing y, w_right = fl(1 - fl(1 - t)) for the
     local coordinate t in [0, 1], so w_left = 1 - w_right is fl(1 - t)
     and w_left + w_right = 1 exactly, and Q(y) = (x_{r+1} - y)(y - x_r)
-    >= 0.  Points outside every piece by more than the clamp tolerance
-    raise OutOfDomain.
+    >= 0.  A point within the clamp tolerance of several pieces belongs
+    to the first.  Points outside every piece by more than the clamp
+    tolerance raise OutOfDomain.
     """
     pieces, offsets = mesh.pieces, mesh.offsets
     lo, hi = mesh.span
     tol = CLAMP_REL_TOL * (hi - lo)
     ys = np.asarray(ys, dtype=float)
-    if np.any(ys < lo - tol) or np.any(ys > hi + tol):
+    within = bool(((ys >= lo - tol) & (ys <= hi + tol)).all())
+    if not within and (np.any(ys < lo - tol) or np.any(ys > hi + tol)):
         raise OutOfDomain("interpolation point outside the meshed domain")
-    c0 = np.empty(ys.shape, dtype=np.int64)
+    if within and len(pieces) == 1:
+        return _cells(pieces[0], ys)
+    c0 = np.empty(ys.shape, dtype=np.intp)
     wr = np.empty(ys.shape, dtype=float)
     q = np.empty(ys.shape, dtype=float)
     assigned = np.zeros(ys.shape, dtype=bool)
@@ -166,13 +196,8 @@ def _locate(mesh: Mesh, ys: np.ndarray):
         mask = (~assigned) & (ys >= piece.a - tol) & (ys <= piece.b + tol)
         if not np.any(mask):
             continue
-        y = np.clip(ys[mask], piece.a, piece.b)
-        r = np.searchsorted(piece.nodes, y, side="right") - 1
-        r = np.clip(r, 0, piece.n - 1)
-        t = np.clip((y - piece.nodes[r]) / piece.h, 0.0, 1.0)
+        r, wr[mask], q[mask] = _cells(piece, ys[mask])
         c0[mask] = off + r
-        wr[mask] = 1.0 - (1.0 - t)
-        q[mask] = np.maximum((piece.nodes[r + 1] - y) * (y - piece.nodes[r]), 0.0)
         assigned[mask] = True
     if not np.all(assigned):
         raise OutOfDomain("interpolation point falls in a gap between pieces")
@@ -289,11 +314,6 @@ class SparseNonnegMatrix(CsrMatrix):
         return out
 
 
-def row_sums(matrix: SparseNonnegMatrix) -> np.ndarray:
-    """Per-row sums in index order (fixed summation order)."""
-    return matrix.row_sums()
-
-
 def dump_matrix(matrix: SparseNonnegMatrix, n: int, s: float,
                 family_id: str) -> str:
     """Text dump: header 'dim n s family-id', one 'row col value' per entry."""
@@ -318,16 +338,31 @@ class MatrixTriple:
 # collocation plan
 
 _MAX_DEGREE = 8
+# (node, map) pairs per block of the plan build and of CollocationPlan.data:
+# enough that per-map calls are few and that every degree-6 plan at
+# h = 0.002 builds its entries whole, few enough that a block's
+# temporaries stay small next to a wide plan.
+_BLOCK = 1 << 17
 
 
-def _lagrange_rows(t: np.ndarray, degree: int) -> np.ndarray:
-    """Weights of the d+1 equispaced-node Lagrange basis at local t."""
+def _lagrange_rows(t: np.ndarray, degree: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Weights of the d+1 equispaced-node Lagrange basis at local t.
+
+    Row q of the (d+1, t.size) result holds basis q; out, when given, is
+    filled instead (a transposed view of the plan's weights, say).
+    """
     u = degree * t
-    out = np.ones((degree + 1, t.size))
+    if out is None:
+        out = np.empty((degree + 1, t.size))
     for q in range(degree + 1):
+        row = None
         for p in range(degree + 1):
             if p != q:
-                out[q] *= (u - p) / (q - p)
+                factor = u - p
+                factor /= q - p
+                row = factor if row is None else np.multiply(row, factor, out=row)
+        out[q] = row
     return out
 
 
@@ -341,7 +376,9 @@ class CollocationPlan:
     arange(0, P*dim + 1, P).  indptr/indices (int32) are shared by every
     matrix built from the plan.  log_weight and q (the hat basis's Q,
     largest value q_max; None for degree > 1) hold one value per
-    (node, map), weight one per entry.
+    (node, map), weight one per entry.  collocation_plan fills every
+    array in this final order, one block of _BLOCK (node, map) pairs
+    at a time, and data builds the entries block by block too.
     """
 
     dim: int
@@ -360,9 +397,10 @@ class CollocationPlan:
         coef_hi gives A and coef_lo gives B (hat basis only).  Every
         factor 1 - coef Q is positive when coef * q_max < 1.  g^s and
         1 - coef Q are computed once per (node, map) and repeated over
-        the d+1 basis entries.
+        the d+1 basis entries.  A plan of more than _BLOCK (node, map)
+        pairs goes a block at a time into the output buffer, so the
+        only full-size array made is the output itself.
         """
-        g = np.exp(s * self.log_weight)
         if coef is not None:
             if self.q is None:
                 raise BadParams(
@@ -370,15 +408,55 @@ class CollocationPlan:
             if not (math.isfinite(coef) and coef * self.q_max < 1.0):
                 raise ErrTooLarge(f"matrix correction {coef!r} * Q reaches 1; "
                                   "refine the mesh")
-            g *= 1.0 - coef * self.q
-        vals = np.repeat(g, self.degree + 1)
-        vals *= self.weight
-        return vals
+        n_basis = self.degree + 1
+        if self.log_weight.size <= _BLOCK:
+            vals = np.repeat(self._factor(s, coef, slice(None)), n_basis)
+            vals *= self.weight
+            return vals
+        out = np.empty(self.weight.size)
+        for lo in range(0, self.log_weight.size, _BLOCK):
+            entries = slice(lo * n_basis, (lo + _BLOCK) * n_basis)
+            g = self._factor(s, coef, slice(lo, lo + _BLOCK))
+            np.multiply(np.repeat(g, n_basis), self.weight[entries],
+                        out=out[entries])
+        return out
+
+    def _factor(self, s: float, coef: float | None, pairs: slice) -> np.ndarray:
+        """g^s * (1 - coef Q) for the (node, map) pairs in the slice."""
+        g = np.multiply(self.log_weight[pairs], s)
+        np.exp(g, out=g)
+        if coef is not None:
+            fix = np.multiply(self.q[pairs], coef)
+            np.subtract(1.0, fix, out=fix)
+            g *= fix
+        return g
 
     def matrix(self, s: float, coef: float | None = None) -> SparseNonnegMatrix:
         """Nonnegative matrix at s on the plan's pattern (see data)."""
         return SparseNonnegMatrix(self.dim, self.indptr, self.indices,
                                   self.data(s, coef))
+
+
+def _map_error(fam: MapFamily, mesh: Mesh, x: np.ndarray) -> Exception:
+    """The error of the first map, in order, that cannot collocate at x.
+
+    Map by map, a missing log_weight is MissingDerivatives, an image
+    outside the mesh MapEscapesDomain and a log_weight that is not
+    finite at x ParamOutOfRange; each names the map.  collocation_plan
+    calls it once some block has failed, so the error does not depend
+    on which block failed first.
+    """
+    for j, spec in enumerate(fam.maps):
+        if spec.log_weight is None:
+            return MissingDerivatives(f"map {spec.label!r} has no log_weight")
+        try:
+            _locate(mesh, eval_map(fam, j, x))
+        except OutOfDomain as exc:
+            return MapEscapesDomain(f"map {spec.label!r}: {exc}")
+        if not np.isfinite(spec.log_weight(x)).all():
+            return ParamOutOfRange(
+                f"weight of map {spec.label!r} is not positive on the domain")
+    raise AssertionError("every map collocates at x")
 
 
 def collocation_plan(fam: MapFamily, mesh: Mesh,
@@ -389,9 +467,14 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
     piece on the piecewise degree-d Lagrange basis; degree 1 is the hat
     basis on the mesh nodes.  Row k holds, for every map j in order, the
     d+1 basis weights of theta_j(x_k) on consecutive columns.  A mesh
-    that reaches outside fam.domain raises OutOfDomain, a map without
-    log_weight MissingDerivatives, and one whose log_weight is not
-    finite at a collocation node ParamOutOfRange.
+    that reaches outside fam.domain raises OutOfDomain.  Checked map by
+    map, a map without log_weight raises MissingDerivatives, one with an
+    image outside the mesh MapEscapesDomain, and one whose log_weight is
+    not finite at a collocation node ParamOutOfRange.
+
+    The nodes go in blocks of about _BLOCK (node, map) pairs: every map
+    and log-weight is evaluated on the block, one _locate call finds all
+    its images, and each result is written into its final slice.
     """
     if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool):
         raise ParamOutOfRange(f"degree must be an integer, got {degree!r}")
@@ -404,33 +487,49 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
         raise OutOfDomain(
             f"mesh span {mesh.span} leaves the domain [{lo}, {hi}]")
     fine = _join([_mesh_piece(p.a, p.b, p.n * degree) for p in mesh.pieces])
+    x = fine.nodes
+    # eval_map's domain check and clip, once for every map and block.
+    if (any(spec.log_weight is None for spec in fam.maps)
+            or np.any(x < lo - tol) or np.any(x > hi + tol)):
+        raise _map_error(fam, mesh, x)
+    x_in = np.clip(x, lo, hi)
     # Degree-d column of each mesh node: cell c spans base[c] .. base[c]+d.
-    base = np.concatenate([off + degree * np.arange(p.n + 1)
+    base = np.concatenate([off + degree * np.arange(p.n + 1, dtype=np.int32)
                            for p, off in zip(mesh.pieces, fine.offsets)])
-    shape = (fine.dim, fam.n_maps)
-    cols = np.empty(shape + (degree + 1,), dtype=np.int32)
-    weight = np.empty(shape + (degree + 1,))
-    log_weight = np.empty(shape)
-    q = np.empty(shape)
-    for j, spec in enumerate(fam.maps):
-        if spec.log_weight is None:
-            raise MissingDerivatives(f"map {spec.label!r} has no log_weight")
+    n_maps, n_basis = fam.n_maps, degree + 1
+    indices = np.empty(fine.dim * n_maps * n_basis, dtype=np.int32)
+    weight = np.empty(indices.size)
+    log_weight = np.empty(fine.dim * n_maps)
+    q = np.empty(log_weight.size) if degree == 1 else None
+    step = max(1, _BLOCK // n_maps)
+    images = np.empty((step, n_maps))
+    logs = np.empty((step, n_maps))
+    for start in range(0, fine.dim, step):
+        nodes = slice(start, min(start + step, fine.dim))
+        y, lw = images[:nodes.stop - start], logs[:nodes.stop - start]
+        for j, spec in enumerate(fam.maps):
+            y[:, j] = spec.eval(x_in[nodes])
+            lw[:, j] = spec.log_weight(x[nodes])
         try:
-            cell, wr, q[:, j] = _locate(mesh, eval_map(fam, j, fine.nodes))
-        except OutOfDomain as exc:
-            raise MapEscapesDomain(f"map {spec.label!r}: {exc}") from None
-        log_weight[:, j] = spec.log_weight(fine.nodes)
-        if not np.isfinite(log_weight[:, j]).all():
-            raise ParamOutOfRange(
-                f"weight of map {spec.label!r} is not positive on the domain")
-        cols[:, j] = base[cell, None] + np.arange(degree + 1)
-        weight[:, j] = _lagrange_rows(wr, degree).T
-    q = q.ravel() if degree == 1 else None
+            cell, wr, qb = _locate(mesh, y.ravel())
+        except OutOfDomain:
+            cell = None
+        if cell is None or not np.isfinite(lw).all():
+            raise _map_error(fam, mesh, x)
+        pairs = slice(start * n_maps, nodes.stop * n_maps)
+        log_weight[pairs] = lw.ravel()
+        if q is not None:
+            q[pairs] = qb
+        entries = slice(pairs.start * n_basis, pairs.stop * n_basis)
+        cols = indices[entries].reshape(-1, n_basis).T
+        cols[0] = base[cell]
+        for p in range(1, n_basis):
+            np.add(cols[0], p, out=cols[p])
+        _lagrange_rows(wr, degree, out=weight[entries].reshape(-1, n_basis).T)
     return CollocationPlan(
         dim=fine.dim, degree=degree,
-        indptr=np.arange(0, cols.size + 1, cols[0].size, dtype=np.int32),
-        indices=cols.ravel(), weight=weight.ravel(),
-        log_weight=log_weight.ravel(), q=q,
+        indptr=np.arange(0, indices.size + 1, n_maps * n_basis, dtype=np.int32),
+        indices=indices, weight=weight, log_weight=log_weight, q=q,
         q_max=None if q is None else float(q.max()),
     )
 

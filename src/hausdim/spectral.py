@@ -107,10 +107,11 @@ def power_enclosure(matrix, tol: float = RADIUS_TOL,
     converged = False
     for iterations in range(1, 10 * n + 1001):
         mv = _matvec(matrix, w)
-        if mv.min() <= 0.0:
-            raise ZeroRowSum("matrix has a zero row; enclosure iteration degenerates")
         ratios = mv / w
         lo = float(ratios.min())
+        # w > 0, so the least ratio has the sign of the least entry of M w.
+        if lo <= 0.0:
+            raise ZeroRowSum("matrix has a zero row; enclosure iteration degenerates")
         hi = float(ratios.max())
         if collect_history:
             history.append((lo, hi))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -29,9 +30,10 @@ from hausdim import (
     make_mesh,
     make_mobius_family,
     reduce_domain,
-    row_sums,
 )
-from hausdim.discretize import _lagrange_rows
+from hausdim import discretize
+from hausdim.discretize import _join, _lagrange_rows, _locate, _mesh_piece
+from hausdim.ifs import CLAMP_REL_TOL
 
 
 def test_make_mesh_single_interval():
@@ -238,7 +240,7 @@ def test_assemble_affine_cantor_row_sums():
     mesh = make_mesh(fam.domain, n=50)
     s = math.log(2.0) / math.log(3.0)
     triple = assemble(fam, mesh, s)
-    sums = row_sums(triple.M)
+    sums = triple.M.row_sums()
     # Constant weight (1/3)^s per map, hat weights sum to one.
     assert np.allclose(sums, 2.0 * 3.0**-s, rtol=1e-14, atol=0)
     assert np.allclose(sums, 1.0, rtol=1e-14, atol=0)
@@ -394,7 +396,7 @@ def test_collocation_plan_one_entry_per_contribution(degree):
         assert np.unique(pairs).size < pairs.size
 
 
-@settings(max_examples=500, deadline=None, database=None)
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
 @given(st.floats(0.0, 1.0))
 def test_hat_weights_from_the_right_weight(t):
     # The hat basis is the degree-1 Lagrange basis at w_right: with
@@ -405,6 +407,201 @@ def test_hat_weights_from_the_right_weight(t):
     assert 1.0 - wr == wl
     basis = _lagrange_rows(np.array([wr]), 1)
     assert (basis[0, 0], basis[1, 0]) == (wl, wr)
+
+
+def _reference_locate(mesh, ys):
+    # _locate as it was with a searchsorted cell lookup, kept as the oracle
+    # for the arithmetic one.
+    pieces, offsets = mesh.pieces, mesh.offsets
+    lo, hi = mesh.span
+    tol = CLAMP_REL_TOL * (hi - lo)
+    ys = np.asarray(ys, dtype=float)
+    if np.any(ys < lo - tol) or np.any(ys > hi + tol):
+        raise OutOfDomain("interpolation point outside the meshed domain")
+    c0 = np.empty(ys.shape, dtype=np.int64)
+    wr = np.empty(ys.shape, dtype=float)
+    q = np.empty(ys.shape, dtype=float)
+    assigned = np.zeros(ys.shape, dtype=bool)
+    for piece, off in zip(pieces, offsets[:-1]):
+        mask = (~assigned) & (ys >= piece.a - tol) & (ys <= piece.b + tol)
+        if not np.any(mask):
+            continue
+        y = np.clip(ys[mask], piece.a, piece.b)
+        r = np.searchsorted(piece.nodes, y, side="right") - 1
+        r = np.clip(r, 0, piece.n - 1)
+        t = np.clip((y - piece.nodes[r]) / piece.h, 0.0, 1.0)
+        c0[mask] = off + r
+        wr[mask] = 1.0 - (1.0 - t)
+        q[mask] = np.maximum((piece.nodes[r + 1] - y) * (y - piece.nodes[r]), 0.0)
+        assigned[mask] = True
+    if not np.all(assigned):
+        raise OutOfDomain("interpolation point falls in a gap between pieces")
+    return c0, wr, q
+
+
+_LOCATE_MESHES = (
+    make_mesh((0.0, 1.0), n=4),
+    make_mesh((0.0, 1.0), n=997),
+    make_mesh((0.3, 1.7), h=1e-3),
+    make_mesh((-2.5, -0.1), n=3001),
+    make_mesh(reduce_domain(make_mobius_family([1, 2]), 2), h=0.003),
+    make_mesh(reduce_domain(make_mobius_family([1, 2, 3]), 1), h=1e-3),
+)
+
+
+@st.composite
+def _mesh_points(draw):
+    # Nodes and their ulp neighbours, piece ends, points just inside and
+    # just outside the clamp tolerance, and points anywhere in the span.
+    mesh = draw(st.sampled_from(_LOCATE_MESHES))
+    lo, hi = mesh.span
+    tol = CLAMP_REL_TOL * (hi - lo)
+    points = []
+    for _ in range(draw(st.integers(1, 40))):
+        piece = draw(st.sampled_from(mesh.pieces))
+        node = piece.nodes[draw(st.integers(0, piece.n))]
+        points.append(draw(st.sampled_from([
+            node, np.nextafter(node, math.inf), np.nextafter(node, -math.inf),
+            piece.a, piece.b, piece.a - 0.99 * tol, piece.b + 0.99 * tol,
+            piece.a - 1.01 * tol, piece.b + 1.01 * tol,
+            draw(st.floats(lo, hi)),
+        ])))
+    return mesh, np.array(points)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_mesh_points())
+def test_arithmetic_locate_matches_searchsorted(case):
+    mesh, ys = case
+    try:
+        want = _reference_locate(mesh, ys)
+    except OutOfDomain as exc:
+        with pytest.raises(OutOfDomain, match=str(exc)):
+            _locate(mesh, ys)
+        return
+    got = _locate(mesh, ys)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    c0, wr, _ = want
+    for y, c, r in zip(ys, c0, wr):
+        assert interp_weights(mesh, y) == (int(c), float(1.0 - r), float(r))
+
+
+def _reference_lagrange_rows(t, degree):
+    u = degree * t
+    out = np.ones((degree + 1, t.size))
+    for q in range(degree + 1):
+        for p in range(degree + 1):
+            if p != q:
+                out[q] *= (u - p) / (q - p)
+    return out
+
+
+def _reference_plan(fam, mesh, degree):
+    # The per-map plan builder as it was before the block fill: map by
+    # map, strided writes into (dim, n_maps, d+1) arrays.
+    fine = _join([_mesh_piece(p.a, p.b, p.n * degree) for p in mesh.pieces])
+    base = np.concatenate([off + degree * np.arange(p.n + 1)
+                           for p, off in zip(mesh.pieces, fine.offsets)])
+    shape = (fine.dim, fam.n_maps)
+    cols = np.empty(shape + (degree + 1,), dtype=np.int32)
+    weight = np.empty(shape + (degree + 1,))
+    log_weight = np.empty(shape)
+    q = np.empty(shape)
+    for j, spec in enumerate(fam.maps):
+        cell, wr, q[:, j] = _reference_locate(mesh, eval_map(fam, j, fine.nodes))
+        log_weight[:, j] = spec.log_weight(fine.nodes)
+        cols[:, j] = base[cell, None] + np.arange(degree + 1)
+        weight[:, j] = _reference_lagrange_rows(wr, degree).T
+    q = q.ravel() if degree == 1 else None
+    return dict(
+        indptr=np.arange(0, cols.size + 1, cols[0].size, dtype=np.int32),
+        indices=cols.ravel(), weight=weight.ravel(),
+        log_weight=log_weight.ravel(), q=q,
+        q_max=None if q is None else float(q.max()),
+    )
+
+
+def _one_map_family():
+    maps = [MapSpec(label="(x+1)/(x+3)", eval=lambda x: (x + 1.0) / (x + 3.0),
+                    d1=lambda x: 2.0 / (x + 3.0) ** 2,
+                    log_weight=lambda x: math.log(2.0) - 2.0 * np.log(x + 3.0))]
+    return make_custom_family(maps, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("block", [None, 1000])
+@pytest.mark.parametrize("degree", [1, 3, 6, 8])
+def test_block_plan_equals_the_per_map_plan(degree, block, monkeypatch):
+    # cf{1..34} at h = degree * 2e-4 collocates at 5001 nodes at every
+    # degree, more than one block of (node, map) pairs; a block of 1000
+    # pairs puts every case through many blocks, the last one partial.
+    if block is not None:
+        monkeypatch.setattr(discretize, "_BLOCK", block)
+    wide = make_mobius_family(list(range(1, 35)))
+    pair = make_mobius_family([1, 2])
+    cantor = make_cantor_family(0.0)
+    one = _one_map_family()
+    cases = [
+        (wide, make_mesh(wide.domain, h=degree * 2e-4)),
+        (pair, make_mesh(reduce_domain(pair, 2), h=0.003)),
+        (cantor, make_mesh(cantor.domain, h=1e-3)),
+        (one, make_mesh(one.domain, n=101)),
+    ]
+    assert 5001 * 34 > discretize._BLOCK
+    for fam, mesh in cases:
+        plan = collocation_plan(fam, mesh, degree)
+        want = _reference_plan(fam, mesh, degree)
+        for name, value in want.items():
+            got = getattr(plan, name)
+            if value is None or isinstance(value, float):
+                assert got == value, name
+            else:
+                assert got.dtype == value.dtype, name
+                assert np.array_equal(got, value), name
+        # The entries at s, block by block or whole, are the plain formula.
+        coefs = [None, 0.5 / plan.q_max, -3.0] if degree == 1 else [None]
+        for s, coef in itertools.product((0.3, 0.8), coefs):
+            g = np.exp(s * want["log_weight"])
+            if coef is not None:
+                g *= 1.0 - coef * want["q"]
+            vals = np.repeat(g, degree + 1) * want["weight"]
+            assert np.array_equal(plan.data(s, coef), vals)
+
+
+def test_plan_errors_keep_map_order_across_blocks():
+    # The plan fills blocks of nodes, all maps at once, yet reports the
+    # first failing map in map order, as a map-by-map build would: here
+    # map 1 fails in the first block and map 0 only in the last.
+    def const(value):
+        return lambda x: np.full_like(np.asarray(x, float), value)
+
+    def affine(j, ratio, shift, log_weight):
+        return MapSpec(label=f"affine-{j}",
+                       eval=lambda x: ratio * np.asarray(x, float) + shift,
+                       d1=const(ratio), d2=const(0.0), log_weight=log_weight,
+                       weight_r1=const(0.0), weight_r2=const(0.0),
+                       d1_sup=ratio)
+
+    mesh = make_mesh((0.0, 0.61), n=discretize._BLOCK // 2 + 1000)
+    x_bad = mesh.nodes[-2]
+
+    def nan_near_end(x):
+        x = np.asarray(x, float)
+        return np.where(x == x_bad, math.nan, math.log(1.0 / 3.0))
+
+    # Map 1 leaves the mesh everywhere, map 0's weight fails at one node.
+    fam = make_custom_family([affine(0, 1.0 / 3.0, 0.0, nan_near_end),
+                              affine(1, 1.0 / 3.0, 2.0 / 3.0, const(0.0))],
+                             (0.0, 1.0))
+    with pytest.raises(ParamOutOfRange, match="'affine-0' is not positive"):
+        collocation_plan(fam, mesh)
+    # Map 0 leaves the mesh only near its right end.
+    fam = make_custom_family([affine(0, 0.5, 0.31, const(0.0)),
+                              affine(1, 1.0 / 3.0, 2.0 / 3.0, const(0.0))],
+                             (0.0, 1.0))
+    with pytest.raises(MapEscapesDomain,
+                       match="map 'affine-0': interpolation point outside"):
+        collocation_plan(fam, mesh)
 
 
 def test_collocation_plan_matrices_share_the_pattern():
