@@ -24,10 +24,8 @@ from .bounds import (
 from .discretize import (
     CollocationPlan,
     ErrorModel,
-    MatrixTriple,
     Mesh,
     SparseNonnegMatrix,
-    assemble,
     collocation_plan,
     dump_matrix,
     error_model,
@@ -57,7 +55,6 @@ from .errors import (
 from .higher_order import (
     HighOrderMatrix,
     HighOrderResult,
-    assemble_highorder,
     dominant_magnitude,
     highorder_dimension,
 )
@@ -86,10 +83,8 @@ from .solver import (
 from .spectral import (
     ConeParams,
     SpectralEnclosure,
-    collatz_wielandt,
     cone_membership,
     hilbert_metric,
-    logconvex_check,
     power_enclosure,
 )
 

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import reference_data as ref
-from .discretize import assemble, dump_matrix, make_mesh
+from .discretize import collocation_plan, dump_matrix, error_model, make_mesh
 from .errors import BadParams, ConfigError, NumericError
 from .higher_order import highorder_dimension
 from .ifs import MapFamily, make_cantor_family, make_mobius_family, reduce_domain
@@ -36,6 +36,15 @@ _FORMATS = ("text", "csv", "json")
 _FINITE = ("h", "s", "smin", "smax", "root_tol", "radius_tol")
 
 
+def _number(convert):
+    """convert, refusing a bool: JSON true and false are not numbers."""
+    def number(v):
+        if isinstance(v, bool):
+            raise TypeError(v)
+        return convert(v)
+    return number
+
+
 def _several(convert):
     def several(v) -> tuple:
         if isinstance(v, str):
@@ -44,10 +53,11 @@ def _several(convert):
     return several
 
 
+_INDEX, _FLOAT = _number(operator.index), _number(float)
 # How RunConfig takes each field; TypeError or ValueError rejects a value.
 _CONVERT = dict(
-    cf=_several(operator.index), n=operator.index, hs=_several(float),
-    **dict.fromkeys(("cantor", "scale") + _FINITE, float))
+    cf=_several(_INDEX), n=_INDEX, hs=_several(_FLOAT),
+    **dict.fromkeys(("cantor", "scale") + _FINITE, _FLOAT))
 
 
 @dataclass
@@ -139,16 +149,16 @@ def cmd_radius(cfg: RunConfig) -> int:
     if cfg.s is None:
         raise BadParams("radius needs --s")
     s = cfg.s
-    triple = assemble(fam, mesh, s)
-    encs = {w: power_enclosure(getattr(triple, w), tol=cfg.radius_tol)
-            for w in "AMB"}
+    model = error_model(fam, s, mesh.h)
+    plan = collocation_plan(fam, mesh)
+    mats = {"A": plan.matrix(s, model.coef_hi), "M": plan.matrix(s),
+            "B": plan.matrix(s, model.coef_lo)}
+    encs = {w: power_enclosure(m, tol=cfg.radius_tol) for w, m in mats.items()}
     if cfg.dump_matrix:
-        for tag in "AMB":
-            path = f"{cfg.dump_matrix}.{tag}"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(dump_matrix(getattr(triple, tag), mesh.n, s,
-                                     fam.family_id))
-    cone = ConeParams(M=triple.model.osc + 1.0, h=mesh.h)
+        for tag, mat in mats.items():
+            with open(f"{cfg.dump_matrix}.{tag}", "w", encoding="utf-8") as fh:
+                fh.write(dump_matrix(mat, mesh.n, s, fam.family_id))
+    cone = ConeParams(M=model.osc + 1.0, h=mesh.h)
     member = all(
         cone_membership(encs["B"].eigvec[lo:hi], cone)
         for lo, hi in zip(mesh.offsets, mesh.offsets[1:])

@@ -2,8 +2,8 @@
 
 A mesh of n uniform cells on each domain interval carries nodal values
 w_0..w_n; the interpolant is evaluated at every mapped node theta_j(x_k)
-and weighted by g_j(x_k)^s.  Three row-compressed nonnegative matrices
-come out of one assembly pass:
+and weighted by g_j(x_k)^s.  One collocation plan yields three
+row-compressed nonnegative matrices at each s, on one shared pattern:
 
     A: entries scaled by [1 - err_hi(y)]   (lower spectral bound)
     M: plain collocation, no correction
@@ -51,8 +51,8 @@ from .ifs import CLAMP_REL_TOL, MapFamily, _as_index, _as_real, eval_map
 
 __all__ = [
     "Mesh", "make_mesh", "interp_weights", "ErrorModel",
-    "error_model", "SparseNonnegMatrix", "MatrixTriple", "CollocationPlan",
-    "collocation_plan", "assemble", "dump_matrix",
+    "error_model", "SparseNonnegMatrix", "CollocationPlan",
+    "collocation_plan", "dump_matrix",
 ]
 
 
@@ -307,12 +307,6 @@ class SparseNonnegMatrix(CsrMatrix):
         sl = slice(self.indptr[k], self.indptr[k + 1])
         return list(zip(self.indices[sl].tolist(), self.data[sl].tolist()))
 
-    def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        nz = np.flatnonzero(np.diff(self.indptr) > 0)
-        out[nz] = np.add.reduceat(self.data, self.indptr[nz])
-        return out
-
 
 def dump_matrix(matrix: SparseNonnegMatrix, n: int, s: float,
                 family_id: str) -> str:
@@ -322,16 +316,6 @@ def dump_matrix(matrix: SparseNonnegMatrix, n: int, s: float,
         for c, v in matrix.row(k):
             lines.append(f"{k} {c} {v:.17g}")
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixTriple:
-    """The assembled (A, M, B) at one (family, mesh, s)."""
-
-    A: SparseNonnegMatrix
-    M: SparseNonnegMatrix
-    B: SparseNonnegMatrix
-    model: ErrorModel
 
 
 # ---------------------------------------------------------------------------
@@ -532,18 +516,3 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
         indices=indices, weight=weight, log_weight=log_weight, q=q,
         q_max=None if q is None else float(q.max()),
     )
-
-
-def assemble(fam: MapFamily, mesh: Mesh, s: float,
-             model: ErrorModel | None = None) -> MatrixTriple:
-    """Assemble the lower/plain/upper collocation matrices at parameter s.
-
-    All three come from one hat-basis collocation plan and share its
-    sparsity pattern; A and B scale each entry by its correction factor
-    1 - coef_hi Q and 1 - coef_lo Q.
-    """
-    if model is None:
-        model = error_model(fam, s, mesh.h)
-    plan = collocation_plan(fam, mesh)
-    return MatrixTriple(A=plan.matrix(s, model.coef_hi), M=plan.matrix(s),
-                        B=plan.matrix(s, model.coef_lo), model=model)

@@ -28,22 +28,9 @@ from .spectral import RADIUS_TOL
 class HighOrderMatrix(CsrMatrix):
     """Signed sparse collocation matrix in CSR form."""
 
-    def __init__(self, dim: int, degree: int, indptr: np.ndarray,
-                 indices: np.ndarray, data: np.ndarray):
-        super().__init__(dim, indptr, indices, data)
-        self.degree = int(degree)
-
 
 def _plan_matrix(plan: CollocationPlan, s: float) -> HighOrderMatrix:
-    return HighOrderMatrix(dim=plan.dim, degree=plan.degree,
-                           indptr=plan.indptr, indices=plan.indices,
-                           data=plan.data(s))
-
-
-def assemble_highorder(fam: MapFamily, mesh, s: float,
-                       degree: int) -> HighOrderMatrix:
-    """Degree-d collocation matrix; degree 1 is the plain hat matrix M."""
-    return _plan_matrix(collocation_plan(fam, mesh, degree), s)
+    return HighOrderMatrix(plan.dim, plan.indptr, plan.indices, plan.data(s))
 
 
 _SETTLE_RUNS = 10

@@ -8,15 +8,14 @@ so every power-iteration step yields a two-sided enclosure.  The iteration
 starts from all-ones or from a given positive seed vector (a warm start)
 and runs until the relative gap closes below a tolerance or, on request,
 until the enclosure excludes 1 and pins log r to a relative accuracy.
-Also provides the Hilbert projective metric, a ratio-cone membership test
-used as a diagnostic, and a midpoint log-convexity check for radius
-curves.
+Also provides the Hilbert projective metric and a ratio-cone membership
+test used as a diagnostic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,22 +37,6 @@ def _dim(matrix) -> int:
     return int(np.asarray(matrix).shape[0])
 
 
-def collatz_wielandt(matrix, w: np.ndarray) -> tuple[float, float]:
-    """Two-sided bounds min/max of (M w)_k / w_k for positive w.
-
-    Valid for any nonnegative matrix; a zero row would make the lower
-    bound trivially zero and raises ZeroRowSum instead.
-    """
-    w = np.asarray(w, dtype=float)
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-        raise NonPositiveVector("Collatz-Wielandt needs a strictly positive vector")
-    mv = _matvec(matrix, w)
-    if np.any(mv <= 0.0):
-        raise ZeroRowSum("matrix has a zero row; lower bound would be trivial")
-    ratios = mv / w
-    return float(np.min(ratios)), float(np.max(ratios))
-
-
 @dataclass(eq=False)
 class SpectralEnclosure:
     """Result of the enclosure iteration on one matrix."""
@@ -63,7 +46,6 @@ class SpectralEnclosure:
     eigvec: np.ndarray
     iterations: int
     converged: bool
-    history: list[tuple[float, float]] = field(default_factory=list)
 
     @property
     def midpoint(self) -> float:
@@ -75,8 +57,7 @@ class SpectralEnclosure:
 
 
 def power_enclosure(matrix, tol: float = RADIUS_TOL,
-                    seed_vec: np.ndarray | None = None,
-                    collect_history: bool = False, *,
+                    seed_vec: np.ndarray | None = None, *,
                     sign_rel: float | None = None) -> SpectralEnclosure:
     """Iterate w <- M w / ||M w||_inf from all-ones (or seed_vec).
 
@@ -100,7 +81,6 @@ def power_enclosure(matrix, tol: float = RADIUS_TOL,
         if w.shape != (n,) or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise NonPositiveVector("seed vector must be strictly positive")
     lo, hi = -math.inf, math.inf
-    history: list[tuple[float, float]] = []
     best_gap = math.inf
     stall = 0
     iterations = 0
@@ -113,8 +93,6 @@ def power_enclosure(matrix, tol: float = RADIUS_TOL,
         if lo <= 0.0:
             raise ZeroRowSum("matrix has a zero row; enclosure iteration degenerates")
         hi = float(ratios.max())
-        if collect_history:
-            history.append((lo, hi))
         gap = (hi - lo) / hi if hi > 0.0 else math.inf
         w = mv / float(mv.max())
         if gap <= tol or (sign_rel is not None
@@ -128,10 +106,8 @@ def power_enclosure(matrix, tol: float = RADIUS_TOL,
             stall += 1
             if stall >= _STALL_LIMIT:
                 break
-    return SpectralEnclosure(
-        r_lo=lo, r_hi=hi, eigvec=w, iterations=iterations,
-        converged=converged, history=history,
-    )
+    return SpectralEnclosure(r_lo=lo, r_hi=hi, eigvec=w,
+                             iterations=iterations, converged=converged)
 
 
 def _sign_settled(lo: float, hi: float, rel: float) -> bool:
@@ -172,17 +148,3 @@ def cone_membership(w: np.ndarray, cone: ConeParams) -> bool:
     ratios = w[1:] / w[:-1]
     return bool(np.all(ratios <= bound) and np.all(ratios >= 1.0 / bound))
 
-
-def logconvex_check(radius_fn, s0: float, s1: float,
-                    slack: float = 1e-10) -> tuple[bool, float, float, float]:
-    """Midpoint log-convexity: r((s0+s1)/2) <= sqrt(r(s0) r(s1)) (1 + slack).
-
-    Returns (ok, r0, r_mid, r1).
-    """
-    if not s1 > s0:
-        raise BadParams("need s0 < s1")
-    r0 = float(radius_fn(s0))
-    r1 = float(radius_fn(s1))
-    rm = float(radius_fn(0.5 * (s0 + s1)))
-    ok = rm <= math.sqrt(r0 * r1) * (1.0 + slack)
-    return ok, r0, rm, r1

@@ -1,7 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from hausdim import MapSpec, make_custom_family
+from hausdim import (
+    MapSpec,
+    collocation_plan,
+    error_model,
+    make_custom_family,
+    power_enclosure,
+)
 
 
 def pytest_addoption(parser):
@@ -16,6 +24,29 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+def hat_matrices(fam, mesh, s):
+    """(A, M, B, model) at s on one hat-basis plan, as enclosure_at builds them."""
+    model = error_model(fam, s, mesh.h)
+    plan = collocation_plan(fam, mesh)
+    return (plan.matrix(s, model.coef_hi), plan.matrix(s),
+            plan.matrix(s, model.coef_lo), model)
+
+
+def one_step_enclosures(matrix, steps):
+    """The (lo, hi) of each of the first steps power iterates, and the last.
+
+    Each step is its own power_enclosure call, stopped after one matvec
+    by tol = inf and started from the previous call's eigvec: the same
+    float operations as one solve of that many iterations.
+    """
+    w, bounds = None, []
+    for _ in range(steps):
+        enc = power_enclosure(matrix, tol=math.inf, seed_vec=w)
+        bounds.append((enc.r_lo, enc.r_hi))
+        w = enc.eigvec
+    return bounds, w
 
 
 def make_poly_family():

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from hausdim import (
-    assemble,
-    assemble_highorder,
     bracket_dimension,
+    collocation_plan,
     continuants,
     convergence_study,
     enclosure_at,
@@ -25,7 +24,6 @@ from hausdim import (
     highorder_dimension,
     hilbert_metric,
     interp_weights,
-    logconvex_check,
     make_cantor_family,
     make_mesh,
     make_mobius_family,
@@ -34,7 +32,8 @@ from hausdim import (
 )
 from hausdim.bounds import cantor_constants
 from hausdim.cli import main
-from conftest import make_poly_family
+from hausdim.higher_order import _plan_matrix
+from conftest import make_poly_family, one_step_enclosures
 
 # The 15-digit display value 0.630929753571458 rounds 5.5e-16 above the
 # double-precision constant; containment is asserted for the constant
@@ -168,8 +167,10 @@ def test_criterion_06_collatz_wielandt_oracle():
         if d <= 4:
             r_poly = float(np.max(np.abs(np.roots(np.poly(mat)))))
             assert r_poly == pytest.approx(r_eig, rel=1e-6)
-        enc = power_enclosure(mat, tol=1e-13, collect_history=True)
-        for lo, hi in enc.history:
+        enc = power_enclosure(mat, tol=1e-13)
+        history, last = one_step_enclosures(mat, enc.iterations)
+        assert np.array_equal(last, enc.eigvec)
+        for lo, hi in history:
             assert lo <= r_eig * (1 + 1e-10)
             assert hi >= r_eig * (1 - 1e-10)
             worst = max(worst, lo / r_eig - 1.0, 1.0 - hi / r_eig)
@@ -192,7 +193,9 @@ def test_criterion_07_log_convexity():
             return radius(fam, mesh, s, "M")
 
         for s0, s1 in ((0.3, 0.7), (0.4, 0.6)):
-            passed, r0, rm, r1 = logconvex_check(rad, s0, s1, slack=1e-10)
+            r0, r1 = rad(s0), rad(s1)
+            rm = rad(0.5 * (s0 + s1))
+            passed = rm <= math.sqrt(r0 * r1) * (1.0 + 1e-10)
             ok &= passed
             details.append(f"E{digits}({s0},{s1}):{passed}")
     _report(7, "; ".join(details), ok)
@@ -261,8 +264,8 @@ def test_criterion_11_higher_order():
     ok = err <= 1e-7
     # Degree-1 path must be bit-identical to the plain matrix M_s.
     mesh1 = make_mesh(fam.domain, n=100)
-    hi1 = assemble_highorder(fam, mesh1, 0.531, 1)
-    m = assemble(fam, mesh1, 0.531).M
+    hi1 = _plan_matrix(collocation_plan(fam, mesh1, 1), 0.531)
+    m = collocation_plan(fam, mesh1).matrix(0.531)
     bitwise = (np.array_equal(hi1.data, m.data)
                and np.array_equal(hi1.indices, m.indices)
                and np.array_equal(hi1.indptr, m.indptr))

@@ -310,6 +310,8 @@ def test_threads_setting_removed(tmp_path, capsys):
 
 @pytest.mark.parametrize("key,value", [
     ("root_tol", "abc"), ("cf", 5), ("domain", 5), ("hs", 0.01), ("n", 1.5),
+    ("h", True), ("cf", [True, 2]), ("scale", True), ("root_tol", False),
+    ("n", True), ("hs", [0.01, True]),
 ])
 def test_config_file_wrong_type_exits_2(tmp_path, capsys, key, value):
     data = {"cf": [1, 2], "h": 0.01} if key != "n" else {"cf": [1, 2]}

@@ -17,7 +17,6 @@ from hausdim import (
     OutOfDomain,
     ParamOutOfRange,
     SparseNonnegMatrix,
-    assemble,
     bracket_dimension,
     collocation_plan,
     dump_matrix,
@@ -34,6 +33,7 @@ from hausdim import (
 from hausdim import discretize
 from hausdim.discretize import _join, _lagrange_rows, _locate, _mesh_piece
 from hausdim.ifs import CLAMP_REL_TOL
+from conftest import hat_matrices
 
 
 def test_make_mesh_single_interval():
@@ -220,8 +220,7 @@ def test_assemble_column_support():
     # mesh on [0, 1]: columns 0, 1, 2.
     fam = make_mobius_family([3, 5], domain=(0.0, 1.0))
     mesh = make_mesh((0.0, 1.0), n=4)
-    triple = assemble(fam, mesh, 0.5)
-    for mat in (triple.A, triple.M, triple.B):
+    for mat in hat_matrices(fam, mesh, 0.5)[:3]:
         assert set(mat.indices.tolist()) <= {0, 1, 2}
         assert mat.dim == 5
 
@@ -229,8 +228,7 @@ def test_assemble_column_support():
 def test_assemble_single_map_row_structure():
     fam = make_mobius_family([3])
     mesh = make_mesh(fam.domain, n=4)
-    triple = assemble(fam, mesh, 0.5)
-    counts = np.diff(triple.M.indptr)
+    counts = np.diff(collocation_plan(fam, mesh).matrix(0.5).indptr)
     assert np.all(counts >= 1)
     assert np.all(counts <= 2)
 
@@ -239,15 +237,15 @@ def test_assemble_affine_cantor_row_sums():
     fam = make_cantor_family(0.0)
     mesh = make_mesh(fam.domain, n=50)
     s = math.log(2.0) / math.log(3.0)
-    triple = assemble(fam, mesh, s)
-    sums = triple.M.row_sums()
+    A, M, B, _ = hat_matrices(fam, mesh, s)
+    sums = M.matvec(np.ones(mesh.dim))
     # Constant weight (1/3)^s per map, hat weights sum to one.
     assert np.allclose(sums, 2.0 * 3.0**-s, rtol=1e-14, atol=0)
     assert np.allclose(sums, 1.0, rtol=1e-14, atol=0)
     # Zero error model: all three matrices identical.
-    assert np.array_equal(triple.A.data, triple.M.data)
-    assert np.array_equal(triple.B.data, triple.M.data)
-    assert np.array_equal(triple.A.indices, triple.M.indices)
+    assert np.array_equal(A.data, M.data)
+    assert np.array_equal(B.data, M.data)
+    assert np.array_equal(A.indices, M.indices)
 
 
 def test_assemble_matches_direct_interpolation():
@@ -255,13 +253,12 @@ def test_assemble_matches_direct_interpolation():
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, n=23)
     s = 0.61
-    triple = assemble(fam, mesh, s)
-    model = triple.model
+    A, M, B, model = hat_matrices(fam, mesh, s)
     rng = np.random.default_rng(8)
     w = rng.uniform(0.5, 2.0, size=mesh.dim)
-    got_m = triple.M.matvec(w)
-    got_a = triple.A.matvec(w)
-    got_b = triple.B.matvec(w)
+    got_m = M.matvec(w)
+    got_a = A.matvec(w)
+    got_b = B.matvec(w)
     for k, x in enumerate(mesh.nodes):
         acc_m = acc_a = acc_b = 0.0
         for j in range(fam.n_maps):
@@ -289,15 +286,15 @@ def test_assemble_entrywise_relations(poly_fam):
     ]
     for fam, s in cases:
         mesh = make_mesh(fam.domain, n=60)
-        t = assemble(fam, mesh, s)
-        A, M, B = t.A.toarray(), t.M.toarray(), t.B.toarray()
+        *mats, model = hat_matrices(fam, mesh, s)
+        A, M, B = (m.toarray() for m in mats)
         assert np.all(A <= M + 1e-15)
         assert np.all(A <= B + 1e-15)
-        if t.model.coef_lo >= 0.0:
+        if model.coef_lo >= 0.0:
             assert np.all(B <= M + 1e-15)
         else:
             assert np.all(B >= M - 1e-15)
-        if t.model.coef_hi > 0.0:
+        if model.coef_hi > 0.0:
             assert np.any(A < M)
 
 
@@ -305,17 +302,17 @@ def test_assemble_certified_cantor_collapses_b():
     # Sign-certified Cantor: R_lo = 0, so B equals M exactly.
     fam = make_cantor_family(0.5)
     mesh = make_mesh(fam.domain, n=40)
-    t = assemble(fam, mesh, 0.8)
-    assert t.model.coef_lo == 0.0
-    assert np.array_equal(t.B.data, t.M.data)
-    assert np.any(t.A.data < t.M.data)
+    A, M, B, model = hat_matrices(fam, mesh, 0.8)
+    assert model.coef_lo == 0.0
+    assert np.array_equal(B.data, M.data)
+    assert np.any(A.data < M.data)
 
 
 def test_assemble_map_escapes_mesh():
     fam = make_mobius_family([1, 2])
     mesh = make_mesh((0.0, 0.2), n=10)
     with pytest.raises((MapEscapesDomain, OutOfDomain)):
-        assemble(fam, mesh, 0.5)
+        hat_matrices(fam, mesh, 0.5)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 4])
@@ -342,22 +339,22 @@ def test_assemble_on_reduced_union():
     fam = make_mobius_family([1, 2])
     parts = reduce_domain(fam, 2)
     mesh = make_mesh(parts, h=0.005)
-    triple = assemble(fam, mesh, 0.53)
-    assert triple.M.dim == mesh.dim
+    M = collocation_plan(fam, mesh).matrix(0.53)
+    assert M.dim == mesh.dim
     # Matrix action keeps positive vectors positive (no zero rows).
-    out = triple.M.matvec(np.ones(mesh.dim))
+    out = M.matvec(np.ones(mesh.dim))
     assert np.all(out > 0.0)
 
 
 def test_assemble_deterministic():
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, n=30)
-    t1 = assemble(fam, mesh, 0.5)
-    t2 = assemble(fam, mesh, 0.5)
-    assert np.array_equal(t1.M.data, t2.M.data)
-    assert np.array_equal(t1.A.data, t2.A.data)
-    assert np.array_equal(t1.M.indices, t2.M.indices)
-    assert np.array_equal(t1.M.indptr, t2.M.indptr)
+    A1, M1, _, _ = hat_matrices(fam, mesh, 0.5)
+    A2, M2, _, _ = hat_matrices(fam, mesh, 0.5)
+    assert np.array_equal(M1.data, M2.data)
+    assert np.array_equal(A1.data, A2.data)
+    assert np.array_equal(M1.indices, M2.indices)
+    assert np.array_equal(M1.indptr, M2.indptr)
 
 
 def test_sparse_matrix_rejects_negative_entries():
@@ -684,21 +681,21 @@ def test_map_without_log_weight_is_named():
 def test_row_sums_with_empty_row():
     mat = SparseNonnegMatrix(3, np.array([0, 1, 1, 2]), np.array([0, 2]),
                              np.array([2.0, 3.0]))
-    assert np.allclose(mat.row_sums(), [2.0, 0.0, 3.0])
+    assert np.array_equal(mat.matvec(np.ones(3)), [2.0, 0.0, 3.0])
 
 
 def test_dump_matrix_format():
     fam = make_mobius_family([3, 5], domain=(0.0, 1.0))
     mesh = make_mesh((0.0, 1.0), n=4)
-    triple = assemble(fam, mesh, 0.5)
-    text = dump_matrix(triple.M, mesh.n, 0.5, fam.family_id)
+    M = collocation_plan(fam, mesh).matrix(0.5)
+    text = dump_matrix(M, mesh.n, 0.5, fam.family_id)
     lines = text.strip().split("\n")
     head = lines[0].split()
     assert int(head[0]) == 5
     assert int(head[1]) == 4
     assert float(head[2]) == 0.5
     assert head[3] == fam.family_id
-    assert len(lines) == 1 + triple.M.nnz
+    assert len(lines) == 1 + M.nnz
     for ln in lines[1:]:
         r, c, v = ln.split()
         assert 0 <= int(r) < 5
@@ -707,4 +704,4 @@ def test_dump_matrix_format():
         assert float(v) >= 0.0
     # Full precision round trip.
     vals = sorted(float(ln.split()[2]) for ln in lines[1:])
-    assert vals == sorted(triple.M.data.tolist())
+    assert vals == sorted(M.data.tolist())

@@ -61,7 +61,10 @@ cf12_n200 by (+5.7e-13, -5.4e-13), cf12_reduced2_h005 by (-2.2e-13,
 +1.4e-13) and poly_h1e-2 by (+5.5e-13, +3.2e-13), every one still
 certified.  The table1 --scale 100 and table3 --scale 20 digests were
 re-recorded (their endpoints moved by at most 9.1e-13 and 5.0e-13,
-every row still passing).  No other pin moved.
+every row still passing).  No other pin moved.  The sha256 pins of
+`radius` stdout (text, csv, json) and of its three --dump-matrix files
+were recorded while it still took A, M and B from a matrix-triple
+helper, before it built them from the plan and error model itself.
 """
 
 import hashlib
@@ -307,3 +310,44 @@ def test_cli_json_tables_bit_exact(args, capsys):
     assert cli.main(["--format", "json", *args.split()]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == CLI_TABLES[args]
+
+
+RADIUS_CASES = ("--cf 1,2 --n 40 --s 0.5", "--cantor 0.5 --h 0.01 --s 0.7")
+RADIUS_OUTPUT = {
+    # sha256 of the stdout of `hausdim radius --format <format> <args>`
+    (RADIUS_CASES[0], "text"):
+        "673dff3dc2bb123e381a3821abc4c4ed331a0428de6190dd7d1acc04d0319222",
+    (RADIUS_CASES[0], "csv"):
+        "f0a2a6b357c12789f3250d32c7bd9851c391cd7608f8d5439c9a5e07c8d88202",
+    (RADIUS_CASES[0], "json"):
+        "c1843eef9d9f481bfa9146b44fb0a841b19c7fa126b071457d3ac509fad60322",
+    (RADIUS_CASES[1], "text"):
+        "604daef931a44268a17487056ef2305956136a29fc0adaabb059d5bcea5c5881",
+    (RADIUS_CASES[1], "csv"):
+        "e9d6ff5bec70bbd9b23a3e7abf106eb9848c9676d2ba4ac2ffe52af4b60af450",
+    (RADIUS_CASES[1], "json"):
+        "b98a7c3b6a82cdb9df187be267aeb1643c869cd85a9921453979ff0d6fa9333f",
+}
+RADIUS_DUMPS = {
+    # sha256 of PATH.<tag> from `hausdim radius <RADIUS_CASES[0]> --dump-matrix PATH`
+    "A": "23873ef7e55c7a52830146588c4f2ad564474f6405543ce445e1e0cc5ba4ec14",
+    "M": "9cfb6711155b6553bd27af24096369c7e5e1aeb7e0f1fd3d82e03bc1d3d2a468",
+    "B": "3862493553687d8045436c0b228b087ddd513126398edb7f2686f55156d656ee",
+}
+
+
+@pytest.mark.parametrize("args,fmt", sorted(RADIUS_OUTPUT))
+def test_cli_radius_bit_exact(args, fmt, capsys):
+    assert cli.main(["radius", "--format", fmt, *args.split()]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == RADIUS_OUTPUT[args, fmt]
+
+
+def test_cli_radius_dumps_bit_exact(tmp_path, capsys):
+    path = tmp_path / "dump"
+    assert cli.main(["radius", *RADIUS_CASES[0].split(),
+                     "--dump-matrix", str(path)]) == 0
+    capsys.readouterr()
+    for tag, want in RADIUS_DUMPS.items():
+        got = hashlib.sha256(path.with_suffix(f".{tag}").read_bytes())
+        assert got.hexdigest() == want, tag

@@ -8,8 +8,7 @@ from hausdim import (
     BadParams,
     ParamOutOfRange,
     PowerDivergence,
-    assemble,
-    assemble_highorder,
+    collocation_plan,
     dominant_magnitude,
     highorder_dimension,
     make_cantor_family,
@@ -17,7 +16,7 @@ from hausdim import (
     make_mobius_family,
 )
 from hausdim.discretize import _lagrange_rows
-from hausdim.higher_order import HighOrderMatrix
+from hausdim.higher_order import HighOrderMatrix, _plan_matrix
 from hausdim.reference_data import DIM_12_BEST, TABLE2, TABLE2B
 from hausdim.solver import INITIAL_BRACKET, solve_root
 
@@ -71,21 +70,20 @@ def test_degree_one_equals_hat_matrix():
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, n=100)
     s = 0.531
-    hi = assemble_highorder(fam, mesh, s, 1)
-    triple = assemble(fam, mesh, s)
-    assert hi.dim == triple.M.dim
-    assert np.array_equal(hi.indptr, triple.M.indptr)
-    assert np.array_equal(hi.indices, triple.M.indices)
-    assert np.array_equal(hi.data, triple.M.data)
+    hi = _plan_matrix(collocation_plan(fam, mesh, 1), s)
+    m = collocation_plan(fam, mesh).matrix(s)
+    assert hi.dim == m.dim
+    assert np.array_equal(hi.indptr, m.indptr)
+    assert np.array_equal(hi.indices, m.indices)
+    assert np.array_equal(hi.data, m.data)
 
 
 def test_highorder_matrix_dimensions():
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, n=50)
     for degree in (1, 2, 3, 4):
-        mat = assemble_highorder(fam, mesh, 0.5, degree)
+        mat = _plan_matrix(collocation_plan(fam, mesh, degree), 0.5)
         assert mat.dim == degree * 50 + 1
-        assert mat.degree == degree
         assert mat.nnz > 0
 
 
@@ -94,8 +92,7 @@ def test_highorder_row_sums_partition():
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, n=40)
     s = 0.5
-    mat = assemble_highorder(fam, mesh, s, 3)
-    arr = mat.toarray()
+    arr = _plan_matrix(collocation_plan(fam, mesh, 3), s).toarray()
     # The degree-3 nodes are those of the mesh with three times the cells.
     xs = make_mesh(fam.domain, n=3 * 40).nodes
     expect = sum(np.abs(-1.0 / (xs + b) ** 2) ** s for b in (1.0, 2.0))
@@ -107,7 +104,7 @@ def test_degree_validation():
     mesh = make_mesh(fam.domain, n=10)
     for bad in (0, 9, -1, 2.5, True):
         with pytest.raises(ParamOutOfRange):
-            assemble_highorder(fam, mesh, 0.5, bad)
+            collocation_plan(fam, mesh, bad)
 
 
 def test_dominant_magnitude_known_matrices():
@@ -213,9 +210,10 @@ def test_highorder_dimension_matvec_budget():
         res = highorder_dimension(fam, mesh, 4)
     assert matvec.call_count <= 100
     # The same root from cold, full-precision solves at every s.
+    plan = collocation_plan(fam, mesh, 4)
     cold, _ = solve_root(
-        lambda s: math.log(dominant_magnitude(
-            assemble_highorder(fam, mesh, s, 4), sign_rel=None)),
+        lambda s: math.log(dominant_magnitude(_plan_matrix(plan, s),
+                                              sign_rel=None)),
         INITIAL_BRACKET)
     assert abs(res.s - cold) <= 1e-12
 
@@ -223,7 +221,8 @@ def test_highorder_dimension_matvec_budget():
 @pytest.mark.parametrize("tol", [0.0, -1e-13, math.nan])
 def test_dominant_magnitude_rejects_bad_tolerance(tol):
     fam = make_mobius_family([1, 2])
-    mat = assemble_highorder(fam, make_mesh(fam.domain, n=10), 0.5, 2)
+    mat = _plan_matrix(
+        collocation_plan(fam, make_mesh(fam.domain, n=10), 2), 0.5)
     with pytest.raises(BadParams):
         dominant_magnitude(mat, tol=tol)
 

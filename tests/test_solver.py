@@ -11,8 +11,8 @@ from hausdim import (
     BadParams,
     MapSpec,
     NoSignChange,
-    assemble,
     bracket_dimension,
+    collocation_plan,
     convergence_study,
     enclosure_at,
     highorder_dimension,
@@ -499,8 +499,7 @@ def test_eigenvector_second_difference_within_certified_bounds():
     fam = make_mobius_family([1, 2])
     s = 0.5
     mesh = make_mesh(fam.domain, n=2000)
-    triple = assemble(fam, mesh, s)
-    enc = power_enclosure(triple.M, tol=1e-14)
+    enc = power_enclosure(collocation_plan(fam, mesh).matrix(s), tol=1e-14)
     v = enc.eigvec
     h = mesh.h
     d2 = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / (h * h * v[1:-1])

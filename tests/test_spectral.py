@@ -12,11 +12,9 @@ from hausdim import (
     NonPositiveVector,
     PowerDivergence,
     ZeroRowSum,
-    assemble,
-    collatz_wielandt,
+    collocation_plan,
     cone_membership,
     hilbert_metric,
-    logconvex_check,
     make_cantor_family,
     make_mesh,
     make_mobius_family,
@@ -24,6 +22,7 @@ from hausdim import (
 )
 from hausdim.bounds import ratio_bounds
 from hausdim.solver import _log_midpoint
+from conftest import hat_matrices, one_step_enclosures
 
 
 def _squared_radius(mat, steps=60):
@@ -44,8 +43,14 @@ def _squared_radius(mat, steps=60):
     return math.exp(t + math.log(c) / 2**steps)
 
 
+def _cw_bounds(matrix, w):
+    """min/max of (M w)_k / w_k: one power step from w, stopped by tol = inf."""
+    enc = power_enclosure(matrix, tol=math.inf, seed_vec=w)
+    return enc.r_lo, enc.r_hi
+
+
 def test_collatz_wielandt_identity():
-    lo, hi = collatz_wielandt(np.eye(3), np.ones(3))
+    lo, hi = _cw_bounds(np.eye(3), np.ones(3))
     assert lo == 1.0
     assert hi == 1.0
 
@@ -53,10 +58,10 @@ def test_collatz_wielandt_identity():
 def test_collatz_wielandt_permutation():
     # Swap matrix has radius 1; the constant vector is its eigenvector.
     mat = np.array([[0.0, 1.0], [1.0, 0.0]])
-    lo, hi = collatz_wielandt(mat, np.ones(2))
+    lo, hi = _cw_bounds(mat, np.ones(2))
     assert (lo, hi) == (1.0, 1.0)
     # A skew vector still brackets r = 1.
-    lo, hi = collatz_wielandt(mat, np.array([1.0, 3.0]))
+    lo, hi = _cw_bounds(mat, np.array([1.0, 3.0]))
     assert lo <= 1.0 <= hi
 
 
@@ -69,16 +74,16 @@ def test_collatz_wielandt_brackets_radius():
         mat += np.diag(rng.uniform(0.1, 1.0, size=d))
         r = _squared_radius(mat)
         w = rng.uniform(0.2, 2.0, size=d)
-        lo, hi = collatz_wielandt(mat, w)
+        lo, hi = _cw_bounds(mat, w)
         assert lo <= r * (1 + 1e-10)
         assert hi >= r * (1 - 1e-10)
 
 
 def test_collatz_wielandt_rejects_bad_vector():
     with pytest.raises(NonPositiveVector):
-        collatz_wielandt(np.eye(2), np.array([1.0, 0.0]))
+        _cw_bounds(np.eye(2), np.array([1.0, 0.0]))
     with pytest.raises(NonPositiveVector):
-        collatz_wielandt(np.eye(2), np.array([1.0, -1.0]))
+        _cw_bounds(np.eye(2), np.array([1.0, -1.0]))
 
 
 def test_power_enclosure_scalar_and_diagonal():
@@ -93,8 +98,7 @@ def test_power_enclosure_affine_cantor_one_step():
     fam = make_cantor_family(0.0)
     mesh = make_mesh(fam.domain, n=100)
     s = 0.55
-    triple = assemble(fam, mesh, s)
-    enc = power_enclosure(triple.M)
+    enc = power_enclosure(collocation_plan(fam, mesh).matrix(s))
     assert enc.converged
     assert enc.iterations == 1
     assert enc.r_lo == pytest.approx(2.0 * 3.0**-s, rel=1e-14)
@@ -104,17 +108,17 @@ def test_power_enclosure_affine_cantor_one_step():
 def test_power_enclosure_monotone_history():
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, n=100)
-    triple = assemble(fam, mesh, 0.5)
-    enc = power_enclosure(triple.M, collect_history=True)
+    mat = collocation_plan(fam, mesh).matrix(0.5)
+    enc = power_enclosure(mat)
     assert enc.converged
-    hist = np.asarray(enc.history)
+    hist = np.asarray(one_step_enclosures(mat, enc.iterations)[0])
     assert hist.shape[1] == 2
     gaps = hist[:, 1] - hist[:, 0]
     assert np.all(gaps >= -1e-15)
     # Enclosure gaps shrink monotonically (small float slack).
     assert np.all(np.diff(gaps) <= 1e-13 * hist[:-1, 1])
     # Every later enclosure sits inside the final tolerance of truth.
-    r = _squared_radius(triple.M.toarray())
+    r = _squared_radius(mat.toarray())
     assert hist[-1, 0] <= r * (1 + 1e-10)
     assert hist[-1, 1] >= r * (1 - 1e-10)
 
@@ -122,9 +126,9 @@ def test_power_enclosure_monotone_history():
 def test_power_enclosure_scale_invariance():
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, n=60)
-    triple = assemble(fam, mesh, 0.5)
-    enc = power_enclosure(triple.M)
-    scaled = power_enclosure(triple.M.toarray() * 7.5)
+    mat = collocation_plan(fam, mesh).matrix(0.5)
+    enc = power_enclosure(mat)
+    scaled = power_enclosure(mat.toarray() * 7.5)
     assert scaled.r_lo == pytest.approx(7.5 * enc.r_lo, rel=1e-12)
     assert scaled.r_hi == pytest.approx(7.5 * enc.r_hi, rel=1e-12)
 
@@ -155,14 +159,14 @@ def test_power_enclosure_zero_row():
 def test_power_enclosure_seed_vector():
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, n=50)
-    triple = assemble(fam, mesh, 0.5)
-    base = power_enclosure(triple.M)
-    seeded = power_enclosure(triple.M, seed_vec=base.eigvec)
+    mat = collocation_plan(fam, mesh).matrix(0.5)
+    base = power_enclosure(mat)
+    seeded = power_enclosure(mat, seed_vec=base.eigvec)
     # Warm start converges at once to the same enclosure.
     assert seeded.iterations <= 2
     assert seeded.midpoint == pytest.approx(base.midpoint, rel=1e-12)
     with pytest.raises(NonPositiveVector):
-        power_enclosure(triple.M, seed_vec=np.zeros(mesh.dim))
+        power_enclosure(mat, seed_vec=np.zeros(mesh.dim))
 
 
 def test_power_enclosure_rejects_bad_sign_rel():
@@ -270,34 +274,10 @@ def test_eigenvector_in_oscillation_cone():
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, n=100)
     s = 0.53
-    triple = assemble(fam, mesh, s)
-    enc = power_enclosure(triple.B)
+    _, _, B, _ = hat_matrices(fam, mesh, s)
+    enc = power_enclosure(B)
     cone = ConeParams(M=ratio_bounds(fam, s)[2] + 1.0, h=mesh.h)
     assert cone_membership(enc.eigvec, cone)
-
-
-def test_logconvex_check_exact_loglinear():
-    ok, r0, rm, r1 = logconvex_check(lambda s: 2.0 * 3.0**-s, 0.3, 0.7)
-    assert ok
-    assert rm == pytest.approx(math.sqrt(r0 * r1), rel=1e-14)
-
-
-def test_logconvex_check_detects_violation():
-    # A log-concave function fails the midpoint test.
-    ok, *_ = logconvex_check(lambda s: math.exp(-s * s), 0.0 + 0.1, 2.0)
-    assert not ok
-
-
-def test_logconvex_check_discretized_radii():
-    fam = make_mobius_family([1, 2])
-    mesh = make_mesh(fam.domain, n=200)
-
-    def rad(s):
-        return power_enclosure(assemble(fam, mesh, s).M).midpoint
-
-    ok, r0, rm, r1 = logconvex_check(rad, 0.4, 0.6)
-    assert ok
-    assert r0 > rm > r1
 
 
 def test_radius_gap_law_quadratic_in_h():
@@ -307,9 +287,9 @@ def test_radius_gap_law_quadratic_in_h():
     ratios = []
     for n in (200, 400, 800):
         mesh = make_mesh(fam.domain, n=n)
-        t = assemble(fam, mesh, s)
-        ra = power_enclosure(t.A).midpoint
-        rb = power_enclosure(t.B).midpoint
+        A, _, B, _ = hat_matrices(fam, mesh, s)
+        ra = power_enclosure(A).midpoint
+        rb = power_enclosure(B).midpoint
         assert rb >= ra
         ratios.append((rb / ra - 1.0) / mesh.h**2)
     base = ratios[0]
