@@ -52,7 +52,7 @@ from .ifs import CLAMP_REL_TOL, MapFamily, _as_index, _as_real, eval_map
 __all__ = [
     "Mesh", "make_mesh", "interp_weights", "ErrorModel",
     "error_model", "SparseNonnegMatrix", "CollocationPlan",
-    "collocation_plan", "dump_matrix",
+    "collocation_plan", "interpolate_nodal", "dump_matrix",
 ]
 
 
@@ -421,6 +421,21 @@ class CollocationPlan:
                                   self.data(s, coef))
 
 
+def _as_degree(degree) -> int:
+    """A basis degree in 1.._MAX_DEGREE (a bool is not an integer here)."""
+    if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool):
+        raise ParamOutOfRange(f"degree must be an integer, got {degree!r}")
+    degree = int(degree)
+    if not 1 <= degree <= _MAX_DEGREE:
+        raise ParamOutOfRange(f"degree must be in 1..{_MAX_DEGREE}, got {degree}")
+    return degree
+
+
+def _degree_nodes(mesh: Mesh, degree: int) -> Mesh:
+    """The degree-d nodes of mesh: those of the mesh with d*n cells per piece."""
+    return _join([_mesh_piece(p.a, p.b, p.n * degree) for p in mesh.pieces])
+
+
 def _map_error(fam: MapFamily, mesh: Mesh, x: np.ndarray) -> Exception:
     """The error of the first map, in order, that cannot collocate at x.
 
@@ -460,17 +475,13 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
     and log-weight is evaluated on the block, one _locate call finds all
     its images, and each result is written into its final slice.
     """
-    if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool):
-        raise ParamOutOfRange(f"degree must be an integer, got {degree!r}")
-    degree = int(degree)
-    if not 1 <= degree <= _MAX_DEGREE:
-        raise ParamOutOfRange(f"degree must be in 1..{_MAX_DEGREE}, got {degree}")
+    degree = _as_degree(degree)
     lo, hi = fam.domain
     tol = CLAMP_REL_TOL * (hi - lo)
     if mesh.span[0] < lo - tol or mesh.span[1] > hi + tol:
         raise OutOfDomain(
             f"mesh span {mesh.span} leaves the domain [{lo}, {hi}]")
-    fine = _join([_mesh_piece(p.a, p.b, p.n * degree) for p in mesh.pieces])
+    fine = _degree_nodes(mesh, degree)
     x = fine.nodes
     # eval_map's domain check and clip, once for every map and block.
     if (any(spec.log_weight is None for spec in fam.maps)
@@ -516,3 +527,37 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
         indices=indices, weight=weight, log_weight=log_weight, q=q,
         q_max=None if q is None else float(q.max()),
     )
+
+
+def interpolate_nodal(values: np.ndarray, mesh: Mesh, target: Mesh,
+                      degree: int = 1) -> np.ndarray:
+    """The degree-d interpolant of nodal values, read at another mesh's nodes.
+
+    values holds one value per degree-d node of mesh, in the node order
+    of collocation_plan(fam, mesh, degree); the result holds one per
+    degree-d node of target, whose pieces must span the same intervals
+    as those of mesh.  Each node of a target piece lies in a cell of the
+    matching piece of mesh (found as collocation_plan finds an image's
+    cell) and takes the Lagrange combination of that cell's d+1 values,
+    so no piece reads another piece's values.  Polynomials of degree
+    <= d on a piece are reproduced up to rounding.
+    """
+    degree = _as_degree(degree)
+    source, nodes = _degree_nodes(mesh, degree), _degree_nodes(target, degree)
+    values = np.asarray(values, dtype=float)
+    if values.shape != (source.dim,):
+        raise BadParams(f"need {source.dim} nodal values, got shape "
+                        f"{values.shape}")
+    if [(p.a, p.b) for p in mesh.pieces] != \
+            [(p.a, p.b) for p in target.pieces]:
+        raise BadParams("interpolation meshes must cover the same pieces")
+    out = np.empty(nodes.dim)
+    local = np.arange(degree + 1)[:, None]
+    for piece, lo, at, node_piece in zip(mesh.pieces, source.offsets,
+                                         nodes.offsets, nodes.pieces):
+        cell, wr, _ = _cells(piece, node_piece.nodes)
+        own = values[lo:lo + piece.n * degree + 1]
+        basis = _lagrange_rows(wr, degree)
+        basis *= own[degree * cell + local]
+        out[at:at + node_piece.n + 1] = basis.sum(axis=0)
+    return out

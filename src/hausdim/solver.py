@@ -212,6 +212,11 @@ def _slope(points: dict[float, float], s: float) -> float:
     return (f1 - f0) / (s1 - s0)
 
 
+def _coarse_mesh(mesh):
+    """The same intervals as mesh, meshed 16 times coarser."""
+    return make_mesh([(p.a, p.b) for p in mesh.pieces], h=_COARSEN * mesh.h)
+
+
 def _coarse_root(fam: MapFamily, mesh, initial: tuple[float, float],
                  root_tol: float, radius_tol: float
                  ) -> tuple[float, float, int]:
@@ -221,9 +226,7 @@ def _coarse_root(fam: MapFamily, mesh, initial: tuple[float, float],
     points nearest it, and the number of matrices built.  The coarse
     plan is dropped on return.
     """
-    coarse = make_mesh([(p.a, p.b) for p in mesh.pieces],
-                       h=_COARSEN * mesh.h)
-    enclose, _ = _enclosures(collocation_plan(fam, coarse),
+    enclose, _ = _enclosures(collocation_plan(fam, _coarse_mesh(mesh)),
                              lambda s, which: None, radius_tol)
     points: dict[float, float] = {}
 

@@ -383,6 +383,18 @@ def test_table2_full_scale(capsys):
         assert row["diff"] <= 1e-9
 
 
+def test_table2_on_reduced_domain(capsys):
+    # Every preset on the two-step reduced domain, whose pieces each get
+    # their own mesh; the finest cf{2,4,6,8,10} row starts on the coarse
+    # mesh and interpolates its iterate piece by piece.
+    code, out, _ = run_cli(capsys, "--domain", "reduced:2", "--format",
+                           "json", "table2")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 11
+    assert all(row["status"] == "pass" for row in rows)
+
+
 def test_table2_scaled_rows_not_judged(capsys):
     code, out, _ = run_cli(capsys, "--scale", "2", "--format", "json",
                            "table2")

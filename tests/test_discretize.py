@@ -31,7 +31,14 @@ from hausdim import (
     reduce_domain,
 )
 from hausdim import discretize
-from hausdim.discretize import _join, _lagrange_rows, _locate, _mesh_piece
+from hausdim.discretize import (
+    _degree_nodes,
+    _join,
+    _lagrange_rows,
+    _locate,
+    _mesh_piece,
+    interpolate_nodal,
+)
 from hausdim.ifs import CLAMP_REL_TOL
 from conftest import hat_matrices
 
@@ -705,3 +712,61 @@ def test_dump_matrix_format():
     # Full precision round trip.
     vals = sorted(float(ln.split()[2]) for ln in lines[1:])
     assert vals == sorted(M.data.tolist())
+
+
+def _interpolation_meshes(domain):
+    fam = make_mobius_family([1, 2])
+    intervals = [fam.domain] if domain == "one piece" else reduce_domain(fam, 2)
+    return make_mesh(intervals, h=0.16), make_mesh(intervals, h=0.01)
+
+
+@pytest.mark.parametrize("domain", ["one piece", "reduced:2"])
+@pytest.mark.parametrize("degree", [1, 3, 6])
+def test_interpolate_nodal_reproduces_polynomials(degree, domain):
+    # A polynomial of degree <= d is its own degree-d interpolant, so
+    # the other mesh's nodes read it to rounding, coarse to fine and
+    # fine to coarse.
+    coarse, fine = _interpolation_meshes(domain)
+    x_coarse = _degree_nodes(coarse, degree).nodes
+    x_fine = _degree_nodes(fine, degree).nodes
+    rng = np.random.default_rng(degree)
+    for p in range(degree + 1):
+        coef = rng.uniform(-1.0, 1.0, p + 1)
+        got = interpolate_nodal(np.polyval(coef, x_coarse), coarse, fine,
+                                degree)
+        assert np.allclose(got, np.polyval(coef, x_fine), rtol=0, atol=1e-14)
+        back = interpolate_nodal(np.polyval(coef, x_fine), fine, coarse,
+                                 degree)
+        assert np.allclose(back, np.polyval(coef, x_coarse), rtol=0,
+                           atol=1e-14)
+
+
+@pytest.mark.parametrize("degree", [1, 3, 6])
+def test_interpolate_nodal_keeps_to_each_piece(degree):
+    # With NaN on every other piece, a piece still reads its own
+    # polynomial exactly and every other piece stays NaN.
+    coarse, fine = _interpolation_meshes("reduced:2")
+    source = _degree_nodes(coarse, degree)
+    target = _degree_nodes(fine, degree)
+    assert len(coarse.pieces) > 1
+    for k in range(len(coarse.pieces)):
+        values = np.full(source.dim, math.nan)
+        own = slice(source.offsets[k], source.offsets[k + 1])
+        values[own] = source.nodes[own] ** degree
+        got = interpolate_nodal(values, coarse, fine, degree)
+        mine = slice(target.offsets[k], target.offsets[k + 1])
+        assert np.allclose(got[mine], target.nodes[mine] ** degree,
+                           rtol=0, atol=1e-14)
+        assert np.isnan(np.delete(got, np.arange(target.dim)[mine])).all()
+
+
+def test_interpolate_nodal_rejects_mismatched_input():
+    coarse, fine = _interpolation_meshes("one piece")
+    with pytest.raises(BadParams, match="nodal values"):
+        interpolate_nodal(np.ones(coarse.dim + 1), coarse, fine)
+    other = make_mesh((0.0, 0.5), h=0.01)
+    with pytest.raises(BadParams, match="same pieces"):
+        interpolate_nodal(np.ones(coarse.dim), coarse, other)
+    for bad in (0, 9, 2.5, True):
+        with pytest.raises(ParamOutOfRange, match="degree"):
+            interpolate_nodal(np.ones(coarse.dim), coarse, fine, bad)

@@ -14,8 +14,9 @@ from hausdim import (
     make_cantor_family,
     make_mesh,
     make_mobius_family,
+    reduce_domain,
 )
-from hausdim.discretize import _lagrange_rows
+from hausdim.discretize import CollocationPlan, _lagrange_rows
 from hausdim.higher_order import HighOrderMatrix, _plan_matrix
 from hausdim.reference_data import DIM_12_BEST, TABLE2, TABLE2B
 from hausdim.solver import INITIAL_BRACKET, solve_root
@@ -202,20 +203,55 @@ def test_dominant_magnitude_rejects_bad_sign_rel(sign_rel):
 def test_highorder_dimension_matvec_budget():
     # One start vector carried across the root solve's evaluations, and
     # sign-sufficient stops away from the root: 82 matvecs here, where
-    # cold full-precision solves take 257.
+    # cold full-precision solves take 257.  Below 4096 entries (1010
+    # here) a coarse matrix costs about what a fine one does, so all 8
+    # matrices are built on the fine plan.
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, h=0.04)
-    with mock.patch.object(HighOrderMatrix, "matvec", autospec=True,
-                           side_effect=HighOrderMatrix.matvec) as matvec:
+    with mock.patch.object(CollocationPlan, "data", autospec=True,
+                           side_effect=CollocationPlan.data) as data, \
+            mock.patch.object(HighOrderMatrix, "matvec", autospec=True,
+                              side_effect=HighOrderMatrix.matvec) as matvec:
         res = highorder_dimension(fam, mesh, 4)
     assert matvec.call_count <= 100
+    assert {call.args[0].dim for call in data.call_args_list} == {res.dim}
+    assert res.evals == data.call_count == 8
     # The same root from cold, full-precision solves at every s.
-    plan = collocation_plan(fam, mesh, 4)
-    cold, _ = solve_root(
+    assert abs(res.s - _cold_root(collocation_plan(fam, mesh, 4))) <= 1e-12
+
+
+def _cold_root(plan):
+    """The estimate from cold, full-precision solves at every s."""
+    return solve_root(
         lambda s: math.log(dominant_magnitude(_plan_matrix(plan, s),
                                               sign_rel=None)),
-        INITIAL_BRACKET)
-    assert abs(res.s - cold) <= 1e-12
+        INITIAL_BRACKET)[0]
+
+
+@pytest.mark.parametrize("intervals,h", [("full", 0.01), ("reduced:2", 0.002)])
+def test_highorder_dimension_fine_matrix_budget(intervals, h):
+    # A plan of 4096 entries or more (8414 and 14560 here) starts on the
+    # mesh 16 times coarser, one or two pieces alike: the coarse root
+    # leaves the fine mesh one or two matrices, where a start from
+    # (0.01, 1.5) builds 8, and the interpolated coarse iterate leaves
+    # their solves 11 and 7 matvecs, where a cold start takes 31 and 32.
+    fam = make_mobius_family([1, 2])
+    domain = [fam.domain] if intervals == "full" else reduce_domain(fam, 2)
+    mesh = make_mesh(domain, h=h)
+    plan = collocation_plan(fam, mesh, 6)
+    assert plan.indices.size >= 4096
+    with mock.patch.object(CollocationPlan, "data", autospec=True,
+                           side_effect=CollocationPlan.data) as data, \
+            mock.patch.object(HighOrderMatrix, "matvec", autospec=True,
+                              side_effect=HighOrderMatrix.matvec) as matvec:
+        res = highorder_dimension(fam, mesh, 6)
+    dims = [call.args[0].dim for call in data.call_args_list]
+    assert 1 <= dims.count(plan.dim) <= 2
+    assert res.evals == len(dims)
+    fine = [call for call in matvec.call_args_list
+            if call.args[0].dim == plan.dim]
+    assert len(fine) <= 20
+    assert abs(res.s - _cold_root(plan)) <= 1e-12
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-13, math.nan])
