@@ -52,7 +52,7 @@ from .ifs import CLAMP_REL_TOL, MapFamily, _as_index, _as_real, eval_map
 __all__ = [
     "Mesh", "make_mesh", "interp_weights", "ErrorModel",
     "error_model", "SparseNonnegMatrix", "CollocationPlan",
-    "collocation_plan", "interpolate_nodal", "dump_matrix",
+    "collocation_plan", "dump_matrix",
 ]
 
 
@@ -529,8 +529,8 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
     )
 
 
-def interpolate_nodal(values: np.ndarray, mesh: Mesh, target: Mesh,
-                      degree: int = 1) -> np.ndarray:
+def _interpolate_nodal(values: np.ndarray, mesh: Mesh, target: Mesh,
+                       degree: int) -> np.ndarray:
     """The degree-d interpolant of nodal values, read at another mesh's nodes.
 
     values holds one value per degree-d node of mesh, in the node order

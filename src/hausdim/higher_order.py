@@ -9,7 +9,7 @@ magnitude is estimated by plain power iteration with a dense fallback.
 The root of log |lambda(s)| gives a dimension estimate whose accuracy
 improves like h**(2d) but carries no certificate.
 
-As the estimate converges so fast, an estimate on a plan of 4096
+As the estimate converges so fast, an estimate on a plan of 32768
 entries or more starts the way a certified bracket does.  It first
 solves log |lambda(s)| = 0 on the same intervals meshed 16 times
 coarser, where a matrix costs about a sixteenth as much.  The last
@@ -32,8 +32,8 @@ import numpy as np
 from .discretize import (
     CollocationPlan,
     CsrMatrix,
+    _interpolate_nodal,
     collocation_plan,
-    interpolate_nodal,
 )
 from .errors import BadParams, PowerDivergence
 from .ifs import MapFamily
@@ -60,10 +60,14 @@ def _plan_matrix(plan: CollocationPlan, s: float) -> HighOrderMatrix:
 _SETTLE_RUNS = 10
 _TAIL_RHO = 0.9  # largest step ratio at which the sign stop trusts its tail
 _SHRINK_STEPS = 64  # steps within which the estimate changes must shrink
-# Smallest plan whose estimate starts on a coarse mesh.  Below it a power
-# step costs its call overhead more than its entries, so a coarse matrix
-# is hardly cheaper than a fine one and the coarse solve cannot pay.
-_COARSE_MIN_ENTRIES = 4096
+# Smallest plan whose estimate starts on a coarse mesh, just above the
+# measured crossover.  Below it a power step costs its call overhead more
+# than its entries, so the coarse solve, plan and interpolation cost what
+# they save.  Timed both ways, the coarse start took 1.2-2.5 times as
+# long on plans of up to 6020 entries, about as long (0.8-1.15) on plans
+# of 10514-31094, and 0.3-0.94 times as long on all but one of the plans
+# of 34930 entries and more.
+_COARSE_MIN_ENTRIES = 32768
 
 
 def _start_vector(dim: int) -> np.ndarray:
@@ -89,7 +93,10 @@ def dominant_magnitude(mat: HighOrderMatrix, tol: float = RADIUS_TOL, *,
     estimate changes d_k is below 0.9 and the geometric tail
     d_k/(1 - rho) is at most sign_rel * |log est| * est: log |lambda| is
     then pinned to that relative accuracy, which is all a secant step
-    far from the root needs.
+    far from the root needs.  An exact repeat (d_k = 0) does not trigger
+    that stop; it counts only toward the settle rule, so near the root,
+    where |log est| is tiny, the stop cannot fire before ten estimates
+    agree to tol.
     """
     if not tol > 0.0:
         raise BadParams(f"need tol > 0, got {tol}")
@@ -125,7 +132,7 @@ def dominant_magnitude(mat: HighOrderMatrix, tol: float = RADIUS_TOL, *,
             else:
                 settle = 0
             rho = d / d_prev if 0.0 < d_prev < math.inf else 1.0
-            if sign_rel is not None and rho < _TAIL_RHO and \
+            if sign_rel is not None and 0.0 < rho < _TAIL_RHO and \
                     d / (1.0 - rho) <= sign_rel * abs(math.log(est)) * est:
                 return est
             if len(changes) == _SHRINK_STEPS and d >= changes[0]:
@@ -186,7 +193,7 @@ def _coarse_start(fam: MapFamily, mesh, degree: int, root_tol: float,
     f, points = _log_magnitude(plan, radius_tol, vec)
     s_c, _ = solve_root(f, INITIAL_BRACKET, root_tol)
     return (s_c, _slope(points, s_c),
-            interpolate_nodal(vec, coarse, mesh, degree), len(points))
+            _interpolate_nodal(vec, coarse, mesh, degree), len(points))
 
 
 def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
@@ -194,7 +201,7 @@ def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
                         radius_tol: float = RADIUS_TOL) -> HighOrderResult:
     """Dimension estimate: root of log |lambda_dom(s)| (no certificate).
 
-    A plan of at least 4096 entries starts on a mesh 16 times coarser:
+    A plan of at least 32768 entries starts on a mesh 16 times coarser:
     the root s_c there, at the same degree, is found by solve_root from
     INITIAL_BRACKET, and the fine root is taken from s_c by one Newton
     step on the coarse slope and secant steps, its first solve starting

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 from hausdim import ifs
 from hausdim.cli import main
+from hausdim.discretize import CollocationPlan
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -385,14 +387,30 @@ def test_table2_full_scale(capsys):
 
 def test_table2_on_reduced_domain(capsys):
     # Every preset on the two-step reduced domain, whose pieces each get
-    # their own mesh; the finest cf{2,4,6,8,10} row starts on the coarse
-    # mesh and interpolates its iterate piece by piece.
+    # their own mesh.
     code, out, _ = run_cli(capsys, "--domain", "reduced:2", "--format",
                            "json", "table2")
     assert code == 0
     rows = json.loads(out)["rows"]
     assert len(rows) == 11
     assert all(row["status"] == "pass" for row in rows)
+
+
+def test_table2_scaled_on_reduced_domain_starts_coarse(capsys):
+    # At a twentieth of the published widths the finest cf{2,4,6,8,10}
+    # row has a plan of 52400 entries on the reduced domain, so it starts
+    # on the coarse mesh, interpolates its iterate piece by piece and
+    # builds its fine matrix once, where a cold start builds 8.
+    with mock.patch.object(CollocationPlan, "data", autospec=True,
+                           side_effect=CollocationPlan.data) as data:
+        code, out, _ = run_cli(capsys, "--domain", "reduced:2", "--scale",
+                               "0.05", "--format", "json", "table2")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert all(row["status"] == "scaled" for row in rows)
+    assert rows[-1]["diff"] <= 1e-12
+    dims = [call.args[0].dim for call in data.call_args_list]
+    assert dims.count(max(dims)) == 1
 
 
 def test_table2_scaled_rows_not_judged(capsys):

@@ -33,11 +33,11 @@ from hausdim import (
 from hausdim import discretize
 from hausdim.discretize import (
     _degree_nodes,
+    _interpolate_nodal,
     _join,
     _lagrange_rows,
     _locate,
     _mesh_piece,
-    interpolate_nodal,
 )
 from hausdim.ifs import CLAMP_REL_TOL
 from conftest import hat_matrices
@@ -732,10 +732,10 @@ def test_interpolate_nodal_reproduces_polynomials(degree, domain):
     rng = np.random.default_rng(degree)
     for p in range(degree + 1):
         coef = rng.uniform(-1.0, 1.0, p + 1)
-        got = interpolate_nodal(np.polyval(coef, x_coarse), coarse, fine,
+        got = _interpolate_nodal(np.polyval(coef, x_coarse), coarse, fine,
                                 degree)
         assert np.allclose(got, np.polyval(coef, x_fine), rtol=0, atol=1e-14)
-        back = interpolate_nodal(np.polyval(coef, x_fine), fine, coarse,
+        back = _interpolate_nodal(np.polyval(coef, x_fine), fine, coarse,
                                  degree)
         assert np.allclose(back, np.polyval(coef, x_coarse), rtol=0,
                            atol=1e-14)
@@ -753,7 +753,7 @@ def test_interpolate_nodal_keeps_to_each_piece(degree):
         values = np.full(source.dim, math.nan)
         own = slice(source.offsets[k], source.offsets[k + 1])
         values[own] = source.nodes[own] ** degree
-        got = interpolate_nodal(values, coarse, fine, degree)
+        got = _interpolate_nodal(values, coarse, fine, degree)
         mine = slice(target.offsets[k], target.offsets[k + 1])
         assert np.allclose(got[mine], target.nodes[mine] ** degree,
                            rtol=0, atol=1e-14)
@@ -763,10 +763,10 @@ def test_interpolate_nodal_keeps_to_each_piece(degree):
 def test_interpolate_nodal_rejects_mismatched_input():
     coarse, fine = _interpolation_meshes("one piece")
     with pytest.raises(BadParams, match="nodal values"):
-        interpolate_nodal(np.ones(coarse.dim + 1), coarse, fine)
+        _interpolate_nodal(np.ones(coarse.dim + 1), coarse, fine, 1)
     other = make_mesh((0.0, 0.5), h=0.01)
     with pytest.raises(BadParams, match="same pieces"):
-        interpolate_nodal(np.ones(coarse.dim), coarse, other)
+        _interpolate_nodal(np.ones(coarse.dim), coarse, other, 1)
     for bad in (0, 9, 2.5, True):
         with pytest.raises(ParamOutOfRange, match="degree"):
-            interpolate_nodal(np.ones(coarse.dim), coarse, fine, bad)
+            _interpolate_nodal(np.ones(coarse.dim), coarse, fine, bad)

@@ -62,14 +62,12 @@ cf12_n200 by (+5.7e-13, -5.4e-13), cf12_reduced2_h005 by (-2.2e-13,
 certified.  The table1 --scale 100 and table3 --scale 20 digests were
 re-recorded (their endpoints moved by at most 9.1e-13 and 5.0e-13,
 every row still passing).  No other pin moved.  Then every degree-d
-estimate on a plan of 4096 entries or more came to start on a mesh 16
+estimate on a plan of 32768 entries or more came to start on a mesh 16
 times coarser and take its fine root from there, its first solve
 starting from the interpolated coarse iterate.  The degree-4 and
-degree-1 pins sit below that size and did not move; the degree-6,
-h = 0.01 pin was added on the coarse start.  The table2 digest
-5d73c015... -> bc584150... was re-recorded: the three finest degree-3
-cf{2,4,6,8,10} rows moved by +2.64e-13 (h = 0.005), +1.69e-14 and
-+8.66e-15, every row still passing.  The sha256 pins of
+degree-1 pins and every table2 row sit below that size and did not
+move; the degree-6, h = 0.002 pin was added on the coarse start (the
+cold start gives 0x1.1003ff9eed03ap-1, 3.3e-16 higher).  The sha256 pins of
 `radius` stdout (text, csv, json) and of its three --dump-matrix files
 were recorded while it still took A, M and B from a matrix-triple
 helper, before it built them from the plan and error model itself.
@@ -160,8 +158,8 @@ def test_bracket_endpoints_bit_exact(name):
 @pytest.mark.parametrize("degree,h,expect", [
     (4, 0.04, "0x1.1003ff9eee1f4p-1"),
     (1, 0.01, "0x1.10045305ee0bap-1"),
-    (6, 0.01, "0x1.1003ff9eeca4cp-1"),
-], ids=["d4-h0.04", "d1-h0.01", "d6-h0.01"])
+    (6, 0.002, "0x1.1003ff9eed037p-1"),
+], ids=["d4-h0.04", "d1-h0.01", "d6-h0.002"])
 def test_highorder_estimate_bit_exact(degree, h, expect):
     fam = make_mobius_family([1, 2])
     res = highorder_dimension(fam, make_mesh(fam.domain, h=h), degree)
@@ -308,7 +306,7 @@ CLI_TABLES = {
     "table1 --scale 100":
         "2b74e7b7a76d54fe8a916407bdae1d36e15a3b573163aeb39299808350eec5c9",
     "table2":
-        "bc58415009ea32d5fa8c8a1b718730996cc1fc73cf0e0e51347e61337b08ad88",
+        "5d73c015735044b022a50f1b810ef9ee02945c2a5502cb8471c9d1bb95d45cb9",
     "table3 --scale 20":
         "ae0d301b3ad3424a3a9ee81d18bd3676d76f4c6eef8f76d68d420d925fe453e4",
 }

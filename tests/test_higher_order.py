@@ -17,7 +17,12 @@ from hausdim import (
     reduce_domain,
 )
 from hausdim.discretize import CollocationPlan, _lagrange_rows
-from hausdim.higher_order import HighOrderMatrix, _plan_matrix
+from hausdim.higher_order import (
+    _COARSE_MIN_ENTRIES,
+    _SETTLE_RUNS,
+    HighOrderMatrix,
+    _plan_matrix,
+)
 from hausdim.reference_data import DIM_12_BEST, TABLE2, TABLE2B
 from hausdim.solver import INITIAL_BRACKET, solve_root
 
@@ -194,6 +199,24 @@ def test_dominant_magnitude_rejects_bad_start_vector(vec):
     assert np.array_equal(np.asarray(vec), before, equal_nan=True)
 
 
+def test_dominant_magnitude_exact_repeat_only_settles():
+    # From vec the estimates read 0.5, 1, 1: the third step repeats the
+    # second exactly (d = 0), at the root, where |log est| = 0.  Such a
+    # repeat counts toward the ten settle runs and never fires the sign
+    # stop, which returned after 3 matvecs before.
+    class Counting(Dense):
+        matvecs = 0
+
+        def matvec(self, w):
+            self.matvecs += 1
+            return super().matvec(w)
+
+    mat = Counting([[1.0, 0.0], [0.0, 0.5]])
+    vec = np.array([0.5, 1.0])
+    assert dominant_magnitude(mat, vec=vec, sign_rel=0.01) == 1.0
+    assert mat.matvecs == 2 + _SETTLE_RUNS
+
+
 @pytest.mark.parametrize("sign_rel", [0.0, -0.01, math.nan])
 def test_dominant_magnitude_rejects_bad_sign_rel(sign_rel):
     with pytest.raises(BadParams, match="sign_rel"):
@@ -203,8 +226,8 @@ def test_dominant_magnitude_rejects_bad_sign_rel(sign_rel):
 def test_highorder_dimension_matvec_budget():
     # One start vector carried across the root solve's evaluations, and
     # sign-sufficient stops away from the root: 82 matvecs here, where
-    # cold full-precision solves take 257.  Below 4096 entries (1010
-    # here) a coarse matrix costs about what a fine one does, so all 8
+    # cold full-precision solves take 257.  Below 32768 entries (1010
+    # here) the coarse start costs about what it saves, so all 8
     # matrices are built on the fine plan.
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, h=0.04)
@@ -228,18 +251,19 @@ def _cold_root(plan):
         INITIAL_BRACKET)[0]
 
 
-@pytest.mark.parametrize("intervals,h", [("full", 0.01), ("reduced:2", 0.002)])
+@pytest.mark.parametrize("intervals,h", [("full", 0.002), ("reduced:2", 0.0008)])
 def test_highorder_dimension_fine_matrix_budget(intervals, h):
-    # A plan of 4096 entries or more (8414 and 14560 here) starts on the
-    # mesh 16 times coarser, one or two pieces alike: the coarse root
-    # leaves the fine mesh one or two matrices, where a start from
-    # (0.01, 1.5) builds 8, and the interpolated coarse iterate leaves
-    # their solves 11 and 7 matvecs, where a cold start takes 31 and 32.
+    # A plan of 32768 entries or more (42014 and 36232 here) starts on
+    # the mesh 16 times coarser, one or two pieces alike: the coarse root
+    # leaves the fine mesh one matrix, where a start from (0.01, 1.5)
+    # builds 8, and the interpolated coarse iterate leaves its solve 11
+    # matvecs (one step and ten settle runs), where a cold start takes
+    # 36 or 37.
     fam = make_mobius_family([1, 2])
     domain = [fam.domain] if intervals == "full" else reduce_domain(fam, 2)
     mesh = make_mesh(domain, h=h)
     plan = collocation_plan(fam, mesh, 6)
-    assert plan.indices.size >= 4096
+    assert plan.indices.size >= _COARSE_MIN_ENTRIES
     with mock.patch.object(CollocationPlan, "data", autospec=True,
                            side_effect=CollocationPlan.data) as data, \
             mock.patch.object(HighOrderMatrix, "matvec", autospec=True,
