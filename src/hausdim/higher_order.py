@@ -9,7 +9,7 @@ magnitude is estimated by plain power iteration with a dense fallback.
 The root of log |lambda(s)| gives a dimension estimate whose accuracy
 improves like h**(2d) but carries no certificate.
 
-As the estimate converges so fast, an estimate on a plan of 32768
+As the estimate converges so fast, an estimate on a plan of 16384
 entries or more starts the way a certified bracket does.  It first
 solves log |lambda(s)| = 0 on the same intervals meshed 16 times
 coarser, where a matrix costs about a sixteenth as much.  The last
@@ -17,8 +17,11 @@ coarse iterate, interpolated onto the fine nodes piece by piece, seeds
 the first fine solve.  That solve is at the coarse root, and a Newton
 step on the coarse slope and secant steps go on from there.  At degree
 6 the coarse root already meets the fine root_tol, so the fine mesh
-builds one matrix.  HighOrderResult.evals counts the matrices built on
-both meshes.
+builds one matrix, and its seeded solve stops after a few steps, once
+the geometric tail of the estimate changes is below tol.  On a
+domain of many short pieces the coarse mesh would keep more than a
+quarter of the nodes, and the estimate has no coarse level.
+HighOrderResult.evals counts the matrices built on both meshes.
 """
 
 from __future__ import annotations
@@ -57,17 +60,18 @@ def _plan_matrix(plan: CollocationPlan, s: float) -> HighOrderMatrix:
     return HighOrderMatrix(plan.dim, plan.indptr, plan.indices, plan.data(s))
 
 
-_SETTLE_RUNS = 10
-_TAIL_RHO = 0.9  # largest step ratio at which the sign stop trusts its tail
+_SETTLE_RUNS = 10  # successive changes <= tol that settle the estimate
+_TAIL_RUNS = 2  # successive changes <= tol that the tail stop needs
+_TAIL_RHO = 0.9  # largest step ratio at which a tail stop trusts its tail
 _SHRINK_STEPS = 64  # steps within which the estimate changes must shrink
-# Smallest plan whose estimate starts on a coarse mesh, just above the
-# measured crossover.  Below it a power step costs its call overhead more
-# than its entries, so the coarse solve, plan and interpolation cost what
-# they save.  Timed both ways, the coarse start took 1.2-2.5 times as
-# long on plans of up to 6020 entries, about as long (0.8-1.15) on plans
-# of 10514-31094, and 0.3-0.94 times as long on all but one of the plans
-# of 34930 entries and more.
-_COARSE_MIN_ENTRIES = 32768
+# Smallest plan whose estimate starts on a coarse mesh, at the measured
+# crossover.  Below it a power step costs its call overhead more than
+# its entries, so the coarse solve, plan and interpolation cost what
+# they save.  Timed both ways (medians of 31 alternated in-process
+# runs), the coarse start took 1.09-1.4 times as long on plans of
+# 6020-15020 entries, 0.81-1.06 times as long on 16725-21014 (cf{1,2}
+# 0.82-0.84, a net gain over the band) and 0.6-0.92 times from 25025.
+_COARSE_MIN_ENTRIES = 16384
 
 
 def _start_vector(dim: int) -> np.ndarray:
@@ -81,22 +85,28 @@ def dominant_magnitude(mat: HighOrderMatrix, tol: float = RADIUS_TOL, *,
     """|lambda| of the dominant eigenvalue of a signed matrix.
 
     Power iteration on sup norms (at most 10*dim + 2000 steps) settles for
-    a real dominant eigenvalue of either sign.  Once the change of the
-    estimate is no smaller than it was 64 steps before (oscillation, as
-    for a complex pair), or the steps run out, it falls back to a dense
-    eigensolve for dim <= 2000 and raises PowerDivergence beyond.
+    a real dominant eigenvalue of either sign.  With d_k the change of
+    the estimate at step k and rho = d_k/d_{k-1}, it stops once ten
+    successive changes are at most tol * est, or earlier, once the
+    geometric tail d_k/(1 - rho), taken where 0 < rho < 0.9, is at most
+    tol * est and so were d_k and d_{k-1}.  The tail of one step alone
+    can mislead: the step ratios of two subdominant eigenvalues of
+    opposite sign alternate far below and far above 1, and the sup norm
+    moving to another entry can make one change tiny while the estimate
+    is still off.  Once the change of the estimate is no smaller than it
+    was 64 steps before (oscillation, as for a complex pair), or the
+    steps run out, it falls back to a dense eigensolve for dim <= 2000
+    and raises PowerDivergence beyond.
 
     vec, a finite float64 array of shape (dim,) that is not all zero, is
     the start vector; the call overwrites it with its last normalized
     iterate, so the next solve can start there.  With sign_rel > 0 the
-    iteration also stops once the step ratio rho = d_k/d_{k-1} of the
-    estimate changes d_k is below 0.9 and the geometric tail
-    d_k/(1 - rho) is at most sign_rel * |log est| * est: log |lambda| is
-    then pinned to that relative accuracy, which is all a secant step
-    far from the root needs.  An exact repeat (d_k = 0) does not trigger
-    that stop; it counts only toward the settle rule, so near the root,
-    where |log est| is tiny, the stop cannot fire before ten estimates
-    agree to tol.
+    iteration also stops once the tail is at most
+    sign_rel * |log est| * est: log |lambda| is then pinned to that
+    relative accuracy, which is all a secant step far from the root
+    needs.  An exact repeat (d_k = 0) fires neither tail stop; it counts
+    only toward the settle runs, so near the root, where |log est| is
+    tiny, the sign stop cannot fire on it.
     """
     if not tol > 0.0:
         raise BadParams(f"need tol > 0, got {tol}")
@@ -132,8 +142,11 @@ def dominant_magnitude(mat: HighOrderMatrix, tol: float = RADIUS_TOL, *,
             else:
                 settle = 0
             rho = d / d_prev if 0.0 < d_prev < math.inf else 1.0
-            if sign_rel is not None and 0.0 < rho < _TAIL_RHO and \
-                    d / (1.0 - rho) <= sign_rel * abs(math.log(est)) * est:
+            tail = d / (1.0 - rho) if 0.0 < rho < _TAIL_RHO else math.inf
+            if sign_rel is not None and \
+                    tail <= sign_rel * abs(math.log(est)) * est:
+                return est
+            if settle >= _TAIL_RUNS and tail <= tol * est:
                 return est
             if len(changes) == _SHRINK_STEPS and d >= changes[0]:
                 break
@@ -179,15 +192,14 @@ def _log_magnitude(plan: CollocationPlan, radius_tol: float,
     return f, points
 
 
-def _coarse_start(fam: MapFamily, mesh, degree: int, root_tol: float,
+def _coarse_start(fam: MapFamily, mesh, coarse, degree: int, root_tol: float,
                   radius_tol: float) -> tuple[float, float, np.ndarray, int]:
-    """Root of log |lambda(s)| on the same intervals meshed 16 times coarser.
+    """Root of log |lambda(s)| on coarse, the same intervals as mesh.
 
     Returns the root, the slope between the two evaluated points nearest
     it, the last coarse iterate interpolated onto the degree-d nodes of
     mesh, and the number of matrices built.
     """
-    coarse = _coarse_mesh(mesh)
     plan = collocation_plan(fam, coarse, degree)
     vec = _start_vector(plan.dim)
     f, points = _log_magnitude(plan, radius_tol, vec)
@@ -201,22 +213,25 @@ def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
                         radius_tol: float = RADIUS_TOL) -> HighOrderResult:
     """Dimension estimate: root of log |lambda_dom(s)| (no certificate).
 
-    A plan of at least 32768 entries starts on a mesh 16 times coarser:
+    A plan of at least 16384 entries starts on a mesh 16 times coarser:
     the root s_c there, at the same degree, is found by solve_root from
     INITIAL_BRACKET, and the fine root is taken from s_c by one Newton
     step on the coarse slope and secant steps, its first solve starting
     from the last coarse iterate interpolated onto the fine nodes.  A
-    smaller plan is solved by solve_root from INITIAL_BRACKET alone.
+    smaller plan, or one whose coarse mesh would keep more than a quarter
+    of its nodes, is solved by solve_root from INITIAL_BRACKET alone.
     evals counts the matrices built on both meshes.
     """
     plan = collocation_plan(fam, mesh, degree)
-    if plan.indices.size < _COARSE_MIN_ENTRIES:
+    coarse = (_coarse_mesh(mesh) if plan.indices.size >= _COARSE_MIN_ENTRIES
+              else None)
+    if coarse is None:
         f, points = _log_magnitude(plan, radius_tol, _start_vector(plan.dim))
         s, _ = solve_root(f, INITIAL_BRACKET, root_tol)
         coarse_evals = 0
     else:
         s_c, slope, vec, coarse_evals = _coarse_start(
-            fam, mesh, plan.degree, root_tol, radius_tol)
+            fam, mesh, coarse, plan.degree, root_tol, radius_tol)
         f, points = _log_magnitude(plan, radius_tol, vec)
         s = _root_from(f, s_c, slope, root_tol)
     return HighOrderResult(s=s, degree=plan.degree, dim=plan.dim,

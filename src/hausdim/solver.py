@@ -11,7 +11,9 @@ certifies the inequality.
 A bracket first finds the root of log r(M_s) on a mesh 16 times
 coarser, where a matrix costs a sixteenth as much; the A/B roots
 converge to the dimension like h**2, so that root lies close to the
-fine ones.  The fine B root is then taken from it by one Newton step
+fine ones.  A coarse mesh that keeps more than a quarter of the fine
+nodes (many short pieces, two cells each) saves too little and is
+skipped.  The fine B root is then taken from it by one Newton step
 with the coarse slope and secant steps, and the fine A root the same
 way from the B root.  Each fine root aims outward, at
 root_tol/10 <= |log r| <= root_tol on the side its certificate needs,
@@ -213,20 +215,26 @@ def _slope(points: dict[float, float], s: float) -> float:
 
 
 def _coarse_mesh(mesh):
-    """The same intervals as mesh, meshed 16 times coarser."""
-    return make_mesh([(p.a, p.b) for p in mesh.pieces], h=_COARSEN * mesh.h)
+    """The same intervals as mesh, meshed 16 times coarser, or None.
+
+    make_mesh keeps two cells per piece, so on a domain cut into many
+    short pieces the coarse mesh can be barely coarser; None when it has
+    more than a quarter of mesh's nodes.
+    """
+    coarse = make_mesh([(p.a, p.b) for p in mesh.pieces], h=_COARSEN * mesh.h)
+    return coarse if 4 * coarse.dim <= mesh.dim else None
 
 
-def _coarse_root(fam: MapFamily, mesh, initial: tuple[float, float],
+def _coarse_root(fam: MapFamily, coarse, initial: tuple[float, float],
                  root_tol: float, radius_tol: float
                  ) -> tuple[float, float, int]:
-    """Root of log r(M_s) on the same intervals meshed 16 times coarser.
+    """Root of log r(M_s) on the coarse mesh.
 
     Returns the root, the slope of log r between the two evaluated
     points nearest it, and the number of matrices built.  The coarse
     plan is dropped on return.
     """
-    enclose, _ = _enclosures(collocation_plan(fam, _coarse_mesh(mesh)),
+    enclose, _ = _enclosures(collocation_plan(fam, coarse),
                              lambda s, which: None, radius_tol)
     points: dict[float, float] = {}
 
@@ -285,7 +293,10 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     coarser is found by solve_root from initial; that plan is dropped
     before the fine one is built.  The fine B root starts at s_c with
     one Newton step on the coarse slope and aims at
-    -root_tol <= log r(B) <= -root_tol/10; the A root starts the same
+    -root_tol <= log r(B) <= -root_tol/10.  Where the coarse mesh would
+    keep more than a quarter of the fine nodes (a domain of many short
+    pieces), there is no coarse level and solve_root finds the B root
+    from initial on the fine mesh.  The A root starts the same
     way at the B root, on the slope of log r(B), and aims at
     root_tol/10 <= log r(A) <= root_tol.  Each lands on the side its
     certificate needs: s_upper is nudged upward until the enclosure
@@ -295,8 +306,11 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     serve every s the fine solves visit.  evals counts the matrices
     built on both meshes.
     """
-    s_c, slope, coarse_evals = _coarse_root(fam, mesh, initial, root_tol,
-                                            radius_tol)
+    coarse = _coarse_mesh(mesh)
+    coarse_evals = 0
+    if coarse is not None:
+        s_c, slope, coarse_evals = _coarse_root(fam, coarse, initial,
+                                                root_tol, radius_tol)
     plan = collocation_plan(fam, mesh)
     bound_plan = BoundPlan(fam)
     models: dict[float, ErrorModel] = {}  # A and B share an s at B's root
@@ -325,9 +339,16 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     # there, far above the rounding of the matrix and its power solve.
     margin = 0.1 * root_tol
     aim, tol = 0.5 * (root_tol + margin), 0.5 * (root_tol - margin)
-    s_b = _root_from(lambda x: log_r(x, "B") + aim, s_c, slope, tol)
+
+    def b_root(s: float) -> float:
+        return log_r(s, "B") + aim
+
+    if coarse is None:
+        s_b = solve_root(b_root, initial, tol)[0]
+    else:
+        s_b = _root_from(b_root, s_c, slope, tol)
     b_points = {s: log_r(s, "B") for s, which in radii if which == "B"}
-    if len(b_points) > 1:
+    if len(b_points) > 1:  # always so without the coarse slope
         slope = _slope(b_points, s_b)
     s_up, cert_up = certify(s_b, "B", root_tol)
     s_a = _root_from(lambda x: log_r(x, "A") - aim, s_b, slope, tol)

@@ -492,6 +492,9 @@ def test_arithmetic_locate_matches_searchsorted(case):
 
 
 def _reference_lagrange_rows(t, degree):
+    # The product formula the basis weights came from before they were
+    # built from prefix and suffix products: basis q is the product of
+    # (u - p)/(q - p) over p != q, with u = d t.
     u = degree * t
     out = np.ones((degree + 1, t.size))
     for q in range(degree + 1):
@@ -501,9 +504,37 @@ def _reference_lagrange_rows(t, degree):
     return out
 
 
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_lagrange_rows_against_the_product_formula(degree):
+    # Degree 1 is bit for bit the product formula, signed zeros included.
+    # Above it the weights divide once by an exact integer, so at a node
+    # (u = d t an integer) they are exactly the unit vector, and elsewhere
+    # each lies within 2d ulps (relative) of the product formula: both
+    # multiply the same d factors u - p, in another order.  The points
+    # are normal floats, as the plan's local coordinates are.
+    rng = np.random.default_rng(degree)
+    nodes = np.arange(degree + 1) / degree
+    assert np.array_equal(degree * nodes, np.arange(degree + 1))
+    eps = np.finfo(float).eps
+    t = np.concatenate([rng.uniform(0.0, 1.0, 20000), nodes,
+                        nodes[1:] * (1.0 - eps), nodes[:-1] + eps,
+                        rng.uniform(0.0, 1e-12, 100)])
+    got, want = _lagrange_rows(t, degree), _reference_lagrange_rows(t, degree)
+    if degree == 1:
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(_lagrange_rows(nodes, degree), np.eye(degree + 1))
+    assert np.all(np.abs(got - want) <= 2 * degree * eps * np.abs(want))
+    # out is filled in place, as the plan's transposed weight view is.
+    out = np.empty((t.size, degree + 1)).T
+    assert _lagrange_rows(t, degree, out=out) is out
+    assert np.array_equal(out, got)
+
+
 def _reference_plan(fam, mesh, degree):
     # The per-map plan builder as it was before the block fill: map by
-    # map, strided writes into (dim, n_maps, d+1) arrays.
+    # map, strided writes into (dim, n_maps, d+1) arrays, every basis
+    # weight from one _lagrange_rows call on all of a map's points.
     fine = _join([_mesh_piece(p.a, p.b, p.n * degree) for p in mesh.pieces])
     base = np.concatenate([off + degree * np.arange(p.n + 1)
                            for p, off in zip(mesh.pieces, fine.offsets)])
@@ -516,7 +547,7 @@ def _reference_plan(fam, mesh, degree):
         cell, wr, q[:, j] = _reference_locate(mesh, eval_map(fam, j, fine.nodes))
         log_weight[:, j] = spec.log_weight(fine.nodes)
         cols[:, j] = base[cell, None] + np.arange(degree + 1)
-        weight[:, j] = _reference_lagrange_rows(wr, degree).T
+        weight[:, j] = _lagrange_rows(wr, degree).T
     q = q.ravel() if degree == 1 else None
     return dict(
         indptr=np.arange(0, cols.size + 1, cols[0].size, dtype=np.int32),

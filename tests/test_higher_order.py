@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hausdim import (
     BadParams,
@@ -24,7 +26,7 @@ from hausdim.higher_order import (
     _plan_matrix,
 )
 from hausdim.reference_data import DIM_12_BEST, TABLE2, TABLE2B
-from hausdim.solver import INITIAL_BRACKET, solve_root
+from hausdim.solver import INITIAL_BRACKET, _coarse_mesh, solve_root
 
 
 class Dense:
@@ -39,6 +41,16 @@ class Dense:
 
     def toarray(self):
         return self.arr
+
+
+class Counting(Dense):
+    """A Dense matrix that counts its matvecs."""
+
+    matvecs = 0
+
+    def matvec(self, w):
+        self.matvecs += 1
+        return super().matvec(w)
 
 
 def test_lagrange_rows_cardinal_at_nodes():
@@ -156,13 +168,6 @@ def test_dominant_magnitude_complex_pair_falls_back_early():
     # The estimate changes of a complex dominant pair do not shrink, so
     # the dense fallback answers once 64 steps have shown that, not
     # after all 10*dim + 2000 steps (2020 matvecs here before).
-    class Counting(Dense):
-        matvecs = 0
-
-        def matvec(self, w):
-            self.matvecs += 1
-            return super().matvec(w)
-
     mat = Counting([[0.0, -2.0], [1.0, 0.0]])
     assert dominant_magnitude(mat) == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert mat.matvecs <= 100
@@ -204,17 +209,55 @@ def test_dominant_magnitude_exact_repeat_only_settles():
     # second exactly (d = 0), at the root, where |log est| = 0.  Such a
     # repeat counts toward the ten settle runs and never fires the sign
     # stop, which returned after 3 matvecs before.
-    class Counting(Dense):
-        matvecs = 0
-
-        def matvec(self, w):
-            self.matvecs += 1
-            return super().matvec(w)
-
     mat = Counting([[1.0, 0.0], [0.0, 0.5]])
     vec = np.array([0.5, 1.0])
     assert dominant_magnitude(mat, vec=vec, sign_rel=0.01) == 1.0
     assert mat.matvecs == 2 + _SETTLE_RUNS
+
+
+@pytest.mark.parametrize("rho,matvecs,settle_only", [
+    (0.5, 44, 52), (0.8, 128, 130)])
+def test_dominant_magnitude_tail_stop(rho, matvecs, settle_only):
+    # The estimate changes d shrink by rho each step, so the solve stops
+    # once two successive changes are <= tol * est and the tail
+    # d/(1 - rho) is too: within 2 tol of |lambda| = 1, and before the
+    # settle rule alone would (settle_only matvecs).  At rho = 0.8 the
+    # tail, 5d, is what holds the stop back.
+    mat = Counting([[1.0, 0.5], [0.0, rho]])
+    assert abs(dominant_magnitude(mat) - 1.0) <= 2e-13
+    assert mat.matvecs == matvecs < settle_only
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.floats(0.2, 5.0), st.booleans(),
+    st.lists(st.floats(-0.6, 0.6), min_size=n - 1, max_size=n - 1),
+    st.integers(0, 2**32 - 1))))
+# Two cases where one tail <= tol * est alone stopped too early: the
+# step ratios alternate about 0.05 and 5 (two subdominant eigenvalues
+# of opposite sign), and a change of 3e-14 between two estimates both
+# 7.7e-13 high (the sup norm moving to another entry).
+@example(case=(1.0, False, [0.515625, -0.484375], 0))
+@example(case=(1.0, False, [0.0, 0.2, 0.0, 0.17948800482423444, 0.0], 6))
+def test_dominant_magnitude_within_tol_of_eigvals(case):
+    # A signed matrix V diag(lambda) V^-1 whose dominant eigenvalue is
+    # real and simple, with |lambda_2| <= 0.6 |lambda_1|: the estimate
+    # changes shrink geometrically, so the tail stop (a tail <= tol * est
+    # after two successive changes <= tol * est) and the settle rule both
+    # leave it within 2 tol of |lambda_1|, started cold and from a random
+    # vector alike.
+    mag, negative, ratios, seed = case
+    lam1 = -mag if negative else mag
+    rng = np.random.default_rng(seed)
+    n = len(ratios) + 1
+    vecs = rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)
+    arr = vecs @ np.diag([lam1] + [r * lam1 for r in ratios]) \
+        @ np.linalg.inv(vecs)
+    want = float(np.max(np.abs(np.linalg.eigvals(arr))))
+    tol = 1e-13
+    for vec in (None, rng.uniform(-1.0, 1.0, n)):
+        got = dominant_magnitude(Dense(arr), tol, vec=vec)
+        assert abs(got - want) <= 2.0 * tol * want
 
 
 @pytest.mark.parametrize("sign_rel", [0.0, -0.01, math.nan])
@@ -224,11 +267,12 @@ def test_dominant_magnitude_rejects_bad_sign_rel(sign_rel):
 
 
 def test_highorder_dimension_matvec_budget():
-    # One start vector carried across the root solve's evaluations, and
-    # sign-sufficient stops away from the root: 82 matvecs here, where
-    # cold full-precision solves take 257.  Below 32768 entries (1010
-    # here) the coarse start costs about what it saves, so all 8
-    # matrices are built on the fine plan.
+    # One start vector carried across the root solve's evaluations,
+    # sign-sufficient stops away from the root and tail stops at it: 74
+    # matvecs here, where cold full-precision solves take 201 (257
+    # without the tail stop).  Below 16384 entries (1010 here) the
+    # coarse start costs more than it saves, so all 8 matrices are
+    # built on the fine plan.
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, h=0.04)
     with mock.patch.object(CollocationPlan, "data", autospec=True,
@@ -236,7 +280,7 @@ def test_highorder_dimension_matvec_budget():
             mock.patch.object(HighOrderMatrix, "matvec", autospec=True,
                               side_effect=HighOrderMatrix.matvec) as matvec:
         res = highorder_dimension(fam, mesh, 4)
-    assert matvec.call_count <= 100
+    assert matvec.call_count <= 80
     assert {call.args[0].dim for call in data.call_args_list} == {res.dim}
     assert res.evals == data.call_count == 8
     # The same root from cold, full-precision solves at every s.
@@ -253,12 +297,12 @@ def _cold_root(plan):
 
 @pytest.mark.parametrize("intervals,h", [("full", 0.002), ("reduced:2", 0.0008)])
 def test_highorder_dimension_fine_matrix_budget(intervals, h):
-    # A plan of 32768 entries or more (42014 and 36232 here) starts on
+    # A plan of 16384 entries or more (42014 and 36232 here) starts on
     # the mesh 16 times coarser, one or two pieces alike: the coarse root
     # leaves the fine mesh one matrix, where a start from (0.01, 1.5)
-    # builds 8, and the interpolated coarse iterate leaves its solve 11
-    # matvecs (one step and ten settle runs), where a cold start takes
-    # 36 or 37.
+    # builds 8, and from the interpolated coarse iterate its solve stops
+    # on the tail after 3 and 10 matvecs (ten settle runs took 11), where
+    # a cold start takes 29 or 28.
     fam = make_mobius_family([1, 2])
     domain = [fam.domain] if intervals == "full" else reduce_domain(fam, 2)
     mesh = make_mesh(domain, h=h)
@@ -274,7 +318,27 @@ def test_highorder_dimension_fine_matrix_budget(intervals, h):
     assert res.evals == len(dims)
     fine = [call for call in matvec.call_args_list
             if call.args[0].dim == plan.dim]
-    assert len(fine) <= 20
+    assert len(fine) <= 10
+    assert abs(res.s - _cold_root(plan)) <= 1e-12
+
+
+def test_highorder_dimension_skips_a_coarse_level_barely_coarser():
+    # reduce_domain(cf{1,2}, 6) has 32 pieces and make_mesh keeps two
+    # cells on each, so at h = 1e-4 the mesh 16 times coarser keeps 97
+    # of the 380 nodes.  The degree-6 plan (29680 entries) is above the
+    # cut-off, yet the estimate goes straight to solve_root on the fine
+    # plan: with the coarse level it built 8 coarse matrices and 1 fine
+    # one in 13.9 ms, without it 8 fine ones in 8.3 ms.
+    fam = make_mobius_family([1, 2])
+    mesh = make_mesh(reduce_domain(fam, 6), h=1e-4)
+    plan = collocation_plan(fam, mesh, 6)
+    assert plan.indices.size >= _COARSE_MIN_ENTRIES
+    assert _coarse_mesh(mesh) is None
+    with mock.patch.object(CollocationPlan, "data", autospec=True,
+                           side_effect=CollocationPlan.data) as data:
+        res = highorder_dimension(fam, mesh, 6)
+    assert {call.args[0].dim for call in data.call_args_list} == {plan.dim}
+    assert res.evals == data.call_count <= 8
     assert abs(res.s - _cold_root(plan)) <= 1e-12
 
 

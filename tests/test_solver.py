@@ -24,10 +24,12 @@ from hausdim import (
     power_enclosure,
     radius,
     ratio_bounds,
+    reduce_domain,
     solve_root,
 )
 from hausdim.bounds import mobius_ratio_bounds
 from hausdim.discretize import CollocationPlan
+from hausdim.solver import _coarse_mesh
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 EXACT_DIGITS = 40
@@ -232,8 +234,6 @@ def test_bracket_dimension_nested_over_refinement():
 
 
 def test_bracket_dimension_on_reduced_domain():
-    from hausdim import reduce_domain
-
     fam = make_mobius_family([1, 2])
     parts = reduce_domain(fam, 2, merge_gap=0.0005)
     mesh = make_mesh(parts, h=0.002)
@@ -377,6 +377,36 @@ def test_bracket_fine_matrix_budget(monkeypatch, case, fine_before,
     assert br.certified
     assert br.evals == len(dims)
     assert dims.count(mesh.dim) <= fine_budget < fine_before
+
+
+def test_bracket_skips_a_coarse_level_barely_coarser(monkeypatch):
+    """A domain of many short pieces gets no coarse level.
+
+    reduce_domain(cf{1,2}, 6) has 32 pieces, and make_mesh keeps two
+    cells on each, so at h = 5e-4 the mesh 16 times coarser keeps 96
+    of the 122 nodes.  With that coarse level the bracket built 7
+    coarse and 6 fine matrices (7.8 ms); without it, 10 fine (4.6 ms).
+    """
+    dims = []
+    data = CollocationPlan.data
+
+    def counting(self, s, coef=None):
+        dims.append(self.dim)
+        return data(self, s, coef)
+
+    monkeypatch.setattr(CollocationPlan, "data", counting)
+    fam = make_mobius_family([1, 2])
+    mesh = make_mesh(reduce_domain(fam, 6), h=5e-4)
+    assert mesh.dim == 122 and len(mesh.pieces) == 32
+    assert _coarse_mesh(mesh) is None
+    br = bracket_dimension(fam, mesh)
+    assert br.certified
+    assert set(dims) == {mesh.dim}
+    assert br.evals == len(dims) <= 10
+    # A mesh 16 times coarser that keeps at most a quarter of the nodes
+    # is still taken (the cf12_reduced2_h005 pin's mesh keeps a tenth).
+    mesh = make_mesh(reduce_domain(fam, 2), h=0.005)
+    assert 10 * _coarse_mesh(mesh).dim <= mesh.dim
 
 
 @pytest.mark.parametrize("case,before_its,before_evals", [
