@@ -327,10 +327,6 @@ _MAX_DEGREE = 8
 # h = 0.002 builds its entries whole, few enough that a block's
 # temporaries stay small next to a wide plan.
 _BLOCK = 1 << 17
-# Points per pass of _lagrange_rows at degree >= 2: its d rows of partial
-# products (at most 1 MB) stay in cache, which made a block of 10^5
-# points at degree 6 about 1.5 times as fast as one pass.
-_LAGRANGE_CHUNK = 1 << 14
 
 
 def _lagrange_rows(t: np.ndarray, degree: int,
@@ -343,9 +339,8 @@ def _lagrange_rows(t: np.ndarray, degree: int,
     over p < q, times that over p > q, divided once by the exact integer
     prod (q - p): 6d - 1 array operations where the product of the
     factors (u - p)/(q - p) took 3d(d + 1), and weights that are
-    exactly cardinal wherever u is a node.  The points go in chunks of
-    _LAGRANGE_CHUNK, so the products stay in cache.  Degree 1 is
-    ((t - 1)/(-1), t), a weight of -0.0 at t = 1 included.
+    exactly cardinal wherever u is a node.  Degree 1 is ((t - 1)/(-1), t),
+    a weight of -0.0 at t = 1 included.
     """
     if out is None:
         out = np.empty((degree + 1, t.size))
@@ -356,18 +351,10 @@ def _lagrange_rows(t: np.ndarray, degree: int,
     # prod (q - p) over p != q is (-1)**(d - q) q! (d - q)!.
     denom = [(-1) ** (degree - q) * math.factorial(q)
              * math.factorial(degree - q) for q in range(degree + 1)]
-    for lo in range(0, t.size, _LAGRANGE_CHUNK):
-        part = slice(lo, lo + _LAGRANGE_CHUNK)
-        _lagrange_part(degree * t[part], denom, out[:, part])
-    return out
-
-
-def _lagrange_part(u: np.ndarray, denom: list[int], out: np.ndarray) -> None:
-    """The rows of _lagrange_rows at u = d t, written once each into out."""
-    degree = len(denom) - 1
-    left = np.empty((degree, u.size))  # left[q - 1]: prod of u - p, p < q
+    u = degree * t
+    left = np.empty((degree, t.size))  # left[q - 1]: prod of u - p, p < q
     left[0] = u
-    diff = np.empty(u.size)
+    diff = np.empty(t.size)
     for q in range(1, degree):
         np.subtract(u, q, out=diff)
         np.multiply(left[q - 1], diff, out=left[q])
@@ -379,6 +366,7 @@ def _lagrange_part(u: np.ndarray, denom: list[int], out: np.ndarray) -> None:
         np.subtract(u, q, out=diff)
         right *= diff
     np.divide(right, denom[0], out=out[0])
+    return out
 
 
 @dataclass(frozen=True, eq=False)

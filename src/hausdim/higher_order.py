@@ -19,8 +19,8 @@ step on the coarse slope and secant steps go on from there.  At degree
 6 the coarse root already meets the fine root_tol, so the fine mesh
 builds one matrix, and its seeded solve stops after a few steps, once
 the geometric tail of the estimate changes is below tol.  On a
-domain of many short pieces the coarse mesh would keep more than a
-quarter of the nodes, and the estimate has no coarse level.
+domain of many short pieces, where the coarse mesh would keep more
+than a tenth of the nodes, the estimate has no coarse level.
 HighOrderResult.evals counts the matrices built on both meshes.
 """
 
@@ -218,7 +218,7 @@ def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
     INITIAL_BRACKET, and the fine root is taken from s_c by one Newton
     step on the coarse slope and secant steps, its first solve starting
     from the last coarse iterate interpolated onto the fine nodes.  A
-    smaller plan, or one whose coarse mesh would keep more than a quarter
+    smaller plan, or one whose coarse mesh would keep more than a tenth
     of its nodes, is solved by solve_root from INITIAL_BRACKET alone.
     evals counts the matrices built on both meshes.
     """

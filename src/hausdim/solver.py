@@ -11,7 +11,7 @@ certifies the inequality.
 A bracket first finds the root of log r(M_s) on a mesh 16 times
 coarser, where a matrix costs a sixteenth as much; the A/B roots
 converge to the dimension like h**2, so that root lies close to the
-fine ones.  A coarse mesh that keeps more than a quarter of the fine
+fine ones.  A coarse mesh that keeps more than a tenth of the fine
 nodes (many short pieces, two cells each) saves too little and is
 skipped.  The fine B root is then taken from it by one Newton step
 with the coarse slope and secant steps, and the fine A root the same
@@ -219,10 +219,19 @@ def _coarse_mesh(mesh):
 
     make_mesh keeps two cells per piece, so on a domain cut into many
     short pieces the coarse mesh can be barely coarser; None when it has
-    more than a quarter of mesh's nodes.
+    more than a tenth of mesh's nodes.
     """
     coarse = make_mesh([(p.a, p.b) for p in mesh.pieces], h=_COARSEN * mesh.h)
-    return coarse if 4 * coarse.dim <= mesh.dim else None
+    # The measured crossover of a degree-6 estimate.  Timed both ways on
+    # reduced domains (medians of 21 alternated in-process runs), the
+    # coarse start took 0.67-0.99 times as long at node ratios
+    # 0.082-0.103, 1.03-1.05 at 0.108-0.127 on cf{1,2} (0.82 at 0.139 on
+    # cf{1..5}) and 1.13-2.1 from 0.157 on.  A bracket's coarse level
+    # lost at every ratio from 0.078 on (1.17-2.05); at 0.062-0.069 it
+    # lost on every plan under 40000 entries too and won only on larger
+    # ones (0.70-0.93), not all of them.  For brackets the ratio alone
+    # does not place the crossover.
+    return coarse if 10 * coarse.dim <= mesh.dim else None
 
 
 def _coarse_root(fam: MapFamily, coarse, initial: tuple[float, float],
@@ -294,7 +303,7 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     before the fine one is built.  The fine B root starts at s_c with
     one Newton step on the coarse slope and aims at
     -root_tol <= log r(B) <= -root_tol/10.  Where the coarse mesh would
-    keep more than a quarter of the fine nodes (a domain of many short
+    keep more than a tenth of the fine nodes (a domain of many short
     pieces), there is no coarse level and solve_root finds the B root
     from initial on the fine mesh.  The A root starts the same
     way at the B root, on the slope of log r(B), and aims at

@@ -397,14 +397,17 @@ def test_table2_on_reduced_domain(capsys):
 
 
 def test_table2_scaled_on_reduced_domain_starts_coarse(capsys):
-    # At a twentieth of the published widths the finest cf{2,4,6,8,10}
-    # row has a plan of 52400 entries on the reduced domain, so it starts
-    # on the coarse mesh, interpolates its iterate piece by piece and
-    # builds its fine matrix once, where a cold start builds 8.
+    # At a fortieth of the published widths the finest cf{2,4,6,8,10}
+    # row has a plan of 104060 entries on the reduced domain, whose
+    # coarse mesh keeps 140 of 1751 nodes, so it starts on the coarse
+    # mesh, interpolates its iterate piece by piece and builds its fine
+    # matrix once, where a cold start builds 8.  (At a twentieth the
+    # coarse mesh keeps 98 of 890 nodes, more than a tenth, and the
+    # row starts cold: there the coarse start took 1.4 times as long.)
     with mock.patch.object(CollocationPlan, "data", autospec=True,
                            side_effect=CollocationPlan.data) as data:
         code, out, _ = run_cli(capsys, "--domain", "reduced:2", "--scale",
-                               "0.05", "--format", "json", "table2")
+                               "0.025", "--format", "json", "table2")
     assert code == 0
     rows = json.loads(out)["rows"]
     assert all(row["status"] == "scaled" for row in rows)

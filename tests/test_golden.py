@@ -72,17 +72,18 @@ degree >= 2 Lagrange weights came to be built from prefix and suffix
 products divided once by an exact integer, each power solve of an
 estimate came to stop once its geometric tail is below tol, the coarse
 start's cut-off fell to 16384 entries, and a coarse mesh keeping more
-than a quarter of the fine nodes came to be skipped.  Re-recorded: the
+than a tenth of the fine nodes came to be skipped.  Re-recorded: the
 degree-4, h = 0.04 estimate (both tests) 0x1.1003ff9eee1f4p-1 ->
 0x1.1003ff9eee1f1p-1 (-3.3e-16), the degree-6, h = 0.002 estimate
 0x1.1003ff9eed037p-1 -> 0x1.1003ff9eed035p-1 (-2.2e-16), the table2
 digest 5d73c015... -> f46538f9... (the cf{1,2} degree-4 row moved by
 -3.3e-16, three cf{2,4,6,8,10} rows by 1.1e-16 and the h = 0.001 one,
 now on the coarse start, by 8.7e-15; every row still passes) and the
-table1 --scale 100 digest 2b74e7b7... -> a8fec118... (the cf{10,11},
-h = 0.02 row and the two cf{100,10000} rows, whose coarse meshes kept
-3 of 6 and 3 of 3 nodes, now have no coarse level; their endpoints
-moved by at most 7.6e-15, every row still passing).  The degree-1
+table1 --scale 100 digest 2b74e7b7... -> ec560675... (the cf{10,11}
+rows at h = 0.02 and 0.005 and the two cf{100,10000} rows, whose
+coarse meshes kept 3 of 6, 3 of 21 and 3 of 3 nodes, now have no
+coarse level; their endpoints moved by at most 8.6e-14, every row
+still passing).  The degree-1
 estimate and every bracket pin did not move.  The sha256 pins of
 `radius` stdout (text, csv, json) and of its three --dump-matrix files
 were recorded while it still took A, M and B from a matrix-triple
@@ -320,7 +321,7 @@ def test_general_constants_sweeps_only_read_suprema():
 CLI_TABLES = {
     # sha256 of the stdout of `hausdim --format json <args>`; exit code 0
     "table1 --scale 100":
-        "a8fec118353911378c4715bbebda37b61a23316496e5c87893ef592665b962e3",
+        "ec560675b0b76d907b1676ef2e47577d7bae84b139c8b1c4f923559285515563",
     "table2":
         "f46538f981eae83b877094b24147450026ad8b47a2b86e2fde847dddbdadeba8",
     "table3 --scale 20":

@@ -403,8 +403,13 @@ def test_bracket_skips_a_coarse_level_barely_coarser(monkeypatch):
     assert br.certified
     assert set(dims) == {mesh.dim}
     assert br.evals == len(dims) <= 10
-    # A mesh 16 times coarser that keeps at most a quarter of the nodes
-    # is still taken (the cf12_reduced2_h005 pin's mesh keeps a tenth).
+    # The cut sits at a tenth of the nodes: reduce_domain(cf{1,2}, 6) at
+    # h = 3e-5 keeps 122 of 1194 and has no coarse level, while the
+    # cf12_reduced2_h005 pin's mesh keeps 1 in 10.1 and has one.
+    mesh = make_mesh(reduce_domain(fam, 6), h=3e-5)
+    coarse = make_mesh([(p.a, p.b) for p in mesh.pieces], h=16 * mesh.h)
+    assert (mesh.dim, coarse.dim) == (1194, 122)
+    assert _coarse_mesh(mesh) is None
     mesh = make_mesh(reduce_domain(fam, 2), h=0.005)
     assert 10 * _coarse_mesh(mesh).dim <= mesh.dim
 
