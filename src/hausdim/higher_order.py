@@ -10,9 +10,10 @@ The root of log |lambda(s)| gives a dimension estimate whose accuracy
 improves like h**(2d) but carries no certificate.
 
 As the estimate converges so fast, an estimate on a plan of 16384
-entries or more starts the way a certified bracket does.  It first
-solves log |lambda(s)| = 0 on the same intervals meshed 16 times
-coarser, where a matrix costs about a sixteenth as much.  The last
+entries or more starts the way a certified bracket does, through the
+same coarse-level routine in solver.  It first solves
+log |lambda(s)| = 0 on the same intervals meshed 16 times coarser,
+where a matrix costs about a sixteenth as much.  The last
 coarse iterate, interpolated onto the fine nodes piece by piece, seeds
 the first fine solve.  That solve is at the coarse root, and a Newton
 step on the coarse slope and secant steps go on from there.  At degree
@@ -44,10 +45,8 @@ from .solver import (
     _SIGN_REL,
     INITIAL_BRACKET,
     ROOT_TOL,
-    _coarse_mesh,
+    _coarse_start,
     _root_from,
-    _slope,
-    solve_root,
 )
 from .spectral import RADIUS_TOL
 
@@ -192,22 +191,6 @@ def _log_magnitude(plan: CollocationPlan, radius_tol: float,
     return f, points
 
 
-def _coarse_start(fam: MapFamily, mesh, coarse, degree: int, root_tol: float,
-                  radius_tol: float) -> tuple[float, float, np.ndarray, int]:
-    """Root of log |lambda(s)| on coarse, the same intervals as mesh.
-
-    Returns the root, the slope between the two evaluated points nearest
-    it, the last coarse iterate interpolated onto the degree-d nodes of
-    mesh, and the number of matrices built.
-    """
-    plan = collocation_plan(fam, coarse, degree)
-    vec = _start_vector(plan.dim)
-    f, points = _log_magnitude(plan, radius_tol, vec)
-    s_c, _ = solve_root(f, INITIAL_BRACKET, root_tol)
-    return (s_c, _slope(points, s_c),
-            _interpolate_nodal(vec, coarse, mesh, degree), len(points))
-
-
 def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
                         root_tol: float = ROOT_TOL,
                         radius_tol: float = RADIUS_TOL) -> HighOrderResult:
@@ -223,17 +206,22 @@ def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
     evals counts the matrices built on both meshes.
     """
     plan = collocation_plan(fam, mesh, degree)
-    coarse = (_coarse_mesh(mesh) if plan.indices.size >= _COARSE_MIN_ENTRIES
-              else None)
-    if coarse is None:
-        f, points = _log_magnitude(plan, radius_tol, _start_vector(plan.dim))
-        s, _ = solve_root(f, INITIAL_BRACKET, root_tol)
-        coarse_evals = 0
-    else:
-        s_c, slope, vec, coarse_evals = _coarse_start(
-            fam, mesh, coarse, plan.degree, root_tol, radius_tol)
-        f, points = _log_magnitude(plan, radius_tol, vec)
-        s = _root_from(f, s_c, slope, root_tol)
+    vec = _start_vector(plan.dim)
+
+    def coarse_curve(coarse):
+        coarse_plan = collocation_plan(fam, coarse, plan.degree)
+        coarse_vec = _start_vector(coarse_plan.dim)
+
+        def seed():
+            vec[:] = _interpolate_nodal(coarse_vec, coarse, mesh, plan.degree)
+
+        return _log_magnitude(coarse_plan, radius_tol, coarse_vec)[0], seed
+
+    start, coarse_evals = _coarse_start(
+        mesh, coarse_curve if plan.indices.size >= _COARSE_MIN_ENTRIES
+        else None, INITIAL_BRACKET, root_tol)
+    f, points = _log_magnitude(plan, radius_tol, vec)
+    s = _root_from(f, start, INITIAL_BRACKET, root_tol)
     return HighOrderResult(s=s, degree=plan.degree, dim=plan.dim,
                            mesh_h=mesh.h, family_id=fam.family_id,
                            evals=coarse_evals + len(points))

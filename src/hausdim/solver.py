@@ -4,9 +4,10 @@ The spectral radius of the assembled matrices is strictly decreasing and
 log-convex in s, so log r(s) has a single root found by a secant
 iteration safeguarded with bisection.  The lower matrix roots give a
 certified lower dimension bound (r(A_s) >= 1), the upper matrix roots a
-certified upper bound (r(B_s) <= 1); a nudge pass moves each endpoint
-outward in steps of root_tol until the enclosure endpoint itself
-certifies the inequality.
+certified upper bound (r(B_s) <= 1).  Each root aims its enclosure
+midpoint a margin of at least radius_tol outward in log r, on the side
+its certificate needs, so the enclosure found at the root certifies its
+endpoint as it stands.
 
 A bracket first finds the root of log r(M_s) on a mesh 16 times
 coarser, where a matrix costs a sixteenth as much; the A/B roots
@@ -15,9 +16,8 @@ fine ones.  A coarse mesh that keeps more than a tenth of the fine
 nodes (many short pieces, two cells each) saves too little and is
 skipped.  The fine B root is then taken from it by one Newton step
 with the coarse slope and secant steps, and the fine A root the same
-way from the B root.  Each fine root aims outward, at
-root_tol/10 <= |log r| <= root_tol on the side its certificate needs,
-so the nudge pass rarely has to move it.
+way from the B root.  Degree-d estimates (higher_order) start from
+their own coarse root through the same routine.
 
 Within one bracket every power solve on a mesh starts from the
 eigenvector of the one before it, and a solve away from the root stops
@@ -179,7 +179,6 @@ class DimensionBracket:
         return self.s_upper - self.s_lower
 
 
-_NUDGE_STEPS = 64
 _COARSEN = 16  # cell width of the coarse mesh, in fine cell widths
 _START_STEPS = 4  # steps from a start point before solve_root takes over
 
@@ -234,25 +233,32 @@ def _coarse_mesh(mesh):
     return coarse if 10 * coarse.dim <= mesh.dim else None
 
 
-def _coarse_root(fam: MapFamily, coarse, initial: tuple[float, float],
-                 root_tol: float, radius_tol: float
-                 ) -> tuple[float, float, int]:
-    """Root of log r(M_s) on the coarse mesh.
+def _coarse_start(mesh, curve, initial: tuple[float, float],
+                  root_tol: float) -> tuple[tuple[float, float] | None, int]:
+    """Start for a fine root: the root of the same curve on a coarser mesh.
 
-    Returns the root, the slope of log r between the two evaluated
-    points nearest it, and the number of matrices built.  The coarse
-    plan is dropped on return.
+    curve(coarse) returns the memoized log radius on the coarse mesh of
+    _coarse_mesh(mesh) and a function to call once its root is found
+    (a degree-d estimate seeds its fine solve there); curve None asks
+    for no coarse level.  The root is found by solve_root from initial.
+    Returns ((root, slope), matrices built), the slope being that of the
+    curve between the two evaluated points nearest the root, or
+    (None, 0) without a coarse level.  The coarse curve is dropped on
+    return.
     """
-    enclose, _ = _enclosures(collocation_plan(fam, coarse),
-                             lambda s, which: None, radius_tol)
+    coarse = None if curve is None else _coarse_mesh(mesh)
+    if coarse is None:
+        return None, 0
+    f, at_root = curve(coarse)
     points: dict[float, float] = {}
 
     def log_r(s: float) -> float:
-        points[s] = _log_midpoint(*enclose(s, "M"), radius_tol)
+        points[s] = f(s)
         return points[s]
 
     s_c, _ = solve_root(log_r, initial, root_tol)
-    return s_c, _slope(points, s_c), len(points)
+    at_root()
+    return (s_c, _slope(points, s_c)), len(points)
 
 
 def _toward_root(x: float, fx: float, slope: float) -> float:
@@ -268,10 +274,12 @@ def _toward_root(x: float, fx: float, slope: float) -> float:
     return t
 
 
-def _root_from(f, s: float, slope: float, tol: float) -> float:
-    """Root of a decreasing convex f from a start s near it.
+def _root_from(f, start: tuple[float, float] | None,
+               initial: tuple[float, float], tol: float) -> float:
+    """Root of a decreasing convex f from start = (s, slope) near it.
 
-    One Newton step with the given slope, then secant steps through the
+    Without a start, solve_root finds it from initial.  Otherwise one
+    Newton step with the given slope, then secant steps through the
     last two points, until |f| <= tol or f changes sign.  As f is
     convex, a step from its negative side crosses the root unless the
     slope is off, and steps from its positive side close in on it.
@@ -279,6 +287,9 @@ def _root_from(f, s: float, slope: float, tol: float) -> float:
     the last two points: a bracket with its ends already evaluated,
     which it widens as usual if f has not changed sign.
     """
+    if start is None:
+        return solve_root(f, initial, tol)[0]
+    s, slope = start
     xs, fs = [s], [f(s)]
     for _ in range(_START_STEPS):
         if abs(fs[-1]) <= tol:
@@ -301,25 +312,33 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     The root s_c of log r(M_s) on the same intervals meshed 16 times
     coarser is found by solve_root from initial; that plan is dropped
     before the fine one is built.  The fine B root starts at s_c with
-    one Newton step on the coarse slope and aims at
-    -root_tol <= log r(B) <= -root_tol/10.  Where the coarse mesh would
+    one Newton step on the coarse slope; where the coarse mesh would
     keep more than a tenth of the fine nodes (a domain of many short
-    pieces), there is no coarse level and solve_root finds the B root
-    from initial on the fine mesh.  The A root starts the same
-    way at the B root, on the slope of log r(B), and aims at
-    root_tol/10 <= log r(A) <= root_tol.  Each lands on the side its
-    certificate needs: s_upper is nudged upward until the enclosure
-    satisfies r_hi(B) <= 1, s_lower downward until r_lo(A) >= 1.  If 64 nudge steps do not
-    certify an endpoint the bracket is returned with certified=False.
+    pieces), there is no coarse level and solve_root finds it from
+    initial on the fine mesh.  The A root starts the same way at the B
+    root, on the slope of log r(B).  With
+    margin = max(root_tol/10, radius_tol), each root aims its enclosure
+    midpoint at margin <= |log r| <= root_tol + margin - root_tol/10 on
+    the side its certificate needs: s_upper at log r(B) < 0, s_lower at
+    log r(A) > 0.  An enclosure that met a radius_tol below 1/2 has its
+    ends less than radius_tol from the midpoint in log r, and one that
+    stopped on the sign excludes 1, so the enclosure found at a root
+    certifies its endpoint: certified is r_hi(B) <= 1 at s_upper and
+    r_lo(A) >= 1 at s_lower, read from those two enclosures.  It fails
+    only where a root solve ends on a collapsed bracket instead of in
+    that band.
     The fine collocation plan and the bound plan are built once and
     serve every s the fine solves visit.  evals counts the matrices
     built on both meshes.
     """
-    coarse = _coarse_mesh(mesh)
-    coarse_evals = 0
-    if coarse is not None:
-        s_c, slope, coarse_evals = _coarse_root(fam, coarse, initial,
-                                                root_tol, radius_tol)
+    def coarse_curve(coarse):
+        enclose, _ = _enclosures(collocation_plan(fam, coarse),
+                                 lambda s, which: None, radius_tol)
+        return (lambda s: _log_midpoint(*enclose(s, "M"), radius_tol),
+                lambda: None)
+
+    start, coarse_evals = _coarse_start(mesh, coarse_curve, initial,
+                                        root_tol)
     plan = collocation_plan(fam, mesh)
     bound_plan = BoundPlan(fam)
     models: dict[float, ErrorModel] = {}  # A and B share an s at B's root
@@ -334,37 +353,21 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     def log_r(s: float, which: str) -> float:
         return _log_midpoint(*enclose(s, which), radius_tol)
 
-    def certify(s: float, which: str, step: float) -> tuple[float, bool]:
-        """Move s by step until its enclosure certifies the endpoint."""
-        for _ in range(_NUDGE_STEPS + 1):
-            r_lo, r_hi, _ = enclose(s, which)
-            if (r_hi <= 1.0) if which == "B" else (r_lo >= 1.0):
-                return s, True
-            s += step
-        return s, False
-
-    # Aim for root_tol/10 <= |log r| <= root_tol on the side each
-    # certificate needs, so an endpoint keeps a margin of root_tol/10
-    # there, far above the rounding of the matrix and its power solve.
-    margin = 0.1 * root_tol
-    aim, tol = 0.5 * (root_tol + margin), 0.5 * (root_tol - margin)
-
-    def b_root(s: float) -> float:
-        return log_r(s, "B") + aim
-
-    if coarse is None:
-        s_b = solve_root(b_root, initial, tol)[0]
-    else:
-        s_b = _root_from(b_root, s_c, slope, tol)
+    # margin is at least radius_tol, so an accepted enclosure lies on
+    # its midpoint's side of 1; at the default tolerances it is
+    # root_tol/10, far above the rounding of the matrix and its solve.
+    margin = max(0.1 * root_tol, radius_tol)
+    top = root_tol + (margin - 0.1 * root_tol)
+    aim, tol = 0.5 * (top + margin), 0.5 * (top - margin)
+    s_up = _root_from(lambda x: log_r(x, "B") + aim, start, initial, tol)
     b_points = {s: log_r(s, "B") for s, which in radii if which == "B"}
-    if len(b_points) > 1:  # always so without the coarse slope
-        slope = _slope(b_points, s_b)
-    s_up, cert_up = certify(s_b, "B", root_tol)
-    s_a = _root_from(lambda x: log_r(x, "A") - aim, s_b, slope, tol)
-    s_lo, cert_lo = certify(s_a, "A", -root_tol)
+    slope = _slope(b_points, s_up) if len(b_points) > 1 else start[1]
+    s_lo = _root_from(lambda x: log_r(x, "A") - aim, (s_up, slope),
+                      initial, tol)
     return DimensionBracket(
         s_lower=s_lo, s_upper=s_up, mesh_h=mesh.h, family_id=fam.family_id,
-        evals=coarse_evals + len(radii), certified=cert_up and cert_lo,
+        evals=coarse_evals + len(radii),
+        certified=radii[s_up, "B"][1] <= 1.0 and radii[s_lo, "A"][0] >= 1.0,
     )
 
 
@@ -380,16 +383,17 @@ def convergence_study(fam: MapFamily, hs, intervals=None,
                       **kwargs) -> ConvergenceStudy:
     """Brackets on a ladder of mesh widths; order fit on log width vs log h.
 
-    The meshes are built first and each realized width mesh.h is
-    bracketed once (the first mesh that realizes it); if fewer than two
-    distinct realized widths remain, BadParams is raised before any
-    bracket.
+    The meshes are built first, so make_mesh checks every width before
+    any bracket, and each realized width mesh.h is bracketed once (the
+    first mesh in hs that realizes it), in ascending order; if fewer
+    than two distinct realized widths remain, BadParams is raised
+    before any bracket.
     """
     if intervals is None:
         intervals = [fam.domain]
     meshes = {}  # realized width -> first mesh that realizes it
-    for h in sorted(float(h) for h in hs):
-        mesh = make_mesh(intervals, h=h)
+    for mesh in sorted((make_mesh(intervals, h=h) for h in hs),
+                       key=lambda mesh: mesh.h):
         meshes.setdefault(mesh.h, mesh)
     if len(meshes) < 2:
         raise BadParams("mesh ladder needs two distinct realized widths, "

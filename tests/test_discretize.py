@@ -165,6 +165,13 @@ def test_interp_weights_out_of_domain():
         interp_weights(mesh, -0.5)
 
 
+def test_interp_weights_in_a_gap_between_pieces():
+    mesh = make_mesh([(0.0, 0.25), (0.75, 1.0)], n=8)
+    assert interp_weights(mesh, 0.8)[0] >= mesh.pieces[0].n + 1
+    with pytest.raises(OutOfDomain, match="gap between pieces"):
+        interp_weights(mesh, 0.5)
+
+
 def test_error_model_mobius_midpoint_value():
     fam = make_mobius_family([1, 2])
     model = error_model(fam, 0.5, 0.1)

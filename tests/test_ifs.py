@@ -392,6 +392,16 @@ def test_custom_family_must_stay_inside_domain():
         make_custom_family([esc], (0.0, 1.0))
 
 
+def test_custom_family_needs_a_map():
+    with pytest.raises(EmptyFamily):
+        make_custom_family([], (0, 1))
+
+
+def test_custom_family_needs_a_nonempty_domain(poly_fam):
+    with pytest.raises(ParamOutOfRange, match="empty domain"):
+        make_custom_family(poly_fam.maps, (0.0, 0.0))
+
+
 def test_family_id_strings(poly_fam):
     assert make_mobius_family([2, 1]).family_id == "cf:1,2"
     assert make_cantor_family(0.5).family_id == "cantor:0.5"

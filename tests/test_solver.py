@@ -163,6 +163,22 @@ def test_solve_root_hard_curve_stays_bracketed():
     assert evals <= 40
 
 
+def test_solve_root_collapses_on_a_jump():
+    # A decreasing step function has no point with |f| <= root_tol; the
+    # solve ends on the bracket end nearest the jump once the bracket
+    # has collapsed to 4 ulps.  That is the only way a bracket endpoint
+    # can come back uncertified.
+    jump = 1.2
+
+    def step(s):
+        return 1.0 if s < jump else -1.0
+
+    s, evals = solve_root(step, (jump - 2.0**-20, jump + 2.0**-20))
+    assert evals < 40
+    assert 0.0 < jump - s <= 4 * math.ulp(jump)
+    assert step(s) == 1.0
+
+
 @pytest.mark.parametrize("root_tol", [0.0, -1e-12, math.nan, math.inf])
 def test_solve_root_rejects_bad_tolerance(root_tol):
     f = lambda s: math.log(2.0) - s * math.log(3.0)
@@ -301,6 +317,22 @@ def test_convergence_study_needs_two_realized_widths(monkeypatch, hs):
         convergence_study(make_mobius_family([1, 2]), hs)
 
 
+@pytest.mark.parametrize("hs", [["0.05", "0.02"], [True, 0.05],
+                                [0.05 + 0j, 0.02]],
+                         ids=["strings", "bool", "complex"])
+def test_convergence_study_rejects_a_width_make_mesh_rejects(monkeypatch, hs):
+    # Each width reaches make_mesh as given: "0.05" is not read as a
+    # number, True not as h = 1 and a complex width not as a TypeError.
+    import hausdim.solver as solver
+
+    def no_bracket(*args, **kwargs):
+        raise AssertionError("bracket built before the ladder was checked")
+
+    monkeypatch.setattr(solver, "bracket_dimension", no_bracket)
+    with pytest.raises(BadParams, match="mesh width h"):
+        convergence_study(make_mobius_family([1, 2]), hs)
+
+
 def test_convergence_study_brackets_each_realized_width_once(monkeypatch):
     import hausdim.solver as solver
 
@@ -320,8 +352,9 @@ def test_convergence_study_brackets_each_realized_width_once(monkeypatch):
 
 
 def test_bracket_builds_each_matrix_once(monkeypatch):
-    # Within one bracket the root solves and the nudge passes revisit s
-    # values; every (s, matrix) pair is built once and evals counts them.
+    # Within one bracket the root solves revisit s values, and the
+    # certificate reads the enclosures they found; every (s, matrix)
+    # pair is built once and evals counts them.
     # A and B at a shared s also share one error model.
     import hausdim.solver as solver
 
@@ -348,6 +381,24 @@ def test_bracket_builds_each_matrix_once(monkeypatch):
     fine = {s for dim, s, _ in built if dim == mesh.dim}
     assert 0 < len(fine) < br.evals
     assert sorted(modelled) == sorted(fine)
+
+
+@pytest.mark.parametrize("digits,h", [([1, 2], 1e-3), ([2, 3], 0.01)])
+def test_bracket_certified_at_loose_radius_tol(digits, h):
+    """At radius_tol = 1e-8 each endpoint is certified as found.
+
+    A nudge loop that moved an endpoint by root_tol at a time left
+    both brackets uncertified after 117 and 113 matrices: an enclosure
+    of relative gap 1e-8 could not settle a margin of root_tol/10 in
+    log r.  Each root now aims a margin of radius_tol outward.
+    """
+    fam = make_mobius_family(digits)
+    mesh = make_mesh(fam.domain, h=h)
+    br = bracket_dimension(fam, mesh, radius_tol=1e-8)
+    assert br.certified
+    assert br.evals <= 64
+    assert enclosure_at(fam, mesh, br.s_lower, "A").r_lo >= 1.0
+    assert enclosure_at(fam, mesh, br.s_upper, "B").r_hi <= 1.0
 
 
 @pytest.mark.parametrize("case,fine_before,fine_budget", [

@@ -238,6 +238,8 @@ def test_hilbert_metric_values():
     assert hilbert_metric(u, 3.0 * u) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(NonPositiveVector):
         hilbert_metric(u, np.array([1.0, 0.0]))
+    with pytest.raises(BadParams, match="equal length"):
+        hilbert_metric(u, np.array([1.0, 2.0, 3.0]))
 
 
 def test_hilbert_metric_properties():
