@@ -24,15 +24,16 @@ piecewise Lagrange basis that higher_order uses.
 
 The plan is filled in blocks of nodes, all maps at once, straight into
 its final (node, map, basis) order, and the matrix entries at one s are
-built block by block into their output buffer.  A point's cell on a
-uniform piece comes from floor((y - a)/h) and one correcting step
-against the piece's nodes, which picks the same cell as a binary search.
+built block by block into their output buffer.  _locate places points
+on any mesh: a binary search over the piece ends, then the cell from
+floor((y - a)/h) and one correcting step against the mesh nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -98,6 +99,16 @@ class Mesh:
     def span(self) -> tuple[float, float]:
         return self.pieces[0].a, self.pieces[-1].b
 
+    @cached_property
+    def _piece_arrays(self) -> tuple[np.ndarray, ...]:
+        """Each piece's a, b, h, cell count and first global node, for _locate."""
+        a, b, h = np.array([(p.a, p.b, p.h) for p in self.pieces]).T
+        return a, b, h, np.diff(self.offsets) - 1, np.array(self.offsets[:-1])
+
+
+# Most nodes a mesh may have: the plan's column indices are int32.
+_MAX_NODES = 2**31 - 1
+
 
 def _mesh_piece(a: float, b: float, n: int) -> MeshPiece:
     nodes = a + np.arange(n + 1, dtype=float) * (b - a) / n
@@ -112,7 +123,8 @@ def make_mesh(intervals, *, n: int | None = None,
     must be given; n sets the target width to the total length over n.
     The intervals must be nonempty, increasing and disjoint.  Per-piece
     counts are rounded so every piece has at least two cells; the
-    realized widths can differ from the target by the rounding.
+    realized widths can differ from the target by the rounding.  A mesh
+    of more than 2^31 - 1 nodes raises BadParams before any allocation.
     """
     if (n is None) == (h is None):
         raise BadParams("give exactly one of n and h")
@@ -136,8 +148,13 @@ def make_mesh(intervals, *, n: int | None = None,
         if n < 2:
             raise BadParams(f"mesh needs n >= 2 cells, got {n}")
     width = h if h is not None else sum(b - a for a, b in intervals) / n
-    return _join([_mesh_piece(a, b, max(2, int(round((b - a) / width))))
-                  for a, b in intervals])
+    # Capped before rounding: an infinite or NaN count fails here too.
+    cells = [max(2, round(min(_MAX_NODES, (b - a) / width)))
+             for a, b in intervals]
+    if sum(cells) + len(cells) > _MAX_NODES:
+        raise BadParams(f"mesh needs more than {_MAX_NODES} nodes, the most "
+                        f"int32 column indices reach")
+    return _join([_mesh_piece(a, b, c) for (a, b), c in zip(intervals, cells)])
 
 
 def _join(pieces) -> Mesh:
@@ -148,26 +165,6 @@ def _join(pieces) -> Mesh:
     return Mesh(pieces=tuple(pieces), nodes=nodes, offsets=tuple(offsets))
 
 
-def _cells(piece: MeshPiece, ys: np.ndarray):
-    """Local cells, right hat weights and Q of points within one piece.
-
-    The cell is the last node at or left of y, capped at n - 1, as
-    searchsorted(nodes, y, side="right") - 1 would choose it, but found
-    by arithmetic: floor((y - a) / h) and one step against the nodes.
-    The guess is off by a few ulps of (|a| + |y - a|) / h cells, so
-    one step suffices whenever a cell is wider than a few ulps of a.
-    """
-    nodes = piece.nodes
-    y = np.clip(ys, piece.a, piece.b)
-    r = np.minimum((y - piece.a) / piece.h, piece.n - 1).astype(np.intp)
-    r = r - (nodes[r] > y)
-    r = r + ((nodes[r + 1] <= y) & (r < piece.n - 1))
-    x_r = nodes[r]
-    t = np.clip((y - x_r) / piece.h, 0.0, 1.0)
-    q = np.maximum((nodes[r + 1] - y) * (y - x_r), 0.0)
-    return r, 1.0 - (1.0 - t), q
-
-
 def _locate(mesh: Mesh, ys: np.ndarray):
     """Cells and right hat weights for query points, numbered globally.
 
@@ -176,39 +173,45 @@ def _locate(mesh: Mesh, ys: np.ndarray):
     local coordinate t in [0, 1], so w_left = 1 - w_right is fl(1 - t)
     and w_left + w_right = 1 exactly, and Q(y) = (x_{r+1} - y)(y - x_r)
     >= 0.  A point within the clamp tolerance of several pieces belongs
-    to the first.  Points outside every piece by more than the clamp
+    to the first: the first piece whose end plus the tolerance is at or
+    right of y.  Points outside every piece by more than the clamp
     tolerance raise OutOfDomain.
+
+    Clipped to its piece [a, b], y takes the last node at or left of it,
+    capped at the piece's last cell, as searchsorted would, but found by
+    arithmetic: floor((y - a) / h) and one step against the nodes.  The
+    guess is off by a few ulps of (|a| + |y - a|) / h cells, so one step
+    suffices whenever a cell is wider than a few ulps of a.
     """
-    pieces, offsets = mesh.pieces, mesh.offsets
     lo, hi = mesh.span
     tol = CLAMP_REL_TOL * (hi - lo)
     ys = np.asarray(ys, dtype=float)
-    within = bool(((ys >= lo - tol) & (ys <= hi + tol)).all())
-    if not within and (np.any(ys < lo - tol) or np.any(ys > hi + tol)):
-        raise OutOfDomain("interpolation point outside the meshed domain")
-    if within and len(pieces) == 1:
-        return _cells(pieces[0], ys)
-    c0 = np.empty(ys.shape, dtype=np.intp)
-    wr = np.empty(ys.shape, dtype=float)
-    q = np.empty(ys.shape, dtype=float)
-    assigned = np.zeros(ys.shape, dtype=bool)
-    for piece, off in zip(pieces, offsets[:-1]):
-        mask = (~assigned) & (ys >= piece.a - tol) & (ys <= piece.b + tol)
-        if not np.any(mask):
-            continue
-        r, wr[mask], q[mask] = _cells(piece, ys[mask])
-        c0[mask] = off + r
-        assigned[mask] = True
-    if not np.all(assigned):
+    a, b, h, n, first = mesh._piece_arrays
+    i = 0 if b.size == 1 else np.minimum(np.searchsorted(b + tol, ys),
+                                         b.size - 1)
+    a, b, h, n, first = a[i], b[i], h[i], n[i], first[i]
+    if not ((ys >= a - tol) & (ys <= b + tol)).all():
+        if np.any(ys < lo - tol) or np.any(ys > hi + tol):
+            raise OutOfDomain("interpolation point outside the meshed domain")
         raise OutOfDomain("interpolation point falls in a gap between pieces")
-    return c0, wr, q
+    nodes = mesh.nodes
+    y = np.clip(ys, a, b)
+    r = np.minimum((y - a) / h, n - 1).astype(np.intp)
+    r += first
+    r = r - (nodes[r] > y)
+    r = r + ((nodes[r + 1] <= y) & (r < first + n - 1))
+    x_r = nodes[r]
+    t = np.clip((y - x_r) / h, 0.0, 1.0)
+    q = np.maximum((nodes[r + 1] - y) * (y - x_r), 0.0)
+    return r, 1.0 - (1.0 - t), q
 
 
 def interp_weights(mesh: Mesh, y: float) -> tuple[int, float, float]:
     """Cell index and hat weights of one point: y -> (r, w_left, w_right).
 
-    Node hits give a unit weight; the left cell owns interior nodes and
-    the last cell owns the right endpoint.  Weights are normalized so
+    Node hits give a unit weight: an interior node x_k gets cell k, the
+    cell it starts, with w_left = 1, and the last cell of a piece owns
+    its right endpoint.  Weights are normalized so
     w_left + w_right = 1 exactly.
     """
     c0, wr, _ = _locate(mesh, np.asarray([float(y)]))
@@ -323,10 +326,10 @@ def dump_matrix(matrix: SparseNonnegMatrix, n: int, s: float,
 
 _MAX_DEGREE = 8
 # (node, map) pairs per block of the plan build and of CollocationPlan.data:
-# enough that per-map calls are few and that every degree-6 plan at
-# h = 0.002 builds its entries whole, few enough that a block's
-# temporaries stay small next to a wide plan.
-_BLOCK = 1 << 17
+# enough that per-map calls are few, few enough that a block's
+# temporaries stay small next to a wide plan and are reused from call to
+# call instead of paged in afresh.
+_BLOCK = 1 << 15
 
 
 def _lagrange_rows(t: np.ndarray, degree: int,
@@ -339,15 +342,11 @@ def _lagrange_rows(t: np.ndarray, degree: int,
     over p < q, times that over p > q, divided once by the exact integer
     prod (q - p): 6d - 1 array operations where the product of the
     factors (u - p)/(q - p) took 3d(d + 1), and weights that are
-    exactly cardinal wherever u is a node.  Degree 1 is ((t - 1)/(-1), t),
-    a weight of -0.0 at t = 1 included.
+    exactly cardinal wherever u is a node.  Degree 1 gives ((t - 1)/(-1),
+    t) exactly, a weight of -0.0 at t = 1 included.
     """
     if out is None:
         out = np.empty((degree + 1, t.size))
-    if degree == 1:
-        np.divide(t - 1.0, -1.0, out=out[0])
-        out[1] = t
-        return out
     # prod (q - p) over p != q is (-1)**(d - q) q! (d - q)!.
     denom = [(-1) ** (degree - q) * math.factorial(q)
              * math.factorial(degree - q) for q in range(degree + 1)]
@@ -400,9 +399,9 @@ class CollocationPlan:
         coef_hi gives A and coef_lo gives B (hat basis only).  Every
         factor 1 - coef Q is positive when coef * q_max < 1.  g^s and
         1 - coef Q are computed once per (node, map) and repeated over
-        the d+1 basis entries.  A plan of more than _BLOCK (node, map)
-        pairs goes a block at a time into the output buffer, so the
-        only full-size array made is the output itself.
+        the d+1 basis entries.  They go a block of _BLOCK (node, map)
+        pairs at a time into the output buffer, so the only full-size
+        array made is the output itself.
         """
         if coef is not None:
             if self.q is None:
@@ -412,27 +411,19 @@ class CollocationPlan:
                 raise ErrTooLarge(f"matrix correction {coef!r} * Q reaches 1; "
                                   "refine the mesh")
         n_basis = self.degree + 1
-        if self.log_weight.size <= _BLOCK:
-            vals = np.repeat(self._factor(s, coef, slice(None)), n_basis)
-            vals *= self.weight
-            return vals
         out = np.empty(self.weight.size)
         for lo in range(0, self.log_weight.size, _BLOCK):
+            pairs = slice(lo, lo + _BLOCK)
+            g = np.multiply(self.log_weight[pairs], s)
+            np.exp(g, out=g)
+            if coef is not None:
+                fix = np.multiply(self.q[pairs], coef)
+                np.subtract(1.0, fix, out=fix)
+                g *= fix
             entries = slice(lo * n_basis, (lo + _BLOCK) * n_basis)
-            g = self._factor(s, coef, slice(lo, lo + _BLOCK))
             np.multiply(np.repeat(g, n_basis), self.weight[entries],
                         out=out[entries])
         return out
-
-    def _factor(self, s: float, coef: float | None, pairs: slice) -> np.ndarray:
-        """g^s * (1 - coef Q) for the (node, map) pairs in the slice."""
-        g = np.multiply(self.log_weight[pairs], s)
-        np.exp(g, out=g)
-        if coef is not None:
-            fix = np.multiply(self.q[pairs], coef)
-            np.subtract(1.0, fix, out=fix)
-            g *= fix
-        return g
 
     def matrix(self, s: float, coef: float | None = None) -> SparseNonnegMatrix:
         """Nonnegative matrix at s on the plan's pattern (see data)."""
@@ -453,6 +444,19 @@ def _as_degree(degree) -> int:
 def _degree_nodes(mesh: Mesh, degree: int) -> Mesh:
     """The degree-d nodes of mesh: those of the mesh with d*n cells per piece."""
     return _join([_mesh_piece(p.a, p.b, p.n * degree) for p in mesh.pieces])
+
+
+def _degree_columns(mesh: Mesh, degree: int) -> np.ndarray:
+    """First degree-d column of each mesh cell, indexed by its left node.
+
+    Cell c of the mesh spans degree-d columns base[c] .. base[c] + d.
+    Node k of piece i is degree-d node d*k - (d - 1)*i: every piece
+    before it has d*n + 1 degree-d nodes against n + 1 mesh nodes.
+    """
+    base = np.arange(0, degree * mesh.dim, degree, dtype=np.int32)
+    base -= np.repeat(np.arange(len(mesh.pieces), dtype=np.int32) * (degree - 1),
+                      np.diff(mesh.offsets))
+    return base
 
 
 def _map_error(fam: MapFamily, mesh: Mesh, x: np.ndarray) -> Exception:
@@ -507,9 +511,7 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
             or np.any(x < lo - tol) or np.any(x > hi + tol)):
         raise _map_error(fam, mesh, x)
     x_in = np.clip(x, lo, hi)
-    # Degree-d column of each mesh node: cell c spans base[c] .. base[c]+d.
-    base = np.concatenate([off + degree * np.arange(p.n + 1, dtype=np.int32)
-                           for p, off in zip(mesh.pieces, fine.offsets)])
+    base = _degree_columns(mesh, degree)
     n_maps, n_basis = fam.n_maps, degree + 1
     indices = np.empty(fine.dim * n_maps * n_basis, dtype=np.int32)
     weight = np.empty(indices.size)
@@ -555,11 +557,11 @@ def _interpolate_nodal(values: np.ndarray, mesh: Mesh, target: Mesh,
     values holds one value per degree-d node of mesh, in the node order
     of collocation_plan(fam, mesh, degree); the result holds one per
     degree-d node of target, whose pieces must span the same intervals
-    as those of mesh.  Each node of a target piece lies in a cell of the
-    matching piece of mesh (found as collocation_plan finds an image's
-    cell) and takes the Lagrange combination of that cell's d+1 values,
-    so no piece reads another piece's values.  Polynomials of degree
-    <= d on a piece are reproduced up to rounding.
+    as those of mesh.  Each target node takes the Lagrange combination
+    of the d+1 values of its cell of mesh, found as collocation_plan
+    finds an image's cell.  Where the pieces lie further apart than the
+    clamp tolerance, no piece reads another piece's values.  Polynomials
+    of degree <= d on a piece are reproduced up to rounding.
     """
     degree = _as_degree(degree)
     source, nodes = _degree_nodes(mesh, degree), _degree_nodes(target, degree)
@@ -570,13 +572,8 @@ def _interpolate_nodal(values: np.ndarray, mesh: Mesh, target: Mesh,
     if [(p.a, p.b) for p in mesh.pieces] != \
             [(p.a, p.b) for p in target.pieces]:
         raise BadParams("interpolation meshes must cover the same pieces")
-    out = np.empty(nodes.dim)
-    local = np.arange(degree + 1)[:, None]
-    for piece, lo, at, node_piece in zip(mesh.pieces, source.offsets,
-                                         nodes.offsets, nodes.pieces):
-        cell, wr, _ = _cells(piece, node_piece.nodes)
-        own = values[lo:lo + piece.n * degree + 1]
-        basis = _lagrange_rows(wr, degree)
-        basis *= own[degree * cell + local]
-        out[at:at + node_piece.n + 1] = basis.sum(axis=0)
-    return out
+    cell, wr, _ = _locate(mesh, nodes.nodes)
+    basis = _lagrange_rows(wr, degree)
+    basis *= values[_degree_columns(mesh, degree)[cell]
+                    + np.arange(degree + 1)[:, None]]
+    return basis.sum(axis=0)

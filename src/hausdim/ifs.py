@@ -69,6 +69,26 @@ def _as_real(value, what: str) -> float:
     return float(value)
 
 
+def _as_domain(domain) -> tuple[float, float]:
+    """domain as exactly two finite reals a < b; ParamOutOfRange otherwise.
+
+    An end that is not a real number raises BadParams, as _as_real does.
+    """
+    try:
+        ends = tuple(domain)
+    except TypeError:
+        ends = ()
+    if len(ends) != 2:
+        raise ParamOutOfRange(f"a domain is two ends (a, b), got {domain!r}")
+    a = _as_real(ends[0], "domain start")
+    b = _as_real(ends[1], "domain end")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ParamOutOfRange(f"domain [{a}, {b}] must be bounded")
+    if not a < b:
+        raise ParamOutOfRange(f"empty domain [{a}, {b}]")
+    return a, b
+
+
 @dataclass(frozen=True)
 class MapSpec:
     """One contraction branch: theta and derivatives, plus weight data.
@@ -207,8 +227,8 @@ def make_mobius_family(
     """Family of inverse branches x -> 1/(x+b) on [0, 1/min(digits)].
 
     Digits must be distinct positive integers; the weight of each branch
-    is g_b(x) = (x+b)^-2.  A wider explicit domain may be passed as long
-    as the maps still send it into itself.
+    is g_b(x) = (x+b)^-2.  A wider explicit domain, two finite reals
+    a < b, may be passed as long as the maps still send it into itself.
     """
     digits = tuple(_as_index(b, "digit") for b in digits)
     if not digits:
@@ -219,11 +239,7 @@ def make_mobius_family(
         raise ParamOutOfRange(f"duplicate digits in {digits}")
     digits = tuple(sorted(digits))
     gamma = digits[0]
-    if domain is None:
-        domain = (0.0, 1.0 / gamma)
-    else:
-        domain = (_as_real(domain[0], "domain start"),
-                  _as_real(domain[1], "domain end"))
+    domain = (0.0, 1.0 / gamma) if domain is None else _as_domain(domain)
     fam = MapFamily(
         kind=MOBIUS,
         maps=tuple(_mobius_map(b) for b in digits),
@@ -314,16 +330,14 @@ def make_custom_family(
 ) -> MapFamily:
     """Wrap user-supplied map specs after validating the family invariants.
 
-    The family is named custom:<label>, with mu = 1 and kappa the largest
-    d1_sup, or |theta'| sampled on 4096 points for a map without one.
-    The bound layer raises NoContractionBound when kappa >= 1.
+    The domain is two finite reals a < b.  The family is named
+    custom:<label>, with mu = 1 and kappa the largest d1_sup, or |theta'|
+    sampled on 4096 points for a map without one.  The bound layer
+    raises NoContractionBound when kappa >= 1.
     """
     if not maps:
         raise EmptyFamily("need at least one map")
-    a = _as_real(domain[0], "domain start")
-    b = _as_real(domain[1], "domain end")
-    if not b > a:
-        raise ParamOutOfRange(f"empty domain [{a}, {b}]")
+    a, b = _as_domain(domain)
     xs = np.linspace(a, b, 4096)
     kappa = max(float(spec.d1_sup) if spec.d1_sup is not None
                 else float(np.max(np.abs(spec.d1(xs)))) for spec in maps)

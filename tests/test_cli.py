@@ -262,6 +262,12 @@ def test_non_finite_values_exit_2(capsys, args):
     assert err.startswith("config error:")
 
 
+def test_mesh_beyond_int32_columns_exits_2(capsys):
+    code, out, err = run_cli(capsys, "--cf", "1,2", "--h", "1e-300", "dim")
+    assert (code, out) == (2, "")
+    assert "more than 2147483647 nodes" in err and "Traceback" not in err
+
+
 def test_unknown_format_rejected_by_parser():
     with pytest.raises(SystemExit) as exc:
         main(["--cf", "1,2", "--h", "0.01", "--s", "0.5",

@@ -88,6 +88,10 @@ estimate and every bracket pin did not move.  The sha256 pins of
 `radius` stdout (text, csv, json) and of its three --dump-matrix files
 were recorded while it still took A, M and B from a matrix-triple
 helper, before it built them from the plan and error model itself.
+The bracket of Cantor a = 0.5 on the 256 pieces of reduce_domain(., 8)
+and the degree-6 estimate of cf{1,2} on reduce_domain(., 2) were
+recorded while a point's cell on a many-piece mesh was still found by a
+loop over the pieces.
 """
 
 import hashlib
@@ -151,6 +155,9 @@ def _cases():
         "cantor05custom_h1e-2": (_cantor05_custom(),
                                  make_mesh((0.0, 1.0), h=1e-2)),
         "affine3_h1e-2": (_affine3(), make_mesh((0.0, 1.0), h=1e-2)),
+        "cantor05_reduced8_h1e-4": (
+            make_cantor_family(0.5),
+            make_mesh(reduce_domain(make_cantor_family(0.5), 8), h=1e-4)),
     }
 
 
@@ -161,6 +168,8 @@ BRACKETS = {
     "cf12_reduced2_h005": ("0x1.10039c00679fcp-1", "0x1.10040e418a266p-1"),
     "cantor05custom_h1e-2": ("0x1.7771dfe817c2dp-1", "0x1.77b20b8f8a00ep-1"),
     "affine3_h1e-2": ("0x1.94ed79f49b60bp-1", "0x1.94ed79f49d21fp-1"),
+    "cantor05_reduced8_h1e-4": ("0x1.7789fb98a4ca1p-1",
+                                "0x1.7789fc4fe7350p-1"),
 }
 
 
@@ -181,6 +190,16 @@ def test_highorder_estimate_bit_exact(degree, h, expect):
     fam = make_mobius_family([1, 2])
     res = highorder_dimension(fam, make_mesh(fam.domain, h=h), degree)
     assert res.s.hex() == expect
+
+
+def test_highorder_estimate_on_pieces_bit_exact():
+    # Two pieces: the coarse start's iterate reaches the fine nodes of
+    # each piece through _interpolate_nodal.
+    fam = make_mobius_family([1, 2])
+    mesh = make_mesh(reduce_domain(fam, 2), h=0.0008)
+    assert len(mesh.pieces) == 2
+    res = highorder_dimension(fam, mesh, 6)
+    assert res.s.hex() == "0x1.1003ff9eecf6fp-1"
 
 
 def test_custom_wrapped_digit_maps_keep_degree_d_estimate():

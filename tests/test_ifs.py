@@ -60,6 +60,23 @@ def test_family_domains_are_real_numbers(poly_fam):
     assert fam.domain == (0.0, 1.0)
 
 
+@pytest.mark.parametrize("domain,message", [
+    ((0.0, 1.0, 5.0), "two ends"),
+    ((0.0,), "two ends"),
+    (1.0, "two ends"),
+    ((0.0, math.inf), "bounded"),
+    ((math.nan, 1.0), "bounded"),
+    ((1.0, 0.0), "empty domain"),
+], ids=["three_ends", "one_end", "scalar", "infinite", "nan", "reversed"])
+def test_family_domains_are_two_finite_increasing_ends(poly_fam, domain,
+                                                       message):
+    # Checked before any map is: no end is dropped, and no map is blamed.
+    with pytest.raises(ParamOutOfRange, match=message):
+        make_custom_family(poly_fam.maps, domain)
+    with pytest.raises(ParamOutOfRange, match=message):
+        make_mobius_family([1, 2], domain=domain)
+
+
 def test_mobius_family_rejects_bad_digits():
     with pytest.raises(NonPositiveDigit):
         make_mobius_family([0, 2])
