@@ -26,6 +26,7 @@ from .discretize import (
     ErrorModel,
     Mesh,
     SparseNonnegMatrix,
+    closed_plan,
     collocation_plan,
     dump_matrix,
     error_model,

@@ -23,6 +23,15 @@ the geometric tail of the estimate changes is below tol.  On a
 domain of many short pieces, where the coarse mesh would keep more
 than a tenth of the nodes, the estimate has no coarse level.
 HighOrderResult.evals counts the matrices built on both meshes.
+
+Both meshes solve on discretize.closed_plan, the rows of the closed
+node set S (compacted where S keeps at most 3/4 of the degree-d
+nodes), whose dominant eigenvalue is that of the full matrix; the
+16384-entry cut-off counts the closed plan's entries.  The coarse
+iterate is spread over the coarse S, NaN elsewhere, interpolated and
+read at the fine S; where a fine node's coarse cell reaches outside
+the coarse S, the fine solve starts cold.  HighOrderResult.dim stays
+the mesh's degree-d node count.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from .discretize import (
     CollocationPlan,
     CsrMatrix,
     _interpolate_nodal,
-    collocation_plan,
+    closed_plan,
 )
 from .errors import BadParams, PowerDivergence
 from .ifs import MapFamily
@@ -196,24 +205,34 @@ def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
                         radius_tol: float = RADIUS_TOL) -> HighOrderResult:
     """Dimension estimate: root of log |lambda_dom(s)| (no certificate).
 
-    A plan of at least 16384 entries starts on a mesh 16 times coarser:
-    the root s_c there, at the same degree, is found by solve_root from
-    INITIAL_BRACKET, and the fine root is taken from s_c by one Newton
-    step on the coarse slope and secant steps, its first solve starting
-    from the last coarse iterate interpolated onto the fine nodes.  A
-    smaller plan, or one whose coarse mesh would keep more than a tenth
-    of its nodes, is solved by solve_root from INITIAL_BRACKET alone.
-    evals counts the matrices built on both meshes.
+    Both meshes solve on their closed plans (discretize.closed_plan).
+    A closed plan of at least 16384 entries starts on a mesh 16 times
+    coarser: the root s_c there, at the same degree, is found by
+    solve_root from INITIAL_BRACKET, and the fine root is taken from s_c
+    by one Newton step on the coarse slope and secant steps, its first
+    solve starting from the last coarse iterate interpolated onto the
+    fine nodes (cold where that reads a node the coarse plan dropped).
+    A smaller plan, or one whose coarse mesh would keep more than a
+    tenth of its nodes, is solved by solve_root from INITIAL_BRACKET
+    alone.  evals counts the matrices built on both meshes; dim is the
+    mesh's degree-d node count, not the closed plan's.
     """
-    plan = collocation_plan(fam, mesh, degree)
+    plan = closed_plan(fam, mesh, degree)
     vec = _start_vector(plan.dim)
 
     def coarse_curve(coarse):
-        coarse_plan = collocation_plan(fam, coarse, plan.degree)
+        coarse_plan = closed_plan(fam, coarse, plan.degree)
         coarse_vec = _start_vector(coarse_plan.dim)
 
         def seed():
-            vec[:] = _interpolate_nodal(coarse_vec, coarse, mesh, plan.degree)
+            # NaN on the coarse mesh's degree-d nodes outside its S.
+            values = np.full(plan.degree * coarse.n + len(coarse.pieces),
+                             np.nan)
+            values[coarse_plan.rows] = coarse_vec
+            values = _interpolate_nodal(values, coarse, mesh,
+                                        plan.degree)[plan.rows]
+            if np.isfinite(values).all():
+                vec[:] = values
 
         return _log_magnitude(coarse_plan, radius_tol, coarse_vec)[0], seed
 
@@ -222,6 +241,7 @@ def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
         else None, INITIAL_BRACKET, root_tol)
     f, points = _log_magnitude(plan, radius_tol, vec)
     s = _root_from(f, start, INITIAL_BRACKET, root_tol)
-    return HighOrderResult(s=s, degree=plan.degree, dim=plan.dim,
+    return HighOrderResult(s=s, degree=plan.degree,
+                           dim=plan.degree * mesh.n + len(mesh.pieces),
                            mesh_h=mesh.h, family_id=fam.family_id,
                            evals=coarse_evals + len(points))

@@ -23,6 +23,13 @@ Within one bracket every power solve on a mesh starts from the
 eigenvector of the one before it, and a solve away from the root stops
 as soon as its enclosure excludes 1 and pins log r to 1%, which is all
 a secant step needs there.
+
+Both meshes of a bracket solve on discretize.closed_plan: the rows of
+the closed node set S, compacted where S keeps at most 3/4 of the
+nodes.  r(A), r(M), r(B) and the Collatz-Wielandt certificate are
+those of the full matrices, as the rows outside S form a nilpotent
+block below S's.  enclosure_at, log_radius and radius keep the full
+plan, so they show the paper's A, M and B.
 """
 
 from __future__ import annotations
@@ -33,7 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundPlan
-from .discretize import ErrorModel, collocation_plan, error_model, make_mesh
+from .discretize import (
+    ErrorModel,
+    closed_plan,
+    collocation_plan,
+    error_model,
+    make_mesh,
+)
 from .errors import BadParams, NoSignChange, PowerDivergence
 from .ifs import MapFamily
 from .spectral import RADIUS_TOL, SpectralEnclosure, power_enclosure
@@ -328,18 +341,20 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     only where a root solve ends on a collapsed bracket instead of in
     that band.
     The fine collocation plan and the bound plan are built once and
-    serve every s the fine solves visit.  evals counts the matrices
-    built on both meshes.
+    serve every s the fine solves visit.  Both meshes solve on their
+    closed plans (discretize.closed_plan), whose spectral radii and
+    Collatz-Wielandt bounds are those of the full matrices.  evals
+    counts the matrices built on both meshes.
     """
     def coarse_curve(coarse):
-        enclose, _ = _enclosures(collocation_plan(fam, coarse),
+        enclose, _ = _enclosures(closed_plan(fam, coarse),
                                  lambda s, which: None, radius_tol)
         return (lambda s: _log_midpoint(*enclose(s, "M"), radius_tol),
                 lambda: None)
 
     start, coarse_evals = _coarse_start(mesh, coarse_curve, initial,
                                         root_tol)
-    plan = collocation_plan(fam, mesh)
+    plan = closed_plan(fam, mesh)
     bound_plan = BoundPlan(fam)
     models: dict[float, ErrorModel] = {}  # A and B share an s at B's root
 

@@ -276,8 +276,10 @@ def test_unknown_format_rejected_by_parser():
 
 
 def test_power_divergence_exit_code(capsys):
-    # Unreachable tolerance forces the stall guard in every radius call.
-    code, _, err = run_cli(capsys, "--cf", "1,2", "--n", "50",
+    # An unreachable tolerance forces the stall guard.  On the closed
+    # node set of cf{1,2} at n = 50 (15 of 51 nodes) the gap closes
+    # exactly and the bracket succeeds; at n = 2000 it stalls at 4.4e-16.
+    code, _, err = run_cli(capsys, "--cf", "1,2", "--n", "2000",
                            "--radius-tol", "1e-18", "dim")
     assert code == 3
     assert "numeric failure" in err

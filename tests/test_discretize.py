@@ -18,6 +18,7 @@ from hausdim import (
     ParamOutOfRange,
     SparseNonnegMatrix,
     bracket_dimension,
+    closed_plan,
     collocation_plan,
     dump_matrix,
     error_model,
@@ -28,9 +29,12 @@ from hausdim import (
     make_custom_family,
     make_mesh,
     make_mobius_family,
+    power_enclosure,
     reduce_domain,
 )
 from hausdim import discretize
+from hausdim.higher_order import HighOrderMatrix, dominant_magnitude
+from hausdim.spectral import RADIUS_TOL
 from hausdim.discretize import (
     _degree_nodes,
     _interpolate_nodal,
@@ -837,3 +841,116 @@ def test_interpolate_nodal_rejects_mismatched_input():
     for bad in (0, 9, 2.5, True):
         with pytest.raises(ParamOutOfRange, match="degree"):
             _interpolate_nodal(np.ones(coarse.dim), coarse, fine, bad)
+
+
+def _affine_pair():
+    """Two affine maps with a gap on [0, 1], as a custom family."""
+    def const(value):
+        return lambda x: np.full_like(np.asarray(x, dtype=float), value)
+
+    def spec(j, ratio, offset):
+        return MapSpec(label=f"affine-{j}",
+                       eval=lambda x: ratio * np.asarray(x, dtype=float) + offset,
+                       d1=const(ratio), d2=const(0.0), d3=const(0.0),
+                       log_weight=const(math.log(ratio)), weight_r1=const(0.0),
+                       weight_r2=const(0.0), weight_r3=const(0.0),
+                       d1_sup=ratio)
+
+    return make_custom_family([spec(0, 0.3, 0.0), spec(1, 0.45, 0.55)],
+                              (0.0, 1.0), label="affine-pair")
+
+
+_CLOSED_FAMILIES = {
+    "cf12": lambda: make_mobius_family([1, 2]),
+    "cf1..20": lambda: make_mobius_family(list(range(1, 21))),
+    "cantor05": lambda: make_cantor_family(0.5),
+    "affine": _affine_pair,
+}
+
+
+def _closed_case(name, pieces):
+    fam = _CLOSED_FAMILIES[name]()
+    domain = reduce_domain(fam, pieces)
+    return fam, make_mesh(domain, n=max(60, 4 * len(domain)))
+
+
+def _reference_closed(fam, mesh, degree):
+    """closed_plan rebuilt from the naive fixpoint S <- cols(S).
+
+    Starting from every node, S shrinks to the columns its rows read
+    until it stops shrinking; the plan's arrays are then gathered to S's
+    rows and the columns renumbered, or left whole where S keeps more
+    than discretize._CLOSED_MAX_SHARE of the rows.
+    """
+    full = collocation_plan(fam, mesh, degree)
+    reads = full.indices.reshape(full.dim, -1)
+    rows = np.arange(full.dim)
+    while True:
+        kept = np.unique(reads[rows])
+        if kept.size == rows.size:
+            break
+        rows = kept
+    if rows.size > discretize._CLOSED_MAX_SHARE * full.dim:
+        return full, np.arange(full.dim), full
+    column = np.full(full.dim, -1)
+    column[rows] = np.arange(rows.size)
+
+    def gather(arr):
+        return None if arr is None else arr.reshape(full.dim, -1)[rows].ravel()
+
+    per_row = reads.shape[1]
+    return full, rows, discretize.CollocationPlan(
+        dim=rows.size, degree=degree,
+        indptr=np.arange(0, per_row * rows.size + 1, per_row),
+        indices=column[reads[rows]].ravel(), weight=gather(full.weight),
+        log_weight=gather(full.log_weight), q=gather(full.q),
+        q_max=full.q_max)
+
+
+@pytest.mark.parametrize("degree", [1, 3, 6])
+@pytest.mark.parametrize("pieces", [0, 2], ids=["one piece", "reduced:2"])
+@pytest.mark.parametrize("name", sorted(_CLOSED_FAMILIES))
+def test_closed_plan_matches_naive_fixpoint(name, pieces, degree):
+    fam, mesh = _closed_case(name, pieces)
+    full, rows, want = _reference_closed(fam, mesh, degree)
+    got = closed_plan(fam, mesh, degree)
+    assert np.array_equal(got.rows, rows)
+    assert (got.dim, got.degree, got.q_max) == (want.dim, degree, want.q_max)
+    for field in ("indptr", "indices", "weight", "log_weight", "q"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None and b is None) or np.array_equal(a, b), field
+    assert 0 <= got.indices.min() and got.indices.max() < got.dim
+
+
+def test_closed_plan_cases_compact_and_stay_whole():
+    # The cases above cover both outcomes at every degree: cf{1,2} keeps
+    # under a third of its nodes, cf{1..20} all of them.
+    for name, pieces, compact in [("cf12", 0, True), ("cf1..20", 0, False),
+                                  ("cantor05", 0, True),
+                                  ("cantor05", 2, False)]:
+        fam, mesh = _closed_case(name, pieces)
+        for degree in (1, 3, 6):
+            plan = closed_plan(fam, mesh, degree)
+            full_dim = _degree_nodes(mesh, degree).dim
+            assert (plan.dim < full_dim) == compact, (name, pieces, degree)
+
+
+@pytest.mark.parametrize("pieces", [0, 2], ids=["one piece", "reduced:2"])
+@pytest.mark.parametrize("name", sorted(_CLOSED_FAMILIES))
+def test_closed_plan_keeps_every_radius(name, pieces):
+    # The rows outside S form a nilpotent block below S's, so r(A),
+    # r(M), r(B) and the degree-d |lambda| are those of the S x S block.
+    fam, mesh = _closed_case(name, pieces)
+    full, closed = collocation_plan(fam, mesh), closed_plan(fam, mesh)
+    full6, closed6 = (collocation_plan(fam, mesh, 6),
+                      closed_plan(fam, mesh, 6))
+    for s in (0.3, 0.6, 0.9):
+        model = error_model(fam, s, mesh.h)
+        for coef in (model.coef_hi, None, model.coef_lo):
+            want, got = (power_enclosure(plan.matrix(s, coef)).midpoint
+                         for plan in (full, closed))
+            assert abs(got - want) <= RADIUS_TOL * want
+        want, got = (dominant_magnitude(HighOrderMatrix(
+            plan.dim, plan.indptr, plan.indices, plan.data(s)))
+            for plan in (full6, closed6))
+        assert abs(got - want) <= RADIUS_TOL * want

@@ -10,6 +10,7 @@ from hausdim import (
     BadParams,
     ParamOutOfRange,
     PowerDivergence,
+    closed_plan,
     collocation_plan,
     dominant_magnitude,
     highorder_dimension,
@@ -18,7 +19,12 @@ from hausdim import (
     make_mobius_family,
     reduce_domain,
 )
-from hausdim.discretize import CollocationPlan, _lagrange_rows
+from hausdim import higher_order
+from hausdim.discretize import (
+    CollocationPlan,
+    _interpolate_nodal,
+    _lagrange_rows,
+)
 from hausdim.higher_order import (
     _COARSE_MIN_ENTRIES,
     _SETTLE_RUNS,
@@ -270,18 +276,21 @@ def test_highorder_dimension_matvec_budget():
     # One start vector carried across the root solve's evaluations,
     # sign-sufficient stops away from the root and tail stops at it: 74
     # matvecs here, where cold full-precision solves take 201 (257
-    # without the tail stop).  Below 16384 entries (1010 here) the
-    # coarse start costs more than it saves, so all 8 matrices are
-    # built on the fine plan.
+    # without the tail stop).  Below 16384 entries (300 on the closed
+    # plan's 30 of 101 nodes here) the coarse start costs more than it
+    # saves, so all 8 matrices are built on the fine closed plan.
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, h=0.04)
+    closed = closed_plan(fam, mesh, 4)
     with mock.patch.object(CollocationPlan, "data", autospec=True,
                            side_effect=CollocationPlan.data) as data, \
             mock.patch.object(HighOrderMatrix, "matvec", autospec=True,
                               side_effect=HighOrderMatrix.matvec) as matvec:
         res = highorder_dimension(fam, mesh, 4)
     assert matvec.call_count <= 80
-    assert {call.args[0].dim for call in data.call_args_list} == {res.dim}
+    assert {call.args[0].dim for call in data.call_args_list} == \
+        {closed.dim}
+    assert res.dim == 101
     assert res.evals == data.call_count == 8
     # The same root from cold, full-precision solves at every s.
     assert abs(res.s - _cold_root(collocation_plan(fam, mesh, 4))) <= 1e-12
@@ -295,18 +304,21 @@ def _cold_root(plan):
         INITIAL_BRACKET)[0]
 
 
-@pytest.mark.parametrize("intervals,h", [("full", 0.002), ("reduced:2", 0.0008)])
+@pytest.mark.parametrize("intervals,h", [("full", 0.001), ("reduced:2", 0.0006)])
 def test_highorder_dimension_fine_matrix_budget(intervals, h):
-    # A plan of 16384 entries or more (42014 and 36232 here) starts on
-    # the mesh 16 times coarser, one or two pieces alike: the coarse root
-    # leaves the fine mesh one matrix, where a start from (0.01, 1.5)
-    # builds 8, and from the interpolated coarse iterate its solve stops
-    # on the tail after 3 and 10 matvecs (ten settle runs took 11), where
-    # a cold start takes 29 or 28.
-    fam = make_mobius_family([1, 2])
+    # A closed plan of 16384 entries or more (21945 and 32067 here, on
+    # 1045 of 6001 and 1527 of 4687 nodes) starts on the mesh 16 times
+    # coarser, one or two pieces alike: the coarse root leaves the fine
+    # mesh one matrix, where a start from (0.01, 1.5) builds 8, and from
+    # the interpolated coarse iterate its solve stops on the tail after
+    # 5 and 3 matvecs, where a cold start takes 27.
+    # cf{1,2} at h = 0.002 and on reduce_domain(., 2) at 0.0008 met the
+    # cut-off on the whole mesh; their closed plans (3598 and 5320
+    # entries) are below it.
+    fam = make_mobius_family([1, 2, 3])
     domain = [fam.domain] if intervals == "full" else reduce_domain(fam, 2)
     mesh = make_mesh(domain, h=h)
-    plan = collocation_plan(fam, mesh, 6)
+    plan = closed_plan(fam, mesh, 6)
     assert plan.indices.size >= _COARSE_MIN_ENTRIES
     with mock.patch.object(CollocationPlan, "data", autospec=True,
                            side_effect=CollocationPlan.data) as data, \
@@ -322,16 +334,50 @@ def test_highorder_dimension_fine_matrix_budget(intervals, h):
     assert abs(res.s - _cold_root(plan)) <= 1e-12
 
 
+def test_highorder_dimension_starts_cold_where_the_coarse_iterate_misses():
+    # The coarse iterate lives on the coarse closed set only; a fine row
+    # whose coarse cell reads a node outside it interpolates to NaN, and
+    # then the fine solve starts from the cold start vector instead.
+    fam = make_mobius_family([1, 2, 3])
+    mesh = make_mesh(fam.domain, h=0.001)
+    plan = closed_plan(fam, mesh, 6)
+    seeded = []
+
+    def missing_one(values, *args):
+        out = _interpolate_nodal(values, *args)
+        seeded.append(np.isfinite(out[plan.rows]).all())
+        out[plan.rows[len(plan.rows) // 2]] = math.nan
+        return out
+
+    starts = []  # (dim, start vector) of each solve, as it was passed
+
+    def solve(mat, *args, vec, **kwargs):
+        starts.append((mat.dim, vec.copy()))
+        return dominant_magnitude(mat, *args, vec=vec, **kwargs)
+
+    with mock.patch.object(higher_order, "_interpolate_nodal",
+                           side_effect=missing_one), \
+            mock.patch.object(higher_order, "dominant_magnitude",
+                              side_effect=solve):
+        res = highorder_dimension(fam, mesh, 6)
+    assert seeded == [True]
+    first_fine = next(vec for dim, vec in starts if dim == plan.dim)
+    assert np.array_equal(first_fine, higher_order._start_vector(plan.dim))
+    assert abs(res.s - _cold_root(plan)) <= 1e-12
+
+
 def test_highorder_dimension_skips_a_coarse_level_barely_coarser():
     # reduce_domain(cf{1,2}, 6) has 32 pieces and make_mesh keeps two
     # cells on each, so at h = 1e-4 the mesh 16 times coarser keeps 97
-    # of the 380 nodes.  The degree-6 plan (29680 entries) is above the
-    # cut-off, yet the estimate goes straight to solve_root on the fine
-    # plan: with the coarse level it built 8 coarse matrices and 1 fine
-    # one in 13.9 ms, without it 8 fine ones in 8.3 ms.
+    # of the 380 nodes; with the coarse level the estimate built 8
+    # coarse matrices and 1 fine one in 13.9 ms, without it 8 fine ones
+    # in 8.3 ms.  There the closed plan (15834 entries) is below the
+    # cut-off, so this takes h = 8e-5: 468 nodes, the closed plan keeps
+    # 1337 of the 2648 degree-6 nodes (18718 entries) and is above the
+    # cut-off, yet the estimate goes straight to solve_root on it.
     fam = make_mobius_family([1, 2])
-    mesh = make_mesh(reduce_domain(fam, 6), h=1e-4)
-    plan = collocation_plan(fam, mesh, 6)
+    mesh = make_mesh(reduce_domain(fam, 6), h=8e-5)
+    plan = closed_plan(fam, mesh, 6)
     assert plan.indices.size >= _COARSE_MIN_ENTRIES
     assert _coarse_mesh(mesh) is None
     with mock.patch.object(CollocationPlan, "data", autospec=True,
