@@ -187,7 +187,7 @@ def _locate(mesh: Mesh, ys: np.ndarray):
     >= 0.  A point within the clamp tolerance of several pieces belongs
     to the first: the first piece whose end plus the tolerance is at or
     right of y.  Points outside every piece by more than the clamp
-    tolerance raise OutOfDomain.
+    tolerance raise OutOfDomain, and a NaN point ParamOutOfRange.
 
     Clipped to its piece [a, b], y takes the last node at or left of it,
     capped at the piece's last cell, as searchsorted would, but found by
@@ -203,6 +203,8 @@ def _locate(mesh: Mesh, ys: np.ndarray):
                                          b.size - 1)
     a, b, h, n, first = a[i], b[i], h[i], n[i], first[i]
     if not ((ys >= a - tol) & (ys <= b + tol)).all():
+        if np.isnan(ys).any():
+            raise ParamOutOfRange("interpolation point is NaN")
         if np.any(ys < lo - tol) or np.any(ys > hi + tol):
             raise OutOfDomain("interpolation point outside the meshed domain")
         raise OutOfDomain("interpolation point falls in a gap between pieces")
@@ -486,9 +488,10 @@ def _degree_columns(mesh: Mesh, degree: int) -> np.ndarray:
 def _map_error(fam: MapFamily, mesh: Mesh, x: np.ndarray) -> Exception:
     """The error of the first map, in order, that cannot collocate at x.
 
-    Map by map, a missing log_weight is MissingDerivatives, an image
-    outside the mesh MapEscapesDomain and a log_weight that is not
-    finite at x ParamOutOfRange; each names the map.  collocation_plan
+    Map by map, a missing log_weight is MissingDerivatives, a NaN image
+    ParamOutOfRange (naming the point), an image outside the mesh
+    MapEscapesDomain and a log_weight that is not finite at x
+    ParamOutOfRange; each names the map.  collocation_plan
     calls it once some block has failed, so the error does not depend
     on which block failed first.
     """
@@ -496,7 +499,11 @@ def _map_error(fam: MapFamily, mesh: Mesh, x: np.ndarray) -> Exception:
         if spec.log_weight is None:
             return MissingDerivatives(f"map {spec.label!r} has no log_weight")
         try:
-            _locate(mesh, eval_map(fam, j, x))
+            y = eval_map(fam, j, x)
+            if np.isnan(y).any():
+                return ParamOutOfRange(f"map {spec.label!r} gives NaN at "
+                                       f"x = {float(x[np.isnan(y)][0])}")
+            _locate(mesh, y)
         except OutOfDomain as exc:
             return MapEscapesDomain(f"map {spec.label!r}: {exc}")
         if not np.isfinite(spec.log_weight(x)).all():
@@ -514,9 +521,10 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
     basis on the mesh nodes.  Row k holds, for every map j in order, the
     d+1 basis weights of theta_j(x_k) on consecutive columns.  A mesh
     that reaches outside fam.domain raises OutOfDomain.  Checked map by
-    map, a map without log_weight raises MissingDerivatives, one with an
-    image outside the mesh MapEscapesDomain, and one whose log_weight is
-    not finite at a collocation node ParamOutOfRange.
+    map, a map without log_weight raises MissingDerivatives, one with a
+    NaN image ParamOutOfRange, one with an image outside the mesh
+    MapEscapesDomain, and one whose log_weight is not finite at a
+    collocation node ParamOutOfRange.
 
     The nodes go in blocks of about _BLOCK (node, map) pairs: every map
     and log-weight is evaluated on the block, one _locate call finds all
@@ -552,7 +560,7 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
             lw[:, j] = spec.log_weight(x[nodes])
         try:
             cell, wr, qb = _locate(mesh, y.ravel())
-        except OutOfDomain:
+        except (OutOfDomain, ParamOutOfRange):
             cell = None
         if cell is None or not np.isfinite(lw).all():
             raise _map_error(fam, mesh, x)

@@ -15,8 +15,8 @@ same coarse-level routine in solver.  It first solves
 log |lambda(s)| = 0 on the same intervals meshed 16 times coarser,
 where a matrix costs about a sixteenth as much.  The last
 coarse iterate, interpolated onto the fine nodes piece by piece, seeds
-the first fine solve.  That solve is at the coarse root, and a Newton
-step on the coarse slope and secant steps go on from there.  At degree
+the first fine solve.  That solve is at the coarse root, and the root
+solve goes on from there on the coarse slope.  At degree
 6 the coarse root already meets the fine root_tol, so the fine mesh
 builds one matrix, and its seeded solve stops after a few steps, once
 the geometric tail of the estimate changes is below tol.  On a
@@ -55,7 +55,7 @@ from .solver import (
     INITIAL_BRACKET,
     ROOT_TOL,
     _coarse_start,
-    _root_from,
+    _root,
 )
 from .spectral import RADIUS_TOL
 
@@ -183,21 +183,13 @@ class HighOrderResult:
 
 def _log_magnitude(plan: CollocationPlan, radius_tol: float,
                    vec: np.ndarray):
-    """Memoized s -> log |lambda(s)| on one plan, and its evaluated points.
+    """s -> log |lambda(s)| on one plan.
 
     Every solve starts from vec, the iterate of the solve before it,
     and may stop once log |lambda| is pinned to 1%.
     """
-    points: dict[float, float] = {}
-
-    def f(s: float) -> float:
-        if s not in points:
-            points[s] = math.log(dominant_magnitude(
-                _plan_matrix(plan, s), tol=radius_tol, vec=vec,
-                sign_rel=_SIGN_REL))
-        return points[s]
-
-    return f, points
+    return lambda s: math.log(dominant_magnitude(
+        _plan_matrix(plan, s), tol=radius_tol, vec=vec, sign_rel=_SIGN_REL))
 
 
 def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
@@ -207,15 +199,15 @@ def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
 
     Both meshes solve on their closed plans (discretize.closed_plan).
     A closed plan of at least 16384 entries starts on a mesh 16 times
-    coarser: the root s_c there, at the same degree, is found by
-    solve_root from INITIAL_BRACKET, and the fine root is taken from s_c
-    by one Newton step on the coarse slope and secant steps, its first
-    solve starting from the last coarse iterate interpolated onto the
-    fine nodes (cold where that reads a node the coarse plan dropped).
-    A smaller plan, or one whose coarse mesh would keep more than a
-    tenth of its nodes, is solved by solve_root from INITIAL_BRACKET
-    alone.  evals counts the matrices built on both meshes; dim is the
-    mesh's degree-d node count, not the closed plan's.
+    coarser: the root s_c there, at the same degree, is found from
+    INITIAL_BRACKET, and the fine root from s_c on the coarse slope, its
+    first solve starting from the last coarse iterate interpolated onto
+    the fine nodes (cold where that reads a node the coarse plan
+    dropped).  A smaller plan, or one whose coarse mesh would keep more
+    than a tenth of its nodes, is solved from INITIAL_BRACKET alone.
+    Every root is found by solver._root.  evals counts the matrices
+    built on both meshes; dim is the mesh's degree-d node count, not
+    the closed plan's.
     """
     plan = closed_plan(fam, mesh, degree)
     vec = _start_vector(plan.dim)
@@ -234,14 +226,14 @@ def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
             if np.isfinite(values).all():
                 vec[:] = values
 
-        return _log_magnitude(coarse_plan, radius_tol, coarse_vec)[0], seed
+        return _log_magnitude(coarse_plan, radius_tol, coarse_vec), seed
 
     start, coarse_evals = _coarse_start(
         mesh, coarse_curve if plan.indices.size >= _COARSE_MIN_ENTRIES
         else None, INITIAL_BRACKET, root_tol)
-    f, points = _log_magnitude(plan, radius_tol, vec)
-    s = _root_from(f, start, INITIAL_BRACKET, root_tol)
+    s, _, evals = _root(_log_magnitude(plan, radius_tol, vec),
+                        INITIAL_BRACKET, root_tol, start)
     return HighOrderResult(s=s, degree=plan.degree,
                            dim=plan.degree * mesh.n + len(mesh.pieces),
                            mesh_h=mesh.h, family_id=fam.family_id,
-                           evals=coarse_evals + len(points))
+                           evals=coarse_evals + evals)

@@ -1,8 +1,10 @@
 """Dimension brackets by root finding on certified log-radius curves.
 
 The spectral radius of the assembled matrices is strictly decreasing and
-log-convex in s, so log r(s) has a single root found by a secant
-iteration safeguarded with bisection.  The lower matrix roots give a
+log-convex in s, so log r(s) has a single root.  One routine, _root,
+finds every root: from a bracket or from a start point and slope, it
+takes Newton and secant steps outward until log r changes sign, then
+secant steps safeguarded with bisection.  The lower matrix roots give a
 certified lower dimension bound (r(A_s) >= 1), the upper matrix roots a
 certified upper bound (r(B_s) <= 1).  Each root aims its enclosure
 midpoint a margin of at least radius_tol outward in log r, on the side
@@ -14,10 +16,10 @@ coarser, where a matrix costs a sixteenth as much; the A/B roots
 converge to the dimension like h**2, so that root lies close to the
 fine ones.  A coarse mesh that keeps more than a tenth of the fine
 nodes (many short pieces, two cells each) saves too little and is
-skipped.  The fine B root is then taken from it by one Newton step
-with the coarse slope and secant steps, and the fine A root the same
-way from the B root.  Degree-d estimates (higher_order) start from
-their own coarse root through the same routine.
+skipped.  The fine B root then starts from it on the coarse slope,
+and the fine A root from the B root on the slope of log r(B).
+Degree-d estimates (higher_order) start from their own coarse root
+through the same routines.
 
 Within one bracket every power solve on a mesh starts from the
 eigenvector of the one before it, and a solve away from the root stops
@@ -104,54 +106,78 @@ _EXPAND = 2.0
 _S_MIN, _S_MAX = 1e-6, 64.0
 
 
-def solve_root(f, bracket: tuple[float, float],
-               root_tol: float = ROOT_TOL) -> tuple[float, int]:
-    """Root of a decreasing function by secant steps inside a sign bracket.
+def _slope(points: dict[float, float], s: float) -> float:
+    """Secant slope through the two points nearest s."""
+    (s0, f0), (s1, f1) = sorted(points.items(),
+                                key=lambda p: abs(p[0] - s))[:2]
+    return (f1 - f0) / (s1 - s0)
 
-    An endpoint with |f| <= root_tol is returned at once.  Otherwise the
-    bracket is halved or doubled until f changes sign; each secant step
-    stays inside the current bracket (bisection otherwise).  Returns
-    (root, evaluations) after at most 40 evaluations; NoSignChange if no
-    sign change exists in [1e-6, 64] or f gives NaN (+-inf are signs),
-    BadParams unless 0 < root_tol < inf.
+
+def _root(f, bracket: tuple[float, float], tol: float,
+          start: tuple[float, float] | None = None
+          ) -> tuple[float, float, int]:
+    """Root of a decreasing convex f: (root, slope near it, evaluations).
+
+    f is evaluated at start = (s, slope), or else at both ends of
+    bracket, and a point with |f| <= tol is returned at once (the lower
+    end first).  Until two points straddle the root (f > 0 below,
+    f < 0 above), the last point takes a Newton step toward it within a
+    factor 2, on the start slope first and then on the secant of the
+    last two points; of a bracket, the end on the root's side steps
+    first.  As f is convex, a step from its negative side crosses the
+    root unless the slope is off, and steps from its positive side
+    close in on it.  Secant steps from (lower, upper) then stay inside
+    the bracket (bisection otherwise) until |f| <= tol, 40 evaluations
+    in all, or a bracket of 4 ulps, whose end with the smaller |f| is
+    returned.  Each evaluation is at a new point; the slope is f's
+    between the root and the point nearest it (the start slope if the
+    root was the only point).  Steps stay in [1e-6, 64]: NoSignChange
+    where f keeps its sign to a bound or for 40 evaluations, or gives
+    NaN (+-inf are signs); BadParams unless 0 < bracket[0] < bracket[1]
+    and 0 < tol < inf.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not (0.0 < lo < hi):
         raise BadParams(f"bad bracket {bracket}")
-    if not 0.0 < root_tol < math.inf:
-        raise BadParams(f"need finite root_tol > 0, got {root_tol}")
-    evals = 0
+    if not 0.0 < tol < math.inf:
+        raise BadParams(f"need finite root_tol > 0, got {tol}")
+    points: dict[float, float] = {}
 
     def ev(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        fx = float(f(x))
+        fx = points[x] = float(f(x))
         if math.isnan(fx):
             raise NoSignChange(f"f gives NaN at s = {x}")
         return fx
 
-    flo = ev(lo)
-    fhi = ev(hi)
-    while flo < -root_tol:
-        if lo <= _S_MIN or evals >= _MAX_EVALS:
-            raise NoSignChange(f"no positive value down to s = {lo}")
-        hi, fhi = lo, flo
-        lo = max(_S_MIN, lo / _EXPAND)
-        flo = ev(lo)
-    while fhi > root_tol:
-        if hi >= _S_MAX or evals >= _MAX_EVALS:
-            raise NoSignChange(f"no negative value up to s = {hi}")
-        lo, flo = hi, fhi
-        hi = min(_S_MAX, hi * _EXPAND)
-        fhi = ev(hi)
-    if abs(flo) <= root_tol:
-        return lo, evals
-    if abs(fhi) <= root_tol:
-        return hi, evals
-    a, fa = lo, flo
-    b, fb = hi, fhi
+    def found(x: float) -> tuple[float, float, int]:
+        slope = _slope(points, x) if len(points) > 1 else start[1]
+        return x, slope, len(points)
+
+    last = [(x, ev(x)) for x in ((lo, hi) if start is None else start[:1])]
+    for x, fx in last:
+        if abs(fx) <= tol:
+            return found(x)
+    if last[0][1] < 0.0:
+        last.reverse()  # the root lies below: the lower end steps first
+    while len(last) == 1 or not min(last)[1] > 0.0 > max(last)[1]:
+        x, fx = last[-1]
+        slope = (fx - last[0][1]) / (x - last[0][0]) if len(last) > 1 \
+            else start[1]
+        # A Newton step within a factor 2 of x; one that would not move,
+        # or a slope that is not negative, goes the factor 2.
+        t = x - fx / slope if slope < 0.0 else math.nan
+        if not (x / _EXPAND <= t <= x * _EXPAND and t != x):
+            t = x * _EXPAND if fx > 0.0 else x / _EXPAND
+        t = min(_S_MAX, max(_S_MIN, t))
+        if (t <= x if fx > 0.0 else t >= x) or len(points) >= _MAX_EVALS:
+            side = "negative value up" if fx > 0.0 else "positive value down"
+            raise NoSignChange(f"no {side} to s = {x}")
+        last = [(x, fx), (t, ev(t))]
+        if abs(last[1][1]) <= tol:
+            return found(t)
+    (a, fa), (b, fb) = sorted(last)
     x0, f0, x1, f1 = a, fa, b, fb
-    while evals < _MAX_EVALS:
+    while len(points) < _MAX_EVALS:
         denom = f1 - f0
         if denom != 0.0 and math.isfinite(denom):
             x = x1 - f1 * (x1 - x0) / denom
@@ -161,15 +187,27 @@ def solve_root(f, bracket: tuple[float, float],
             x = 0.5 * (a + b)
         fx = ev(x)
         x0, f0, x1, f1 = x1, f1, x, fx
-        if abs(fx) <= root_tol:
-            return x, evals
+        if abs(fx) <= tol:
+            return found(x)
         if fx > 0.0:
             a, fa = x, fx
         else:
             b, fb = x, fx
         if b - a <= 4.0 * _EPS * max(1.0, abs(b)):
             break
-    return (a if abs(fa) <= abs(fb) else b), evals
+    return found(a if abs(fa) <= abs(fb) else b)
+
+
+def solve_root(f, bracket: tuple[float, float],
+               root_tol: float = ROOT_TOL) -> tuple[float, int]:
+    """Root of a decreasing function from a bracket, by _root.
+
+    Returns (root, evaluations) after at most 40 evaluations;
+    NoSignChange if no sign change exists in [1e-6, 64] or f gives NaN
+    (+-inf are signs), BadParams unless 0 < root_tol < inf.
+    """
+    root, _, evals = _root(f, bracket, root_tol)
+    return root, evals
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +231,6 @@ class DimensionBracket:
 
 
 _COARSEN = 16  # cell width of the coarse mesh, in fine cell widths
-_START_STEPS = 4  # steps from a start point before solve_root takes over
 
 
 def _enclosures(plan, coef, radius_tol: float):
@@ -217,13 +254,6 @@ def _enclosures(plan, coef, radius_tol: float):
         return radii[s, which]
 
     return enclose, radii
-
-
-def _slope(points: dict[float, float], s: float) -> float:
-    """Secant slope through the two points nearest s."""
-    (s0, f0), (s1, f1) = sorted(points.items(),
-                                key=lambda p: abs(p[0] - s))[:2]
-    return (f1 - f0) / (s1 - s0)
 
 
 def _coarse_mesh(mesh):
@@ -250,70 +280,20 @@ def _coarse_start(mesh, curve, initial: tuple[float, float],
                   root_tol: float) -> tuple[tuple[float, float] | None, int]:
     """Start for a fine root: the root of the same curve on a coarser mesh.
 
-    curve(coarse) returns the memoized log radius on the coarse mesh of
+    curve(coarse) returns the log radius on the coarse mesh of
     _coarse_mesh(mesh) and a function to call once its root is found
     (a degree-d estimate seeds its fine solve there); curve None asks
-    for no coarse level.  The root is found by solve_root from initial.
-    Returns ((root, slope), matrices built), the slope being that of the
-    curve between the two evaluated points nearest the root, or
-    (None, 0) without a coarse level.  The coarse curve is dropped on
-    return.
+    for no coarse level.  Returns ((root, slope), matrices built) of
+    _root from initial, or (None, 0) without a coarse level.  The
+    coarse curve is dropped on return.
     """
     coarse = None if curve is None else _coarse_mesh(mesh)
     if coarse is None:
         return None, 0
     f, at_root = curve(coarse)
-    points: dict[float, float] = {}
-
-    def log_r(s: float) -> float:
-        points[s] = f(s)
-        return points[s]
-
-    s_c, _ = solve_root(log_r, initial, root_tol)
+    s_c, slope, evals = _root(f, initial, root_tol)
     at_root()
-    return (s_c, _slope(points, s_c)), len(points)
-
-
-def _toward_root(x: float, fx: float, slope: float) -> float:
-    """Newton step of a decreasing f from x, kept within a factor 2 of x.
-
-    A step that would not move, or a slope that is not negative, goes
-    the factor 2 toward the root.
-    """
-    lo, hi = x / _EXPAND, x * _EXPAND
-    t = x - fx / slope if slope < 0.0 else math.nan
-    if not (lo <= t <= hi and t != x):
-        t = hi if fx > 0.0 else lo
-    return t
-
-
-def _root_from(f, start: tuple[float, float] | None,
-               initial: tuple[float, float], tol: float) -> float:
-    """Root of a decreasing convex f from start = (s, slope) near it.
-
-    Without a start, solve_root finds it from initial.  Otherwise one
-    Newton step with the given slope, then secant steps through the
-    last two points, until |f| <= tol or f changes sign.  As f is
-    convex, a step from its negative side crosses the root unless the
-    slope is off, and steps from its positive side close in on it.
-    After 4 steps, or at the first sign change, solve_root finishes on
-    the last two points: a bracket with its ends already evaluated,
-    which it widens as usual if f has not changed sign.
-    """
-    if start is None:
-        return solve_root(f, initial, tol)[0]
-    s, slope = start
-    xs, fs = [s], [f(s)]
-    for _ in range(_START_STEPS):
-        if abs(fs[-1]) <= tol:
-            return xs[-1]
-        if len(xs) > 1:
-            if (fs[-1] > 0.0) != (fs[-2] > 0.0):
-                break
-            slope = (fs[-1] - fs[-2]) / (xs[-1] - xs[-2])
-        xs.append(_toward_root(xs[-1], fs[-1], slope))
-        fs.append(f(xs[-1]))
-    return solve_root(f, (min(xs[-2:]), max(xs[-2:])), tol)[0]
+    return (s_c, slope), evals
 
 
 def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
@@ -323,23 +303,23 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     """Bracket the dimension with certified enclosure endpoints.
 
     The root s_c of log r(M_s) on the same intervals meshed 16 times
-    coarser is found by solve_root from initial; that plan is dropped
-    before the fine one is built.  The fine B root starts at s_c with
-    one Newton step on the coarse slope; where the coarse mesh would
-    keep more than a tenth of the fine nodes (a domain of many short
-    pieces), there is no coarse level and solve_root finds it from
+    coarser is found by _root from initial, to max(root_tol,
+    4 radius_tol); that plan is dropped before the fine one is built.
+    The fine B root starts at s_c on the coarse slope; where the coarse
+    mesh would keep more than a tenth of the fine nodes (a domain of
+    many short pieces), there is no coarse level and it is found from
     initial on the fine mesh.  The A root starts the same way at the B
     root, on the slope of log r(B).  With
     margin = max(root_tol/10, radius_tol), each root aims its enclosure
-    midpoint at margin <= |log r| <= root_tol + margin - root_tol/10 on
-    the side its certificate needs: s_upper at log r(B) < 0, s_lower at
-    log r(A) > 0.  An enclosure that met a radius_tol below 1/2 has its
-    ends less than radius_tol from the midpoint in log r, and one that
-    stopped on the sign excludes 1, so the enclosure found at a root
-    certifies its endpoint: certified is r_hi(B) <= 1 at s_upper and
-    r_lo(A) >= 1 at s_lower, read from those two enclosures.  It fails
-    only where a root solve ends on a collapsed bracket instead of in
-    that band.
+    midpoint at margin <= |log r| <= root_tol + 4 (margin - root_tol/10)
+    on the side its certificate needs: s_upper at log r(B) < 0,
+    s_lower at log r(A) > 0.  An enclosure that met a radius_tol below
+    1/2 has its ends less than radius_tol from the midpoint in log r,
+    and one that stopped on the sign excludes 1, so the enclosure found
+    at a root certifies its endpoint: certified is r_hi(B) <= 1 at
+    s_upper and r_lo(A) >= 1 at s_lower, read from those two
+    enclosures.  It fails only where a root solve ends on a collapsed
+    bracket instead of in that band.
     The fine collocation plan and the bound plan are built once and
     serve every s the fine solves visit.  Both meshes solve on their
     closed plans (discretize.closed_plan), whose spectral radii and
@@ -352,8 +332,11 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
         return (lambda s: _log_midpoint(*enclose(s, "M"), radius_tol),
                 lambda: None)
 
+    if not 0.0 < root_tol < math.inf:  # before the coarse floor hides it
+        raise BadParams(f"need finite root_tol > 0, got {root_tol}")
+    # log r is known to about radius_tol: no root is sought closer.
     start, coarse_evals = _coarse_start(mesh, coarse_curve, initial,
-                                        root_tol)
+                                        max(root_tol, 4.0 * radius_tol))
     plan = closed_plan(fam, mesh)
     bound_plan = BoundPlan(fam)
     models: dict[float, ErrorModel] = {}  # A and B share an s at B's root
@@ -371,14 +354,16 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     # margin is at least radius_tol, so an accepted enclosure lies on
     # its midpoint's side of 1; at the default tolerances it is
     # root_tol/10, far above the rounding of the matrix and its solve.
+    # Each midpoint may sit about radius_tol/2 off, so the band grows by
+    # three times the part of radius_tol above root_tol/10.
     margin = max(0.1 * root_tol, radius_tol)
-    top = root_tol + (margin - 0.1 * root_tol)
+    top = root_tol + 4.0 * (margin - 0.1 * root_tol)
     aim, tol = 0.5 * (top + margin), 0.5 * (top - margin)
-    s_up = _root_from(lambda x: log_r(x, "B") + aim, start, initial, tol)
+    s_up = _root(lambda x: log_r(x, "B") + aim, initial, tol, start)[0]
     b_points = {s: log_r(s, "B") for s, which in radii if which == "B"}
     slope = _slope(b_points, s_up) if len(b_points) > 1 else start[1]
-    s_lo = _root_from(lambda x: log_r(x, "A") - aim, (s_up, slope),
-                      initial, tol)
+    s_lo = _root(lambda x: log_r(x, "A") - aim, initial, tol,
+                 (s_up, slope))[0]
     return DimensionBracket(
         s_lower=s_lo, s_upper=s_up, mesh_h=mesh.h, family_id=fam.family_id,
         evals=coarse_evals + len(radii),

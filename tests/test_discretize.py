@@ -191,6 +191,46 @@ def test_interp_weights_in_a_gap_between_pieces():
         interp_weights(mesh, 0.5)
 
 
+def test_nan_point_is_not_in_a_gap():
+    # NaN compares false with every piece end; it is a bad value, named
+    # as such, on one piece and on several alike.
+    for mesh in (make_mesh((0.0, 1.0), h=0.1),
+                 make_mesh([(0.0, 0.25), (0.75, 1.0)], n=8)):
+        with pytest.raises(ParamOutOfRange, match="point is NaN"):
+            interp_weights(mesh, math.nan)
+
+
+def test_map_with_nan_image_is_named():
+    # A custom map that gives NaN at one mesh node inside its domain is
+    # a configuration error (CLI exit 2) naming the map and the node,
+    # not an image in a gap between pieces.
+    def const(value):
+        return lambda x: np.full_like(np.asarray(x, float), value)
+
+    def third(label, shift, x_nan=None):
+        def ev(x):
+            y = (np.asarray(x, float) + shift) / 3.0
+            return y if x_nan is None else np.where(x == x_nan, math.nan, y)
+        return MapSpec(label=label, eval=ev, d1=const(1.0 / 3.0),
+                       d2=const(0.0), log_weight=const(math.log(1.0 / 3.0)),
+                       weight_r1=const(0.0), weight_r2=const(0.0),
+                       d1_sup=1.0 / 3.0)
+
+    fam = make_custom_family([third("third", 0.0),
+                              third("nanmap", 2.0, x_nan=0.5)], (0.0, 1.0))
+    match = "map 'nanmap' gives NaN at x = 0.5"
+    for mesh in (make_mesh(fam.domain, n=100),
+                 make_mesh([(0.0, 1.0 / 3.0), (0.5, 1.0)], h=0.01)):
+        for degree in (1, 3):
+            with pytest.raises(ParamOutOfRange, match=match):
+                collocation_plan(fam, mesh, degree)
+    mesh = make_mesh(fam.domain, n=100)
+    with pytest.raises(ParamOutOfRange, match=match):
+        bracket_dimension(fam, mesh)
+    with pytest.raises(ParamOutOfRange, match=match):
+        highorder_dimension(fam, mesh, 3)
+
+
 def test_error_model_mobius_midpoint_value():
     fam = make_mobius_family([1, 2])
     model = error_model(fam, 0.5, 0.1)

@@ -30,7 +30,7 @@ from hausdim import (
 )
 from hausdim.bounds import mobius_ratio_bounds
 from hausdim.discretize import CollocationPlan
-from hausdim.solver import _coarse_mesh
+from hausdim.solver import INITIAL_BRACKET, _coarse_mesh, _root
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 EXACT_DIGITS = 40
@@ -187,6 +187,131 @@ def test_solve_root_rejects_bad_tolerance(root_tol):
         solve_root(f, (0.4, 0.9), root_tol)
 
 
+def _moran_curve(ratios):
+    """f(s) = log sum r_i^s, decreasing and convex, with its call log."""
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return math.log(math.fsum(r ** s for r in ratios))
+
+    return f, calls
+
+
+def _moran_slope(ratios, s):
+    """f'(s) of the Moran curve."""
+    terms = [r ** s for r in ratios]
+    return math.fsum(t * math.log(r) for t, r in zip(terms, ratios)) / \
+        math.fsum(terms)
+
+
+def _moran_root_30(ratios):
+    """Root of sum r_i^s = 1 to 30 digits (faster than _moran_root)."""
+    with mpmath.workdps(30):
+        rs = [mpmath.mpf(r) for r in ratios]
+        return mpmath.findroot(lambda s: mpmath.log(mpmath.fsum(
+            r ** s for r in rs)), (mpmath.mpf(0), mpmath.mpf(1)),
+            solver="anderson")
+
+
+def _assert_root_within_tol(ratios, exact, root, tol):
+    # A convex decreasing f with |f(x)| <= tol has x within
+    # tol/|f'(root)| of its root, to first order; the ulps cover the
+    # rounding of f near 0.
+    bound = tol / abs(_moran_slope(ratios, float(exact))) * (1.0 + 1e-6) \
+        + 8.0 * math.ulp(float(exact))
+    assert abs(mpmath.mpf(root) - exact) <= bound
+
+
+_MORAN_RATIOS = st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.floats(0.02, 0.9 / n), min_size=n, max_size=n))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_MORAN_RATIOS, st.sampled_from(["left", "right"]),
+       st.floats(0.01, 0.99), st.floats(0.01, 0.99),
+       st.sampled_from([1e-12, 1e-9]))
+def test_root_widens_a_bracket_that_misses_the_root(ratios, side, u, v, tol):
+    # Brackets wholly left or wholly right of the root: the end nearer
+    # the root steps out on secants until f changes sign.
+    exact = _moran_root_30(ratios)
+    if side == "left":
+        hi = float(exact) * u
+        bracket = (max(hi * v, 1e-6), hi)
+    else:
+        lo = float(exact) * (1.0 + 20.0 * u)
+        bracket = (lo, min(lo * (1.0 + 10.0 * v), 64.0))
+    f, calls = _moran_curve(ratios)
+    root, slope, evals = _root(f, bracket, tol)
+    # The first step goes outward from the end nearer the root.
+    assert (calls[2] > bracket[1]) if side == "left" else \
+        (calls[2] < bracket[0])
+    _assert_root_within_tol(ratios, exact, root, tol)
+    assert evals == len(calls) == len(set(calls)) <= 40
+    assert slope < 0.0
+    root2, evals2 = solve_root(_moran_curve(ratios)[0], bracket, tol)
+    assert (root2, evals2) == (root, evals)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_MORAN_RATIOS, st.floats(-1.0, 1.0),
+       st.sampled_from([1.0, 10.0, 0.1, 0.0, -1.0]),
+       st.sampled_from([1e-12, 1e-9]))
+def test_root_from_a_warm_start(ratios, u, slope_factor, tol):
+    # Starts within a factor 4 of the root, on a slope that is right,
+    # 10 times too steep or too flat, zero, or of the wrong sign.
+    exact = _moran_root_30(ratios)
+    s0 = float(exact) * 4.0 ** u
+    f, calls = _moran_curve(ratios)
+    root, _, evals = _root(f, INITIAL_BRACKET, tol,
+                           (s0, slope_factor * _moran_slope(ratios, s0)))
+    _assert_root_within_tol(ratios, exact, root, tol)
+    assert calls[0] == s0
+    assert evals == len(calls) == len(set(calls)) <= 40
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(_MORAN_RATIOS, st.booleans())
+def test_root_without_sign_change_in_range(ratios, above):
+    # Shifted so the root leaves [1e-6, 64]: above it, or below.
+    f, calls = _moran_curve(ratios)
+    shift = 1.0 - f(64.0) if above else -1.0 - f(1e-6)
+    curve = lambda s: f(s) + shift
+    for start in (None, (0.5, _moran_slope(ratios, 0.5))):
+        calls.clear()
+        with pytest.raises(NoSignChange):
+            _root(curve, INITIAL_BRACKET, 1e-12, start)
+        assert len(calls) <= 40
+        assert min(calls) >= 1e-6 and max(calls) <= 64.0
+
+
+def test_root_warm_start_keeps_stepping_past_four_steps():
+    # Far below the root of a line, each step is held to a factor 2, so
+    # the first five keep f > 0 (the first on a slope of the wrong
+    # sign); the sixth, a Newton step on the secant, lands on the root.
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return 0.7 - s
+
+    root, slope, evals = _root(f, INITIAL_BRACKET, 1e-12, (0.0175, 1.0))
+    assert calls == [0.0175 * 2.0 ** k for k in range(6)] + [root]
+    assert root == pytest.approx(0.7, abs=1e-12)
+    assert evals == 7
+    assert slope == pytest.approx(-1.0)
+
+
+def test_root_slope_is_that_of_the_nearest_points():
+    # The slope returned is the secant through the root and the
+    # evaluated point nearest it, as a coarse start hands on.
+    f, calls = _moran_curve([0.3, 0.4])
+    root, slope, evals = _root(f, (0.05, 1.5), 1e-12)
+    other = min(calls[:-1], key=lambda s: abs(s - root))
+    assert calls[-1] == root
+    assert slope == (f(other) - f(root)) / (other - root)
+
+
 def test_callers_reject_bad_root_tolerance_before_any_matrix(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("matrix built")
@@ -200,6 +325,28 @@ def test_callers_reject_bad_root_tolerance_before_any_matrix(monkeypatch):
         convergence_study(fam, [0.02, 0.01], root_tol=0.0)
     with pytest.raises(BadParams):
         highorder_dimension(fam, mesh, 2, root_tol=math.nan)
+
+
+@pytest.mark.parametrize("family, h", [
+    ([1, 2], 0.01), ([1, 2], 1e-3), ([1, 2], 1e-4), ([2, 3], 0.01),
+    ([2, 3], 1e-3), (list(range(1, 11)), 1e-3), (0.5, 1e-3),
+    ([10, 11], 1e-4)])
+def test_loose_radius_tol_builds_no_more_matrices(family, h):
+    # log r is known only to about radius_tol, so a loose radius_tol
+    # loosens the coarse root and widens the fine band instead of
+    # chasing that noise: no more matrices than at the default (up to
+    # 2 for a moved secant step), and still certified.
+    fam = make_cantor_family(family) if isinstance(family, float) \
+        else make_mobius_family(family)
+    mesh = make_mesh(fam.domain, h=h)
+    default = bracket_dimension(fam, mesh)
+    for radius_tol in (1e-10, 1e-9, 1e-8):
+        br = bracket_dimension(fam, mesh, radius_tol=radius_tol)
+        assert br.certified
+        assert br.evals <= default.evals + 2
+        # Both contain the dimension, so they overlap.
+        assert br.s_lower <= default.s_upper
+        assert default.s_lower <= br.s_upper
 
 
 def test_bracket_dimension_affine_cantor():
