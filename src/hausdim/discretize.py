@@ -49,6 +49,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse import _sparsetools
 
 from .bounds import BoundPlan, ratio_bounds
 from .errors import (
@@ -280,29 +281,58 @@ def error_model(fam: MapFamily, s: float, h: float,
 
 
 class CsrMatrix:
-    """Square matrix held only as a scipy CSR matrix.
+    """Square matrix held as the three plain arrays of compressed rows.
 
-    indptr, indices and data are the CSR's own arrays, so matrices built
-    from one collocation plan share its pattern arrays.
+    indptr, indices and data are kept as given, so matrices built from
+    one collocation plan share its pattern arrays, and no scipy matrix
+    is built per s.  matvec calls scipy's compiled CSR loop,
+    scipy.sparse._sparsetools.csr_matvec, into a zeroed output: the loop
+    csr_matrix @ w runs (checked on scipy 1.17.1), so every sum and
+    every output bit is the same, without scipy's wrapper and its
+    temporaries.  The loop does not bounds-check, so the constructor
+    makes the O(1) checks scipy's constructor makes and raises BadParams
+    where one fails; toarray builds a scipy matrix on demand.
     """
 
     def __init__(self, dim: int, indptr: np.ndarray, indices: np.ndarray,
                  data: np.ndarray):
         self.dim = int(dim)
-        csr = scipy.sparse.csr_matrix((data, indices, indptr),
-                                      shape=(self.dim, self.dim))
-        self._csr = csr
-        self.indptr, self.indices, self.data = csr.indptr, csr.indices, csr.data
+        if not (indptr.ndim == indices.ndim == data.ndim == 1
+                and indptr.size == self.dim + 1 >= 1):
+            raise BadParams(f"indptr must be 1-D of length {self.dim + 1}")
+        if indices.size != data.size:
+            raise BadParams(f"{indices.size} indices for {data.size} entries")
+        if indptr.dtype != indices.dtype or indptr.dtype.kind != "i":
+            raise BadParams(f"index arrays must share one integer dtype, not "
+                            f"{indptr.dtype} and {indices.dtype}")
+        if data.dtype != np.float64:
+            raise BadParams(f"entries must be float64, not {data.dtype}")
+        if indptr[0] != 0 or indptr[-1] > indices.size:
+            raise BadParams(f"indptr must run from 0 to at most {indices.size}")
+        self.indptr, self.indices, self.data = indptr, indices, data
 
     @property
     def nnz(self) -> int:
         return int(self.indptr[-1])
 
-    def matvec(self, w: np.ndarray) -> np.ndarray:
-        return self._csr @ w
+    def matvec(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """M w, written into out (float64, shape (dim,)) when given."""
+        if w.shape != (self.dim,) or not (out is None
+                                          or out.shape == (self.dim,)):
+            raise BadParams(f"matvec of dim {self.dim} needs shape "
+                            f"({self.dim},) vectors")
+        if out is None:
+            out = np.zeros(self.dim)
+        else:
+            out.fill(0.0)
+        _sparsetools.csr_matvec(self.dim, self.dim, self.indptr, self.indices,
+                                self.data, w, out)
+        return out
 
     def toarray(self) -> np.ndarray:
-        return self._csr.toarray()
+        return scipy.sparse.csr_matrix(
+            (self.data, self.indices, self.indptr),
+            shape=(self.dim, self.dim)).toarray()
 
 
 class SparseNonnegMatrix(CsrMatrix):

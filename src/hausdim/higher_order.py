@@ -57,7 +57,7 @@ from .solver import (
     _coarse_start,
     _root,
 )
-from .spectral import RADIUS_TOL
+from .spectral import RADIUS_TOL, _product
 
 
 class HighOrderMatrix(CsrMatrix):
@@ -129,44 +129,43 @@ def dominant_magnitude(mat: HighOrderMatrix, tol: float = RADIUS_TOL, *,
                 and np.any(vec != 0.0)):
             raise BadParams(f"start vector must be a finite, nonzero "
                             f"float64 array of shape ({dim},)")
-        w = vec / float(np.max(np.abs(vec)))
+        w = vec  # iterated in place, so it ends as the last iterate
+        np.divide(vec, float(np.max(np.abs(vec))), out=w)
+    product = _product(mat)
+    mv, mag = np.empty(dim), np.empty(dim)
     max_iter = 10 * dim + 2000
     est_prev = d_prev = math.inf
     settle = 0
     changes: deque[float] = deque(maxlen=_SHRINK_STEPS)
-    try:
-        for step in range(1, max_iter + 1):
-            mv = mat.matvec(w)
-            nrm = float(np.max(np.abs(mv)))
-            if nrm == 0.0:
-                return 0.0
-            est = nrm
-            w = mv / nrm
-            d = abs(est - est_prev)
-            if d <= tol * max(est, 1e-300):
-                settle += 1
-                if settle >= _SETTLE_RUNS:
-                    return est
-            else:
-                settle = 0
-            rho = d / d_prev if 0.0 < d_prev < math.inf else 1.0
-            tail = d / (1.0 - rho) if 0.0 < rho < _TAIL_RHO else math.inf
-            if sign_rel is not None and \
-                    tail <= sign_rel * abs(math.log(est)) * est:
+    for step in range(1, max_iter + 1):
+        mv = product(w, mv)
+        nrm = float(np.maximum.reduce(np.abs(mv, out=mag)))
+        if nrm == 0.0:
+            return 0.0
+        est = nrm
+        np.divide(mv, nrm, out=w)
+        d = abs(est - est_prev)
+        if d <= tol * max(est, 1e-300):
+            settle += 1
+            if settle >= _SETTLE_RUNS:
                 return est
-            if settle >= _TAIL_RUNS and tail <= tol * est:
-                return est
-            if len(changes) == _SHRINK_STEPS and d >= changes[0]:
-                break
-            changes.append(d)
-            est_prev, d_prev = est, d
-        if dim <= 2000:
-            return float(np.max(np.abs(np.linalg.eigvals(mat.toarray()))))
-        raise PowerDivergence(
-            f"power iteration did not settle in {step} steps (dim {dim})")
-    finally:
-        if vec is not None:
-            vec[:] = w
+        else:
+            settle = 0
+        rho = d / d_prev if 0.0 < d_prev < math.inf else 1.0
+        tail = d / (1.0 - rho) if 0.0 < rho < _TAIL_RHO else math.inf
+        if sign_rel is not None and \
+                tail <= sign_rel * abs(math.log(est)) * est:
+            return est
+        if settle >= _TAIL_RUNS and tail <= tol * est:
+            return est
+        if len(changes) == _SHRINK_STEPS and d >= changes[0]:
+            break
+        changes.append(d)
+        est_prev, d_prev = est, d
+    if dim <= 2000:
+        return float(np.max(np.abs(np.linalg.eigvals(mat.toarray()))))
+    raise PowerDivergence(
+        f"power iteration did not settle in {step} steps (dim {dim})")
 
 
 @dataclass(frozen=True)
@@ -207,8 +206,13 @@ def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
     than a tenth of its nodes, is solved from INITIAL_BRACKET alone.
     Every root is found by solver._root.  evals counts the matrices
     built on both meshes; dim is the mesh's degree-d node count, not
-    the closed plan's.
+    the closed plan's.  BadParams unless 0 < root_tol < inf and
+    0 < radius_tol < inf, before any plan.
     """
+    if not 0.0 < root_tol < math.inf:
+        raise BadParams(f"need finite root_tol > 0, got {root_tol}")
+    if not 0.0 < radius_tol < math.inf:
+        raise BadParams(f"need finite radius_tol > 0, got {radius_tol}")
     plan = closed_plan(fam, mesh, degree)
     vec = _start_vector(plan.dim)
 

@@ -324,7 +324,8 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     serve every s the fine solves visit.  Both meshes solve on their
     closed plans (discretize.closed_plan), whose spectral radii and
     Collatz-Wielandt bounds are those of the full matrices.  evals
-    counts the matrices built on both meshes.
+    counts the matrices built on both meshes.  BadParams unless
+    0 < root_tol < inf and 0 < radius_tol < inf, before any plan.
     """
     def coarse_curve(coarse):
         enclose, _ = _enclosures(closed_plan(fam, coarse),
@@ -334,6 +335,8 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
 
     if not 0.0 < root_tol < math.inf:  # before the coarse floor hides it
         raise BadParams(f"need finite root_tol > 0, got {root_tol}")
+    if not 0.0 < radius_tol < math.inf:  # it sets the coarse floor and margin
+        raise BadParams(f"need finite radius_tol > 0, got {radius_tol}")
     # log r is known to about radius_tol: no root is sought closer.
     start, coarse_evals = _coarse_start(mesh, coarse_curve, initial,
                                         max(root_tol, 4.0 * radius_tol))

@@ -8,6 +8,12 @@ so every power-iteration step yields a two-sided enclosure.  The iteration
 starts from all-ones or from a given positive seed vector (a warm start)
 and runs until the relative gap closes below a tolerance or, on request,
 until the enclosure excludes 1 and pins log r to a relative accuracy.
+A solve keeps its product, ratio and iterate vectors in buffers made
+once per solve: a discretize.CsrMatrix writes M w into its buffer
+through scipy's compiled CSR loop, and the ratios and the next iterate
+are divided into theirs, the same float operations in the same order
+as fresh arrays would take.  The seed vector is copied, never written.
+Dense arrays and other objects with matvec(w) give M w in a new array.
 Also provides the Hilbert projective metric and a ratio-cone membership
 test used as a diagnostic.
 """
@@ -19,16 +25,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discretize import CsrMatrix
 from .errors import BadParams, NonPositiveVector, ZeroRowSum
 
 RADIUS_TOL = 1e-13  # default relative enclosure gap of every radius solve
 _STALL_LIMIT = 200
 
 
-def _matvec(matrix, w: np.ndarray) -> np.ndarray:
+def _product(matrix):
+    """(w, out) -> M w: a CsrMatrix writes into out, others return M w."""
+    if isinstance(matrix, CsrMatrix):
+        return matrix.matvec
     if hasattr(matrix, "matvec"):
-        return matrix.matvec(w)
-    return np.asarray(matrix) @ w
+        return lambda w, out: matrix.matvec(w)
+    dense = np.asarray(matrix)
+    return lambda w, out: dense @ w
 
 
 def _dim(matrix) -> int:
@@ -77,24 +88,28 @@ def power_enclosure(matrix, tol: float = RADIUS_TOL,
     if seed_vec is None:
         w = np.ones(n, dtype=float)
     else:
-        w = np.asarray(seed_vec, dtype=float)
+        w = np.array(seed_vec, dtype=float)  # a copy: w is overwritten
         if w.shape != (n,) or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise NonPositiveVector("seed vector must be strictly positive")
+    product = _product(matrix)
+    mv, ratios = np.empty(n), np.empty(n)
     lo, hi = -math.inf, math.inf
     best_gap = math.inf
     stall = 0
     iterations = 0
     converged = False
     for iterations in range(1, 10 * n + 1001):
-        mv = _matvec(matrix, w)
-        ratios = mv / w
-        lo = float(ratios.min())
+        mv = product(w, mv)
+        np.divide(mv, w, out=ratios)
+        # Reductions as ufuncs skip ndarray.min/max's Python wrapper,
+        # a sizable share of a small step.
+        lo = float(np.minimum.reduce(ratios))
         # w > 0, so the least ratio has the sign of the least entry of M w.
         if lo <= 0.0:
             raise ZeroRowSum("matrix has a zero row; enclosure iteration degenerates")
-        hi = float(ratios.max())
+        hi = float(np.maximum.reduce(ratios))
         gap = (hi - lo) / hi if hi > 0.0 else math.inf
-        w = mv / float(mv.max())
+        np.divide(mv, float(np.maximum.reduce(mv)), out=w)
         if gap <= tol or (sign_rel is not None
                           and _sign_settled(lo, hi, sign_rel)):
             converged = True

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -800,6 +801,62 @@ def test_row_sums_with_empty_row():
     mat = SparseNonnegMatrix(3, np.array([0, 1, 1, 2]), np.array([0, 2]),
                              np.array([2.0, 3.0]))
     assert np.array_equal(mat.matvec(np.ones(3)), [2.0, 0.0, 3.0])
+
+
+def _kernel_matrices():
+    # Hat plans whose maps share a cell, so (row, col) pairs repeat,
+    # and a signed degree-6 plan.
+    for fam, mesh in _shared_cell_plans():
+        yield collocation_plan(fam, mesh).matrix(0.7)
+    fam = make_mobius_family([1, 2])
+    plan = collocation_plan(fam, make_mesh(fam.domain, h=0.01), 6)
+    yield HighOrderMatrix(plan.dim, plan.indptr, plan.indices, plan.data(0.7))
+
+
+def test_matvec_is_scipys_csr_product_bit_for_bit():
+    rng = np.random.default_rng(11)
+    signed = False
+    for mat in _kernel_matrices():
+        signed |= bool((mat.data < 0.0).any())
+        ref = scipy.sparse.csr_matrix((mat.data, mat.indices, mat.indptr),
+                                      shape=(mat.dim, mat.dim))
+        assert np.array_equal(mat.toarray(), ref.toarray())
+        for w in (np.ones(mat.dim), rng.uniform(-1.0, 2.0, mat.dim)):
+            want = (ref @ w).tobytes()
+            assert mat.matvec(w).tobytes() == want
+            out = np.full(mat.dim, np.nan)
+            assert mat.matvec(w, out) is out
+            assert out.tobytes() == want
+    assert signed
+
+
+def _i32(*values):
+    return np.array(values, dtype=np.int32)
+
+
+@pytest.mark.parametrize("indptr, indices, data", [
+    (_i32(0, 1), _i32(0, 1), np.array([1.0, 2.0])),  # indptr one short
+    (_i32(0, 1, 2), _i32(0), np.array([1.0, 2.0])),  # fewer indices
+    (_i32(0, 1, 3), _i32(0, 1), np.array([1.0, 2.0])),  # past the entries
+    (_i32(1, 1, 2), _i32(0, 1), np.array([1.0, 2.0])),  # not from 0
+    (_i32(0, 1, 2), _i32(0, 1), np.array([1.0, 2.0], np.float32)),
+    (np.array([0, 1, 2], np.int64), _i32(0, 1), np.array([1.0, 2.0])),
+])
+def test_malformed_csr_arrays_never_reach_the_kernel(monkeypatch, indptr,
+                                                      indices, data):
+    # The compiled loop does not bounds-check; the constructor must.
+    monkeypatch.setattr(discretize, "_sparsetools", None)
+    with pytest.raises(BadParams):
+        SparseNonnegMatrix(2, indptr, indices, data)
+
+
+def test_matvec_rejects_vectors_of_another_length(monkeypatch):
+    mat = SparseNonnegMatrix(2, _i32(0, 1, 2), _i32(0, 1), np.array([1.0, 2.0]))
+    monkeypatch.setattr(discretize, "_sparsetools", None)
+    for w, out in ((np.ones(1), None), (np.ones(3), None),
+                   (np.ones(2), np.empty(1))):
+        with pytest.raises(BadParams):
+            mat.matvec(w, out)
 
 
 def test_dump_matrix_format():

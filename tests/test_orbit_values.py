@@ -6,6 +6,7 @@ Math. 2018).  The values below were computed that way in mpmath at 40
 digits (words up to length 12-14); they share nothing with the
 collocation pipeline, so they check brackets and estimates from outside
 it.  They are pinned as strings: a float would round them.
+orbit_oracle.py recomputes them; one test does so for {1, 2}.
 """
 
 import mpmath
@@ -17,6 +18,7 @@ from hausdim import (
     make_mesh,
     make_mobius_family,
 )
+from orbit_oracle import orbit_dimension
 
 ORBIT_VALUES = {
     (1, 2): "0.531280506277205141624468647368",
@@ -60,3 +62,11 @@ def test_degree6_estimate_meets_orbit_value(digits):
     res = highorder_dimension(fam, make_mesh(fam.domain, h=0.002), 6)
     with mpmath.workdps(40):
         assert abs(mpmath.mpf(res.s) - _exact(digits)) <= HO_TOL
+
+
+def test_orbit_sum_recomputes_the_pinned_value():
+    # Words of length 10 leave {1, 2} about 1.6e-25 off (length 8:
+    # 3.2e-17), so the pinned string and the helper check each other.
+    with mpmath.workdps(40):
+        got = orbit_dimension((1, 2), 10, (0.5, 0.6))
+        assert abs(got - _exact((1, 2))) <= mpmath.mpf("1e-24")

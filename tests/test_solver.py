@@ -28,6 +28,7 @@ from hausdim import (
     reduce_domain,
     solve_root,
 )
+from hausdim import discretize
 from hausdim.bounds import mobius_ratio_bounds
 from hausdim.discretize import CollocationPlan
 from hausdim.solver import INITIAL_BRACKET, _coarse_mesh, _root
@@ -325,6 +326,27 @@ def test_callers_reject_bad_root_tolerance_before_any_matrix(monkeypatch):
         convergence_study(fam, [0.02, 0.01], root_tol=0.0)
     with pytest.raises(BadParams):
         highorder_dimension(fam, mesh, 2, root_tol=math.nan)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-13, math.nan, math.inf])
+def test_callers_reject_bad_tolerances_before_any_plan(monkeypatch, bad):
+    # Unchecked, an infinite radius_tol reaches the root solve and is
+    # named root_tol there (bracket), or runs to a wrong estimate
+    # (degree d).  A degree-d estimate checks root_tol up front too.
+    def fail(*args, **kwargs):
+        raise AssertionError("plan built")
+
+    monkeypatch.setattr(discretize, "collocation_plan", fail)
+    fam = make_mobius_family([1, 2])
+    mesh = make_mesh(fam.domain, h=0.01)
+    with pytest.raises(BadParams, match="radius_tol"):
+        bracket_dimension(fam, mesh, radius_tol=bad)
+    with pytest.raises(BadParams, match="radius_tol"):
+        convergence_study(fam, [0.02, 0.01], radius_tol=bad)
+    with pytest.raises(BadParams, match="radius_tol"):
+        highorder_dimension(fam, mesh, 4, radius_tol=bad)
+    with pytest.raises(BadParams, match="root_tol"):
+        highorder_dimension(fam, mesh, 4, root_tol=bad)
 
 
 @pytest.mark.parametrize("family, h", [

@@ -169,6 +169,17 @@ def test_power_enclosure_seed_vector():
         power_enclosure(mat, seed_vec=np.zeros(mesh.dim))
 
 
+def test_power_enclosure_leaves_its_seed_alone():
+    # Brackets seed each solve with the eigvec of the one before.
+    fam = make_mobius_family([1, 2])
+    mat = collocation_plan(fam, make_mesh(fam.domain, n=50)).matrix(0.5)
+    seed = power_enclosure(mat, tol=1e-4).eigvec
+    kept = seed.copy()
+    enc = power_enclosure(mat, seed_vec=seed)
+    assert seed.tobytes() == kept.tobytes()
+    assert not np.shares_memory(enc.eigvec, seed)
+
+
 def test_power_enclosure_rejects_bad_sign_rel():
     for sign_rel in (0.0, -0.01, math.nan):
         with pytest.raises(BadParams):
