@@ -3,25 +3,26 @@
 The transfer operator's positive eigenfunction v satisfies bounds of the
 form R_lo <= v''/v <= R_hi and |v'|/v <= osc, with constants built from
 suprema of the map and weight derivatives over words of the contraction
-length mu.  Three routes are implemented:
+length mu.  Two kinds of bound are implemented:
 
 * sharp digit-family bounds from continuant estimates (any ratio order p),
-* a generic two-stage chain M1, M2 valid for any C^3 family; it reads
-  theta up to theta''' through the suprema C1, E2 and K2,
-* a refined one-sided bound 0 <= v''/v <= R_hi, which needs the sign
-  conditions (theta', theta'', g', g'' >= 0 and g'' g - (1-s) g'^2 >= 0).
-  Only the perturbed Cantor family takes it: cantor_constants decides the
-  conditions exactly (s above cantor_sign_threshold(a)), and there the
-  signed quotient is nonnegative, so its maximum G2 equals K2.
+* one chain, _chain, valid for any C^3 family: M1 and M2 from the
+  suprema C1, E2 and K2 (theta up to theta'''), and, where the sign
+  conditions hold (theta', theta'', g', g'' >= 0 and
+  g'' g - (1-s) g'^2 >= 0), the refined one-sided bound
+  0 <= v''/v <= R_hi, which reads K2 as the signed quotient's maximum G2.
 
-Every constant of the perturbed Cantor family is a closed form, K2
-included (the largest |q| over at most three points), so only the
-custom-family route samples suprema; the test suite cross-checks the
-closed forms against general_constants' sampled values.  The sampling
-lives in a BoundPlan, built once per bracket: it samples every word's
-chain once, refines the s-independent C1 and E2 once, and computes only
-K2 afresh at each s.  ratio_bounds picks the route for a family and is
-the one place that does.
+Two routes feed the chain its suprema.  cantor_constants gives the
+perturbed Cantor family's closed forms, K2 included (the largest |q|
+over at most three points), and decides the sign conditions exactly
+(s above cantor_sign_threshold(a)); there the signed quotient is
+nonnegative, so G2 equals K2.  general_constants samples the suprema of
+any family off a BoundPlan and takes the symmetric pair; the test suite
+cross-checks the closed forms against a plan's sampled values.  A
+BoundPlan is built once per bracket: it samples every word's chain once,
+refines the s-independent C1 and E2 once, and computes only K2 afresh
+at each s.  ratio_bounds picks the route for a family and is the one
+place that does.
 """
 
 from __future__ import annotations
@@ -122,6 +123,24 @@ def mobius_ratio_bounds(gamma: float, Gamma: float, A_right: float,
     return RatioBoundPair(prod * (K + A_right) ** -p, prod * gamma ** -p)
 
 
+def _chain(s: float, kappa: float, C1: float, E2: float, K2: float,
+           refined: bool) -> BoundConstants:
+    """M1, M2 and (R_lo, R_hi) from the suprema C1, E2 and K2 at s.
+
+    refined says the sign conditions hold, so K2 serves as G2 in the
+    one-sided bound and R_lo = 0; otherwise the pair is (-M2, M2).
+    """
+    M1 = bound_M1(s, C1, kappa) if C1 > 0.0 else 0.0
+    M2 = bound_M2(s, K2=K2, C1=C1, M1=M1, E2=E2, kappa=kappa)
+    if refined:
+        R_lo = 0.0
+        R_hi = refined_M2_upper(s, G2=K2, C1=C1, E2=E2, kappa=kappa)
+    else:
+        R_lo, R_hi = -M2, M2
+    return BoundConstants(kappa=kappa, C1=C1, E2=E2, K2=K2, M1=M1, M2=M2,
+                          R_lo=R_lo, R_hi=R_hi)
+
+
 # ---------------------------------------------------------------------------
 # perturbed Cantor closed forms
 
@@ -181,17 +200,7 @@ def cantor_constants(a: float, s: float) -> BoundConstants:
     roots = [-3.0 / m] + ([m / (8.0 * w)] if w != 0.0 else [])
     xs = [1.0] + [(u / c) ** 0.4 for u in roots if 0.0 < u <= c]
     K2 = float(np.max(np.abs(cantor_g2_quotient(a, s)(xs))))
-    M1 = bound_M1(s, C1, kappa)
-    M2 = bound_M2(s, K2=K2, C1=C1, M1=M1, E2=E2, kappa=kappa)
-    if s > cantor_sign_threshold(a):
-        R_lo = 0.0
-        R_hi = refined_M2_upper(s, G2=K2, C1=C1, E2=E2, kappa=kappa)
-    else:
-        R_lo, R_hi = -M2, M2
-    return BoundConstants(
-        kappa=kappa, C1=C1, E2=E2, K2=K2, M1=M1, M2=M2,
-        R_lo=R_lo, R_hi=R_hi,
-    )
+    return _chain(s, kappa, C1, E2, K2, s > cantor_sign_threshold(a))
 
 
 # ---------------------------------------------------------------------------
@@ -345,34 +354,23 @@ class BoundPlan:
         return best
 
 
-def _generic_M1_M2(s: float, kappa: float, C1: float, E2: float,
-                   K2: float) -> tuple[float, float]:
-    M1 = bound_M1(s, C1, kappa) if C1 > 0.0 else 0.0
-    return M1, bound_M2(s, K2=K2, C1=C1, M1=M1, E2=E2, kappa=kappa)
-
-
-def general_constants(fam: MapFamily, s: float, *,
-                      safety: float = _SAFETY) -> BoundConstants:
+def general_constants(fam: MapFamily, s: float,
+                      bound_plan: BoundPlan | None = None) -> BoundConstants:
     """Sampled constants for any family with the chain's derivative data.
 
     Each map must supply d2, weight_r1 and weight_r2.  Reads the three
-    suprema the chain uses (C1, E2, K2) from a fresh BoundPlan: the
-    maximum on a 2049-point grid over all words of length fam.mu,
-    refined around its argmax, times the safety factor.
-    These are sampled maxima, not rigorous upper bounds.  Consistency
-    tests against closed forms use safety=1.  A bracket does not call
-    this: ratio_bounds reads the same suprema from the bracket's own
-    plan, which samples the chains once and recomputes only K2 per s.
+    suprema the chain uses (C1, E2, K2) off bound_plan (a BoundPlan of
+    fam; a fresh one if None): the maximum on a 2049-point grid over all
+    words of length fam.mu, refined around its argmax, times 1.01.
+    These are sampled maxima, not rigorous upper bounds.  A bracket
+    passes its own plan, which samples the chains once and recomputes
+    only K2 per s.
     """
-    if not safety >= 1.0:
-        raise BadParams(f"safety factor must be >= 1, got {safety}")
-    plan = BoundPlan(fam)
-    C1, E2, K2 = (plan.sup(k, s) * safety for k in _SUPREMANDS)
-    kappa = fam.kappa
-    M1, M2 = _generic_M1_M2(s, kappa, C1, E2, K2)
-    return BoundConstants(
-        kappa=kappa, C1=C1, E2=E2, K2=K2, M1=M1, M2=M2, R_lo=-M2, R_hi=M2,
-    )
+    plan = BoundPlan(fam) if bound_plan is None else bound_plan
+    if plan.fam is not fam:
+        raise BadParams("bound_plan belongs to another family")
+    C1, E2, K2 = (plan.sup(k, s) * _SAFETY for k in _SUPREMANDS)
+    return _chain(s, fam.kappa, C1, E2, K2, False)
 
 
 # ---------------------------------------------------------------------------
@@ -385,24 +383,16 @@ def ratio_bounds(fam: MapFamily, s: float,
     """Enclosure (R_lo, R_hi) of v''/v and the bound osc on |v'|/v.
 
     MobiusDigits: the sharp order-2 digit bounds with right endpoint
-    1/gamma, and osc = 2s/gamma.  PerturbedCantor: the closed-form
-    constants, (0, refined) above the sign threshold and the symmetric
-    pair (-M2, M2) otherwise; osc = M1.  Custom: the generic chain's
-    symmetric pair (-M2, M2) and osc = M1, from C1, E2 and K2 read off
-    bound_plan (a BoundPlan of fam; a fresh one if None) times the
-    default safety factor of general_constants.
+    1/gamma, and osc = 2s/gamma.  PerturbedCantor: cantor_constants,
+    (0, refined) above the sign threshold and the symmetric pair
+    (-M2, M2) otherwise; osc = M1.  Custom: general_constants on
+    bound_plan, the symmetric pair (-M2, M2) and osc = M1.
     """
     if fam.kind == MOBIUS:
         gamma = float(fam.digits[0])
         Gamma = float(fam.digits[-1])
         pair = mobius_ratio_bounds(gamma, Gamma, 1.0 / gamma, s, 2)
         return pair.lo, pair.hi, 2.0 * s / gamma
-    if fam.kind == CANTOR:
-        c = cantor_constants(fam.cantor_a, s)
-        return c.R_lo, c.R_hi, c.M1
-    plan = BoundPlan(fam) if bound_plan is None else bound_plan
-    if plan.fam is not fam:
-        raise BadParams("bound_plan belongs to another family")
-    C1, E2, K2 = (plan.sup(k, s) * _SAFETY for k in ("C1", "E2", "K2"))
-    M1, M2 = _generic_M1_M2(s, fam.kappa, C1, E2, K2)
-    return -M2, M2, M1
+    c = cantor_constants(fam.cantor_a, s) if fam.kind == CANTOR \
+        else general_constants(fam, s, bound_plan)
+    return c.R_lo, c.R_hi, c.M1

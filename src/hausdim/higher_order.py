@@ -10,10 +10,10 @@ The root of log |lambda(s)| gives a dimension estimate whose accuracy
 improves like h**(2d) but carries no certificate.
 
 As the estimate converges so fast, an estimate on a plan of 16384
-entries or more starts the way a certified bracket does, through the
-same coarse-level routine in solver.  It first solves
-log |lambda(s)| = 0 on the same intervals meshed 16 times coarser,
-where a matrix costs about a sixteenth as much.  The last
+entries or more starts the way a certified bracket does: it first
+solves log |lambda(s)| = 0 on solver._coarse_mesh, the same intervals
+meshed 16 times coarser, where a matrix costs about a sixteenth as
+much, and solver._root finds every root on both meshes.  The last
 coarse iterate, interpolated onto the fine nodes piece by piece, seeds
 the first fine solve.  That solve is at the coarse root, and the root
 solve goes on from there on the coarse slope.  At degree
@@ -54,7 +54,8 @@ from .solver import (
     _SIGN_REL,
     INITIAL_BRACKET,
     ROOT_TOL,
-    _coarse_start,
+    _check_tols,
+    _coarse_mesh,
     _root,
 )
 from .spectral import RADIUS_TOL, _product
@@ -209,32 +210,26 @@ def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
     the closed plan's.  BadParams unless 0 < root_tol < inf and
     0 < radius_tol < inf, before any plan.
     """
-    if not 0.0 < root_tol < math.inf:
-        raise BadParams(f"need finite root_tol > 0, got {root_tol}")
-    if not 0.0 < radius_tol < math.inf:
-        raise BadParams(f"need finite radius_tol > 0, got {radius_tol}")
+    _check_tols(root_tol, radius_tol)
     plan = closed_plan(fam, mesh, degree)
     vec = _start_vector(plan.dim)
-
-    def coarse_curve(coarse):
+    start, coarse_evals = None, 0
+    coarse = _coarse_mesh(mesh) \
+        if plan.indices.size >= _COARSE_MIN_ENTRIES else None
+    if coarse is not None:
         coarse_plan = closed_plan(fam, coarse, plan.degree)
         coarse_vec = _start_vector(coarse_plan.dim)
-
-        def seed():
-            # NaN on the coarse mesh's degree-d nodes outside its S.
-            values = np.full(plan.degree * coarse.n + len(coarse.pieces),
-                             np.nan)
-            values[coarse_plan.rows] = coarse_vec
-            values = _interpolate_nodal(values, coarse, mesh,
-                                        plan.degree)[plan.rows]
-            if np.isfinite(values).all():
-                vec[:] = values
-
-        return _log_magnitude(coarse_plan, radius_tol, coarse_vec), seed
-
-    start, coarse_evals = _coarse_start(
-        mesh, coarse_curve if plan.indices.size >= _COARSE_MIN_ENTRIES
-        else None, INITIAL_BRACKET, root_tol)
+        s_c, slope, coarse_evals = _root(
+            _log_magnitude(coarse_plan, radius_tol, coarse_vec),
+            INITIAL_BRACKET, root_tol)
+        start = (s_c, slope)
+        # NaN on the coarse mesh's degree-d nodes outside its S.
+        values = np.full(plan.degree * coarse.n + len(coarse.pieces), np.nan)
+        values[coarse_plan.rows] = coarse_vec
+        values = _interpolate_nodal(values, coarse, mesh,
+                                    plan.degree)[plan.rows]
+        if np.isfinite(values).all():
+            vec[:] = values
     s, _, evals = _root(_log_magnitude(plan, radius_tol, vec),
                         INITIAL_BRACKET, root_tol, start)
     return HighOrderResult(s=s, degree=plan.degree,

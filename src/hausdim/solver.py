@@ -18,8 +18,8 @@ fine ones.  A coarse mesh that keeps more than a tenth of the fine
 nodes (many short pieces, two cells each) saves too little and is
 skipped.  The fine B root then starts from it on the coarse slope,
 and the fine A root from the B root on the slope of log r(B).
-Degree-d estimates (higher_order) start from their own coarse root
-through the same routines.
+Degree-d estimates (higher_order) find their own coarse root the same
+way, through _coarse_mesh and _root.
 
 Within one bracket every power solve on a mesh starts from the
 eigenvector of the one before it, and a solve away from the root stops
@@ -113,6 +113,22 @@ def _slope(points: dict[float, float], s: float) -> float:
     return (f1 - f0) / (s1 - s0)
 
 
+def _check_bracket(bracket: tuple[float, float]) -> tuple[float, float]:
+    """The ends of a start bracket; BadParams unless 0 < lo < hi < inf."""
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not 0.0 < lo < hi < math.inf:
+        raise BadParams(f"bad bracket {bracket}")
+    return lo, hi
+
+
+def _check_tols(root_tol: float, radius_tol: float) -> None:
+    """BadParams unless 0 < root_tol < inf and 0 < radius_tol < inf."""
+    if not 0.0 < root_tol < math.inf:
+        raise BadParams(f"need finite root_tol > 0, got {root_tol}")
+    if not 0.0 < radius_tol < math.inf:
+        raise BadParams(f"need finite radius_tol > 0, got {radius_tol}")
+
+
 def _root(f, bracket: tuple[float, float], tol: float,
           start: tuple[float, float] | None = None
           ) -> tuple[float, float, int]:
@@ -133,12 +149,10 @@ def _root(f, bracket: tuple[float, float], tol: float,
     between the root and the point nearest it (the start slope if the
     root was the only point).  Steps stay in [1e-6, 64]: NoSignChange
     where f keeps its sign to a bound or for 40 evaluations, or gives
-    NaN (+-inf are signs); BadParams unless 0 < bracket[0] < bracket[1]
-    and 0 < tol < inf.
+    NaN (+-inf are signs); BadParams unless
+    0 < bracket[0] < bracket[1] < inf and 0 < tol < inf.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi):
-        raise BadParams(f"bad bracket {bracket}")
+    lo, hi = _check_bracket(bracket)
     if not 0.0 < tol < math.inf:
         raise BadParams(f"need finite root_tol > 0, got {tol}")
     points: dict[float, float] = {}
@@ -276,26 +290,6 @@ def _coarse_mesh(mesh):
     return coarse if 10 * coarse.dim <= mesh.dim else None
 
 
-def _coarse_start(mesh, curve, initial: tuple[float, float],
-                  root_tol: float) -> tuple[tuple[float, float] | None, int]:
-    """Start for a fine root: the root of the same curve on a coarser mesh.
-
-    curve(coarse) returns the log radius on the coarse mesh of
-    _coarse_mesh(mesh) and a function to call once its root is found
-    (a degree-d estimate seeds its fine solve there); curve None asks
-    for no coarse level.  Returns ((root, slope), matrices built) of
-    _root from initial, or (None, 0) without a coarse level.  The
-    coarse curve is dropped on return.
-    """
-    coarse = None if curve is None else _coarse_mesh(mesh)
-    if coarse is None:
-        return None, 0
-    f, at_root = curve(coarse)
-    s_c, slope, evals = _root(f, initial, root_tol)
-    at_root()
-    return (s_c, slope), evals
-
-
 def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
                       radius_tol: float = RADIUS_TOL,
                       initial: tuple[float, float] = INITIAL_BRACKET
@@ -325,21 +319,22 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     closed plans (discretize.closed_plan), whose spectral radii and
     Collatz-Wielandt bounds are those of the full matrices.  evals
     counts the matrices built on both meshes.  BadParams unless
-    0 < root_tol < inf and 0 < radius_tol < inf, before any plan.
+    0 < root_tol < inf, 0 < radius_tol < inf and
+    0 < initial[0] < initial[1] < inf, before any plan.
     """
-    def coarse_curve(coarse):
-        enclose, _ = _enclosures(closed_plan(fam, coarse),
-                                 lambda s, which: None, radius_tol)
-        return (lambda s: _log_midpoint(*enclose(s, "M"), radius_tol),
-                lambda: None)
-
-    if not 0.0 < root_tol < math.inf:  # before the coarse floor hides it
-        raise BadParams(f"need finite root_tol > 0, got {root_tol}")
-    if not 0.0 < radius_tol < math.inf:  # it sets the coarse floor and margin
-        raise BadParams(f"need finite radius_tol > 0, got {radius_tol}")
-    # log r is known to about radius_tol: no root is sought closer.
-    start, coarse_evals = _coarse_start(mesh, coarse_curve, initial,
-                                        max(root_tol, 4.0 * radius_tol))
+    _check_tols(root_tol, radius_tol)  # the coarse floor would hide root_tol
+    _check_bracket(initial)
+    start, coarse_evals = None, 0
+    coarse = _coarse_mesh(mesh)
+    if coarse is not None:
+        enclose = _enclosures(closed_plan(fam, coarse),
+                              lambda s, which: None, radius_tol)[0]
+        # log r is known to about radius_tol: no root is sought closer.
+        s_c, slope, coarse_evals = _root(
+            lambda s: _log_midpoint(*enclose(s, "M"), radius_tol), initial,
+            max(root_tol, 4.0 * radius_tol))
+        start = (s_c, slope)
+        del enclose  # the coarse plan goes before the fine one is built
     plan = closed_plan(fam, mesh)
     bound_plan = BoundPlan(fam)
     models: dict[float, ErrorModel] = {}  # A and B share an s at B's root

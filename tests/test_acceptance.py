@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 from hausdim import (
+    BoundPlan,
     bracket_dimension,
     collocation_plan,
     continuants,
     convergence_study,
     enclosure_at,
-    general_constants,
     highorder_dimension,
     hilbert_metric,
     interp_weights,
@@ -221,10 +221,10 @@ def test_criterion_09_bound_cross_check():
     for a in (0.25, 0.5, 0.75, 1.0):
         s = 0.7
         closed = cantor_constants(a, s)
-        brute = general_constants(make_cantor_family(a), s, safety=1.0)
+        plan = BoundPlan(make_cantor_family(a))
         for name in ("kappa", "C1", "E2"):
             c = getattr(closed, name)
-            b = getattr(brute, name)
+            b = plan.fam.kappa if name == "kappa" else plan.sup(name, s)
             rel = abs(b - c) / abs(c) if c != 0.0 else abs(b)
             worst = max(worst, rel)
             ok &= rel <= 1e-6

@@ -180,19 +180,19 @@ def test_general_constants_match_cantor_closed_forms():
     for a in (0.25, 0.75):
         s = 0.6
         closed = cantor_constants(a, s)
-        brute = general_constants(make_cantor_family(a), s, safety=1.0)
-        assert brute.kappa == pytest.approx(closed.kappa, rel=1e-12)
-        assert brute.C1 == pytest.approx(closed.C1, rel=1e-6)
-        assert brute.E2 == pytest.approx(closed.E2, rel=1e-6)
+        plan = BoundPlan(make_cantor_family(a))
+        assert plan.fam.kappa == pytest.approx(closed.kappa, rel=1e-12)
+        assert plan.sup("C1", s) == pytest.approx(closed.C1, rel=1e-6)
+        assert plan.sup("E2", s) == pytest.approx(closed.E2, rel=1e-6)
 
 
 def test_general_constants_safety():
+    # The chain reads the plan's sampled suprema times 1.01.
     fam = make_mobius_family([1, 2])
-    plain = general_constants(fam, 0.5, safety=1.0)
-    inflated = general_constants(fam, 0.5, safety=1.01)
-    assert inflated.C1 == pytest.approx(1.01 * plain.C1, rel=1e-12)
-    with pytest.raises(BadParams):
-        general_constants(fam, 0.5, safety=0.9)
+    plan = BoundPlan(fam)
+    c = general_constants(fam, 0.5, plan)
+    for key in ("C1", "E2", "K2"):
+        assert getattr(c, key) == plan.sup(key, 0.5) * 1.01
 
 
 def test_mobius_sharp_bound_scaling():
@@ -280,8 +280,12 @@ def test_ratio_bounds_rejects_another_familys_plan(poly_fam):
     plan = BoundPlan(make_poly_family())
     with pytest.raises(BadParams, match="another family"):
         ratio_bounds(poly_fam, 0.8, plan)
+    with pytest.raises(BadParams, match="another family"):
+        general_constants(poly_fam, 0.8, plan)
     assert ratio_bounds(poly_fam, 0.8, BoundPlan(poly_fam)) == \
         ratio_bounds(poly_fam, 0.8)
+    assert general_constants(poly_fam, 0.8, BoundPlan(poly_fam)) == \
+        general_constants(poly_fam, 0.8)
 
 
 def test_bound_constants_internal_consistency(poly_fam):
@@ -298,9 +302,8 @@ def test_bound_constants_internal_consistency(poly_fam):
     lambda fam: mobius_ratio_bounds(1.0, 2.0, 1.0, math.nan, 2),
     lambda fam: cantor_constants(0.5, math.nan),
     lambda fam: general_constants(fam, math.nan),
-    lambda fam: general_constants(fam, 0.5, safety=math.nan),
 ], ids=["bound_M1", "mobius_ratio_bounds", "cantor_constants",
-        "general_constants_s", "general_constants_safety"])
+        "general_constants_s"])
 def test_nan_parameters_rejected(poly_fam, call):
     with pytest.raises(BadParams):
         call(poly_fam)

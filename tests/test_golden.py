@@ -1,118 +1,31 @@
-"""Bit-exact pins on bracket endpoints, degree-d estimates and error models.
+"""Bit-exact pins on brackets, estimates, bound constants and CLI output.
 
-The bracket and degree-d values were recorded with float.hex() before the
-collocation matrices were rebuilt from an s-independent plan.  Entry
-order within each row, the order the matvec adds a row's entries and
-the weight products are all visible here, so any change to that arithmetic fails
-these tests.  The error-model values were recorded before the choice of
-bound route moved into bounds.ratio_bounds; they cover the digit route,
-the Cantor closed forms (certified and, at a = 1, s = 0.2, the symmetric
-uncertified pair) and the generic chain of a custom family.  The
-Cantor a = 0.5, s = 0.8 pair was re-recorded when K2 became a closed
-form: coef_hi and R_hi each moved down one ulp, because the old seeded
-search read max |q| a few ulps high.  The
-general_constants values were recorded before the sweep dropped the
-suprema that no bound reads; their C2, E3, K3 and M3 columns were
-dropped, with no kept value re-recorded, when BoundConstants lost those
-third-order fields and the word chain stopped at second order.  The sha256 pins of the CLI's JSON tables
-were recorded before the sampled sign check was removed.  The brackets
-and error models of the custom-wrapped Cantor a = 0.5 maps and of a
-three-map affine custom family were recorded before a custom family's
-word chains moved into a plan built once per bracket; they cover the
-multi-word sweep and its refinement rounds.  The six bracket pins and
-the table1 and table3 CLI digests were re-recorded when each power solve
-of a bracket started from the previous solve's eigenvector and stopped
-once its enclosure settled the sign of log r: the secant iterates move,
-so every endpoint moved by at most one root_tol step (1e-12) and every
-re-recorded bracket is still certified.  The table1 --scale 100 and
-table2 CLI digests were re-recorded when every collocation contribution
-became its own CSR entry: where two maps share a cell the matvec now
-adds their products itself instead of reading one pre-merged entry.
-Four table1 rows (cf{10,11} at h = 0.005, the odd and even 17-digit sets)
-moved by at most 1.11e-16, the two degree-3 table2 estimates of
-cf{2,4,6,8,10} by 1.11e-16, and every row still passes.  Then each row
-came to hold its entries in the order collocation makes them (map by
-map, each map's basis columns consecutive) instead of sorted by column,
-and the degree-d nodes became those of the mesh with d*n cells per
-piece.  The matvec adds a row in the new order, so these moved and were
-re-recorded: the cf12_n200 s_lower 0x1.100399d8e77f3p-1 ->
-0x1.100399d8e77f4p-1, the cf12_reduced2_h005 s_lower
-0x1.10039c00681d5p-1 -> 0x1.10039c00681d4p-1, the degree-4, h = 0.04
-estimate (in both tests that pin it) 0x1.1003ff9eee1f3p-1 ->
-0x1.1003ff9eee1f5p-1, and the table1 --scale 100 (values moved by at
-most 3.3e-16) and table2 (at most 2.2e-16) digests, every row still
-passing.  The other pins did not move.  Last, each degree-d estimate
-came to carry one power-iteration vector across its root solve and to
-stop a solve once log |lambda| is pinned to 1%: the secant iterates
-move, and with them the accepted root within root_tol.  Re-recorded:
-the degree-4, h = 0.04 estimate (both tests) 0x1.1003ff9eee1f5p-1 ->
-0x1.1003ff9eee1f4p-1 (-1.1e-16), the degree-1, h = 0.01 estimate
-0x1.10045305ee0bep-1 -> 0x1.10045305ee0bap-1 (-4.4e-16), and the
-table2 digest a886ae0e... -> 5d73c015... (the cf{1,2} rows moved by at
-most 5.6e-16, the degree-3 cf{2,4,6,8,10} rows by at most 9.0e-15;
-every row still passes).  No other pin moved.  Then every bracket
-came to find its root on a mesh 16 times coarser first, take the fine
-B and A roots from there in a few Newton and secant steps, and aim each
-endpoint at root_tol/10 <= |log r| <= root_tol on its certified side.
-The fine iterates change, so all six bracket pins moved (s_lower,
-s_upper): affine3_h1e-2 by (+6.0e-13, +4.0e-13), cantor05_h1e-3 by
-(-7.5e-13, +8.0e-14), cantor05custom_h1e-2 by (+3.1e-13, +6.1e-13),
-cf12_n200 by (+5.7e-13, -5.4e-13), cf12_reduced2_h005 by (-2.2e-13,
-+1.4e-13) and poly_h1e-2 by (+5.5e-13, +3.2e-13), every one still
-certified.  The table1 --scale 100 and table3 --scale 20 digests were
-re-recorded (their endpoints moved by at most 9.1e-13 and 5.0e-13,
-every row still passing).  No other pin moved.  Then every degree-d
-estimate on a plan of 32768 entries or more came to start on a mesh 16
-times coarser and take its fine root from there, its first solve
-starting from the interpolated coarse iterate.  The degree-4 and
-degree-1 pins and every table2 row sit below that size and did not
-move; the degree-6, h = 0.002 pin was added on the coarse start (the
-cold start gives 0x1.1003ff9eed03ap-1, 3.3e-16 higher).  Then the
-degree >= 2 Lagrange weights came to be built from prefix and suffix
-products divided once by an exact integer, each power solve of an
-estimate came to stop once its geometric tail is below tol, the coarse
-start's cut-off fell to 16384 entries, and a coarse mesh keeping more
-than a tenth of the fine nodes came to be skipped.  Re-recorded: the
-degree-4, h = 0.04 estimate (both tests) 0x1.1003ff9eee1f4p-1 ->
-0x1.1003ff9eee1f1p-1 (-3.3e-16), the degree-6, h = 0.002 estimate
-0x1.1003ff9eed037p-1 -> 0x1.1003ff9eed035p-1 (-2.2e-16), the table2
-digest 5d73c015... -> f46538f9... (the cf{1,2} degree-4 row moved by
--3.3e-16, three cf{2,4,6,8,10} rows by 1.1e-16 and the h = 0.001 one,
-now on the coarse start, by 8.7e-15; every row still passes) and the
-table1 --scale 100 digest 2b74e7b7... -> ec560675... (the cf{10,11}
-rows at h = 0.02 and 0.005 and the two cf{100,10000} rows, whose
-coarse meshes kept 3 of 6, 3 of 21 and 3 of 3 nodes, now have no
-coarse level; their endpoints moved by at most 8.6e-14, every row
-still passing).  The degree-1
-estimate and every bracket pin did not move.  The sha256 pins of
-`radius` stdout (text, csv, json) and of its three --dump-matrix files
-were recorded while it still took A, M and B from a matrix-triple
-helper, before it built them from the plan and error model itself.
-The bracket of Cantor a = 0.5 on the 256 pieces of reduce_domain(., 8)
-and the degree-6 estimate of cf{1,2} on reduce_domain(., 2) were
-recorded while a point's cell on a many-piece mesh was still found by a
-loop over the pieces.  Then brackets and degree-d estimates came to
-solve on the closed node set only (the rows of the largest node set
-whose rows read only its own columns, compacted where it keeps at most
-3/4 of the nodes).  The spectral radii are the same, but the
-Collatz-Wielandt min and max, the power iterates and the secant steps
-run over fewer rows, so these moved and were re-recorded (new value,
-shift): cf12_n200 (0x1.100399d8e8b4ap-1, 0x1.10040eabf1f45p-1;
--1.9e-14, -1.3e-14), cf12_reduced2_h005 (0x1.10039c0067a19p-1,
-0x1.10040e418a273p-1; +3.2e-15, +1.4e-15) and poly_h1e-2
-(0x1.1edee1a88f772p-1, 0x1.1ee1217dc76fbp-1; -2.3e-15, +4.6e-14), every
-one still certified; the degree-4, h = 0.04 estimate (both tests)
-0x1.1003ff9eee1f1p-1 -> 0x1.1003ff9eee15cp-1 (-1.7e-14), the degree-1,
-h = 0.01 one 0x1.10045305ee0bap-1 -> 0x1.10045305ee024p-1 (-1.7e-14),
-the degree-6, h = 0.002 one 0x1.1003ff9eed035p-1 ->
-0x1.1003ff9eecfa8p-1 (-1.6e-14), the two-piece degree-6 one
-0x1.1003ff9eecf6fp-1 -> 0x1.1003ff9eecfadp-1 (+6.9e-15), and the
-table1 --scale 100 digest ec560675... -> 3e6434f4... (endpoints moved
-by at most 3.4e-13) and table2 digest f46538f9... -> 6d4424d1... (at
-most 2.2e-14), every row still passing.  The cantor05, cantor05custom
-and affine3 brackets run on compacted plans too but did not move, the
-cantor05_reduced8 plan keeps every node, and the table3 digest and the
-`radius` outputs and dumps (which show the whole matrices) did not move.
+Each pin is a float.hex() value or the sha256 of an output.  They cover:
+
+* the endpoints of seven certified brackets: cf{1,2} on 200 cells and on
+  reduce_domain(., 2), the perturbed Cantor a = 0.5 family on [0, 1] and
+  on the 256 pieces of reduce_domain(., 8), and three custom families
+  (the poly pair, the Cantor a = 0.5 maps wrapped as custom maps, and
+  three affine maps), whose sampled bounds cover the multi-word sweep
+  and its refinement rounds;
+* degree-d estimates of cf{1,2} at degrees 1, 4 and 6 (the degree-6 one
+  on the coarse start), on two pieces, and of the {1,2} maps wrapped as
+  a custom family;
+* error models (coef_hi, coef_lo, osc, R_lo, R_hi) on the digit route,
+  the Cantor closed forms (certified and, at a = 1, s = 0.2, the
+  symmetric uncertified pair) and the sampled custom route, and the
+  general_constants fields of three families;
+* the JSON stdout of table1 --scale 100, table2 and table3 --scale 20,
+  and the stdout of `radius` in each format with its three
+  --dump-matrix files.
+
+Entry order within each row, the order the matvec adds a row's entries,
+the weight products, the power-iteration stops and the root solve's
+steps are all visible here, so any change to that arithmetic fails
+these tests.  A change that moves a pin on purpose re-records it and
+states in CHANGES.md the old value, the new value and the shift (for a
+digest, how far the rows it covers moved), and that every moved bracket
+is still certified and every table row still passes.
 """
 
 import hashlib
@@ -304,7 +217,7 @@ def test_error_model_bit_exact(name, s):
 GENERAL_FIELDS = ("kappa", "C1", "E2", "K2", "M1", "M2", "R_lo", "R_hi")
 
 GENERAL_CONSTANTS = {
-    # (family, s): GENERAL_FIELDS, default safety
+    # (family, s): GENERAL_FIELDS, the sampled suprema times 1.01
     ("cantor05", 0.5): (
         "0x1.6000000000000p-1", "0x1.9c81ca3667150p+0", "0x1.1accccccccccdp+0",
         "0x1.93ac17ffb0d4cp+1", "0x1.4a016e91ec10dp+1", "0x1.b9d2d6cf6c398p+3",

@@ -554,6 +554,85 @@ def test_bracket_builds_each_matrix_once(monkeypatch):
     assert sorted(modelled) == sorted(fine)
 
 
+def test_custom_bracket_bounds_go_through_general_constants(monkeypatch,
+                                                           poly_fam):
+    # Every error model of a custom-family bracket reads its constants
+    # from general_constants, on the one BoundPlan the bracket built.
+    import hausdim.bounds as bounds
+    import hausdim.solver as solver
+
+    modelled, constants = [], []
+    model, general = solver.error_model, bounds.general_constants
+
+    def counting_model(fam, s, h, bound_plan=None):
+        modelled.append((s, bound_plan))
+        return model(fam, s, h, bound_plan)
+
+    def counting_general(fam, s, bound_plan=None):
+        constants.append((s, bound_plan))
+        return general(fam, s, bound_plan)
+
+    monkeypatch.setattr(solver, "error_model", counting_model)
+    monkeypatch.setattr(bounds, "general_constants", counting_general)
+    br = bracket_dimension(poly_fam, make_mesh(poly_fam.domain, h=0.01))
+    assert br.certified
+    assert len(modelled) > 1
+    assert constants == modelled
+    plans = {id(plan) for _, plan in constants}
+    assert len(plans) == 1
+    assert isinstance(constants[0][1], bounds.BoundPlan)
+    assert constants[0][1].fam is poly_fam
+
+
+def test_bracket_drops_coarse_plan_before_fine_one(monkeypatch):
+    # Peak memory holds one plan at a time: the coarse plan is gone
+    # when the fine one is built.
+    import weakref
+
+    import hausdim.solver as solver
+
+    made = []
+    real = solver.closed_plan
+
+    def tracking(*args, **kwargs):
+        assert [ref() for ref in made] == [None] * len(made)
+        plan = real(*args, **kwargs)
+        made.append(weakref.ref(plan))
+        return plan
+
+    monkeypatch.setattr(solver, "closed_plan", tracking)
+    fam = make_mobius_family([1, 2])
+    br = bracket_dimension(fam, make_mesh(fam.domain, h=0.001))
+    assert br.certified
+    assert len(made) == 2
+
+
+@pytest.mark.parametrize("initial", [
+    (0.9, 0.1), (math.nan, 1.0), (-1.0, 1.0), (0.01, math.inf)],
+    ids=["reversed", "nan", "negative", "infinite"])
+def test_bad_initial_rejected_before_any_plan(monkeypatch, initial):
+    # A bad start bracket is rejected next to the tolerance checks, not
+    # by the coarse root solve after its plan is built.
+    import hausdim.solver as solver
+
+    plans = []
+    real = solver.closed_plan
+
+    def counting(*args, **kwargs):
+        plans.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "closed_plan", counting)
+    fam = make_mobius_family([1, 2])
+    mesh = make_mesh(fam.domain, h=0.01)
+    assert _coarse_mesh(mesh) is not None
+    with pytest.raises(BadParams, match="bad bracket"):
+        bracket_dimension(fam, mesh, initial=initial)
+    assert plans == []
+    with pytest.raises(BadParams, match="bad bracket"):
+        solve_root(lambda s: 1.0 - s, initial)
+
+
 @pytest.mark.parametrize("digits,h", [([1, 2], 1e-3), ([2, 3], 0.01)])
 def test_bracket_certified_at_loose_radius_tol(digits, h):
     """At radius_tol = 1e-8 each endpoint is certified as found.
