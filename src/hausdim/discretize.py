@@ -39,17 +39,24 @@ keeps at most 3/4 of the rows, the plan is compacted in place to S
 estimates solve there.  collocation_plan itself is unchanged, so
 radius, log_radius, enclosure_at and --dump-matrix show the full A, M
 and B.
+
+The one compiled loop the pipeline runs is scipy's CSR matvec.  Its
+extension module is loaded from its file, not through scipy.sparse,
+whose import would take more than the rest of hausdim's; nothing here
+imports scipy.sparse unless that file is missing or does not load.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
-from scipy.sparse import _sparsetools
 
 from .bounds import BoundPlan, ratio_bounds
 from .errors import (
@@ -279,19 +286,69 @@ def error_model(fam: MapFamily, s: float, h: float,
 # ---------------------------------------------------------------------------
 # sparse matrices
 
+_KERNEL = "scipy.sparse._sparsetools"
+
+
+def _kernel_file() -> str | None:
+    """Path of scipy's compiled sparsetools extension, or None.
+
+    find_spec("scipy") locates the package without importing it; the
+    file is sparse/_sparsetools plus one of the interpreter's extension
+    suffixes.
+    """
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_sparsetools():
+    """scipy's compiled CSR loops, loaded without importing scipy.sparse.
+
+    The extension file alone loads in about a millisecond, where
+    importing scipy.sparse to reach it takes about 0.15 s.  A module
+    already imported is reused.  The loaded module is taken back out of
+    sys.modules, so a later import of scipy.sparse loads and binds its
+    own (the same compiled functions).  Where the file is not found or
+    does not load, the module comes from scipy.sparse after all.
+    """
+    if _KERNEL in sys.modules:
+        return sys.modules[_KERNEL]
+    path = _kernel_file()
+    if path is not None:
+        loader = importlib.machinery.ExtensionFileLoader(_KERNEL, path)
+        try:
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(_KERNEL, loader))
+            loader.exec_module(module)
+            return module
+        except ImportError:
+            pass
+        finally:
+            sys.modules.pop(_KERNEL, None)
+    from scipy.sparse import _sparsetools
+    return _sparsetools
+
+
+_sparsetools = _load_sparsetools()
+
 
 class CsrMatrix:
     """Square matrix held as the three plain arrays of compressed rows.
 
     indptr, indices and data are kept as given, so matrices built from
     one collocation plan share its pattern arrays, and no scipy matrix
-    is built per s.  matvec calls scipy's compiled CSR loop,
-    scipy.sparse._sparsetools.csr_matvec, into a zeroed output: the loop
-    csr_matrix @ w runs (checked on scipy 1.17.1), so every sum and
-    every output bit is the same, without scipy's wrapper and its
-    temporaries.  The loop does not bounds-check, so the constructor
-    makes the O(1) checks scipy's constructor makes and raises BadParams
-    where one fails; toarray builds a scipy matrix on demand.
+    is built.  matvec calls scipy's compiled CSR loop,
+    scipy.sparse._sparsetools.csr_matvec (loaded by _load_sparsetools),
+    into a zeroed output: the loop csr_matrix @ w runs (checked on
+    scipy 1.17.1), so every sum and every output bit is the same,
+    without scipy's wrapper and its temporaries.  The loop does not
+    bounds-check, so the constructor makes the O(1) checks scipy's
+    constructor makes and raises BadParams where one fails.  toarray
+    builds the dense matrix in numpy, summing as scipy's does.
     """
 
     def __init__(self, dim: int, indptr: np.ndarray, indices: np.ndarray,
@@ -330,9 +387,13 @@ class CsrMatrix:
         return out
 
     def toarray(self) -> np.ndarray:
-        return scipy.sparse.csr_matrix(
-            (self.data, self.indices, self.indptr),
-            shape=(self.dim, self.dim)).toarray()
+        """Dense copy: a repeated (row, col) sums in stored order, as in
+        scipy's csr_todense, and entries past indptr[-1] are ignored."""
+        out = np.zeros((self.dim, self.dim))
+        nnz = self.nnz
+        rows = np.repeat(np.arange(self.dim), np.diff(self.indptr))
+        np.add.at(out, (rows, self.indices[:nnz]), self.data[:nnz])
+        return out
 
 
 class SparseNonnegMatrix(CsrMatrix):

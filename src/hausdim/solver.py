@@ -16,8 +16,9 @@ coarser, where a matrix costs a sixteenth as much; the A/B roots
 converge to the dimension like h**2, so that root lies close to the
 fine ones.  A coarse mesh that keeps more than a tenth of the fine
 nodes (many short pieces, two cells each) saves too little and is
-skipped.  The fine B root then starts from it on the coarse slope,
-and the fine A root from the B root on the slope of log r(B).
+skipped, and so is a coarse root solve whose power iteration stalls.
+The fine B root then starts from it on the coarse slope, and the fine
+A root from the B root on the slope of log r(B).
 Degree-d estimates (higher_order) find their own coarse root the same
 way, through _coarse_mesh and _root.
 
@@ -302,8 +303,10 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     The fine B root starts at s_c on the coarse slope; where the coarse
     mesh would keep more than a tenth of the fine nodes (a domain of
     many short pieces), there is no coarse level and it is found from
-    initial on the fine mesh.  The A root starts the same way at the B
-    root, on the slope of log r(B).  With
+    initial on the fine mesh.  So it is where a coarse power solve does
+    not converge (PowerDivergence; a few coarse rows at large s, say),
+    and the coarse matrices built still count in evals.  The A root
+    starts the same way at the B root, on the slope of log r(B).  With
     margin = max(root_tol/10, radius_tol), each root aims its enclosure
     midpoint at margin <= |log r| <= root_tol + 4 (margin - root_tol/10)
     on the side its certificate needs: s_upper at log r(B) < 0,
@@ -327,13 +330,17 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     start, coarse_evals = None, 0
     coarse = _coarse_mesh(mesh)
     if coarse is not None:
-        enclose = _enclosures(closed_plan(fam, coarse),
-                              lambda s, which: None, radius_tol)[0]
-        # log r is known to about radius_tol: no root is sought closer.
-        s_c, slope, coarse_evals = _root(
-            lambda s: _log_midpoint(*enclose(s, "M"), radius_tol), initial,
-            max(root_tol, 4.0 * radius_tol))
-        start = (s_c, slope)
+        enclose, coarse_radii = _enclosures(closed_plan(fam, coarse),
+                                            lambda s, which: None, radius_tol)
+        try:
+            # log r is known to about radius_tol: no root is sought closer.
+            s_c, slope, _ = _root(
+                lambda s: _log_midpoint(*enclose(s, "M"), radius_tol),
+                initial, max(root_tol, 4.0 * radius_tol))
+            start = (s_c, slope)
+        except PowerDivergence:
+            pass  # the fine mesh solves from initial instead
+        coarse_evals = len(coarse_radii)
         del enclose  # the coarse plan goes before the fine one is built
     plan = closed_plan(fam, mesh)
     bound_plan = BoundPlan(fam)

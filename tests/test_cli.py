@@ -5,11 +5,13 @@ import subprocess
 import sys
 from unittest import mock
 
+import mpmath
 import pytest
 
 from hausdim import ifs
 from hausdim.cli import main
 from hausdim.discretize import CollocationPlan
+from test_orbit_values import ORBIT_VALUES
 
 LOG2_3 = math.log(2.0) / math.log(3.0)
 
@@ -278,8 +280,10 @@ def test_unknown_format_rejected_by_parser():
 def test_power_divergence_exit_code(capsys):
     # An unreachable tolerance forces the stall guard.  On the closed
     # node set of cf{1,2} at n = 50 (15 of 51 nodes) the gap closes
-    # exactly and the bracket succeeds; at n = 2000 it stalls at 4.4e-16.
-    code, _, err = run_cli(capsys, "--cf", "1,2", "--n", "2000",
+    # exactly and the bracket succeeds; at n = 40 (14 of 41) the fine
+    # mesh stalls at 1.1e-16.  At n = 2000 only the coarse level stalls
+    # (at 4.4e-16), and the bracket then solves on the fine mesh alone.
+    code, _, err = run_cli(capsys, "--cf", "1,2", "--n", "40",
                            "--radius-tol", "1e-18", "dim")
     assert code == 3
     assert "numeric failure" in err
@@ -444,3 +448,17 @@ def test_console_script_installed():
     assert proc.returncode == 0
     obj = json.loads(proc.stdout)
     assert obj["certified"] is True
+
+
+def test_dim_from_a_start_bracket_up_to_s_64(capsys):
+    # The 4-row closed coarse plan of cf{1,2} at h = 0.01 does not
+    # converge at s = 64; the bracket then solves on the fine mesh alone.
+    code, out, err = run_cli(capsys, "--cf", "1,2", "--h", "0.01",
+                             "--smin", "0.1", "--smax", "64",
+                             "--format", "json", "dim")
+    assert code == 0, err
+    obj = json.loads(out)
+    assert obj["certified"] is True
+    with mpmath.workdps(40):
+        assert mpmath.mpf(obj["s_lower"]) <= mpmath.mpf(ORBIT_VALUES[1, 2]) \
+            <= mpmath.mpf(obj["s_upper"])

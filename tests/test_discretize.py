@@ -1,5 +1,9 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -828,6 +832,116 @@ def test_matvec_is_scipys_csr_product_bit_for_bit():
             assert mat.matvec(w, out) is out
             assert out.tobytes() == want
     assert signed
+
+
+def _without_kernel_module(monkeypatch):
+    # This process imported scipy.sparse; drop its kernel module from
+    # sys.modules (restored after the test) so the loader looks again.
+    monkeypatch.delitem(sys.modules, discretize._KERNEL)
+
+
+def test_kernel_loads_from_its_file(monkeypatch):
+    _without_kernel_module(monkeypatch)
+    assert discretize._kernel_file() is not None
+    kernel = discretize._load_sparsetools()
+    assert kernel.__file__ == discretize._kernel_file()
+    # The loaded module is not left in sys.modules for scipy.sparse.
+    assert discretize._KERNEL not in sys.modules
+    monkeypatch.setattr(discretize, "_sparsetools", kernel)
+    test_matvec_is_scipys_csr_product_bit_for_bit()
+
+
+def test_kernel_reuses_an_imported_module():
+    assert discretize._load_sparsetools() is scipy.sparse._sparsetools
+
+
+@pytest.mark.parametrize("case", ["missing", "unloadable"])
+def test_kernel_falls_back_to_scipy_sparse(monkeypatch, tmp_path, case):
+    # With no file found, or a file that is no extension module, the
+    # kernel comes from scipy.sparse and passes the same pins.
+    bad = tmp_path / "_sparsetools.so"
+    bad.write_bytes(b"not a shared object")
+    path = None if case == "missing" else str(bad)
+    monkeypatch.setattr(discretize, "_kernel_file", lambda: path)
+    _without_kernel_module(monkeypatch)
+    kernel = discretize._load_sparsetools()
+    assert kernel is scipy.sparse._sparsetools
+    monkeypatch.setattr(discretize, "_sparsetools", kernel)
+    test_matvec_is_scipys_csr_product_bit_for_bit()
+
+
+def _python(*args):
+    """Run python with this checkout's src first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_import_leaves_scipy_sparse_unimported():
+    # Then a later import of scipy.sparse binds its own kernel module,
+    # and its products agree with the plan matrices' bit for bit.
+    proc = _python("-c", """if True:
+        import sys
+        import numpy as np
+        import hausdim
+        assert "scipy.sparse" not in sys.modules
+        fam = hausdim.make_mobius_family([3, 5], domain=(0.0, 1.0))
+        mat = hausdim.collocation_plan(
+            fam, hausdim.make_mesh((0.0, 1.0), n=4)).matrix(0.7)
+        w = np.linspace(-1.0, 2.0, mat.dim)
+        got = mat.matvec(w)
+        import scipy.sparse
+        ref = scipy.sparse.csr_matrix((mat.data, mat.indices, mat.indptr),
+                                      shape=(mat.dim, mat.dim))
+        assert (ref @ w).tobytes() == got.tobytes()
+        assert scipy.sparse._sparsetools is sys.modules[
+            "scipy.sparse._sparsetools"]
+        a = scipy.sparse.csr_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        assert ((a @ a).toarray() == [[1.0, 8.0], [0.0, 9.0]]).all()
+        assert (mat.toarray() == ref.toarray()).all()
+        print("ok")
+        """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
+
+
+def test_cli_dim_leaves_scipy_sparse_unimported():
+    proc = _python("-c", """if True:
+        import sys
+        from hausdim.cli import main
+        code = main(["--cf", "1,2", "--h", "0.01", "--format", "json", "dim"])
+        sys.exit(code or 7 * ("scipy.sparse" in sys.modules))
+        """)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["certified"] is True
+
+
+def _csr(dim, indptr, indices, data):
+    return SparseNonnegMatrix(dim, np.array(indptr, np.int32),
+                              np.array(indices, np.int32), np.array(data))
+
+
+def test_toarray_is_scipys_bit_for_bit():
+    # Repeated (row, col) entries sum in stored order: 1 + eps/2 + eps/2
+    # rounds to 1, eps/2 + eps/2 + 1 does not.  Entries past indptr[-1]
+    # are not part of the matrix.
+    half = float(np.finfo(float).eps) / 2.0
+    mats = [
+        _csr(2, [0, 3, 6], [1, 1, 1, 0, 0, 0],
+             [1.0, half, half, half, half, 1.0]),
+        _csr(3, [0, 1, 1, 2], [2, 0, 1, 2], [2.0, 3.0, 5.0, 7.0]),
+        *_kernel_matrices(),
+    ]
+    assert mats[0].toarray()[0, 1] == 1.0 < mats[0].toarray()[1, 0]
+    for mat in mats:
+        ref = scipy.sparse.csr_matrix((mat.data, mat.indices, mat.indptr),
+                                      shape=(mat.dim, mat.dim)).toarray()
+        got = mat.toarray()
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def _i32(*values):

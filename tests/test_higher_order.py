@@ -179,6 +179,21 @@ def test_dominant_magnitude_complex_pair_falls_back_early():
     assert mat.matvecs <= 100
 
 
+def test_dominant_magnitude_complex_pair_on_csr():
+    # A CSR matrix reaches the same dense fallback through its toarray;
+    # here the -2 is stored as two -1 entries, as where two maps share
+    # a cell.
+    arr = [[0.0, -2.0], [1.0, 0.0]]
+    mat = HighOrderMatrix(2, np.array([0, 2, 3]), np.array([1, 1, 0]),
+                          np.array([-1.0, -1.0, 1.0]))
+    assert np.array_equal(mat.toarray(), arr)
+    assert dominant_magnitude(mat) == dominant_magnitude(Dense(arr))
+    vec, dense_vec = np.array([2.0, 2.0]), np.array([2.0, 2.0])
+    assert dominant_magnitude(mat, vec=vec, sign_rel=0.01) \
+        == dominant_magnitude(Dense(arr), vec=dense_vec, sign_rel=0.01)
+    assert np.array_equal(vec, dense_vec)
+
+
 def test_dominant_magnitude_complex_pair_beyond_dense_size():
     # Past dim 2000 there is no dense fallback: the oscillation is
     # reported as PowerDivergence after a few dozen steps.

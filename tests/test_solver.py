@@ -607,6 +607,35 @@ def test_bracket_drops_coarse_plan_before_fine_one(monkeypatch):
     assert len(made) == 2
 
 
+def test_bracket_solves_on_the_fine_mesh_when_the_coarse_level_stalls(
+        monkeypatch):
+    # At s = 64 the 4-row closed coarse plan of cf{1,2} at h = 0.01 stops
+    # unconverged.  The bracket is then the one found with no coarse
+    # level, and evals still counts the coarse matrices built.
+    import hausdim.solver as solver
+
+    dims = []
+    data = CollocationPlan.data
+
+    def counting(self, s, coef=None):
+        dims.append(self.dim)
+        return data(self, s, coef)
+
+    monkeypatch.setattr(CollocationPlan, "data", counting)
+    fam = make_mobius_family([1, 2])
+    mesh = make_mesh(fam.domain, h=0.01)
+    coarse = _coarse_mesh(mesh)
+    assert closed_plan(fam, coarse).dim == 4
+    br = bracket_dimension(fam, mesh, initial=(0.1, 64.0))
+    assert br.certified
+    assert br.evals == len(dims)
+    assert dims.count(4) == 2  # s = 0.1, then s = 64 stalls
+    monkeypatch.setattr(solver, "_coarse_mesh", lambda mesh: None)
+    alone = bracket_dimension(fam, mesh, initial=(0.1, 64.0))
+    assert (br.s_lower, br.s_upper) == (alone.s_lower, alone.s_upper)
+    assert br.evals == alone.evals + 2
+
+
 @pytest.mark.parametrize("initial", [
     (0.9, 0.1), (math.nan, 1.0), (-1.0, 1.0), (0.01, math.inf)],
     ids=["reversed", "nan", "negative", "infinite"])
