@@ -2,8 +2,8 @@
 
 The transfer operator's positive eigenfunction v satisfies bounds of the
 form R_lo <= v''/v <= R_hi and |v'|/v <= osc, with constants built from
-suprema of the map and weight derivatives over words of the contraction
-length mu.  Two kinds of bound are implemented:
+suprema of the map and weight derivatives.  Two kinds of bound are
+implemented:
 
 * sharp digit-family bounds from continuant estimates (any ratio order p),
 * one chain, _chain, valid for any C^3 family: M1 and M2 from the
@@ -17,18 +17,18 @@ perturbed Cantor family's closed forms, K2 included (the largest |q|
 over at most three points), and decides the sign conditions exactly
 (s above cantor_sign_threshold(a)); there the signed quotient is
 nonnegative, so G2 equals K2.  general_constants samples the suprema of
-any family off a BoundPlan and takes the symmetric pair; the test suite
-cross-checks the closed forms against a plan's sampled values.  A
-BoundPlan is built once per bracket: it samples every word's chain once,
-refines the s-independent C1 and E2 once, and computes only K2 afresh
-at each s.  ratio_bounds picks the route for a family and is the one
-place that does.
+a family that contracts in one step (mu = 1, as every custom family
+does) off a BoundPlan, one map at a time, and takes the symmetric pair;
+the test suite cross-checks the closed forms against a plan's sampled
+values.  A BoundPlan is built once per bracket: it samples every map's
+theta'', g'/g and g''/g once, refines the s-independent C1 and E2 once,
+and computes only K2 afresh at each s.  ratio_bounds picks the route for
+a family and is the one place that does.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +40,7 @@ from .errors import (
     NoContractionBound,
     ParamOutOfRange,
 )
-from .ifs import CANTOR, MOBIUS, MapFamily, cantor_kappa
+from .ifs import CANTOR, MOBIUS, MapFamily, MapSpec, cantor_kappa
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ class BoundConstants:
 
     Words of the contraction length contract by kappa.  C1 bounds
     |g_w'|/g_w, E2 bounds |theta_w''| and K2 the mixed quotient
-    |g_w''/g_w - (1-s) (g_w'/g_w)^2| entering the chain.  M1 and M2 bound
-    |v'|/v and |v''|/v.
+    |g_w''/g_w - (1-s) (g_w'/g_w)^2| entering the chain; on the sampled
+    route the words are single maps.  M1 and M2 bound |v'|/v and |v''|/v.
     (R_lo, R_hi) enclose v''/v: (0, refined bound) on the Cantor route
     above its sign threshold, where the refined bound reads K2 as G2, and
     (-M2, M2) everywhere else.
@@ -206,49 +206,34 @@ def cantor_constants(a: float, s: float) -> BoundConstants:
 # ---------------------------------------------------------------------------
 # brute-force suprema for arbitrary families
 
+_CHAIN_DATA = ("d2", "weight_r1", "weight_r2")
 
-def _word_chain(fam: MapFamily, word: tuple[int, ...], xs: np.ndarray) -> dict:
-    """Derivatives of theta_w and log-derivative ratios of g_w on a grid.
 
-    Applies the word left to right (word[0] acts first).  Returns the
-    second derivative of the composition and the ratios g_w'/g_w and
-    g_w''/g_w via the chain rule on log g_w.  Each map must supply d2,
-    weight_r1 and weight_r2; no third-order data is read.
+def _map_chain(spec: MapSpec, xs: np.ndarray) -> dict:
+    """theta'', g'/g and g''/g of one map on a grid.
+
+    Reads the map's d2, weight_r1 and weight_r2 and nothing else; no
+    third-order data is read.  NaN in any of them raises ParamOutOfRange
+    naming the map.
     """
-    x = np.asarray(xs, dtype=float)
-    xi = x
-    d1 = np.ones_like(x)
-    d2 = np.zeros_like(x)
-    F1 = np.zeros_like(x)
-    F2 = np.zeros_like(x)
-    for j in word:
-        spec = fam.maps[j]
-        missing = [name for name in ("d2", "weight_r1", "weight_r2")
-                   if getattr(spec, name) is None]
-        if missing:
-            raise MissingDerivatives(
-                f"map {spec.label!r} lacks {', '.join(missing)}")
-        r1 = np.asarray(spec.weight_r1(xi), dtype=float)
-        r2 = np.asarray(spec.weight_r2(xi), dtype=float)
-        u = r2 - r1**2
-        # update logarithmic sums before advancing the chain (they use
-        # the derivatives of the current inner composition)
-        F2 = F2 + u * d1**2 + r1 * d2
-        F1 = F1 + r1 * d1
-        t1 = np.asarray(spec.d1(xi), dtype=float)
-        t2 = np.asarray(spec.d2(xi), dtype=float)
-        d2 = t2 * d1**2 + t1 * d2
-        d1 = t1 * d1
-        xi = np.asarray(spec.eval(xi), dtype=float)
-    return {"d2": d2, "gw1": F1, "gw2": F2 + F1**2}
+    missing = [name for name in _CHAIN_DATA if getattr(spec, name) is None]
+    if missing:
+        raise MissingDerivatives(
+            f"map {spec.label!r} lacks {', '.join(missing)}")
+    chain = {name: np.asarray(getattr(spec, name)(xs), dtype=float)
+             for name in _CHAIN_DATA}
+    for name, arr in chain.items():
+        if np.isnan(arr).any():
+            raise _nan_error(spec, name)
+    return chain
 
 
-# The sampled quantities: C1 and E2 read the word chain alone, K2 also
+# The sampled quantities: C1 and E2 read the map chain alone, K2 also
 # reads s.
 _SUPREMANDS = {
-    "C1": lambda c, s: np.abs(c["gw1"]),
+    "C1": lambda c, s: np.abs(c["weight_r1"]),
     "E2": lambda c, s: np.abs(c["d2"]),
-    "K2": lambda c, s: np.abs(c["gw2"] - (1.0 - s) * c["gw1"]**2),
+    "K2": lambda c, s: np.abs(c["weight_r2"] - (1.0 - s) * c["weight_r1"]**2),
 }
 _S_FREE = ("C1", "E2")
 
@@ -258,32 +243,31 @@ _REFINE_PTS = 257
 _SAFETY = 1.01
 
 
-def _nan_error(fam: MapFamily, word: tuple[int, ...],
-               what: str) -> ParamOutOfRange:
-    labels = ", ".join(fam.maps[j].label for j in word)
+def _nan_error(spec: MapSpec, what: str) -> ParamOutOfRange:
     return ParamOutOfRange(
-        f"derivative data give NaN in {what} on word {word} ({labels})")
+        f"derivative data give NaN in {what} on map {spec.label!r}")
 
 
-def _argmax(fam: MapFamily, word: tuple[int, ...], key: str,
-            vals: np.ndarray) -> tuple[int, float]:
+def _argmax(spec: MapSpec, key: str, vals: np.ndarray) -> tuple[int, float]:
     """Index and value of the sampled maximum; NaN data is an error."""
     i = int(np.argmax(vals))  # the first NaN, if there is one
     v = float(vals[i])
     if math.isnan(v):
-        raise _nan_error(fam, word, key)
+        raise _nan_error(spec, key)
     return i, v
 
 
 class BoundPlan:
     """The s-independent part of a custom family's sampled suprema.
 
-    Keeps the chain of every word of length fam.mu on the 2049-point grid
-    over fam.domain, and of every refinement window, each computed once
-    (NaN in any chain array raises ParamOutOfRange naming the word).  C1
-    and E2 do not depend on s and are refined once; K2 is swept over the
-    kept chains at each s.  Nothing is sampled before the first read, so
-    a plan costs nothing on the digit and Cantor routes.
+    Keeps the chain of every map on the 2049-point grid over fam.domain,
+    and of every refinement window, each computed once.  C1 and E2 do not
+    depend on s and are refined once; K2 is swept over the kept chains
+    at each s.  Nothing is sampled before the first read, so a plan
+    costs nothing on the digit and Cantor routes.  The suprema are taken
+    per map, so the first read raises BadParams for a family whose
+    contraction length mu is not 1 (a digit family's kappa holds only
+    for words of two maps).
     A family whose kappa is >= 1 (only a custom one can be) raises
     NoContractionBound.
     """
@@ -298,30 +282,30 @@ class BoundPlan:
 
     @functools.cached_property
     def _grid(self) -> tuple[np.ndarray, list]:
-        """The 2049-point grid and each word's chain on it, in word order."""
+        """The 2049-point grid and each map's chain on it, in map order."""
         a, b = self.fam.domain
         xs = np.linspace(a, b, _GRID)
-        words = itertools.product(range(self.fam.n_maps), repeat=self.fam.mu)
-        return xs, [(word, self._chain(word, xs)) for word in words]
+        return xs, [self._chain(j, xs) for j in range(self.fam.n_maps)]
 
-    def _chain(self, word: tuple[int, ...], xs: np.ndarray) -> dict:
-        key = (word, xs[0], xs[-1], xs.size)
+    def _chain(self, j: int, xs: np.ndarray) -> dict:
+        key = (j, xs[0], xs[-1], xs.size)
         if key not in self._chains:
-            chain = _word_chain(self.fam, word, xs)
-            for name, arr in chain.items():
-                if np.isnan(arr).any():
-                    raise _nan_error(self.fam, word, name)
-            self._chains[key] = chain
+            self._chains[key] = _map_chain(self.fam.maps[j], xs)
         return self._chains[key]
 
     def sup(self, key: str, s: float) -> float:
         """Sampled supremum of one of C1, E2, K2 at s.
 
-        The maximum over all words on the grid, then five rounds of 257
+        The maximum over all maps on the grid, then five rounds of 257
         points around its first argmax; no safety factor applied.
         """
         if not s > 0.0:
             raise BadParams(f"need s > 0, got {s}")
+        if self.fam.mu != 1:
+            raise BadParams(
+                f"sampled bounds read one map at a time, but "
+                f"{self.fam.family_id} contracts only over mu = "
+                f"{self.fam.mu} maps")
         if key in self._s_free:
             return self._s_free[key]
         with np.errstate(invalid="ignore"):
@@ -336,17 +320,17 @@ class BoundPlan:
         xs, chains = self._grid
         step = (b - a) / (_GRID - 1)
         best, arg = -math.inf, None
-        for word, chain in chains:
-            i, v = _argmax(self.fam, word, key, f(chain, s))
+        for j, chain in enumerate(chains):
+            i, v = _argmax(self.fam.maps[j], key, f(chain, s))
             if v > best:
                 best = v
-                arg = (word, max(a, xs[i] - step), min(b, xs[i] + step))
+                arg = (j, max(a, xs[i] - step), min(b, xs[i] + step))
         if arg is None or not math.isfinite(best):
             return best
-        word, lo, hi = arg
+        j, lo, hi = arg
         for _ in range(_REFINE_ROUNDS):
             xs = np.linspace(lo, hi, _REFINE_PTS)
-            i, v = _argmax(self.fam, word, key, f(self._chain(word, xs), s))
+            i, v = _argmax(self.fam.maps[j], key, f(self._chain(j, xs), s))
             best = max(best, v)
             if not math.isfinite(best):
                 break
@@ -356,15 +340,16 @@ class BoundPlan:
 
 def general_constants(fam: MapFamily, s: float,
                       bound_plan: BoundPlan | None = None) -> BoundConstants:
-    """Sampled constants for any family with the chain's derivative data.
+    """Sampled constants for a one-step family with the chain's data.
 
-    Each map must supply d2, weight_r1 and weight_r2.  Reads the three
-    suprema the chain uses (C1, E2, K2) off bound_plan (a BoundPlan of
-    fam; a fresh one if None): the maximum on a 2049-point grid over all
-    words of length fam.mu, refined around its argmax, times 1.01.
-    These are sampled maxima, not rigorous upper bounds.  A bracket
-    passes its own plan, which samples the chains once and recomputes
-    only K2 per s.
+    Each map must supply d2, weight_r1 and weight_r2, and fam.mu must be
+    1 (BadParams otherwise, before anything is sampled).  Reads the
+    three suprema the chain uses (C1, E2, K2) off bound_plan (a
+    BoundPlan of fam; a fresh one if None): the maximum on a 2049-point
+    grid over all maps, refined around its argmax, times 1.01.  These
+    are sampled maxima, not rigorous upper bounds.  A bracket passes its
+    own plan, which samples the chains once and recomputes only K2 per
+    s.
     """
     plan = BoundPlan(fam) if bound_plan is None else bound_plan
     if plan.fam is not fam:

@@ -92,6 +92,11 @@ class RunConfig:
                 flag = "--" + name.replace("_", "-")
                 raise BadParams(f"{flag} must be finite, got {v}")
             setattr(self, name, v)
+        # checked here, before a reduced domain reads h as its merge gap
+        if self.h is not None and not self.h > 0.0:
+            raise BadParams(f"--h must be positive, got {self.h}")
+        if self.hs is not None and not all(h > 0.0 for h in self.hs):
+            raise BadParams(f"--hs widths must be positive, got {self.hs}")
         if not self.root_tol > 0.0 or not self.radius_tol > 0.0:
             raise BadParams("tolerances must be positive")
         if not (isinstance(self.domain, str) and _DOMAIN_RE.match(self.domain)):

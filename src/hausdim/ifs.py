@@ -96,11 +96,12 @@ class MapSpec:
     The weight g = |theta'| enters the transfer operator as g^s; it is
     stored through log g and the logarithmic-derivative ratios g'/g
     (weight_r1) and g''/g (weight_r2).  The matrix assembly reads
-    log_weight (as exp(s*log g)); the bound layer reads d1, d2,
-    weight_r1 and weight_r2, so C^3 data suffice.  d3 serves only
-    eval_map(order=3), and weight_r3 (g'''/g) is accepted but not read
-    by the library.  d1_sup, when given, is a certified bound on
-    sup |theta'| over the domain.
+    log_weight (as exp(s*log g)); the bound layer reads d2, weight_r1
+    and weight_r2 one map at a time, so C^3 data suffice, and d1 enters
+    only through the family's kappa.  d3 serves only eval_map(order=3),
+    and weight_r3 (g'''/g) is accepted but not read by the library.
+    d1_sup, when given, is a certified bound on sup |theta'| over the
+    domain.
     """
 
     label: str
@@ -417,11 +418,15 @@ def reduce_domain(
     iterations = 0 returns the full domain.  More than 2^21 words
     (n_maps^iterations, with n_maps counted as at least 2 so that a
     one-map family's word length is capped at 21 too) raise BadParams
-    before any is enumerated.
+    before any is enumerated, and so does a merge_gap that is not a
+    finite real >= 0.
     """
     iterations = _as_index(iterations, "iterations")
     if iterations < 0:
         raise ParamOutOfRange("iterations must be >= 0")
+    gap = _as_real(merge_gap, "merge_gap")
+    if not (math.isfinite(gap) and gap >= 0.0):
+        raise BadParams(f"merge_gap must be a finite real >= 0, got {gap}")
     if iterations * math.log2(max(fam.n_maps, 2)) > math.log2(_MAX_WORDS):
         raise BadParams(
             f"reduce_domain needs {fam.n_maps}^{iterations} words of length "
@@ -437,7 +442,7 @@ def reduce_domain(
     pieces.sort()
     merged = [list(pieces[0])]
     for lo, hi in pieces[1:]:
-        if lo <= merged[-1][1] + merge_gap:
+        if lo <= merged[-1][1] + gap:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])

@@ -12,20 +12,6 @@ from hausdim import (
 )
 
 
-def pytest_addoption(parser):
-    parser.addoption("--runslow", action="store_true", default=False,
-                     help="run full-scale reproduction tests")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--runslow"):
-        return
-    skip = pytest.mark.skip(reason="needs --runslow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
-
-
 def hat_matrices(fam, mesh, s):
     """(A, M, B, model) at s on one hat-basis plan, as enclosure_at builds them."""
     model = error_model(fam, s, mesh.h)

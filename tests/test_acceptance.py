@@ -79,7 +79,6 @@ def test_criterion_02_desk_scale_bracket():
     assert ok
 
 
-@pytest.mark.slow
 def test_criterion_03_full_scale_spot_check():
     fam = make_mobius_family([1, 2])
     mesh = make_mesh((0.0, 1.0), h=0.0001)

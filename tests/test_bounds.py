@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hausdim import (
     ParamOutOfRange,
     bound_M1,
     bound_M2,
+    bounds,
     bracket_dimension,
     cantor_constants,
     error_model,
@@ -59,6 +61,13 @@ def test_refined_m2_upper():
               + s * C1 * E2 / (1 - kappa)) / (1 - kappa**2)
     assert refined_M2_upper(s, G2=G2, C1=C1, E2=E2,
                             kappa=kappa) == pytest.approx(direct, rel=1e-14)
+
+
+def test_formulas_reject_out_of_range_inputs():
+    with pytest.raises(BadParams, match="kappa must lie in"):
+        refined_M2_upper(0.5, G2=1.0, C1=1.0, E2=1.0, kappa=1.0)
+    with pytest.raises(BadParams, match="perturbation must lie in"):
+        cantor_constants(1.5, 0.5)
 
 
 def test_mobius_ratio_bounds_values():
@@ -186,13 +195,31 @@ def test_general_constants_match_cantor_closed_forms():
         assert plan.sup("E2", s) == pytest.approx(closed.E2, rel=1e-6)
 
 
-def test_general_constants_safety():
+def test_general_constants_safety(poly_fam):
     # The chain reads the plan's sampled suprema times 1.01.
-    fam = make_mobius_family([1, 2])
-    plan = BoundPlan(fam)
-    c = general_constants(fam, 0.5, plan)
+    plan = BoundPlan(poly_fam)
+    c = general_constants(poly_fam, 0.5, plan)
     for key in ("C1", "E2", "K2"):
         assert getattr(c, key) == plan.sup(key, 0.5) * 1.01
+
+
+def test_sampled_bounds_need_mu_one():
+    # The sampled suprema are taken one map at a time; a digit family's
+    # kappa holds only over two steps, so no plan read pairs them.  Both
+    # entry points refuse before sampling anything, and the digit
+    # family's ratio_bounds keeps its sharp continuant route.
+    fam = make_mobius_family([1, 2])
+    plan = BoundPlan(fam)
+    with mock.patch.object(bounds, "_map_chain",
+                           wraps=bounds._map_chain) as chain:
+        with pytest.raises(BadParams, match="mu = 2"):
+            general_constants(fam, 0.5)
+        for key in ("C1", "E2", "K2"):
+            with pytest.raises(BadParams, match="mu = 2"):
+                plan.sup(key, 0.5)
+        pair = mobius_ratio_bounds(1.0, 2.0, 1.0, 0.5, 2)
+        assert ratio_bounds(fam, 0.5, plan) == (pair.lo, pair.hi, 1.0)
+    assert chain.call_count == 0
 
 
 def test_mobius_sharp_bound_scaling():
@@ -340,5 +367,6 @@ _NAN_CALLS = {
     for name in ("ratio_bounds", "error_model", "bracket_dimension")
 ])
 def test_nan_derivative_data_rejected(name, field):
-    with pytest.raises(ParamOutOfRange, match="word"):
+    with pytest.raises(ParamOutOfRange,
+                       match=r"NaN in \w+ on map 'poly-left'$"):
         _NAN_CALLS[name](_nan_weight_family(field))

@@ -98,6 +98,22 @@ def test_dim_json_round_trip(capsys):
     assert json.loads(json.dumps(obj)) == obj
 
 
+def test_dim_csv_matches_json(capsys):
+    args = ("--cantor", "0.5", "--h", "0.01", "dim")
+    code, out, _ = run_cli(capsys, "--format", "csv", *args)
+    assert code == 0
+    assert out.splitlines()[0] == \
+        "family,h,s_lower,s_upper,width,evals,certified"
+    code, js, _ = run_cli(capsys, "--format", "json", *args)
+    assert code == 0
+    obj = json.loads(js)
+    want = [obj["family"],
+            *("%.17g" % obj[k] for k in ("h", "s_lower", "s_upper", "width")),
+            str(obj["evals"]), str(obj["certified"]).lower()]
+    assert out.splitlines()[1:] == [",".join(want)]
+    assert want[-1] == "true"
+
+
 def test_dim_text_output(capsys):
     code, out, _ = run_cli(capsys, "--cantor", "0", "--n", "100", "dim")
     assert code == 0
@@ -223,6 +239,32 @@ def test_bad_flag_values(capsys):
     code, _, _ = run_cli(capsys, "--cantor", "2.0", "--h", "0.01",
                          "--s", "0.5", "radius")
     assert code == 2
+    for args, message in [
+        (("--scale", "0", "table3"), "--scale must be positive"),
+        (("--cf", "1,2", "--h", "0.01", "--smin", "0.3", "dim"),
+         "give both --smin and --smax"),
+        (("--cf", "1,2", "--h", "0.01", "--smin", "0.9", "--smax", "0.5",
+          "dim"), "need 0 < smin < smax"),
+        (("--cf", "1,2", "--h", "0.01", "--root-tol", "-1", "dim"),
+         "tolerances must be positive"),
+    ]:
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, ""), args
+        assert message in err, args
+
+
+@pytest.mark.parametrize("args", [
+    ("--h", "-0.01", "dim"), ("--h", "0", "dim"),
+    ("--hs=-0.01,0.005", "study"),
+], ids=["h_negative", "h_zero", "hs_negative"])
+def test_non_positive_width_named_before_domain_reduction(capsys, args):
+    # A reduced domain merges pieces closer than h/2, so the width is
+    # checked first: the error names it, not the pieces it would produce.
+    code, out, err = run_cli(capsys, "--cf", "1,2", "--domain", "reduced:2",
+                             *args)
+    assert (code, out) == (2, "")
+    flag = args[0].split("=")[0]
+    assert f"config error: {flag} " in err and "must be positive" in err
 
 
 def test_reduced_domain_word_cap_exits_2(capsys, monkeypatch):
@@ -325,7 +367,7 @@ def test_threads_setting_removed(tmp_path, capsys):
 @pytest.mark.parametrize("key,value", [
     ("root_tol", "abc"), ("cf", 5), ("domain", 5), ("hs", 0.01), ("n", 1.5),
     ("h", True), ("cf", [True, 2]), ("scale", True), ("root_tol", False),
-    ("n", True), ("hs", [0.01, True]),
+    ("n", True), ("hs", [0.01, True]), ("cf", "1,2"),
 ])
 def test_config_file_wrong_type_exits_2(tmp_path, capsys, key, value):
     data = {"cf": [1, 2], "h": 0.01} if key != "n" else {"cf": [1, 2]}
@@ -338,6 +380,20 @@ def test_config_file_wrong_type_exits_2(tmp_path, capsys, key, value):
     assert err.startswith("config error:")
     assert key in err
     assert repr(value) in err
+
+
+@pytest.mark.parametrize("content,message", [
+    ("[1, 2]", "config file must hold one JSON object"),
+    ('{"cf": [1, 2], "h": 0.01, "format": "xml"}', "--format must be one of"),
+    (None, "cannot read config file"),
+], ids=["list", "format_xml", "missing"])
+def test_config_file_rejected_exits_2(tmp_path, capsys, content, message):
+    cfgfile = tmp_path / "run.json"
+    if content is not None:
+        cfgfile.write_text(content)
+    code, out, err = run_cli(capsys, "--config", str(cfgfile), "dim")
+    assert (code, out) == (2, "")
+    assert err.startswith("config error:") and message in err
 
 
 def test_config_file_invalid_json(tmp_path, capsys):

@@ -6,15 +6,16 @@ Each pin is a float.hex() value or the sha256 of an output.  They cover:
   reduce_domain(., 2), the perturbed Cantor a = 0.5 family on [0, 1] and
   on the 256 pieces of reduce_domain(., 8), and three custom families
   (the poly pair, the Cantor a = 0.5 maps wrapped as custom maps, and
-  three affine maps), whose sampled bounds cover the multi-word sweep
-  and its refinement rounds;
+  three affine maps), whose sampled bounds cover the sweep over several
+  maps and its refinement rounds;
 * degree-d estimates of cf{1,2} at degrees 1, 4 and 6 (the degree-6 one
   on the coarse start), on two pieces, and of the {1,2} maps wrapped as
   a custom family;
 * error models (coef_hi, coef_lo, osc, R_lo, R_hi) on the digit route,
   the Cantor closed forms (certified and, at a = 1, s = 0.2, the
   symmetric uncertified pair) and the sampled custom route, and the
-  general_constants fields of three families;
+  general_constants fields of two families (the Cantor a = 0.5 maps and
+  the poly pair);
 * the JSON stdout of table1 --scale 100, table2 and table3 --scale 20,
   and the stdout of `radius` in each format with its three
   --dump-matrix files.
@@ -226,14 +227,6 @@ GENERAL_CONSTANTS = {
         "0x1.6000000000000p-1", "0x1.9c81ca3667150p+0", "0x1.1accccccccccdp+0",
         "0x1.b104ecc08886bp+1", "0x1.0801254189a71p+2", "0x1.ba36d93cd2134p+4",
         "-0x1.ba36d93cd2134p+4", "0x1.ba36d93cd2134p+4"),
-    ("cf12", 0.5): (
-        "0x1.0000000000000p-2", "0x1.58bf258bf258dp+0", "0x1.028f5c28f5c29p-2",
-        "0x1.cba9876543211p+0", "0x1.cba9876543211p-1", "0x1.8596da6824c1dp+0",
-        "-0x1.8596da6824c1dp+0", "0x1.8596da6824c1dp+0"),
-    ("cf12", 0.8): (
-        "0x1.0000000000000p-2", "0x1.58bf258bf258dp+0", "0x1.028f5c28f5c29p-2",
-        "0x1.2ac7cb35053bep+1", "0x1.6fbad2b768e74p+0", "0x1.9a1ffbc1ff0e4p+1",
-        "-0x1.9a1ffbc1ff0e4p+1", "0x1.9a1ffbc1ff0e4p+1"),
     ("poly", 0.5): (
         "0x1.999999999999ap-2", "0x1.83d70a3d70a3ep-1", "0x1.3645a1cac0831p-2",
         "0x1.3645a1cac0831p+0", "0x1.4333333333334p-1", "0x1.2d44c118de5abp+0",
@@ -246,8 +239,7 @@ GENERAL_CONSTANTS = {
 
 
 def _general_family(name):
-    return {"cf12": lambda: make_mobius_family([1, 2]),
-            "cantor05": lambda: make_cantor_family(0.5),
+    return {"cantor05": lambda: make_cantor_family(0.5),
             "poly": make_poly_family}[name]()
 
 
@@ -259,15 +251,16 @@ def test_general_constants_bit_exact(name, s):
 
 
 def test_general_constants_sweeps_only_read_suprema():
-    # 2 words on the grid, then 5 refinement rounds for each of the three
+    # 2 maps on the grid, then 5 refinement rounds for each of the three
     # suprema C1, E2, K2: 17 grids, of which 12 differ, because suprema
     # that peak at the same end of [0, 1] share their windows.  Each
-    # distinct (word, grid) chain is computed once.
+    # distinct (map, grid) chain is computed once.
     fam = make_poly_family()
-    with mock.patch.object(bounds, "_word_chain",
-                           wraps=bounds._word_chain) as chain:
+    with mock.patch.object(bounds, "_map_chain",
+                           wraps=bounds._map_chain) as chain:
         general_constants(fam, 0.8)
-    grids = {(c.args[1], c.args[2].tobytes()) for c in chain.call_args_list}
+    grids = {(c.args[0].label, c.args[1].tobytes())
+             for c in chain.call_args_list}
     assert chain.call_count == len(grids) == 12
 
 

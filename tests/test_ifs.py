@@ -347,6 +347,23 @@ def test_reduce_domain_merge_gap():
     assert merged[0][1] == pytest.approx(0.75, abs=1e-12)
 
 
+def test_reduce_domain_rejects_negative_iterations():
+    with pytest.raises(ParamOutOfRange, match="iterations must be >= 0"):
+        reduce_domain(make_mobius_family([1, 2]), -1)
+
+
+@pytest.mark.parametrize("gap", ["x", None, True, math.nan, -1.0, math.inf],
+                         ids=["str", "none", "bool", "nan", "negative", "inf"])
+def test_reduce_domain_rejects_bad_merge_gap(gap):
+    # A gap that is not a finite real >= 0 is refused up front: "x" would
+    # raise a raw TypeError in the merge, and NaN or -1 would leave
+    # cf{1,2}'s pieces touching at 0.4, which make_mesh rejects.
+    fam = make_mobius_family([1, 2])
+    for k in (0, 2):
+        with pytest.raises(BadParams, match="merge_gap"):
+            reduce_domain(fam, k, merge_gap=gap)
+
+
 @pytest.mark.parametrize("k", [5, 6])
 def test_reduce_domain_caps_word_count(monkeypatch, k):
     # 34^5 words would take gigabytes; refuse before enumerating any.
@@ -407,6 +424,29 @@ def test_custom_family_must_stay_inside_domain():
                   d1_sup=0.5)
     with pytest.raises(OutOfDomain):
         make_custom_family([esc], (0.0, 1.0))
+
+
+def test_custom_family_must_be_monotone(poly_fam):
+    # theta(x) = (x - 0.5)^2 / 4 + 0.1 turns at x = 0.5.
+    turn = MapSpec(label="turn",
+                   eval=lambda x: 0.25 * (np.asarray(x, float) - 0.5)**2 + 0.1,
+                   d1=lambda x: 0.5 * (np.asarray(x, float) - 0.5),
+                   d1_sup=0.25)
+    with pytest.raises(ParamOutOfRange, match="map 'turn' is not monotone"):
+        make_custom_family([poly_fam.maps[0], turn], (0.0, 1.0))
+
+
+def test_custom_family_weight_must_be_positive(poly_fam):
+    # log g = -inf on (0.5, 1] is a weight of 0 there.
+    def log_w(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 0.5, -math.inf, poly_fam.maps[1].log_weight(x))
+
+    maps = [poly_fam.maps[0],
+            dataclasses.replace(poly_fam.maps[1], log_weight=log_w)]
+    with pytest.raises(ParamOutOfRange,
+                       match="weight of map 'poly-right' is not positive"):
+        make_custom_family(maps, poly_fam.domain)
 
 
 def test_custom_family_needs_a_map():

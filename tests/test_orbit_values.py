@@ -70,3 +70,26 @@ def test_orbit_sum_recomputes_the_pinned_value():
     with mpmath.workdps(40):
         got = orbit_dimension((1, 2), 10, (0.5, 0.6))
         assert abs(got - _exact((1, 2))) <= mpmath.mpf("1e-24")
+
+
+PAIRS = [(a, b) for a in range(1, 9) for b in range(a + 1, 9)]
+
+
+@pytest.mark.parametrize("digits", PAIRS,
+                         ids=["cf%d,%d" % pair for pair in PAIRS])
+def test_two_digit_brackets_contain_orbit_sum(digits):
+    # Every two-digit set {a, b} in 1..8, not a random sample: brackets at
+    # h = 0.05 and 0.01 contain the orbit sum at word length 8 (for
+    # {1, 2} and {1, 3} within 3.4e-17 of length 10).  The root solve
+    # only needs a sign change, so the two brackets' hull, widened by
+    # 1e-3, serves as its bracket.
+    fam = make_mobius_family(list(digits))
+    brackets = [bracket_dimension(fam, make_mesh(fam.domain, h=h))
+                for h in (0.05, 0.01)]
+    hull = (min(br.s_lower for br in brackets) - 1e-3,
+            max(br.s_upper for br in brackets) + 1e-3)
+    with mpmath.workdps(40):
+        exact = orbit_dimension(digits, 8, hull)
+        for br in brackets:
+            assert br.certified
+            assert mpmath.mpf(br.s_lower) <= exact <= mpmath.mpf(br.s_upper)

@@ -782,19 +782,19 @@ def test_bracket_power_iteration_budget(monkeypatch, case, before_its,
 
 
 def test_bracket_builds_bound_plan_once(poly_fam):
-    # The word chains do not depend on s: one bracket samples each word on
-    # the 2049-point grid once, and computes no (word, grid) chain twice
+    # The map chains do not depend on s: one bracket samples each map on
+    # the 2049-point grid once, and computes no (map, grid) chain twice
     # across the s values its root solves visit.
     import hausdim.bounds as bounds
 
-    with mock.patch.object(bounds, "_word_chain",
-                           wraps=bounds._word_chain) as chain:
+    with mock.patch.object(bounds, "_map_chain",
+                           wraps=bounds._map_chain) as chain:
         br = bracket_dimension(poly_fam, make_mesh(poly_fam.domain, h=0.01))
     assert br.certified
-    calls = [(c.args[1], c.args[2]) for c in chain.call_args_list]
-    on_grid = [word for word, xs in calls if xs.size == 2049]
-    assert len(on_grid) == poly_fam.n_maps ** poly_fam.mu
-    grids = [(word, xs.tobytes()) for word, xs in calls]
+    calls = [(c.args[0].label, c.args[1]) for c in chain.call_args_list]
+    on_grid = [label for label, xs in calls if xs.size == 2049]
+    assert len(on_grid) == poly_fam.n_maps
+    grids = [(label, xs.tobytes()) for label, xs in calls]
     assert len(grids) == len(set(grids))
 
 
