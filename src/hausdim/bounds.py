@@ -261,9 +261,9 @@ class BoundPlan:
     """The s-independent part of a custom family's sampled suprema.
 
     Keeps the chain of every map on the 2049-point grid over fam.domain,
-    and of every refinement window, each computed once.  C1 and E2 do not
-    depend on s and are refined once; K2 is swept over the kept chains
-    at each s.  Nothing is sampled before the first read, so a plan
+    and the grid and chain of every refinement window, each computed
+    once.  C1 and E2 do not depend on s and are refined once; K2 is
+    swept over the kept chains at each s.  Nothing is sampled before the first read, so a plan
     costs nothing on the digit and Cantor routes.  The suprema are taken
     per map, so the first read raises BadParams for a family whose
     contraction length mu is not 1 (a digit family's kappa holds only
@@ -277,7 +277,7 @@ class BoundPlan:
             raise NoContractionBound(
                 f"custom family has sup |theta'| = {fam.kappa} >= 1")
         self.fam = fam
-        self._chains: dict[tuple, dict] = {}
+        self._windows: dict[tuple, tuple[np.ndarray, dict]] = {}
         self._s_free: dict[str, float] = {}
 
     @functools.cached_property
@@ -285,13 +285,19 @@ class BoundPlan:
         """The 2049-point grid and each map's chain on it, in map order."""
         a, b = self.fam.domain
         xs = np.linspace(a, b, _GRID)
-        return xs, [self._chain(j, xs) for j in range(self.fam.n_maps)]
+        return xs, [_map_chain(spec, xs) for spec in self.fam.maps]
 
-    def _chain(self, j: int, xs: np.ndarray) -> dict:
-        key = (j, xs[0], xs[-1], xs.size)
-        if key not in self._chains:
-            self._chains[key] = _map_chain(self.fam.maps[j], xs)
-        return self._chains[key]
+    def _window(self, j: int, lo: float, hi: float) -> tuple[np.ndarray, dict]:
+        """The 257-point grid on [lo, hi] and map j's chain on it.
+
+        Both are built on the first read of (j, lo, hi) only; linspace
+        keeps lo and hi exactly as its ends.
+        """
+        key = (j, lo, hi)
+        if key not in self._windows:
+            xs = np.linspace(lo, hi, _REFINE_PTS)
+            self._windows[key] = xs, _map_chain(self.fam.maps[j], xs)
+        return self._windows[key]
 
     def sup(self, key: str, s: float) -> float:
         """Sampled supremum of one of C1, E2, K2 at s.
@@ -329,8 +335,8 @@ class BoundPlan:
             return best
         j, lo, hi = arg
         for _ in range(_REFINE_ROUNDS):
-            xs = np.linspace(lo, hi, _REFINE_PTS)
-            i, v = _argmax(self.fam.maps[j], key, f(self._chain(j, xs), s))
+            xs, chain = self._window(j, lo, hi)
+            i, v = _argmax(self.fam.maps[j], key, f(chain, s))
             best = max(best, v)
             if not math.isfinite(best):
                 break

@@ -11,6 +11,7 @@ with exit code 2 for configuration problems and 3 for numeric failures.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import operator
@@ -209,10 +210,11 @@ def cmd_dim(cfg: RunConfig) -> int:
         }
         print(json.dumps(obj, indent=2))
     elif cfg.format == "csv":
-        print("family,h,s_lower,s_upper,width,evals,certified")
-        print(f"{br.family_id},{_fmt(br.mesh_h)},{_fmt(br.s_lower)},"
-              f"{_fmt(br.s_upper)},{_fmt(br.width)},{br.evals},"
-              f"{str(br.certified).lower()}")
+        _write_csv([["family", "h", "s_lower", "s_upper", "width", "evals",
+                     "certified"],
+                    [br.family_id, _fmt(br.mesh_h), _fmt(br.s_lower),
+                     _fmt(br.s_upper), _fmt(br.width), br.evals,
+                     str(br.certified).lower()]])
     else:
         print(f"family {br.family_id}  h {_fmt(br.mesh_h)}")
         print(f"  dimension in [{_fmt(br.s_lower)}, {_fmt(br.s_upper)}]")
@@ -253,15 +255,19 @@ def _print_table(cfg: RunConfig, header: list[str], rows: list[dict],
     if cfg.format == "json":
         print(json.dumps({"rows": rows, "all_pass": all_pass}, indent=2))
         return
-    print(",".join(header))
-    for row in rows:
-        cells = []
-        for k in header:
-            v = row[k]
-            cells.append(_fmt(v) if isinstance(v, float) else str(v))
+    lines = [header] + [[_fmt(v) if isinstance(v, float) else str(v)
+                         for v in (row[k] for k in header)] for row in rows]
+    if cfg.format == "csv":
+        _write_csv(lines)
+        return
+    for cells in lines:
         print(",".join(cells))
-    if cfg.format == "text":
-        print(f"# all rows pass: {all_pass}")
+    print(f"# all rows pass: {all_pass}")
+
+
+def _write_csv(rows) -> None:
+    """CSV rows to stdout; a field with a comma, as in cf:1,2, is quoted."""
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
 def _bracket_table(cfg: RunConfig, table: tuple[dict, ...], family) -> int:

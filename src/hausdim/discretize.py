@@ -22,23 +22,29 @@ g^s and the correction once per (node, map) and one product per entry.
 One loop serves every degree: the hat basis is the degree-1 case of the
 piecewise Lagrange basis that higher_order uses.
 
-The plan is filled in blocks of nodes, all maps at once, straight into
-its final (node, map, basis) order, and the matrix entries at one s are
+The plan is built in two passes over blocks of nodes, all maps at
+once.  Pass 1 evaluates every map at every node (a digit family in one
+broadcast over its digits), checks every input and finds each image's
+cell, right hat weight and, on the hat basis, Q; pass 2 writes the basis
+weights and column indices of the rows the plan keeps straight into
+their final (node, map, basis) order.  The matrix entries at one s are
 built block by block into their output buffer.  _locate places points
-on any mesh: a binary search over the piece ends, then the cell from
-floor((y - a)/h) and one correcting step against the mesh nodes.
+on any mesh in two steps: the cell step, a binary search over the piece
+ends, then the cell from floor((y - a)/h) and one correcting step
+against the mesh nodes; and the t/Q step, the local coordinate and Q in
+that cell.
 
 L_s only sees the invariant set, and most nodes of a sparse digit set
 or Cantor set are never read.  closed_plan keeps the closed node set S,
-the largest set whose rows read only columns in S.  In the order
-(S, rest) every plan matrix is block lower triangular with a nilpotent
-rest block, so the spectral radii, the degree-d |lambda| and the
-Collatz-Wielandt bounds are exactly those of the S x S block.  Where S
-keeps at most 3/4 of the rows, the plan is compacted in place to S
-(cf{1,2} at h = 1e-4 keeps 240 of 10001 nodes); brackets and degree-d
-estimates solve there.  collocation_plan itself is unchanged, so
-radius, log_radius, enclosure_at and --dump-matrix show the full A, M
-and B.
+the largest set whose rows read only columns in S, peeled from pass 1's
+first columns.  In the order (S, rest) every plan matrix is block lower
+triangular with a nilpotent rest block, so the spectral radii, the
+degree-d |lambda| and the Collatz-Wielandt bounds are exactly those of
+the S x S block.  Where S keeps at most 3/4 of the rows, pass 2 visits
+S's rows only (cf{1,2} at h = 1e-4 keeps 240 of 10001 nodes), and no
+dropped row is weighed; brackets and degree-d estimates solve there.
+collocation_plan keeps every row, so radius, log_radius, enclosure_at
+and --dump-matrix show the full A, M and B.
 
 The one compiled loop the pipeline runs is scipy's CSR matvec.  Its
 extension module is loaded from its file, not through scipy.sparse,
@@ -53,7 +59,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -68,7 +74,14 @@ from .errors import (
     OutOfDomain,
     ParamOutOfRange,
 )
-from .ifs import CLAMP_REL_TOL, MapFamily, _as_index, _as_real, eval_map
+from .ifs import (
+    CLAMP_REL_TOL,
+    MapFamily,
+    _as_index,
+    _as_real,
+    eval_all_maps,
+    eval_map,
+)
 
 __all__ = [
     "Mesh", "make_mesh", "interp_weights", "ErrorModel",
@@ -185,23 +198,22 @@ def _join(pieces) -> Mesh:
     return Mesh(pieces=tuple(pieces), nodes=nodes, offsets=tuple(offsets))
 
 
-def _locate(mesh: Mesh, ys: np.ndarray):
-    """Cells and right hat weights for query points, numbered globally.
+def _find_cells(mesh: Mesh, ys: np.ndarray):
+    """The cell step of _locate: (cell, y, h) for query points.
 
-    Returns (cell, w_right, Q): cell is the global index of the left node
-    x_r of the cell containing y, w_right = fl(1 - fl(1 - t)) for the
-    local coordinate t in [0, 1], so w_left = 1 - w_right is fl(1 - t)
-    and w_left + w_right = 1 exactly, and Q(y) = (x_{r+1} - y)(y - x_r)
-    >= 0.  A point within the clamp tolerance of several pieces belongs
-    to the first: the first piece whose end plus the tolerance is at or
-    right of y.  Points outside every piece by more than the clamp
-    tolerance raise OutOfDomain, and a NaN point ParamOutOfRange.
+    cell is the global index of the left node x_r of the cell containing
+    y, y the point clipped to its piece [a, b] and h that piece's cell
+    width (one value when the mesh has one piece).  A point within the
+    clamp tolerance of several pieces belongs to the first: the first
+    piece whose end plus the tolerance is at or right of y.  Points
+    outside every piece by more than the clamp tolerance raise
+    OutOfDomain, and a NaN point ParamOutOfRange.
 
-    Clipped to its piece [a, b], y takes the last node at or left of it,
-    capped at the piece's last cell, as searchsorted would, but found by
-    arithmetic: floor((y - a) / h) and one step against the nodes.  The
-    guess is off by a few ulps of (|a| + |y - a|) / h cells, so one step
-    suffices whenever a cell is wider than a few ulps of a.
+    Clipped, y takes the last node at or left of it, capped at the
+    piece's last cell, as searchsorted would, but found by arithmetic:
+    floor((y - a) / h) and one step against the nodes.  The guess is off
+    by a few ulps of (|a| + |y - a|) / h cells, so one step suffices
+    whenever a cell is wider than a few ulps of a.
     """
     lo, hi = mesh.span
     tol = CLAMP_REL_TOL * (hi - lo)
@@ -222,10 +234,35 @@ def _locate(mesh: Mesh, ys: np.ndarray):
     r += first
     r = r - (nodes[r] > y)
     r = r + ((nodes[r + 1] <= y) & (r < first + n - 1))
+    return r, y, h
+
+
+def _hat(mesh: Mesh, r: np.ndarray, y: np.ndarray, h,
+         q: np.ndarray | None = None) -> np.ndarray:
+    """The t/Q step of _locate: right hat weights of points y in cells r.
+
+    Takes _find_cells' (cell, y, h).  Returns w_right = fl(1 - fl(1 - t))
+    for the local coordinate t = (y - x_r)/h, clipped to [0, 1], so
+    w_left = 1 - w_right is fl(1 - t) and w_left + w_right = 1 exactly.
+    q, when given, is filled with Q(y) = (x_{r+1} - y)(y - x_r) >= 0.
+    """
+    nodes = mesh.nodes
     x_r = nodes[r]
+    if q is not None:
+        np.maximum((nodes[r + 1] - y) * (y - x_r), 0.0, out=q)
     t = np.clip((y - x_r) / h, 0.0, 1.0)
-    q = np.maximum((nodes[r + 1] - y) * (y - x_r), 0.0)
-    return r, 1.0 - (1.0 - t), q
+    return 1.0 - (1.0 - t)
+
+
+def _locate(mesh: Mesh, ys: np.ndarray):
+    """Cells, right hat weights and Q of query points, numbered globally.
+
+    Returns (cell, w_right, Q): the cell step _find_cells, then the t/Q
+    step _hat on the clipped points.
+    """
+    r, y, h = _find_cells(mesh, ys)
+    q = np.empty_like(y)
+    return r, _hat(mesh, r, y, h, q), q
 
 
 def interp_weights(mesh: Mesh, y: float) -> tuple[int, float, float]:
@@ -483,11 +520,12 @@ class CollocationPlan:
     arange(0, P*dim + 1, P).  indptr/indices (int32) are shared by every
     matrix built from the plan.  log_weight and q (the hat basis's Q,
     largest value q_max; None for degree > 1) hold one value per
-    (node, map), weight one per entry.  collocation_plan fills every
-    array in this final order, one block of _BLOCK (node, map) pairs
-    at a time, and data builds the entries block by block too.  rows
-    holds the degree-d node of each row on a plan from closed_plan, and
-    is None on one from collocation_plan, whose row k is node k.
+    (node, map), weight one per entry.  collocation_plan and closed_plan
+    fill every array in this final order, one block of _BLOCK (node,
+    map) pairs at a time, and data builds the entries block by block
+    too.  rows holds the degree-d node of each row on a plan from
+    closed_plan, and is None on one from collocation_plan, whose row k
+    is node k.
     """
 
     dim: int
@@ -582,9 +620,9 @@ def _map_error(fam: MapFamily, mesh: Mesh, x: np.ndarray) -> Exception:
     Map by map, a missing log_weight is MissingDerivatives, a NaN image
     ParamOutOfRange (naming the point), an image outside the mesh
     MapEscapesDomain and a log_weight that is not finite at x
-    ParamOutOfRange; each names the map.  collocation_plan
-    calls it once some block has failed, so the error does not depend
-    on which block failed first.
+    ParamOutOfRange; each names the map.  The plan build calls it on
+    every node once some block of pass 1 has failed, so the error does
+    not depend on which block failed first, nor on the closed set.
     """
     for j, spec in enumerate(fam.maps):
         if spec.log_weight is None:
@@ -615,11 +653,44 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
     map, a map without log_weight raises MissingDerivatives, one with a
     NaN image ParamOutOfRange, one with an image outside the mesh
     MapEscapesDomain, and one whose log_weight is not finite at a
-    collocation node ParamOutOfRange.
+    collocation node ParamOutOfRange.  Built by _build_plan, every row
+    kept.
+    """
+    return _build_plan(fam, mesh, degree, closed=False)
 
-    The nodes go in blocks of about _BLOCK (node, map) pairs: every map
-    and log-weight is evaluated on the block, one _locate call finds all
-    its images, and each result is written into its final slice.
+
+def closed_plan(fam: MapFamily, mesh: Mesh, degree: int = 1) -> CollocationPlan:
+    """collocation_plan restricted to its closed node set S.
+
+    S is the largest node set whose rows read only columns in S (see
+    _closed_rows).  In the order (S, rest) every matrix of the plan is
+    block lower triangular, and no cycle of reads runs through the rest,
+    so its block there is nilpotent: the spectral radius, the dominant
+    eigenvalue and the Collatz-Wielandt bounds of the S x S block are
+    those of the whole matrix, with no bound or error model changed.
+    Where S keeps at most _CLOSED_MAX_SHARE of the rows, the plan holds
+    S's rows only, their columns renumbered to S, and no basis weight or
+    column of a dropped row is computed; otherwise the plan stays whole.
+    rows holds the node of each row.  q_max stays that of the whole
+    grid, and every input error is raised as collocation_plan raises it,
+    at a dropped node too.
+    """
+    return _build_plan(fam, mesh, degree, closed=True)
+
+
+def _build_plan(fam: MapFamily, mesh: Mesh, degree: int, closed: bool
+                ) -> CollocationPlan:
+    """The plan of collocation_plan, or closed_plan when closed, in two passes.
+
+    Pass 1 runs over every (node, map) pair in blocks of about _BLOCK
+    pairs, with every input check: each block's images and log weights
+    (ifs.eval_all_maps), the cell of each image (_find_cells), its right
+    hat weight and, on the hat basis, Q (_hat), and the first column it
+    reads.  Each goes into a full-size array; log weights and Q become
+    the plan's own when it stays whole.  A closed plan then peels S
+    from the first columns (_closed_rows).  Pass 2 visits only the rows
+    the plan keeps, block by block, and writes their Lagrange weights
+    and column indices, renumbered to S, straight into the final arrays.
     """
     degree = _as_degree(degree)
     lo, hi = fam.domain
@@ -628,7 +699,7 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
         raise OutOfDomain(
             f"mesh span {mesh.span} leaves the domain [{lo}, {hi}]")
     fine = _degree_nodes(mesh, degree)
-    x = fine.nodes
+    x, dim = fine.nodes, fine.dim
     # eval_map's domain check and clip, once for every map and block.
     if (any(spec.log_weight is None for spec in fam.maps)
             or np.any(x < lo - tol) or np.any(x > hi + tol)):
@@ -636,41 +707,60 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
     x_in = np.clip(x, lo, hi)
     base = _degree_columns(mesh, degree)
     n_maps, n_basis = fam.n_maps, degree + 1
-    indices = np.empty(fine.dim * n_maps * n_basis, dtype=np.int32)
-    weight = np.empty(indices.size)
-    log_weight = np.empty(fine.dim * n_maps)
+    log_weight = np.empty(dim * n_maps)
+    w_right = np.empty(log_weight.size)  # each image, then its right weight
+    first = np.empty(log_weight.size, dtype=np.int32)
     q = np.empty(log_weight.size) if degree == 1 else None
     step = max(1, _BLOCK // n_maps)
-    images = np.empty((step, n_maps))
-    logs = np.empty((step, n_maps))
-    for start in range(0, fine.dim, step):
-        nodes = slice(start, min(start + step, fine.dim))
-        y, lw = images[:nodes.stop - start], logs[:nodes.stop - start]
-        for j, spec in enumerate(fam.maps):
-            y[:, j] = spec.eval(x_in[nodes])
-            lw[:, j] = spec.log_weight(x[nodes])
+    for start in range(0, dim, step):
+        nodes = slice(start, min(start + step, dim))
+        pairs = slice(start * n_maps, nodes.stop * n_maps)
+        lw = log_weight[pairs].reshape(-1, n_maps)
+        eval_all_maps(fam, x_in[nodes], x[nodes],
+                      w_right[pairs].reshape(-1, n_maps), lw)
         try:
-            cell, wr, qb = _locate(mesh, y.ravel())
+            cell, y, h = _find_cells(mesh, w_right[pairs])
         except (OutOfDomain, ParamOutOfRange):
             cell = None
         if cell is None or not np.isfinite(lw).all():
             raise _map_error(fam, mesh, x)
-        pairs = slice(start * n_maps, nodes.stop * n_maps)
-        log_weight[pairs] = lw.ravel()
+        w_right[pairs] = _hat(mesh, cell, y, h,
+                              None if q is None else q[pairs])
+        first[pairs] = base[cell]
+    q_max = None if q is None else float(q.max())
+
+    first = first.reshape(dim, n_maps)
+    rows = _closed_rows(first, degree) if closed else None
+    if rows is None or rows.size > _CLOSED_MAX_SHARE * dim:
+        kept, renumber = dim, None
+        if closed:
+            rows = np.arange(dim)
+    else:
+        kept, renumber = rows.size, np.full(dim, -1, dtype=np.int32)
+        renumber[rows] = np.arange(kept, dtype=np.int32)
+        log_weight = log_weight.reshape(dim, n_maps)[rows].ravel()
         if q is not None:
-            q[pairs] = qb
-        entries = slice(pairs.start * n_basis, pairs.stop * n_basis)
+            q = q.reshape(dim, n_maps)[rows].ravel()
+    w_right = w_right.reshape(dim, n_maps)
+    indices = np.empty(kept * n_maps * n_basis, dtype=np.int32)
+    weight = np.empty(indices.size)
+    for start in range(0, kept, step):
+        stop = min(start + step, kept)
+        block = slice(start, stop) if renumber is None else rows[start:stop]
+        entries = slice(start * n_maps * n_basis, stop * n_maps * n_basis)
         cols = indices[entries].reshape(-1, n_basis).T
-        cols[0] = base[cell]
+        cols[0] = first[block].ravel()
+        if renumber is not None:
+            cols[0] = renumber[cols[0]]
         for p in range(1, n_basis):
             np.add(cols[0], p, out=cols[p])
-        _lagrange_rows(wr, degree, out=weight[entries].reshape(-1, n_basis).T)
+        _lagrange_rows(w_right[block].ravel(), degree,
+                       out=weight[entries].reshape(-1, n_basis).T)
     return CollocationPlan(
-        dim=fine.dim, degree=degree,
+        dim=kept, degree=degree,
         indptr=np.arange(0, indices.size + 1, n_maps * n_basis, dtype=np.int32),
         indices=indices, weight=weight, log_weight=log_weight, q=q,
-        q_max=None if q is None else float(q.max()),
-    )
+        q_max=q_max, rows=rows)
 
 
 # Largest share of the rows a closed set may keep and still be compacted
@@ -683,19 +773,19 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
 _CLOSED_MAX_SHARE = 0.75
 
 
-def _closed_rows(plan: CollocationPlan) -> np.ndarray:
+def _closed_rows(first: np.ndarray, degree: int) -> np.ndarray:
     """The largest node set S whose rows read only columns in S, sorted.
 
-    A node stays while some row of a node still in S reads it.  Its
-    in-degree counts the (node, map) pairs whose first column lies at
-    most d columns left of it, as pair (k, j) reads columns c..c+d from
-    its first column c.  A node whose in-degree reaches 0 leaves S and
-    its reads are subtracted in turn; each row leaves once, so the cost
-    is O(pairs + depth * dim).  A node on a cycle of reads never leaves,
-    so S is not empty.
+    first[k, j] is the first column that pair (k, j) reads, base[cell]
+    of its image: the pair reads columns first .. first + degree, and
+    there is one row per degree-d node.  A node stays while some row of
+    a node still in S reads it.  Its in-degree counts the pairs whose
+    first column lies at most d columns left of it.  A node whose
+    in-degree reaches 0 leaves S and its reads are subtracted in turn;
+    each row leaves once, so the cost is O(pairs + depth * dim).  A node
+    on a cycle of reads never leaves, so S is not empty.
     """
-    dim, width = plan.dim, plan.degree + 1
-    first = plan.indices[::width]
+    dim, width = first.shape[0], degree + 1
 
     def spread(counts: np.ndarray) -> np.ndarray:
         reads = counts.copy()
@@ -705,11 +795,11 @@ def _closed_rows(plan: CollocationPlan) -> np.ndarray:
 
     # Counted a block at a time: one bincount of every pair would first
     # copy them all to intp.
+    flat = first.ravel()
     counts = np.zeros(dim, dtype=np.intp)
-    for lo in range(0, first.size, _BLOCK):
-        counts += np.bincount(first[lo:lo + _BLOCK], minlength=dim)
+    for lo in range(0, flat.size, _BLOCK):
+        counts += np.bincount(flat[lo:lo + _BLOCK], minlength=dim)
     indegree = spread(counts)
-    first = first.reshape(dim, -1)
     alive = np.ones(dim, dtype=bool)
     leaving = np.flatnonzero(indegree == 0)
     while leaving.size:
@@ -717,48 +807,6 @@ def _closed_rows(plan: CollocationPlan) -> np.ndarray:
         indegree -= spread(np.bincount(first[leaving].ravel(), minlength=dim))
         leaving = np.flatnonzero((indegree == 0) & alive)
     return np.flatnonzero(alive)
-
-
-def closed_plan(fam: MapFamily, mesh: Mesh, degree: int = 1) -> CollocationPlan:
-    """collocation_plan restricted to its closed node set S.
-
-    S is the largest node set whose rows read only columns in S (see
-    _closed_rows).  In the order (S, rest) every matrix of the plan is
-    block lower triangular, and no cycle of reads runs through the rest,
-    so its block there is nilpotent: the spectral radius, the dominant
-    eigenvalue and the Collatz-Wielandt bounds of the S x S block are
-    those of the whole matrix, with no bound or error model changed.
-    Where S keeps at most _CLOSED_MAX_SHARE of the rows, the plan's
-    arrays are compacted in place to S's rows, a block of rows at a
-    time (a kept row only moves forward), and the columns renumbered;
-    otherwise the plan stays whole.  rows holds the node of each row.
-    q_max stays that of the whole plan.
-    """
-    plan = collocation_plan(fam, mesh, degree)
-    rows = _closed_rows(plan)
-    if rows.size > _CLOSED_MAX_SHARE * plan.dim:
-        return replace(plan, rows=np.arange(plan.dim))
-    kept, pairs = rows.size, rows.size * fam.n_maps
-    column = np.full(plan.dim, -1, dtype=np.int32)
-    column[rows] = np.arange(kept, dtype=np.int32)
-    arrays = [a.reshape(plan.dim, -1) for a in
-              (plan.weight, plan.log_weight, plan.q) if a is not None]
-    indices = plan.indices.reshape(plan.dim, -1)
-    # Kept row i moves to row i <= rows[i], so a block's rows land ahead
-    # of every row a later block reads; each block is gathered first.
-    step = max(1, _BLOCK // fam.n_maps)
-    for start in range(0, kept, step):
-        block = rows[start:start + step]
-        dst = slice(start, start + block.size)
-        indices[dst] = column[indices[block]]
-        for arr in arrays:
-            arr[dst] = arr[block]
-    n_entries = pairs * (plan.degree + 1)
-    return replace(
-        plan, dim=kept, indptr=plan.indptr[:kept + 1],
-        indices=plan.indices[:n_entries], weight=plan.weight[:n_entries],
-        log_weight=plan.log_weight[:pairs],
-        q=None if plan.q is None else plan.q[:pairs], rows=rows)
 
 
 def _interpolate_nodal(values: np.ndarray, mesh: Mesh, target: Mesh,

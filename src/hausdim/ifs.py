@@ -400,6 +400,30 @@ def eval_map(fam: MapFamily, j: int, x, order: int = 0):
     return out if np.ndim(x) else float(out)
 
 
+def eval_all_maps(fam: MapFamily, x_in: Array, x: Array, images: Array,
+                  log_weights: Array) -> None:
+    """Every map's images and log weights, written into column j for map j.
+
+    images[:, j] gets theta_j(x_in) and log_weights[:, j] log g_j(x);
+    both are (x.size, n_maps) arrays, x_in is x already clipped to the
+    domain, and every map has a log_weight.  A digit family evaluates
+    all its maps in one broadcast over its digits, with its closures'
+    own operations, 1/(x + b) and -2 log(x + b), so every value is
+    theirs bit for bit; any other family calls its maps in map order.
+    """
+    if fam.kind == MOBIUS:
+        b = np.asarray(fam.digits, dtype=float)
+        np.add(x_in[:, None], b, out=images)
+        np.divide(1.0, images, out=images)
+        np.add(x[:, None], b, out=log_weights)
+        np.log(log_weights, out=log_weights)
+        log_weights *= -2.0
+        return
+    for j, spec in enumerate(fam.maps):
+        images[:, j] = spec.eval(x_in)
+        log_weights[:, j] = spec.log_weight(x)
+
+
 def apply_word(fam: MapFamily, word: Sequence[int], x):
     """Apply theta_{word[-1]} o ... o theta_{word[0]} (indices into fam.maps)."""
     y = np.asarray(x, dtype=float)

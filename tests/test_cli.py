@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -99,19 +101,37 @@ def test_dim_json_round_trip(capsys):
 
 
 def test_dim_csv_matches_json(capsys):
-    args = ("--cantor", "0.5", "--h", "0.01", "dim")
-    code, out, _ = run_cli(capsys, "--format", "csv", *args)
+    # A digit family's id holds commas, so csv quotes it: the row reads
+    # back through csv.reader as the header's seven fields.
+    for family in (("--cantor", "0.5"), ("--cf", "1,2")):
+        args = (*family, "--h", "0.01", "dim")
+        code, out, _ = run_cli(capsys, "--format", "csv", *args)
+        assert code == 0
+        assert out.splitlines()[0] == \
+            "family,h,s_lower,s_upper,width,evals,certified"
+        code, js, _ = run_cli(capsys, "--format", "json", *args)
+        assert code == 0
+        obj = json.loads(js)
+        want = [obj["family"],
+                *("%.17g" % obj[k]
+                  for k in ("h", "s_lower", "s_upper", "width")),
+                str(obj["evals"]), str(obj["certified"]).lower()]
+        assert list(csv.reader(io.StringIO(out)))[1:] == [want]
+        assert want[-1] == "true"
+    assert want[0] == "cf:1,2"
+
+
+def test_table1_csv_rows_keep_their_fields(capsys):
+    code, out, _ = run_cli(capsys, "--scale", "100", "--format", "csv",
+                           "table1")
     assert code == 0
-    assert out.splitlines()[0] == \
-        "family,h,s_lower,s_upper,width,evals,certified"
-    code, js, _ = run_cli(capsys, "--format", "json", *args)
-    assert code == 0
-    obj = json.loads(js)
-    want = [obj["family"],
-            *("%.17g" % obj[k] for k in ("h", "s_lower", "s_upper", "width")),
-            str(obj["evals"]), str(obj["certified"]).lower()]
-    assert out.splitlines()[1:] == [",".join(want)]
-    assert want[-1] == "true"
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["family", "h", "s_lower", "s_upper", "ref_lower",
+                      "ref_upper", "status"]
+    assert len(rows) == 24
+    assert all(len(row) == len(header) for row in rows)
+    assert rows[0][0] == "cf:1,2"
+    assert all(row[-1] == "pass" for row in rows)
 
 
 def test_dim_text_output(capsys):

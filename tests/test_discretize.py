@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -1165,3 +1166,46 @@ def test_closed_plan_keeps_every_radius(name, pieces):
             plan.dim, plan.indptr, plan.indices, plan.data(s)))
             for plan in (full6, closed6))
         assert abs(got - want) <= RADIUS_TOL * want
+
+
+def test_closed_plan_weighs_only_the_closed_rows(monkeypatch):
+    # Pass 2 weighs S's rows only: cf{1,2} at degree 6 keeps under a
+    # tenth of its 3001 nodes, and _lagrange_rows sees |S| * n_maps
+    # points in all, not one per (node, map) pair of the grid.
+    seen = []
+
+    def counting(t, degree, out=None):
+        seen.append(t.size)
+        return real(t, degree, out=out)
+
+    real = discretize._lagrange_rows
+    monkeypatch.setattr(discretize, "_lagrange_rows", counting)
+    fam = make_mobius_family([1, 2])
+    mesh = make_mesh(fam.domain, h=1e-3)
+    plan = closed_plan(fam, mesh, 6)
+    assert plan.dim < _degree_nodes(mesh, 6).dim // 10
+    assert sum(seen) == plan.dim * fam.n_maps
+
+
+def test_closed_plan_checks_the_dropped_nodes():
+    # Map 0's log weight is NaN at one node that S drops; pass 1 checks
+    # every node, so closed_plan and a bracket raise as collocation_plan
+    # does.
+    digits = make_mobius_family([1, 2])
+    mesh = make_mesh(digits.domain, h=0.01)
+    x_bad = mesh.nodes[3]
+    assert 3 not in closed_plan(digits, mesh).rows
+    log_w = digits.maps[0].log_weight
+
+    def nan_at_x_bad(x):
+        return np.where(np.asarray(x) == x_bad, math.nan, log_w(x))
+
+    fam = make_custom_family(
+        [dataclasses.replace(digits.maps[0], log_weight=nan_at_x_bad),
+         digits.maps[1]], digits.domain)
+    for build in (collocation_plan, closed_plan):
+        with pytest.raises(ParamOutOfRange,
+                           match="'1/\\(x\\+1\\)' is not positive"):
+            build(fam, mesh)
+    with pytest.raises(ParamOutOfRange, match="is not positive"):
+        bracket_dimension(fam, mesh)

@@ -471,3 +471,26 @@ def test_family_id_distinguishes_families():
            make_cantor_family(0.5).family_id,
            make_cantor_family(0.25).family_id}
     assert len(ids) == 4
+
+
+@pytest.mark.parametrize("digits", [[1, 2], [2, 4, 6, 8, 10],
+                                    list(range(1, 35)), [100, 10000]])
+def test_digit_broadcast_equals_each_map_bit_for_bit(digits):
+    # eval_all_maps evaluates a digit family in one broadcast over its
+    # digits; every image and log weight must be the closure's own bits,
+    # on mesh nodes (degree 1 and 6 node counts) and on random points,
+    # in arrays of sizes that leave every SIMD remainder.
+    fam = make_mobius_family(digits)
+    a, b = fam.domain
+    rng = np.random.default_rng(len(digits))
+    points = [a + np.arange(n + 1) * (b - a) / n for n in (2000, 6 * 2000)]
+    points += [rng.uniform(a, b, size) for size in (1, 7, 1001, 4099)]
+    for x in points:
+        images = np.empty((x.size, fam.n_maps))
+        log_weights = np.empty_like(images)
+        ifs.eval_all_maps(fam, x, x, images, log_weights)
+        for j, spec in enumerate(fam.maps):
+            assert np.array_equal(images[:, j].view(np.int64),
+                                  spec.eval(x).view(np.int64))
+            assert np.array_equal(log_weights[:, j].view(np.int64),
+                                  spec.log_weight(x).view(np.int64))

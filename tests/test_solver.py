@@ -336,7 +336,7 @@ def test_callers_reject_bad_tolerances_before_any_plan(monkeypatch, bad):
     def fail(*args, **kwargs):
         raise AssertionError("plan built")
 
-    monkeypatch.setattr(discretize, "collocation_plan", fail)
+    monkeypatch.setattr(discretize, "_build_plan", fail)
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, h=0.01)
     with pytest.raises(BadParams, match="radius_tol"):
@@ -347,6 +347,10 @@ def test_callers_reject_bad_tolerances_before_any_plan(monkeypatch, bad):
         highorder_dimension(fam, mesh, 4, radius_tol=bad)
     with pytest.raises(BadParams, match="root_tol"):
         highorder_dimension(fam, mesh, 4, root_tol=bad)
+    # Every plan, whole or closed, is built by the patched builder.
+    for build in (collocation_plan, closed_plan):
+        with pytest.raises(AssertionError, match="plan built"):
+            build(fam, mesh)
 
 
 @pytest.mark.parametrize("family, h", [
