@@ -21,9 +21,10 @@ a family that contracts in one step (mu = 1, as every custom family
 does) off a BoundPlan, one map at a time, and takes the symmetric pair;
 the test suite cross-checks the closed forms against a plan's sampled
 values.  A BoundPlan is built once per bracket: it samples every map's
-theta'', g'/g and g''/g once, refines the s-independent C1 and E2 once,
-and computes only K2 afresh at each s.  ratio_bounds picks the route for
-a family and is the one place that does.
+theta'', g'/g and g''/g once on one uniform grid, takes the
+s-independent C1 and E2 there, and computes only K2 afresh at each s.
+ratio_bounds picks the route for a family and is the one place that
+does.
 """
 
 from __future__ import annotations
@@ -146,7 +147,16 @@ def _chain(s: float, kappa: float, C1: float, E2: float, K2: float,
 
 
 def cantor_sign_threshold(a: float) -> float:
-    """The Cantor sign conditions hold exactly for s above this (a > 0)."""
+    """The Cantor sign conditions hold exactly for s above this.
+
+    At a = 0 the quotient q is identically 0, so they hold for every s:
+    -inf, which is also the limit as a -> 0+.  BadParams unless
+    0 <= a <= 1.
+    """
+    if not 0.0 <= a <= 1.0:
+        raise BadParams(f"perturbation must lie in [0, 1], got {a}")
+    if a == 0.0:
+        return -math.inf
     return 0.4 * (1.0 - 3.0 / (7.0 * a))
 
 
@@ -181,12 +191,6 @@ def cantor_constants(a: float, s: float) -> BoundConstants:
     if not s > 0.0:
         raise BadParams(f"need s > 0, got {s}")
     kappa = cantor_kappa(a)
-    if a == 0.0:
-        # affine pair: constant weight, eigenfunction constant
-        return BoundConstants(
-            kappa=kappa, C1=0.0, E2=0.0, K2=0.0, M1=0.0, M2=0.0,
-            R_lo=0.0, R_hi=0.0,
-        )
     c = 3.5 * a
     if a <= 3.0 / 7.0:
         C1 = c * 2.5 / (1.0 + c)
@@ -207,39 +211,7 @@ def cantor_constants(a: float, s: float) -> BoundConstants:
 # brute-force suprema for arbitrary families
 
 _CHAIN_DATA = ("d2", "weight_r1", "weight_r2")
-
-
-def _map_chain(spec: MapSpec, xs: np.ndarray) -> dict:
-    """theta'', g'/g and g''/g of one map on a grid.
-
-    Reads the map's d2, weight_r1 and weight_r2 and nothing else; no
-    third-order data is read.  NaN in any of them raises ParamOutOfRange
-    naming the map.
-    """
-    missing = [name for name in _CHAIN_DATA if getattr(spec, name) is None]
-    if missing:
-        raise MissingDerivatives(
-            f"map {spec.label!r} lacks {', '.join(missing)}")
-    chain = {name: np.asarray(getattr(spec, name)(xs), dtype=float)
-             for name in _CHAIN_DATA}
-    for name, arr in chain.items():
-        if np.isnan(arr).any():
-            raise _nan_error(spec, name)
-    return chain
-
-
-# The sampled quantities: C1 and E2 read the map chain alone, K2 also
-# reads s.
-_SUPREMANDS = {
-    "C1": lambda c, s: np.abs(c["weight_r1"]),
-    "E2": lambda c, s: np.abs(c["d2"]),
-    "K2": lambda c, s: np.abs(c["weight_r2"] - (1.0 - s) * c["weight_r1"]**2),
-}
-_S_FREE = ("C1", "E2")
-
-_GRID = 2049
-_REFINE_ROUNDS = 5
-_REFINE_PTS = 257
+_GRID = 8193  # 4 * 2048 + 1: every fourth point is a 2049-point grid's
 _SAFETY = 1.01
 
 
@@ -248,62 +220,73 @@ def _nan_error(spec: MapSpec, what: str) -> ParamOutOfRange:
         f"derivative data give NaN in {what} on map {spec.label!r}")
 
 
-def _argmax(spec: MapSpec, key: str, vals: np.ndarray) -> tuple[int, float]:
-    """Index and value of the sampled maximum; NaN data is an error."""
-    i = int(np.argmax(vals))  # the first NaN, if there is one
-    v = float(vals[i])
+def _map_chain(spec: MapSpec, xs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """theta'', g'/g and g''/g of one map on a grid.
+
+    Reads the map's d2, weight_r1 and weight_r2 and nothing else; no
+    third-order data is read.  NaN in any of them raises ParamOutOfRange
+    naming the map.
+    """
+    chain = tuple(np.asarray(getattr(spec, name)(xs), dtype=float)
+                  for name in _CHAIN_DATA)
+    for name, arr in zip(_CHAIN_DATA, chain):
+        if np.isnan(arr).any():
+            raise _nan_error(spec, name)
+    return chain
+
+
+def _peak(spec: MapSpec, key: str, vals: np.ndarray) -> float:
+    """The largest sampled value; NaN (from inf - inf, say) is an error."""
+    v = float(np.max(vals))
     if math.isnan(v):
         raise _nan_error(spec, key)
-    return i, v
+    return v
 
 
 class BoundPlan:
     """The s-independent part of a custom family's sampled suprema.
 
-    Keeps the chain of every map on the 2049-point grid over fam.domain,
-    and the grid and chain of every refinement window, each computed
-    once.  C1 and E2 do not depend on s and are refined once; K2 is
-    swept over the kept chains at each s.  Nothing is sampled before the first read, so a plan
-    costs nothing on the digit and Cantor routes.  The suprema are taken
-    per map, so the first read raises BadParams for a family whose
-    contraction length mu is not 1 (a digit family's kappa holds only
-    for words of two maps).
-    A family whose kappa is >= 1 (only a custom one can be) raises
-    NoContractionBound.
+    Samples every map's chain once, on one uniform grid of 8193 points
+    over fam.domain, and keeps C1 and E2, which do not depend on s, and
+    each map's g'/g and g''/g, over which K2 is swept at each s.
+    Nothing is sampled before the first read, so a plan costs nothing
+    on the digit and Cantor routes.
+    The suprema are taken per map, so the first read raises BadParams
+    for a family whose contraction length mu is not 1 (a digit family's
+    kappa holds only for words of two maps).
+    Construction raises NoContractionBound for a family whose kappa is
+    >= 1 (only a custom one can be), and MissingDerivatives for a
+    mu = 1 family with a map that lacks d2, weight_r1 or weight_r2.
     """
 
     def __init__(self, fam: MapFamily):
         if fam.kappa >= 1.0:
             raise NoContractionBound(
                 f"custom family has sup |theta'| = {fam.kappa} >= 1")
+        for spec in fam.maps if fam.mu == 1 else ():
+            missing = [name for name in _CHAIN_DATA
+                       if getattr(spec, name) is None]
+            if missing:
+                raise MissingDerivatives(
+                    f"map {spec.label!r} lacks {', '.join(missing)}")
         self.fam = fam
-        self._windows: dict[tuple, tuple[np.ndarray, dict]] = {}
-        self._s_free: dict[str, float] = {}
 
     @functools.cached_property
-    def _grid(self) -> tuple[np.ndarray, list]:
-        """The 2049-point grid and each map's chain on it, in map order."""
-        a, b = self.fam.domain
-        xs = np.linspace(a, b, _GRID)
-        return xs, [_map_chain(spec, xs) for spec in self.fam.maps]
-
-    def _window(self, j: int, lo: float, hi: float) -> tuple[np.ndarray, dict]:
-        """The 257-point grid on [lo, hi] and map j's chain on it.
-
-        Both are built on the first read of (j, lo, hi) only; linspace
-        keeps lo and hi exactly as its ends.
-        """
-        key = (j, lo, hi)
-        if key not in self._windows:
-            xs = np.linspace(lo, hi, _REFINE_PTS)
-            self._windows[key] = xs, _map_chain(self.fam.maps[j], xs)
-        return self._windows[key]
+    def _sampled(self) -> tuple[dict[str, float], list]:
+        """C1 and E2 on the grid, and each map's (spec, g'/g, g''/g)."""
+        xs = np.linspace(*self.fam.domain, _GRID)
+        s_free, ratios = {"C1": 0.0, "E2": 0.0}, []
+        for spec in self.fam.maps:
+            d2, r1, r2 = _map_chain(spec, xs)  # NaN-free
+            s_free["C1"] = max(s_free["C1"], float(np.max(np.abs(r1))))
+            s_free["E2"] = max(s_free["E2"], float(np.max(np.abs(d2))))
+            ratios.append((spec, r1, r2))
+        return s_free, ratios
 
     def sup(self, key: str, s: float) -> float:
         """Sampled supremum of one of C1, E2, K2 at s.
 
-        The maximum over all maps on the grid, then five rounds of 257
-        points around its first argmax; no safety factor applied.
+        The maximum over all maps on the grid; no safety factor applied.
         """
         if not s > 0.0:
             raise BadParams(f"need s > 0, got {s}")
@@ -312,36 +295,12 @@ class BoundPlan:
                 f"sampled bounds read one map at a time, but "
                 f"{self.fam.family_id} contracts only over mu = "
                 f"{self.fam.mu} maps")
-        if key in self._s_free:
-            return self._s_free[key]
+        s_free, ratios = self._sampled
+        if key != "K2":
+            return s_free[key]
         with np.errstate(invalid="ignore"):
-            best = self._sweep(key, s)
-        if key in _S_FREE:
-            self._s_free[key] = best
-        return best
-
-    def _sweep(self, key: str, s: float) -> float:
-        f = _SUPREMANDS[key]
-        a, b = self.fam.domain
-        xs, chains = self._grid
-        step = (b - a) / (_GRID - 1)
-        best, arg = -math.inf, None
-        for j, chain in enumerate(chains):
-            i, v = _argmax(self.fam.maps[j], key, f(chain, s))
-            if v > best:
-                best = v
-                arg = (j, max(a, xs[i] - step), min(b, xs[i] + step))
-        if arg is None or not math.isfinite(best):
-            return best
-        j, lo, hi = arg
-        for _ in range(_REFINE_ROUNDS):
-            xs, chain = self._window(j, lo, hi)
-            i, v = _argmax(self.fam.maps[j], key, f(chain, s))
-            best = max(best, v)
-            if not math.isfinite(best):
-                break
-            lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, _REFINE_PTS - 1)]
-        return best
+            return max(_peak(spec, key, np.abs(r2 - (1.0 - s) * r1**2))
+                       for spec, r1, r2 in ratios)
 
 
 def general_constants(fam: MapFamily, s: float,
@@ -351,16 +310,15 @@ def general_constants(fam: MapFamily, s: float,
     Each map must supply d2, weight_r1 and weight_r2, and fam.mu must be
     1 (BadParams otherwise, before anything is sampled).  Reads the
     three suprema the chain uses (C1, E2, K2) off bound_plan (a
-    BoundPlan of fam; a fresh one if None): the maximum on a 2049-point
-    grid over all maps, refined around its argmax, times 1.01.  These
-    are sampled maxima, not rigorous upper bounds.  A bracket passes its
-    own plan, which samples the chains once and recomputes only K2 per
-    s.
+    BoundPlan of fam; a fresh one if None): the maximum on an 8193-point
+    uniform grid over all maps, times 1.01.  These are sampled maxima,
+    not rigorous upper bounds.  A bracket passes its own plan, which
+    samples the chains once and recomputes only K2 per s.
     """
     plan = BoundPlan(fam) if bound_plan is None else bound_plan
     if plan.fam is not fam:
         raise BadParams("bound_plan belongs to another family")
-    C1, E2, K2 = (plan.sup(k, s) * _SAFETY for k in _SUPREMANDS)
+    C1, E2, K2 = (plan.sup(k, s) * _SAFETY for k in ("C1", "E2", "K2"))
     return _chain(s, fam.kappa, C1, E2, K2, False)
 
 

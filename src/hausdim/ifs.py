@@ -50,6 +50,9 @@ _VALIDATION_SAMPLES = 1000
 # closed form such as 1/b^2 can round one ulp below the sampled (x+b)^-2.
 _D1_SUP_REL_TOL = 1e-12
 _MAX_WORDS = 2**21  # most words reduce_domain enumerates
+# log_weight may differ from the sampled log|theta'| by this much.
+_LOG_WEIGHT_REL_TOL = 1e-9
+_LOG_WEIGHT_ABS_TOL = 1e-12
 
 
 def _as_index(value, what: str, error=BadParams) -> int:
@@ -377,6 +380,15 @@ def _validate_family(fam: MapFamily) -> None:
             if not np.all(np.isfinite(lw)):
                 raise ParamOutOfRange(
                     f"weight of map {spec.label!r} is not positive on the domain"
+                )
+            # The matrix reads log_weight, the bounds read d1: they must
+            # describe one operator.
+            ref = np.log(np.abs(d1))
+            if np.any(np.abs(lw - ref) > _LOG_WEIGHT_REL_TOL * np.abs(ref)
+                      + _LOG_WEIGHT_ABS_TOL):
+                raise ParamOutOfRange(
+                    f"log_weight of map {spec.label!r} is not log|theta'| "
+                    f"on the domain"
                 )
 
 

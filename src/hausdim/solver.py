@@ -323,10 +323,13 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     Collatz-Wielandt bounds are those of the full matrices.  evals
     counts the matrices built on both meshes.  BadParams unless
     0 < root_tol < inf, 0 < radius_tol < inf and
-    0 < initial[0] < initial[1] < inf, before any plan.
+    0 < initial[0] < initial[1] < inf, before any plan; then the bound
+    plan raises NoContractionBound (kappa >= 1) or MissingDerivatives
+    (a custom map without the chain's data), also before any plan.
     """
     _check_tols(root_tol, radius_tol)  # the coarse floor would hide root_tol
     _check_bracket(initial)
+    bound_plan = BoundPlan(fam)
     start, coarse_evals = None, 0
     coarse = _coarse_mesh(mesh)
     if coarse is not None:
@@ -343,7 +346,6 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
         coarse_evals = len(coarse_radii)
         del enclose  # the coarse plan goes before the fine one is built
     plan = closed_plan(fam, mesh)
-    bound_plan = BoundPlan(fam)
     models: dict[float, ErrorModel] = {}  # A and B share an s at B's root
 
     def coef(s: float, which: str) -> float:

@@ -98,6 +98,15 @@ def test_cantor_sign_threshold():
     assert cantor_sign_threshold(1.0) == pytest.approx(0.4 * (1 - 3.0 / 7.0))
     # At a = 3/7 the threshold is zero: certificate holds for all s > 0.
     assert cantor_sign_threshold(3.0 / 7.0) == pytest.approx(0.0, abs=1e-15)
+    # At a = 0 the quotient vanishes, so the conditions hold for every s;
+    # -inf is also the limit as a -> 0+.
+    assert cantor_sign_threshold(0.0) == -math.inf
+    assert cantor_sign_threshold(1e-300) < -1e298
+    # Only the parameters make_cantor_family accepts have a threshold.
+    for bad in (-1e-300, -0.5, 1.0 + 2**-52, 2.0, math.nan, math.inf):
+        with pytest.raises(BadParams, match="must lie in \\[0, 1\\]"):
+            cantor_sign_threshold(bad)
+
 
 
 def test_cantor_constants_closed_forms():
@@ -110,11 +119,12 @@ def test_cantor_constants_closed_forms():
 
 
 def test_cantor_constants_affine_case():
-    bc = cantor_constants(0.0, 0.6)
-    assert bc.kappa == pytest.approx(1.0 / 3.0)
-    assert bc.C1 == 0.0
-    assert bc.R_lo == 0.0
-    assert bc.R_hi == 0.0
+    # The chain takes C1 = E2 = K2 = 0 to all-zero constants, the
+    # refined pair (0, 0), at every s.
+    for s in (1e-6, 0.2, 0.6, 1.5):
+        assert cantor_constants(0.0, s) == BoundConstants(
+            kappa=1.0 / 3.0, C1=0.0, E2=0.0, K2=0.0, M1=0.0, M2=0.0,
+            R_lo=0.0, R_hi=0.0)
 
 
 def test_cantor_c1_branch_continuity():
@@ -193,6 +203,34 @@ def test_general_constants_match_cantor_closed_forms():
         assert plan.fam.kappa == pytest.approx(closed.kappa, rel=1e-12)
         assert plan.sup("C1", s) == pytest.approx(closed.C1, rel=1e-6)
         assert plan.sup("E2", s) == pytest.approx(closed.E2, rel=1e-6)
+    # The closed-form K2 is the exact maximum of |q|; the uniform grid
+    # comes within 1e-7 of it on both sides of each sign threshold.
+    for a in (0.25, 0.5, 0.75, 1.0):
+        plan = BoundPlan(make_cantor_family(a))
+        for s in (0.05, 0.2, 0.4, 0.6, 0.8, 1.0, 1.5):
+            assert plan.sup("K2", s) == pytest.approx(
+                cantor_constants(a, s).K2, rel=1e-7)
+
+
+@pytest.mark.parametrize("fam", [
+    make_poly_family(),
+    make_custom_family(make_cantor_family(0.5).maps, (0.0, 1.0)),
+], ids=["poly", "cantor05custom"])
+def test_sampled_suprema_not_below_coarser_grid(fam):
+    # Every fourth point of the plan's grid is a point of the 2049-point
+    # grid, so no sampled supremum falls below that grid's maximum.
+    xs = np.linspace(*fam.domain, 2049)
+    chains = [(spec.d2(xs), spec.weight_r1(xs), spec.weight_r2(xs))
+              for spec in fam.maps]
+    plan = BoundPlan(fam)
+    for s in (0.05, 0.3, 0.5, 0.8, 1.0, 1.5):
+        coarse = {
+            "C1": max(np.max(np.abs(r1)) for _, r1, _ in chains),
+            "E2": max(np.max(np.abs(d2)) for d2, _, _ in chains),
+            "K2": max(np.max(np.abs(r2 - (1.0 - s) * r1**2))
+                      for _, r1, r2 in chains)}
+        for key, peak in coarse.items():
+            assert plan.sup(key, s) >= peak
 
 
 def test_general_constants_safety(poly_fam):

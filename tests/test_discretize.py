@@ -711,14 +711,15 @@ def test_plan_errors_keep_map_order_across_blocks():
         return np.where(x == x_bad, math.nan, math.log(1.0 / 3.0))
 
     # Map 1 leaves the mesh everywhere, map 0's weight fails at one node.
+    third = const(math.log(1.0 / 3.0))
     fam = make_custom_family([affine(0, 1.0 / 3.0, 0.0, nan_near_end),
-                              affine(1, 1.0 / 3.0, 2.0 / 3.0, const(0.0))],
+                              affine(1, 1.0 / 3.0, 2.0 / 3.0, third)],
                              (0.0, 1.0))
     with pytest.raises(ParamOutOfRange, match="'affine-0' is not positive"):
         collocation_plan(fam, mesh)
     # Map 0 leaves the mesh only near its right end.
-    fam = make_custom_family([affine(0, 0.5, 0.31, const(0.0)),
-                              affine(1, 1.0 / 3.0, 2.0 / 3.0, const(0.0))],
+    fam = make_custom_family([affine(0, 0.5, 0.31, const(math.log(0.5))),
+                              affine(1, 1.0 / 3.0, 2.0 / 3.0, third)],
                              (0.0, 1.0))
     with pytest.raises(MapEscapesDomain,
                        match="map 'affine-0': interpolation point outside"):
@@ -1190,8 +1191,10 @@ def test_closed_plan_weighs_only_the_closed_rows(monkeypatch):
 def test_closed_plan_checks_the_dropped_nodes():
     # Map 0's log weight is NaN at one node that S drops; pass 1 checks
     # every node, so closed_plan and a bracket raise as collocation_plan
-    # does.
-    digits = make_mobius_family([1, 2])
+    # does.  The digits {2, 3} contract in one step (kappa = 1/4), so the
+    # bracket's bound plan accepts the wrapped family and its plans are
+    # built.
+    digits = make_mobius_family([2, 3])
     mesh = make_mesh(digits.domain, h=0.01)
     x_bad = mesh.nodes[3]
     assert 3 not in closed_plan(digits, mesh).rows
@@ -1205,7 +1208,7 @@ def test_closed_plan_checks_the_dropped_nodes():
          digits.maps[1]], digits.domain)
     for build in (collocation_plan, closed_plan):
         with pytest.raises(ParamOutOfRange,
-                           match="'1/\\(x\\+1\\)' is not positive"):
+                           match="'1/\\(x\\+2\\)' is not positive"):
             build(fam, mesh)
     with pytest.raises(ParamOutOfRange, match="is not positive"):
         bracket_dimension(fam, mesh)

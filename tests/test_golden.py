@@ -7,7 +7,7 @@ Each pin is a float.hex() value or the sha256 of an output.  They cover:
   on the 256 pieces of reduce_domain(., 8), and three custom families
   (the poly pair, the Cantor a = 0.5 maps wrapped as custom maps, and
   three affine maps), whose sampled bounds cover the sweep over several
-  maps and its refinement rounds;
+  maps on the uniform grid;
 * degree-d estimates of cf{1,2} at degrees 1, 4 and 6 (the degree-6 one
   on the coarse start), on two pieces, and of the {1,2} maps wrapped as
   a custom family;
@@ -101,7 +101,7 @@ BRACKETS = {
     "cantor05_h1e-3": ("0x1.7789c2718f7bep-1", "0x1.778a13efd686fp-1"),
     "poly_h1e-2": ("0x1.1edee1a88f772p-1", "0x1.1ee1217dc76fbp-1"),
     "cf12_reduced2_h005": ("0x1.10039c0067a19p-1", "0x1.10040e418a273p-1"),
-    "cantor05custom_h1e-2": ("0x1.7771dfe817c2dp-1", "0x1.77b20b8f8a00ep-1"),
+    "cantor05custom_h1e-2": ("0x1.7771dfe81834dp-1", "0x1.77b20b8f89374p-1"),
     "affine3_h1e-2": ("0x1.94ed79f49b60bp-1", "0x1.94ed79f49d21fp-1"),
     "cantor05_reduced8_h1e-4": ("0x1.7789fb98a4ca1p-1",
                                 "0x1.7789fc4fe7350p-1"),
@@ -180,21 +180,21 @@ ERROR_MODELS = {
     ("cantor10", 0.8): ("0x1.094df1e4b68dcp+8", "0x0.0p+0",
                         "0x1.0d75627dae5c6p+4", "0x0.0p+0",
                         "0x1.c05e235c7da64p+8"),
-    ("poly", 0.2): ("0x1.ab25aa3c4ad99p-3", "-0x1.a8fed7573f9aep-3",
-                    "0x1.028f5c28f5c2ap-2", "-0x1.aa11e7c66c047p-2",
-                    "0x1.aa11e7c66c047p-2"),
+    ("poly", 0.2): ("0x1.ab25aa3c4ad98p-3", "-0x1.a8fed7573f9adp-3",
+                    "0x1.028f5c28f5c28p-2", "-0x1.aa11e7c66c046p-2",
+                    "0x1.aa11e7c66c046p-2"),
     ("poly", 0.5): ("0x1.2f2d24e766c4cp-1", "-0x1.2b5f700ae8265p-1",
-                    "0x1.4333333333334p-1", "-0x1.2d44c118de5abp+0",
+                    "0x1.4333333333332p-1", "-0x1.2d44c118de5abp+0",
                     "0x1.2d44c118de5abp+0"),
-    ("poly", 0.8): ("0x1.0fb9b0f0b73ccp+0", "-0x1.0a4aa454242a3p+0",
-                    "0x1.028f5c28f5c2ap+0", "-0x1.0cfea777c75bcp+1",
-                    "0x1.0cfea777c75bcp+1"),
-    ("cantor05custom", 0.5): ("0x1.c55cd71515861p+2", "-0x1.ae9406179e7fdp+2",
-                              "0x1.4a016e91ec10dp+1", "-0x1.b9d2d6cf6c398p+3",
-                              "0x1.b9d2d6cf6c398p+3"),
-    ("cantor05custom", 0.8): ("0x1.ccd65dad879afp+3", "-0x1.a857fe5d93c82p+3",
-                              "0x1.0801254189a71p+2", "-0x1.ba36d93cd2134p+4",
-                              "0x1.ba36d93cd2134p+4"),
+    ("poly", 0.8): ("0x1.0fb9b0f0b73cbp+0", "-0x1.0a4aa454242a2p+0",
+                    "0x1.028f5c28f5c28p+0", "-0x1.0cfea777c75bbp+1",
+                    "0x1.0cfea777c75bbp+1"),
+    ("cantor05custom", 0.5): ("0x1.c55cd7129147ap+2", "-0x1.ae94061551318p+2",
+                              "0x1.4a016e909cbb4p+1", "-0x1.b9d2d6cd03f3fp+3",
+                              "0x1.b9d2d6cd03f3fp+3"),
+    ("cantor05custom", 0.8): ("0x1.ccd65daa526a3p+3", "-0x1.a857fe5ac3321p+3",
+                              "0x1.080125407d62ap+2", "-0x1.ba36d939d09b4p+4",
+                              "0x1.ba36d939d09b4p+4"),
     ("affine3", 0.5): ("0x0.0p+0", "-0x0.0p+0", "0x0.0p+0", "-0x0.0p+0",
                        "0x0.0p+0"),
     ("affine3", 0.8): ("0x0.0p+0", "-0x0.0p+0", "0x0.0p+0", "-0x0.0p+0",
@@ -220,21 +220,21 @@ GENERAL_FIELDS = ("kappa", "C1", "E2", "K2", "M1", "M2", "R_lo", "R_hi")
 GENERAL_CONSTANTS = {
     # (family, s): GENERAL_FIELDS, the sampled suprema times 1.01
     ("cantor05", 0.5): (
-        "0x1.6000000000000p-1", "0x1.9c81ca3667150p+0", "0x1.1accccccccccdp+0",
-        "0x1.93ac17ffb0d4cp+1", "0x1.4a016e91ec10dp+1", "0x1.b9d2d6cf6c398p+3",
-        "-0x1.b9d2d6cf6c398p+3", "0x1.b9d2d6cf6c398p+3"),
+        "0x1.6000000000000p-1", "0x1.9c81ca34c3ea1p+0", "0x1.1accccccccccdp+0",
+        "0x1.93ac17fe3bc11p+1", "0x1.4a016e909cbb4p+1", "0x1.b9d2d6cd03f3fp+3",
+        "-0x1.b9d2d6cd03f3fp+3", "0x1.b9d2d6cd03f3fp+3"),
     ("cantor05", 0.8): (
-        "0x1.6000000000000p-1", "0x1.9c81ca3667150p+0", "0x1.1accccccccccdp+0",
-        "0x1.b104ecc08886bp+1", "0x1.0801254189a71p+2", "0x1.ba36d93cd2134p+4",
-        "-0x1.ba36d93cd2134p+4", "0x1.ba36d93cd2134p+4"),
+        "0x1.6000000000000p-1", "0x1.9c81ca34c3ea1p+0", "0x1.1accccccccccdp+0",
+        "0x1.b104ecbcdd2abp+1", "0x1.080125407d62ap+2", "0x1.ba36d939d09b4p+4",
+        "-0x1.ba36d939d09b4p+4", "0x1.ba36d939d09b4p+4"),
     ("poly", 0.5): (
-        "0x1.999999999999ap-2", "0x1.83d70a3d70a3ep-1", "0x1.3645a1cac0831p-2",
-        "0x1.3645a1cac0831p+0", "0x1.4333333333334p-1", "0x1.2d44c118de5abp+0",
+        "0x1.999999999999ap-2", "0x1.83d70a3d70a3cp-1", "0x1.3645a1cac0831p-2",
+        "0x1.3645a1cac0831p+0", "0x1.4333333333332p-1", "0x1.2d44c118de5abp+0",
         "-0x1.2d44c118de5abp+0", "0x1.2d44c118de5abp+0"),
     ("poly", 0.8): (
-        "0x1.999999999999ap-2", "0x1.83d70a3d70a3ep-1", "0x1.3645a1cac0831p-2",
-        "0x1.3645a1cac0831p+0", "0x1.028f5c28f5c2ap+0", "0x1.0cfea777c75bcp+1",
-        "-0x1.0cfea777c75bcp+1", "0x1.0cfea777c75bcp+1"),
+        "0x1.999999999999ap-2", "0x1.83d70a3d70a3cp-1", "0x1.3645a1cac0831p-2",
+        "0x1.3645a1cac0831p+0", "0x1.028f5c28f5c28p+0", "0x1.0cfea777c75bbp+1",
+        "-0x1.0cfea777c75bbp+1", "0x1.0cfea777c75bbp+1"),
 }
 
 
@@ -251,17 +251,17 @@ def test_general_constants_bit_exact(name, s):
 
 
 def test_general_constants_sweeps_only_read_suprema():
-    # 2 maps on the grid, then 5 refinement rounds for each of the three
-    # suprema C1, E2, K2: 17 grids, of which 12 differ, because suprema
-    # that peak at the same end of [0, 1] share their windows.  Each
-    # distinct (map, grid) chain is computed once.
+    # The three suprema C1, E2, K2 read one chain per map, all sampled
+    # on the one uniform grid over the domain.
     fam = make_poly_family()
     with mock.patch.object(bounds, "_map_chain",
                            wraps=bounds._map_chain) as chain:
         general_constants(fam, 0.8)
-    grids = {(c.args[0].label, c.args[1].tobytes())
-             for c in chain.call_args_list}
-    assert chain.call_count == len(grids) == 12
+    assert [c.args[0].label for c in chain.call_args_list] == \
+        [spec.label for spec in fam.maps]
+    grid = np.linspace(*fam.domain, bounds._GRID)
+    for c in chain.call_args_list:
+        assert c.args[1].tobytes() == grid.tobytes()
 
 
 CLI_TABLES = {

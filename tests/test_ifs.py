@@ -449,6 +449,29 @@ def test_custom_family_weight_must_be_positive(poly_fam):
         make_custom_family(maps, poly_fam.domain)
 
 
+def test_custom_family_log_weight_must_be_log_slope(poly_fam):
+    # The matrix reads log_weight and the bounds read d1, so a log weight
+    # that is not log|theta'| would bracket another operator.  Rounding
+    # passes; a weight of 1 or one off by 1e-6 relative does not.
+    log_w = poly_fam.maps[1].log_weight
+
+    def scaled(factor):
+        return lambda x: factor * log_w(x)
+
+    for bad in (scaled(1.0 + 1e-6), scaled(2.0),
+                lambda x: np.zeros_like(np.asarray(x, dtype=float))):
+        maps = [poly_fam.maps[0],
+                dataclasses.replace(poly_fam.maps[1], log_weight=bad)]
+        with pytest.raises(ParamOutOfRange,
+                           match="log_weight of map 'poly-right' is not "
+                                 "log\\|theta'\\|"):
+            make_custom_family(maps, poly_fam.domain)
+    maps = [poly_fam.maps[0],
+            dataclasses.replace(poly_fam.maps[1],
+                                log_weight=scaled(1.0 + 1e-12))]
+    assert make_custom_family(maps, poly_fam.domain).n_maps == 2
+
+
 def test_custom_family_needs_a_map():
     with pytest.raises(EmptyFamily):
         make_custom_family([], (0, 1))

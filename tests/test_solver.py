@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from hausdim import (
     BadParams,
     MapSpec,
+    MissingDerivatives,
+    NoContractionBound,
     NoSignChange,
     bracket_dimension,
     closed_plan,
@@ -351,6 +354,31 @@ def test_callers_reject_bad_tolerances_before_any_plan(monkeypatch, bad):
     for build in (collocation_plan, closed_plan):
         with pytest.raises(AssertionError, match="plan built"):
             build(fam, mesh)
+
+
+def test_custom_bound_errors_come_before_any_plan(monkeypatch):
+    # A custom family the bound layer refuses, for kappa >= 1 or for a
+    # map without the chain's data, fails before the coarse plan and its
+    # root solve.
+    def fail(*args, **kwargs):
+        raise AssertionError("plan built")
+
+    pair = _affine_pair(0.3)
+    no_contraction = make_custom_family(
+        [dataclasses.replace(spec, d1_sup=1.0) for spec in pair.maps],
+        pair.domain)
+    no_r2 = make_custom_family(
+        [dataclasses.replace(spec, weight_r2=None) for spec in pair.maps],
+        pair.domain)
+    mesh = make_mesh(pair.domain, h=1e-3)
+    assert _coarse_mesh(mesh) is not None
+    monkeypatch.setattr(discretize, "_build_plan", fail)
+    with pytest.raises(NoContractionBound,
+                       match="sup \\|theta'\\| = 1.0 >= 1"):
+        bracket_dimension(no_contraction, mesh)
+    with pytest.raises(MissingDerivatives,
+                       match="'affine-0' lacks weight_r2$"):
+        bracket_dimension(no_r2, mesh)
 
 
 @pytest.mark.parametrize("family, h", [
@@ -787,7 +815,7 @@ def test_bracket_power_iteration_budget(monkeypatch, case, before_its,
 
 def test_bracket_builds_bound_plan_once(poly_fam):
     # The map chains do not depend on s: one bracket samples each map on
-    # the 2049-point grid once, and computes no (map, grid) chain twice
+    # the bound plan's grid once, and computes no (map, grid) chain twice
     # across the s values its root solves visit.
     import hausdim.bounds as bounds
 
@@ -796,7 +824,7 @@ def test_bracket_builds_bound_plan_once(poly_fam):
         br = bracket_dimension(poly_fam, make_mesh(poly_fam.domain, h=0.01))
     assert br.certified
     calls = [(c.args[0].label, c.args[1]) for c in chain.call_args_list]
-    on_grid = [label for label, xs in calls if xs.size == 2049]
+    on_grid = [label for label, xs in calls if xs.size == bounds._GRID]
     assert len(on_grid) == poly_fam.n_maps
     grids = [(label, xs.tobytes()) for label, xs in calls]
     assert len(grids) == len(set(grids))
