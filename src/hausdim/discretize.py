@@ -50,6 +50,15 @@ The one compiled loop the pipeline runs is scipy's CSR matvec.  Its
 extension module is loaded from its file, not through scipy.sparse,
 whose import would take more than the rest of hausdim's; nothing here
 imports scipy.sparse unless that file is missing or does not load.
+
+Wide plans run on two threads where the process may use two CPUs
+(_in_halves): the matvec's two row halves from _SPLIT_MATVEC_ENTRIES
+entries on, and the blocks of data and of both plan passes from
+_SPLIT_MIN_ENTRIES on.  The caller runs the first half, one short-lived
+thread the second, and it is joined before the call returns.  Every
+item writes its own part of the output with the same operations as the
+serial loop, so every bit is the same.  A custom family's pass 1 stays
+serial: its maps are the caller's callables.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,6 +86,7 @@ from .errors import (
 )
 from .ifs import (
     CLAMP_REL_TOL,
+    CUSTOM,
     MapFamily,
     _as_index,
     _as_real,
@@ -321,6 +332,57 @@ def error_model(fam: MapFamily, s: float, h: float,
 
 
 # ---------------------------------------------------------------------------
+# two threads
+
+
+def _cpu_count() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _in_halves(work, items, split: bool = True) -> None:
+    """work(item) for every item of a sequence of independent work items.
+
+    Where split holds, there are two items or more and the process may
+    use two CPUs, the caller runs the first half of the list while one
+    short-lived thread runs the second half, and the caller joins it
+    before returning.  Otherwise every item runs here, in order.  Each
+    item must write only its own part of the output, so the result is
+    bit for bit that of the serial loop.  The first half's exception is
+    raised before the second half's, as the serial loop would raise
+    them.  The numpy ufuncs and scipy's CSR loop an item spends its time
+    in release the GIL, so the halves run at once.  The thread runs
+    under numpy's default errstate, not the caller's.
+    """
+    half = (len(items) + 1) // 2
+    if not split or half == len(items) or _cpu_count() < 2:
+        for item in items:
+            work(item)
+        return
+    failed = []
+
+    def second_half():
+        try:
+            for item in items[half:]:
+                work(item)
+        except BaseException as exc:
+            failed.append(exc)
+
+    thread = threading.Thread(target=second_half, name="hausdim-half")
+    thread.start()
+    try:
+        for item in items[:half]:
+            work(item)
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
+# ---------------------------------------------------------------------------
 # sparse matrices
 
 _KERNEL = "scipy.sparse._sparsetools"
@@ -372,6 +434,15 @@ def _load_sparsetools():
 
 _sparsetools = _load_sparsetools()
 
+# Fewest entries at which CsrMatrix.matvec sums its two row halves on two
+# threads, at the measured crossover: starting and joining the thread
+# costs about 0.1 ms.  Timed both ways on 2 CPUs (medians of 9 alternated
+# in-process rounds, cf{1..34} hat plans), the split took 1.1-1.2 times
+# as long at 272k-453k entries, 0.93-0.98 at 544k, 0.84-0.93 at 680k and
+# 0.67 at 1.36M; the degree-6 plan of cf{1..34} at h = 0.002 (714k) took
+# 0.80-0.93.
+_SPLIT_MATVEC_ENTRIES = 1 << 19
+
 
 class CsrMatrix:
     """Square matrix held as the three plain arrays of compressed rows.
@@ -382,8 +453,9 @@ class CsrMatrix:
     scipy.sparse._sparsetools.csr_matvec (loaded by _load_sparsetools),
     into a zeroed output: the loop csr_matrix @ w runs (checked on
     scipy 1.17.1), so every sum and every output bit is the same,
-    without scipy's wrapper and its temporaries.  The loop does not
-    bounds-check, so the constructor makes the O(1) checks scipy's
+    without scipy's wrapper and its temporaries; a wide matrix's two
+    row halves are summed on two threads (see matvec).  The loop does
+    not bounds-check, so the constructor makes the O(1) checks scipy's
     constructor makes and raises BadParams where one fails.  toarray
     builds the dense matrix in numpy, summing as scipy's does.
     """
@@ -410,7 +482,13 @@ class CsrMatrix:
         return int(self.indptr[-1])
 
     def matvec(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """M w, written into out (float64, shape (dim,)) when given."""
+        """M w, written into out (float64, shape (dim,)) when given.
+
+        From _SPLIT_MATVEC_ENTRIES entries on, two calls of the loop sum
+        the rows below and from dim // 2 on two threads (_in_halves).
+        Each row is summed in the same order as by one call, so every
+        output bit is the same.
+        """
         if w.shape != (self.dim,) or not (out is None
                                           or out.shape == (self.dim,)):
             raise BadParams(f"matvec of dim {self.dim} needs shape "
@@ -419,8 +497,18 @@ class CsrMatrix:
             out = np.zeros(self.dim)
         else:
             out.fill(0.0)
-        _sparsetools.csr_matvec(self.dim, self.dim, self.indptr, self.indices,
-                                self.data, w, out)
+        dim = self.dim
+        if self.data.size < _SPLIT_MATVEC_ENTRIES:
+            _sparsetools.csr_matvec(dim, dim, self.indptr, self.indices,
+                                    self.data, w, out)
+            return out
+
+        def rows(span):
+            lo, hi = span
+            _sparsetools.csr_matvec(hi - lo, dim, self.indptr[lo:hi + 1],
+                                    self.indices, self.data, w, out[lo:hi])
+
+        _in_halves(rows, [(0, dim // 2), (dim // 2, dim)])
         return out
 
     def toarray(self) -> np.ndarray:
@@ -467,6 +555,15 @@ def dump_matrix(matrix: SparseNonnegMatrix, n: int, s: float,
 # collocation plan
 
 _MAX_DEGREE = 8
+# Fewest entries at which CollocationPlan.data and each pass of the plan
+# build run their blocks on two threads, at the measured crossover.
+# Timed both ways on 2 CPUs (medians of 9 alternated in-process rounds),
+# data took 1.13-1.23 times as long at 170k-200k hat entries, 1.00 on
+# cf{1..10}'s 210k degree-6 entries, 0.95 at 227k, 0.85 at 340k and
+# 0.67 at 1.36M; whole plans took 1.03-1.06 at 170k-210k, 0.96-0.97 at
+# 227k, 0.73-0.78 at 340k and 0.62-0.70 at 1.36M, and the degree-6 plan
+# of cf{1..34} at h = 0.002 (714k) 0.78-0.80 (data 0.89).
+_SPLIT_MIN_ENTRIES = 1 << 18
 # (node, map) pairs per block of the plan build and of CollocationPlan.data:
 # enough that per-map calls are few, few enough that a block's
 # temporaries stay small next to a wide plan and are reused from call to
@@ -550,7 +647,10 @@ class CollocationPlan:
         array made is the output itself.  On the hat basis each of the
         two columns is one strided product, which takes about half the
         time of np.repeat and one product (29-58 against 67-110 us per
-        block); at degree 6 the repeat is the faster.
+        block); at degree 6 the repeat is the faster.  From
+        _SPLIT_MIN_ENTRIES entries on, the second half of the blocks is
+        built on a second thread (_in_halves), each block as in the
+        serial loop, so every bit is the same.
         """
         if coef is not None:
             if self.q is None:
@@ -561,7 +661,8 @@ class CollocationPlan:
                                   "refine the mesh")
         n_basis = self.degree + 1
         out = np.empty(self.weight.size)
-        for lo in range(0, self.log_weight.size, _BLOCK):
+
+        def block(lo):
             pairs = slice(lo, lo + _BLOCK)
             g = np.multiply(self.log_weight[pairs], s)
             np.exp(g, out=g)
@@ -578,6 +679,9 @@ class CollocationPlan:
             else:
                 np.multiply(np.repeat(g, n_basis), self.weight[entries],
                             out=out[entries])
+
+        _in_halves(block, range(0, self.log_weight.size, _BLOCK),
+                   split=out.size >= _SPLIT_MIN_ENTRIES)
         return out
 
     def matrix(self, s: float, coef: float | None = None) -> SparseNonnegMatrix:
@@ -691,6 +795,11 @@ def _build_plan(fam: MapFamily, mesh: Mesh, degree: int, closed: bool
     from the first columns (_closed_rows).  Pass 2 visits only the rows
     the plan keeps, block by block, and writes their Lagrange weights
     and column indices, renumbered to S, straight into the final arrays.
+    A pass of at least _SPLIT_MIN_ENTRIES entries runs the second half
+    of its blocks on a second thread (_in_halves), except pass 1 of a
+    custom family.  A failed pass-1 block raises _map_error's error,
+    read off every node, so the error does not depend on which block
+    failed first, or on which thread.
     """
     degree = _as_degree(degree)
     lo, hi = fam.domain
@@ -712,7 +821,8 @@ def _build_plan(fam: MapFamily, mesh: Mesh, degree: int, closed: bool
     first = np.empty(log_weight.size, dtype=np.int32)
     q = np.empty(log_weight.size) if degree == 1 else None
     step = max(1, _BLOCK // n_maps)
-    for start in range(0, dim, step):
+
+    def pass_1(start):
         nodes = slice(start, min(start + step, dim))
         pairs = slice(start * n_maps, nodes.stop * n_maps)
         lw = log_weight[pairs].reshape(-1, n_maps)
@@ -727,6 +837,12 @@ def _build_plan(fam: MapFamily, mesh: Mesh, degree: int, closed: bool
         w_right[pairs] = _hat(mesh, cell, y, h,
                               None if q is None else q[pairs])
         first[pairs] = base[cell]
+
+    # A custom family's maps are the caller's callables: never called
+    # from a second thread.
+    _in_halves(pass_1, range(0, dim, step),
+               split=(fam.kind != CUSTOM
+                      and log_weight.size * n_basis >= _SPLIT_MIN_ENTRIES))
     q_max = None if q is None else float(q.max())
 
     first = first.reshape(dim, n_maps)
@@ -744,7 +860,8 @@ def _build_plan(fam: MapFamily, mesh: Mesh, degree: int, closed: bool
     w_right = w_right.reshape(dim, n_maps)
     indices = np.empty(kept * n_maps * n_basis, dtype=np.int32)
     weight = np.empty(indices.size)
-    for start in range(0, kept, step):
+
+    def pass_2(start):
         stop = min(start + step, kept)
         block = slice(start, stop) if renumber is None else rows[start:stop]
         entries = slice(start * n_maps * n_basis, stop * n_maps * n_basis)
@@ -756,6 +873,9 @@ def _build_plan(fam: MapFamily, mesh: Mesh, degree: int, closed: bool
             np.add(cols[0], p, out=cols[p])
         _lagrange_rows(w_right[block].ravel(), degree,
                        out=weight[entries].reshape(-1, n_basis).T)
+
+    _in_halves(pass_2, range(0, kept, step),
+               split=indices.size >= _SPLIT_MIN_ENTRIES)
     return CollocationPlan(
         dim=kept, degree=degree,
         indptr=np.arange(0, indices.size + 1, n_maps * n_basis, dtype=np.int32),

@@ -14,6 +14,7 @@ through scipy's compiled CSR loop, and the ratios and the next iterate
 are divided into theirs, the same float operations in the same order
 as fresh arrays would take.  The seed vector is copied, never written.
 Dense arrays and other objects with matvec(w) give M w in a new array.
+An array or CsrMatrix with a negative or NaN entry is refused.
 Also provides the Hilbert projective metric and a ratio-cone membership
 test used as a diagnostic.
 """
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import CsrMatrix
-from .errors import BadParams, NonPositiveVector, ZeroRowSum
+from .discretize import CsrMatrix, SparseNonnegMatrix
+from .errors import BadParams, NegativeEntry, NonPositiveVector, ZeroRowSum
 
 RADIUS_TOL = 1e-13  # default relative enclosure gap of every radius solve
 _STALL_LIMIT = 200
@@ -40,6 +41,24 @@ def _product(matrix):
         return lambda w, out: matrix.matvec(w)
     dense = np.asarray(matrix)
     return lambda w, out: dense @ w
+
+
+def _check_nonneg(matrix) -> None:
+    """NegativeEntry unless every entry is >= 0 (NaN fails).
+
+    Checks arrays and CsrMatrix inputs other than a SparseNonnegMatrix,
+    which was checked when it was built; other objects are trusted.
+    """
+    if isinstance(matrix, SparseNonnegMatrix):
+        return
+    if isinstance(matrix, CsrMatrix):
+        entries = matrix.data[:matrix.nnz]
+    elif hasattr(matrix, "matvec"):
+        return
+    else:
+        entries = np.asarray(matrix)
+    if not (entries >= 0.0).all():
+        raise NegativeEntry("matrix entries must be nonnegative, not NaN")
 
 
 def _dim(matrix) -> int:
@@ -79,11 +98,18 @@ def power_enclosure(matrix, tol: float = RADIUS_TOL,
     accuracy.  If the gap stalls above tol for 200 consecutive iterations,
     or 10*dim + 1000 iterations are exhausted, the current enclosure is
     returned with converged=False; the bounds are certified either way.
+
+    The bounds hold for nonnegative matrices only.  An array, or a
+    CsrMatrix that is not a SparseNonnegMatrix, is checked entry by
+    entry first, and a negative or NaN entry raises NegativeEntry; a
+    SparseNonnegMatrix was checked when it was built.  An object that
+    only has matvec(w) is taken on trust.
     """
     if not tol > 0.0:
         raise BadParams(f"need tol > 0, got {tol}")
     if sign_rel is not None and not sign_rel > 0.0:
         raise BadParams(f"need sign_rel > 0, got {sign_rel}")
+    _check_nonneg(matrix)
     n = _dim(matrix)
     if seed_vec is None:
         w = np.ones(n, dtype=float)

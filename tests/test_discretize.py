@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -884,12 +885,14 @@ def _python(*args):
 
 def test_import_leaves_scipy_sparse_unimported():
     # Then a later import of scipy.sparse binds its own kernel module,
-    # and its products agree with the plan matrices' bit for bit.
+    # and its products agree with the plan matrices' bit for bit.  The
+    # two-thread paths need no thread pool module either.
     proc = _python("-c", """if True:
         import sys
         import numpy as np
         import hausdim
         assert "scipy.sparse" not in sys.modules
+        assert "concurrent.futures" not in sys.modules
         fam = hausdim.make_mobius_family([3, 5], domain=(0.0, 1.0))
         mat = hausdim.collocation_plan(
             fam, hausdim.make_mesh((0.0, 1.0), n=4)).matrix(0.7)
@@ -1212,3 +1215,151 @@ def test_closed_plan_checks_the_dropped_nodes():
             build(fam, mesh)
     with pytest.raises(ParamOutOfRange, match="is not positive"):
         bracket_dimension(fam, mesh)
+
+
+class _ThreadCount:
+    """Stands in for discretize's threading module; counts the threads."""
+
+    def __init__(self):
+        self.started = 0
+
+    def Thread(self, **kwargs):
+        self.started += 1
+        return threading.Thread(**kwargs)
+
+
+def _force_split(monkeypatch, cpus):
+    """Every split path on at any size, blocks of 1000 pairs, `cpus` CPUs."""
+    threads = _ThreadCount()
+    monkeypatch.setattr(discretize, "threading", threads)
+    monkeypatch.setattr(discretize, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(discretize, "_SPLIT_MATVEC_ENTRIES", 0)
+    monkeypatch.setattr(discretize, "_SPLIT_MIN_ENTRIES", 0)
+    monkeypatch.setattr(discretize, "_BLOCK", 1000)
+    return threads
+
+
+_SPLIT_FAMILIES = {"cf{1,2}": make_mobius_family([1, 2]),
+                   "cantor 0.5": make_cantor_family(0.5)}
+
+
+def _split_outputs(fam, mesh, degree):
+    """Every plan array, entry array and matvec of both plan builders."""
+    out = []
+    for build in (collocation_plan, closed_plan):
+        plan = build(fam, mesh, degree)
+        out += [plan.indptr, plan.indices, plan.weight, plan.log_weight,
+                plan.q, plan.rows, np.array(plan.q_max)]
+        w = 1.0 + np.arange(plan.dim) / plan.dim
+        coefs = [None] if degree > 1 else [None, 0.5 / plan.q_max, -3.0]
+        for coef in coefs:
+            data = plan.data(0.7, coef)
+            matrix = discretize.CsrMatrix(plan.dim, plan.indptr,
+                                          plan.indices, data)
+            out += [data, matrix.matvec(w), matrix.matvec(w, np.ones(plan.dim))]
+    return out
+
+
+@pytest.mark.parametrize("degree", [1, 6])
+@pytest.mark.parametrize("pieces", [0, 2], ids=["one piece", "reduced:2"])
+@pytest.mark.parametrize("name", sorted(_SPLIT_FAMILIES))
+def test_split_paths_are_bit_identical(name, pieces, degree, monkeypatch):
+    # The matvec halves, the data blocks and both plan passes give every
+    # bit of the serial loops; with one CPU nothing runs on a thread.
+    fam = _SPLIT_FAMILIES[name]
+    mesh = make_mesh(reduce_domain(fam, pieces), h=1e-3)
+    threads = _force_split(monkeypatch, cpus=1)
+    want = _split_outputs(fam, mesh, degree)
+    assert threads.started == 0
+    threads = _force_split(monkeypatch, cpus=2)
+    got = _split_outputs(fam, mesh, degree)
+    assert threads.started > 0
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or (
+            np.array_equal(a, b) and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_FAMILIES))
+def test_split_brackets_and_estimates_are_bit_identical(name, monkeypatch):
+    fam = _SPLIT_FAMILIES[name]
+    mesh, coarse = make_mesh(fam.domain, h=1e-3), make_mesh(fam.domain, h=0.01)
+
+    def results():
+        br = bracket_dimension(fam, mesh)
+        est = highorder_dimension(fam, coarse, 6)
+        return (br.s_lower.hex(), br.s_upper.hex(), br.evals, br.certified,
+                est.s.hex(), est.evals)
+
+    threads = _force_split(monkeypatch, cpus=1)
+    want = results()
+    assert threads.started == 0
+    threads = _force_split(monkeypatch, cpus=2)
+    before = threading.active_count()
+    assert results() == want
+    assert threads.started > 0
+    assert threading.active_count() == before
+
+
+def test_split_plan_errors_match_the_serial_ones(monkeypatch):
+    # A failing pass-1 block raises _map_error's error, read off every
+    # node, so the split build raises as the serial one: map 1 of cf{1,2}
+    # leaves the mesh only in the last blocks, and the dropped-node family
+    # (a custom family, so its pass 1 stays serial) fails at one node.
+    digits = make_mobius_family([2, 3])
+    dropped = make_mesh(digits.domain, h=0.01)
+    x_bad = dropped.nodes[3]
+    log_w = digits.maps[0].log_weight
+    nan_fam = make_custom_family(
+        [dataclasses.replace(digits.maps[0], log_weight=lambda x: np.where(
+            np.asarray(x) == x_bad, math.nan, log_w(x))),
+         digits.maps[1]], digits.domain)
+    cases = [(make_mobius_family([1, 2]), make_mesh((0.35, 1.0), n=3000),
+              MapEscapesDomain, "map '1/(x+2)': interpolation point outside"),
+             (nan_fam, dropped,
+              ParamOutOfRange, "weight of map '1/(x+2)' is not positive")]
+    for fam, mesh, error, message in cases:
+        for cpus in (1, 2):
+            _force_split(monkeypatch, cpus)
+            before = threading.active_count()
+            with pytest.raises(error) as info:
+                closed_plan(fam, mesh)
+            assert threading.active_count() == before
+            assert str(info.value).startswith(message)
+
+
+def test_split_kernel_errors_reach_the_caller(monkeypatch):
+    # The second half runs on the thread; its error is raised here, and
+    # the first half's wins when both fail, as in the serial loop.
+    class Failing:
+        def __init__(self, halves):
+            self.halves = halves
+
+        def csr_matvec(self, n_row, n_col, indptr, *args):
+            half = "first" if indptr[0] == 0 else "second"
+            if half in self.halves:
+                raise RuntimeError(half)
+
+    _force_split(monkeypatch, cpus=2)
+    matrix = collocation_plan(make_mobius_family([1, 2]),
+                              make_mesh((0.0, 1.0), n=100)).matrix(0.5)
+    before = threading.active_count()
+    for halves, raised in [({"second"}, "second"), ({"first"}, "first"),
+                           ({"first", "second"}, "first")]:
+        monkeypatch.setattr(discretize, "_sparsetools", Failing(halves))
+        with pytest.raises(RuntimeError, match=raised):
+            matrix.matvec(np.ones(matrix.dim))
+        assert threading.active_count() == before
+
+
+def test_in_halves_runs_every_item_once(monkeypatch):
+    monkeypatch.setattr(discretize, "_cpu_count", lambda: 2)
+    for n in range(5):
+        for split in (False, True):
+            seen = []
+            discretize._in_halves(
+                lambda i: seen.append((i, threading.get_ident())),
+                range(n), split=split)
+            assert sorted(i for i, _ in seen) == list(range(n))
+            here = [i for i, ident in seen if ident == threading.get_ident()]
+            assert here == list(range((n + 1) // 2 if split and n > 1 else n))

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 from hausdim import (
     BadParams,
     ConeParams,
+    NegativeEntry,
     NonPositiveVector,
     PowerDivergence,
     ZeroRowSum,
@@ -21,6 +23,7 @@ from hausdim import (
     power_enclosure,
 )
 from hausdim.bounds import ratio_bounds
+from hausdim.discretize import CsrMatrix
 from hausdim.solver import _log_midpoint
 from conftest import hat_matrices, one_step_enclosures
 
@@ -154,6 +157,43 @@ def test_power_enclosure_zero_row():
     mat = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ZeroRowSum):
         power_enclosure(mat)
+
+
+def test_power_enclosure_refuses_a_signed_matrix():
+    # r = 5, but one step from all-ones gives M w = (1, 1): the ratios
+    # closed at r_lo = r_hi = 1 and the solve returned that, converged.
+    with pytest.raises(NegativeEntry):
+        power_enclosure(np.array([[2.0, -1.0], [-3.0, 4.0]]))
+
+
+def test_power_enclosure_refuses_a_nan_entry():
+    # The bounds went NaN and the solve ran out its stall guard.
+    with pytest.raises(NegativeEntry):
+        power_enclosure(np.array([[1.0, math.nan], [0.5, 1.0]]))
+
+
+def test_power_enclosure_names_a_negative_entry():
+    # No row is zero, but the iterates tend to the dominant eigenvector,
+    # which has a negative entry; that was reported as a zero row.
+    with pytest.raises(NegativeEntry):
+        power_enclosure(np.array([[2.0, 0.5], [-0.2, 1.0]]))
+
+
+def test_power_enclosure_checks_csr_matrices_it_did_not_build():
+    plan = collocation_plan(make_mobius_family([1, 2]),
+                            make_mesh((0.0, 1.0), n=20), degree=2)
+    data = plan.data(0.5)
+    assert (data < 0.0).any()  # degree-2 Lagrange weights change sign
+    with pytest.raises(NegativeEntry):
+        power_enclosure(CsrMatrix(plan.dim, plan.indptr, plan.indices, data))
+    # Entries past indptr[-1] are not part of the matrix.
+    mat = np.array([[0.5, 0.25], [0.25, 0.5]])
+    tail = CsrMatrix(2, np.array([0, 2, 4]), np.array([0, 1, 0, 1, 0]),
+                     np.array([0.5, 0.25, 0.25, 0.5, -1.0]))
+    assert power_enclosure(tail).r_hi == power_enclosure(mat).r_hi == 0.75
+    # An object with only matvec is taken on trust.
+    trusted = power_enclosure(SimpleNamespace(dim=1, matvec=lambda w: 2.0 * w))
+    assert trusted.r_lo == trusted.r_hi == 2.0
 
 
 def test_power_enclosure_seed_vector():
