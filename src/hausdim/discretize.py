@@ -54,15 +54,25 @@ imports scipy.sparse unless that file is missing or does not load.
 Wide plans run on two threads where the process may use two CPUs
 (_in_halves): the matvec's two row halves from _SPLIT_MATVEC_ENTRIES
 entries on, and the blocks of data and of both plan passes from
-_SPLIT_MIN_ENTRIES on.  The caller runs the first half, one short-lived
-thread the second, and it is joined before the call returns.  Every
-item writes its own part of the output with the same operations as the
-serial loop, so every bit is the same.  A custom family's pass 1 stays
-serial: its maps are the caller's callables.
+_SPLIT_MIN_ENTRIES on.  The caller runs the first half and a helper
+thread the second.  A power solve holds one helper for all its matvecs
+(CsrMatrix._held); any other call starts its own and joins it before
+returning.  Every item writes its own part of the output with the same
+operations as the serial loop, so every bit is the same.  A custom
+family's pass 1 stays serial: its maps are the caller's callables.
+
+Block work runs in arrays each half makes once per call (_Scratch, the
+Lagrange rows' work, data's g^s), not in new arrays per block, and a
+caller that builds matrix after matrix on one plan passes one entry
+buffer to every data or matrix call.  A new array of 128 KB or more
+is mapped afresh by the C allocator, and its first touch costs about
+2.6 us per 4 KB page, more than reusing memory already touched.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import importlib.machinery
 import importlib.util
 import math
@@ -209,7 +219,25 @@ def _join(pieces) -> Mesh:
     return Mesh(pieces=tuple(pieces), nodes=nodes, offsets=tuple(offsets))
 
 
-def _find_cells(mesh: Mesh, ys: np.ndarray):
+class _Scratch:
+    """Work arrays of the cell and t/Q steps for up to size points.
+
+    _find_cells and _hat run every operation into these, in place: the
+    cell and the clipped point go to cell and y, the rest through f, m
+    and m2.  A caller that locates points block by block makes one per
+    thread and passes it to every call, so on a one-piece mesh no block
+    maps a new array; each call uses the first ys.size entries.
+    """
+
+    def __init__(self, size: int):
+        self.cell = np.empty(size, dtype=np.intp)
+        self.y = np.empty(size)
+        self.f = np.empty(size)
+        self.m = np.empty(size, dtype=bool)
+        self.m2 = np.empty(size, dtype=bool)
+
+
+def _find_cells(mesh: Mesh, ys: np.ndarray, work: _Scratch | None = None):
     """The cell step of _locate: (cell, y, h) for query points.
 
     cell is the global index of the left node x_r of the cell containing
@@ -224,45 +252,76 @@ def _find_cells(mesh: Mesh, ys: np.ndarray):
     piece's last cell, as searchsorted would, but found by arithmetic:
     floor((y - a) / h) and one step against the nodes.  The guess is off
     by a few ulps of (|a| + |y - a|) / h cells, so one step suffices
-    whenever a cell is wider than a few ulps of a.
+    whenever a cell is wider than a few ulps of a.  cell and y are views
+    of work's arrays (of a new _Scratch when work is None); a mesh of
+    several pieces also makes the per-point piece arrays.
     """
     lo, hi = mesh.span
     tol = CLAMP_REL_TOL * (hi - lo)
     ys = np.asarray(ys, dtype=float)
+    if work is None:
+        work = _Scratch(ys.size)
+    n_pts = ys.size
+    r, y, f, m, m2 = (work.cell[:n_pts], work.y[:n_pts], work.f[:n_pts],
+                      work.m[:n_pts], work.m2[:n_pts])
     a, b, h, n, first = mesh._piece_arrays
     i = 0 if b.size == 1 else np.minimum(np.searchsorted(b + tol, ys),
                                          b.size - 1)
     a, b, h, n, first = a[i], b[i], h[i], n[i], first[i]
-    if not ((ys >= a - tol) & (ys <= b + tol)).all():
+    np.greater_equal(ys, a - tol, out=m)
+    np.less_equal(ys, b + tol, out=m2)
+    m &= m2
+    if not m.all():
         if np.isnan(ys).any():
             raise ParamOutOfRange("interpolation point is NaN")
         if np.any(ys < lo - tol) or np.any(ys > hi + tol):
             raise OutOfDomain("interpolation point outside the meshed domain")
         raise OutOfDomain("interpolation point falls in a gap between pieces")
     nodes = mesh.nodes
-    y = np.clip(ys, a, b)
-    r = np.minimum((y - a) / h, n - 1).astype(np.intp)
+    np.clip(ys, a, b, out=y)
+    np.subtract(y, a, out=f)
+    f /= h
+    np.minimum(f, n - 1, out=f)
+    r[...] = f  # truncated, as astype(np.intp)
     r += first
-    r = r - (nodes[r] > y)
-    r = r + ((nodes[r + 1] <= y) & (r < first + n - 1))
+    nodes.take(r, out=f, mode="clip")  # every index is a node
+    np.greater(f, y, out=m)
+    r -= m
+    nodes[1:].take(r, out=f, mode="clip")  # the node right of r
+    np.less_equal(f, y, out=m)
+    np.less(r, first + n - 1, out=m2)
+    m &= m2
+    r += m
     return r, y, h
 
 
 def _hat(mesh: Mesh, r: np.ndarray, y: np.ndarray, h,
-         q: np.ndarray | None = None) -> np.ndarray:
+         q: np.ndarray | None = None, out: np.ndarray | None = None,
+         work: _Scratch | None = None) -> np.ndarray:
     """The t/Q step of _locate: right hat weights of points y in cells r.
 
     Takes _find_cells' (cell, y, h).  Returns w_right = fl(1 - fl(1 - t))
     for the local coordinate t = (y - x_r)/h, clipped to [0, 1], so
     w_left = 1 - w_right is fl(1 - t) and w_left + w_right = 1 exactly.
     q, when given, is filled with Q(y) = (x_{r+1} - y)(y - x_r) >= 0.
+    The weights go into out (a new array when None), which may be the
+    array the points were located from; t is computed in work's f.
     """
     nodes = mesh.nodes
-    x_r = nodes[r]
+    if out is None:
+        out = np.empty(y.size)
+    t = np.empty(y.size) if work is None else work.f[:y.size]
+    nodes.take(r, out=out, mode="clip")  # x_r
+    np.subtract(y, out, out=t)
     if q is not None:
-        np.maximum((nodes[r + 1] - y) * (y - x_r), 0.0, out=q)
-    t = np.clip((y - x_r) / h, 0.0, 1.0)
-    return 1.0 - (1.0 - t)
+        nodes[1:].take(r, out=q, mode="clip")  # x_{r+1}
+        q -= y
+        q *= t
+        np.maximum(q, 0.0, out=q)
+    t /= h
+    np.clip(t, 0.0, 1.0, out=t)
+    np.subtract(1.0, t, out=t)
+    return np.subtract(1.0, t, out=out)
 
 
 def _locate(mesh: Mesh, ys: np.ndarray):
@@ -343,43 +402,100 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _in_halves(work, items, split: bool = True) -> None:
-    """work(item) for every item of a sequence of independent work items.
+class _Helper:
+    """One helper thread that runs the calls handed to it, one at a time.
+
+    The with block starts the thread and joins it on exit.  hand(call)
+    starts call there; wait() blocks until it has returned and gives
+    back the exception it raised, or None.  Each call is handed over
+    and back through two locks, each held while its side has nothing
+    to take: about 10 us a round trip with nothing to do, where
+    starting and joining a thread takes about 60 us (both measured
+    in-process on 2 CPUs).  Every hand must be followed by its wait.
+    """
+
+    def __init__(self):
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._call = self._failed = None
+        self._thread = threading.Thread(target=self._serve,
+                                        name="hausdim-helper")
+
+    def __enter__(self) -> _Helper:
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._call = None
+        self._go.release()
+        self._thread.join()
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            call = self._call
+            if call is None:
+                return
+            try:
+                call()
+            except BaseException as exc:
+                self._failed = exc
+            self._done.release()
+
+    def hand(self, call) -> None:
+        self._call, self._failed = call, None
+        self._go.release()
+
+    def wait(self) -> BaseException | None:
+        self._done.acquire()
+        return self._failed
+
+
+def _may_share(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether arrays a and b may share memory.
+
+    Two arrays that own their memory (base None) share none unless they
+    are one array, so the common case skips np.may_share_memory, whose
+    call costs more than the rest of a small matvec's checks (matvec
+    makes this test inline, where a call costs as much again).
+    """
+    return a is b or ((a.base is not None or b.base is not None)
+                      and np.may_share_memory(a, b))
+
+
+def _in_halves(run, items, split: bool = True,
+               helper: _Helper | None = None) -> None:
+    """run(part) on both halves of a sequence of independent work items.
 
     Where split holds, there are two items or more and the process may
-    use two CPUs, the caller runs the first half of the list while one
-    short-lived thread runs the second half, and the caller joins it
-    before returning.  Otherwise every item runs here, in order.  Each
-    item must write only its own part of the output, so the result is
-    bit for bit that of the serial loop.  The first half's exception is
-    raised before the second half's, as the serial loop would raise
-    them.  The numpy ufuncs and scipy's CSR loop an item spends its time
-    in release the GIL, so the halves run at once.  The thread runs
-    under numpy's default errstate, not the caller's.
+    use two CPUs, the caller runs the first half of the list while a
+    helper thread runs the second: helper, which the caller holds for
+    many calls, or else one started here and joined before returning.
+    Otherwise run(items) runs here.  run makes its own work arrays, so
+    each half has its own.  Each item must write only its own part of
+    the output, so the result is bit for bit that of the serial loop.
+    The first half's exception is raised before the second half's, as
+    the serial loop would raise them.  The numpy ufuncs and scipy's CSR
+    loop an item spends its time in release the GIL, so the halves run
+    at once.  The helper runs under numpy's default errstate, not the
+    caller's.
     """
     half = (len(items) + 1) // 2
     if not split or half == len(items) or _cpu_count() < 2:
-        for item in items:
-            work(item)
+        run(items)
         return
-    failed = []
-
-    def second_half():
-        try:
-            for item in items[half:]:
-                work(item)
-        except BaseException as exc:
-            failed.append(exc)
-
-    thread = threading.Thread(target=second_half, name="hausdim-half")
-    thread.start()
+    if helper is None:
+        with _Helper() as helper:
+            _in_halves(run, items, split, helper)
+        return
+    helper.hand(lambda: run(items[half:]))
     try:
-        for item in items[:half]:
-            work(item)
+        run(items[:half])
     finally:
-        thread.join()
-    if failed:
-        raise failed[0]
+        failed = helper.wait()
+    if failed is not None:
+        raise failed
 
 
 # ---------------------------------------------------------------------------
@@ -481,13 +597,18 @@ class CsrMatrix:
     def nnz(self) -> int:
         return int(self.indptr[-1])
 
+    # The helper thread a split matvec hands its second half to: set on
+    # the copy that _with_helper makes for one solve, None otherwise.
+    _helper: _Helper | None = None
+
     def matvec(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """M w, written into out (float64, shape (dim,)) when given.
 
-        From _SPLIT_MATVEC_ENTRIES entries on, two calls of the loop sum
-        the rows below and from dim // 2 on two threads (_in_halves).
-        Each row is summed in the same order as by one call, so every
-        output bit is the same.
+        out must not share memory with w: it is zeroed before the sum
+        (BadParams).  From _SPLIT_MATVEC_ENTRIES entries on, two calls of
+        the loop sum the rows below and from dim // 2 on two threads
+        (_in_halves).  Each row is summed in the same order as by one
+        call, so every output bit is the same.
         """
         if w.shape != (self.dim,) or not (out is None
                                           or out.shape == (self.dim,)):
@@ -495,6 +616,10 @@ class CsrMatrix:
                             f"({self.dim},) vectors")
         if out is None:
             out = np.zeros(self.dim)
+        elif out is w or ((out.base is not None or w.base is not None)
+                          and np.may_share_memory(out, w)):  # _may_share
+            raise BadParams("matvec needs an out that shares no memory "
+                            "with w")
         else:
             out.fill(0.0)
         dim = self.dim
@@ -503,13 +628,37 @@ class CsrMatrix:
                                     self.data, w, out)
             return out
 
-        def rows(span):
-            lo, hi = span
-            _sparsetools.csr_matvec(hi - lo, dim, self.indptr[lo:hi + 1],
-                                    self.indices, self.data, w, out[lo:hi])
+        def rows(spans):
+            for lo, hi in spans:
+                _sparsetools.csr_matvec(hi - lo, dim, self.indptr[lo:hi + 1],
+                                        self.indices, self.data, w,
+                                        out[lo:hi])
 
-        _in_halves(rows, [(0, dim // 2), (dim // 2, dim)])
+        _in_halves(rows, [(0, dim // 2), (dim // 2, dim)],
+                   helper=self._helper)
         return out
+
+    def _held(self):
+        """matvec for the steps of one solve, as a context manager.
+
+        Where matvec splits, that of a copy on the same arrays whose
+        split matvecs hand their second half to one helper thread,
+        started on entry and joined on exit, also when the block raises;
+        otherwise this matrix's own matvec, with nothing to start.
+        """
+        if self.data.size < _SPLIT_MATVEC_ENTRIES or _cpu_count() < 2:
+            return contextlib.nullcontext(self.matvec)
+        return self._with_helper()
+
+    @contextlib.contextmanager
+    def _with_helper(self):
+        with _Helper() as helper:
+            held = copy.copy(self)
+            held._helper = helper
+            try:
+                yield held.matvec
+            finally:
+                held._helper = None  # a copy kept past the block splits alone
 
     def toarray(self) -> np.ndarray:
         """Dense copy: a repeated (row, col) sums in stored order, as in
@@ -535,6 +684,14 @@ class SparseNonnegMatrix(CsrMatrix):
         if not (data >= 0.0).all():
             raise NegativeEntry("matrix entries must be nonnegative, not NaN")
         super().__init__(dim, indptr, indices, data)
+
+    @classmethod
+    def _checked(cls, dim: int, indptr: np.ndarray, indices: np.ndarray,
+                 data: np.ndarray) -> SparseNonnegMatrix:
+        """A matrix whose entries its maker has checked (CollocationPlan.matrix)."""
+        matrix = cls.__new__(cls)
+        CsrMatrix.__init__(matrix, dim, indptr, indices, data)
+        return matrix
 
     def row(self, k: int) -> list[tuple[int, float]]:
         sl = slice(self.indptr[k], self.indptr[k + 1])
@@ -571,35 +728,42 @@ _SPLIT_MIN_ENTRIES = 1 << 18
 _BLOCK = 1 << 15
 
 
-def _lagrange_rows(t: np.ndarray, degree: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def _lagrange_rows(t: np.ndarray, degree: int, out: np.ndarray | None = None,
+                   work: np.ndarray | None = None) -> np.ndarray:
     """Weights of the d+1 equispaced-node Lagrange basis at local t.
 
     Row q of the (d+1, t.size) result holds basis q; out, when given, is
-    filled instead (a transposed view of the plan's weights, say), each
-    row written once.  With u = d t, basis q is the product of (u - p)
-    over p < q, times that over p > q, divided once by the exact integer
-    prod (q - p): 6d - 1 array operations where the product of the
-    factors (u - p)/(q - p) took 3d(d + 1), and weights that are
-    exactly cardinal wherever u is a node.  Degree 1 gives ((t - 1)/(-1),
-    t) exactly, a weight of -0.0 at t = 1 included.
+    filled instead (a transposed view of the plan's weights, say).  With
+    u = d t, basis q is the product of (u - p) over p < q, times that
+    over p > q, divided once by the exact integer prod (q - p): 6d - 1
+    array operations where the product of the factors (u - p)/(q - p)
+    took 3d(d + 1), and weights that are exactly cardinal wherever u is
+    a node.  Degree 1 gives ((t - 1)/(-1), t) exactly, a weight of -0.0
+    at t = 1 included.  u and the products over p < q are kept in the
+    rows of out, or, when the caller passes work, a float array of at
+    least (d+3, t.size), in its first d+1 rows; its last two rows hold
+    the other two intermediates, which are new arrays without work.
     """
+    n = t.size
     if out is None:
-        out = np.empty((degree + 1, t.size))
+        out = np.empty((degree + 1, n))
+    if work is None:
+        rows, right, diff = out, np.empty(n), np.empty(n)
+    else:
+        rows, right, diff = (work[:degree + 1, :n], work[degree + 1, :n],
+                             work[degree + 2, :n])
     # prod (q - p) over p != q is (-1)**(d - q) q! (d - q)!.
     denom = [(-1) ** (degree - q) * math.factorial(q)
              * math.factorial(degree - q) for q in range(degree + 1)]
-    u = degree * t
-    left = np.empty((degree, t.size))  # left[q - 1]: prod of u - p, p < q
-    left[0] = u
-    diff = np.empty(t.size)
+    u = np.multiply(t, degree, out=rows[0])
+    np.copyto(rows[1], u)  # rows[q]: prod of u - p, p < q, until out[q]
     for q in range(1, degree):
         np.subtract(u, q, out=diff)
-        np.multiply(left[q - 1], diff, out=left[q])
-    np.divide(left[degree - 1], denom[degree], out=out[degree])
-    right = np.subtract(u, degree)  # prod of u - p, p > q
+        np.multiply(rows[q], diff, out=rows[q + 1])
+    np.divide(rows[degree], denom[degree], out=out[degree])
+    np.subtract(u, degree, out=right)  # prod of u - p, p > q
     for q in range(degree - 1, 0, -1):
-        np.multiply(left[q - 1], right, out=diff)
+        np.multiply(rows[q], right, out=diff)
         np.divide(diff, denom[q], out=out[q])
         np.subtract(u, q, out=diff)
         right *= diff
@@ -635,7 +799,8 @@ class CollocationPlan:
     q_max: float | None
     rows: np.ndarray | None = None
 
-    def data(self, s: float, coef: float | None = None) -> np.ndarray:
+    def data(self, s: float, coef: float | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
         """Entries at s: g^s * (1 - coef Q) * weight, one per contribution.
 
         coef = None builds the plain matrix (M, or the degree-d matrix);
@@ -643,14 +808,44 @@ class CollocationPlan:
         factor 1 - coef Q is positive when coef * q_max < 1.  g^s and
         1 - coef Q are computed once per (node, map) and repeated over
         the d+1 basis entries.  They go a block of _BLOCK (node, map)
-        pairs at a time into the output buffer, so the only full-size
-        array made is the output itself.  On the hat basis each of the
-        two columns is one strided product, which takes about half the
-        time of np.repeat and one product (29-58 against 67-110 us per
-        block); at degree 6 the repeat is the faster.  From
-        _SPLIT_MIN_ENTRIES entries on, the second half of the blocks is
-        built on a second thread (_in_halves), each block as in the
-        serial loop, so every bit is the same.
+        pairs at a time into the output buffer: out, a C-contiguous
+        float64 array of shape (weight.size,) that shares no memory with
+        weight, log_weight or q (BadParams otherwise), or else a new
+        array.  Each half of the blocks computes g^s and the correction
+        in two block-sized arrays of its own, so a caller that passes one
+        out to every call maps no new entry-sized memory.  On the hat
+        basis each of the two columns is one strided product, which takes
+        about half the time of np.repeat and one product (29-58 against
+        67-110 us per block); at higher degrees one product broadcasts
+        g^s over the basis columns.  From _SPLIT_MIN_ENTRIES entries on,
+        the second half of the blocks is built on a second thread
+        (_in_halves), each block as in the serial loop, so every bit is
+        the same.
+        """
+        return self._entries(s, coef, out, check=False)[0]
+
+    def matrix(self, s: float, coef: float | None = None,
+               out: np.ndarray | None = None) -> SparseNonnegMatrix:
+        """Nonnegative matrix at s on the plan's pattern (see data).
+
+        Its entries are out's, when given, so the matrix changes with
+        the next call that builds into out.  Each block's entries are
+        checked where they are written, and a negative or NaN entry (a
+        degree > 1 plan's signed weights, say) raises NegativeEntry.
+        """
+        data, nonneg = self._entries(s, coef, out, check=True)
+        if not nonneg:
+            raise NegativeEntry("matrix entries must be nonnegative, not NaN")
+        return SparseNonnegMatrix._checked(self.dim, self.indptr,
+                                           self.indices, data)
+
+    def _entries(self, s: float, coef: float | None, out: np.ndarray | None,
+                 check: bool) -> tuple[np.ndarray, bool]:
+        """data's entries, and whether every block checked is >= 0.
+
+        With check, each block's least entry is read just after the
+        block is written, on the thread that wrote it: np.minimum
+        carries a NaN, so one NaN or negative entry fails the block.
         """
         if coef is not None:
             if self.q is None:
@@ -659,35 +854,49 @@ class CollocationPlan:
             if not (math.isfinite(coef) and coef * self.q_max < 1.0):
                 raise ErrTooLarge(f"matrix correction {coef!r} * Q reaches 1; "
                                   "refine the mesh")
+        if out is None:
+            out = np.empty(self.weight.size)
+        elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                  and out.shape == self.weight.shape
+                  and out.flags.c_contiguous and out.flags.writeable):
+            raise BadParams(f"out must be a writeable C-contiguous float64 "
+                            f"array of shape {self.weight.shape}")
+        elif (_may_share(out, self.weight) or _may_share(out, self.log_weight)
+              or (self.q is not None and _may_share(out, self.q))):
+            raise BadParams("out shares memory with the plan's weights")
         n_basis = self.degree + 1
-        out = np.empty(self.weight.size)
+        failed = []
 
-        def block(lo):
-            pairs = slice(lo, lo + _BLOCK)
-            g = np.multiply(self.log_weight[pairs], s)
-            np.exp(g, out=g)
-            if coef is not None:
-                fix = np.multiply(self.q[pairs], coef)
-                np.subtract(1.0, fix, out=fix)
-                g *= fix
-            entries = slice(lo * n_basis, (lo + _BLOCK) * n_basis)
-            if n_basis == 2:
-                o2 = out[entries].reshape(-1, 2)
-                w2 = self.weight[entries].reshape(-1, 2)
-                np.multiply(g, w2[:, 0], out=o2[:, 0])
-                np.multiply(g, w2[:, 1], out=o2[:, 1])
-            else:
-                np.multiply(np.repeat(g, n_basis), self.weight[entries],
-                            out=out[entries])
+        def blocks(starts):
+            # Each block computes g^s and 1 - coef Q in the arrays of the
+            # block before it in this half: only the last block is shorter.
+            g = fix = None
+            for lo in starts:
+                pairs = slice(lo, lo + _BLOCK)
+                log_weight = self.log_weight[pairs]
+                n = log_weight.size
+                g = np.multiply(log_weight, s,
+                                out=None if g is None else g[:n])
+                np.exp(g, out=g)
+                if coef is not None:
+                    fix = np.multiply(self.q[pairs], coef,
+                                      out=None if fix is None else fix[:n])
+                    np.subtract(1.0, fix, out=fix)
+                    g *= fix
+                entries = slice(lo * n_basis, (lo + _BLOCK) * n_basis)
+                o2 = out[entries].reshape(-1, n_basis)
+                w2 = self.weight[entries].reshape(-1, n_basis)
+                if n_basis == 2:
+                    np.multiply(g, w2[:, 0], out=o2[:, 0])
+                    np.multiply(g, w2[:, 1], out=o2[:, 1])
+                else:
+                    np.multiply(g[:, None], w2, out=o2)
+                if check and not np.minimum.reduce(out[entries]) >= 0.0:
+                    failed.append(lo)
 
-        _in_halves(block, range(0, self.log_weight.size, _BLOCK),
+        _in_halves(blocks, range(0, self.log_weight.size, _BLOCK),
                    split=out.size >= _SPLIT_MIN_ENTRIES)
-        return out
-
-    def matrix(self, s: float, coef: float | None = None) -> SparseNonnegMatrix:
-        """Nonnegative matrix at s on the plan's pattern (see data)."""
-        return SparseNonnegMatrix(self.dim, self.indptr, self.indices,
-                                  self.data(s, coef))
+        return out, not failed
 
 
 def _as_degree(degree) -> int:
@@ -822,21 +1031,23 @@ def _build_plan(fam: MapFamily, mesh: Mesh, degree: int, closed: bool
     q = np.empty(log_weight.size) if degree == 1 else None
     step = max(1, _BLOCK // n_maps)
 
-    def pass_1(start):
-        nodes = slice(start, min(start + step, dim))
-        pairs = slice(start * n_maps, nodes.stop * n_maps)
-        lw = log_weight[pairs].reshape(-1, n_maps)
-        eval_all_maps(fam, x_in[nodes], x[nodes],
-                      w_right[pairs].reshape(-1, n_maps), lw)
-        try:
-            cell, y, h = _find_cells(mesh, w_right[pairs])
-        except (OutOfDomain, ParamOutOfRange):
-            cell = None
-        if cell is None or not np.isfinite(lw).all():
-            raise _map_error(fam, mesh, x)
-        w_right[pairs] = _hat(mesh, cell, y, h,
-                              None if q is None else q[pairs])
-        first[pairs] = base[cell]
+    def pass_1(starts):
+        work = _Scratch(min(step, dim) * n_maps)
+        for start in starts:
+            nodes = slice(start, min(start + step, dim))
+            pairs = slice(start * n_maps, nodes.stop * n_maps)
+            lw = log_weight[pairs].reshape(-1, n_maps)
+            eval_all_maps(fam, x_in[nodes], x[nodes],
+                          w_right[pairs].reshape(-1, n_maps), lw)
+            try:
+                cell, y, h = _find_cells(mesh, w_right[pairs], work)
+            except (OutOfDomain, ParamOutOfRange):
+                cell = None
+            if cell is None or not np.isfinite(lw).all():
+                raise _map_error(fam, mesh, x)
+            _hat(mesh, cell, y, h, None if q is None else q[pairs],
+                 out=w_right[pairs], work=work)
+            base.take(cell, out=first[pairs], mode="clip")
 
     # A custom family's maps are the caller's callables: never called
     # from a second thread.
@@ -861,18 +1072,21 @@ def _build_plan(fam: MapFamily, mesh: Mesh, degree: int, closed: bool
     indices = np.empty(kept * n_maps * n_basis, dtype=np.int32)
     weight = np.empty(indices.size)
 
-    def pass_2(start):
-        stop = min(start + step, kept)
-        block = slice(start, stop) if renumber is None else rows[start:stop]
-        entries = slice(start * n_maps * n_basis, stop * n_maps * n_basis)
-        cols = indices[entries].reshape(-1, n_basis).T
-        cols[0] = first[block].ravel()
-        if renumber is not None:
-            cols[0] = renumber[cols[0]]
-        for p in range(1, n_basis):
-            np.add(cols[0], p, out=cols[p])
-        _lagrange_rows(w_right[block].ravel(), degree,
-                       out=weight[entries].reshape(-1, n_basis).T)
+    def pass_2(starts):
+        work = np.empty((degree + 3, min(step, kept) * n_maps))
+        for start in starts:
+            stop = min(start + step, kept)
+            block = slice(start, stop) if renumber is None else rows[start:stop]
+            entries = slice(start * n_maps * n_basis, stop * n_maps * n_basis)
+            cols = indices[entries].reshape(-1, n_basis).T
+            cols[0] = first[block].ravel()
+            if renumber is not None:
+                cols[0] = renumber[cols[0]]
+            for p in range(1, n_basis):
+                np.add(cols[0], p, out=cols[p])
+            _lagrange_rows(w_right[block].ravel(), degree,
+                           out=weight[entries].reshape(-1, n_basis).T,
+                           work=work)
 
     _in_halves(pass_2, range(0, kept, step),
                split=indices.size >= _SPLIT_MIN_ENTRIES)
@@ -903,29 +1117,28 @@ def _closed_rows(first: np.ndarray, degree: int) -> np.ndarray:
     first column lies at most d columns left of it.  A node whose
     in-degree reaches 0 leaves S and its reads are subtracted in turn;
     each row leaves once, so the cost is O(pairs + depth * dim).  A node
-    on a cycle of reads never leaves, so S is not empty.
+    on a cycle of reads never leaves, so S is not empty.  The counts go
+    into one dim-sized buffer (np.add.at reads first's int32 columns as
+    they are), and every round of the peel works in it and in two more.
     """
     dim, width = first.shape[0], degree + 1
-
-    def spread(counts: np.ndarray) -> np.ndarray:
-        reads = counts.copy()
-        for p in range(1, width):
-            reads[p:] += counts[:-p]
-        return reads
-
-    # Counted a block at a time: one bincount of every pair would first
-    # copy them all to intp.
-    flat = first.ravel()
     counts = np.zeros(dim, dtype=np.intp)
-    for lo in range(0, flat.size, _BLOCK):
-        counts += np.bincount(flat[lo:lo + _BLOCK], minlength=dim)
-    indegree = spread(counts)
+    np.add.at(counts, first, 1)
+    indegree = counts.copy()
+    for p in range(1, width):
+        indegree[p:] += counts[:-p]
     alive = np.ones(dim, dtype=bool)
     leaving = np.flatnonzero(indegree == 0)
+    zero = np.empty(dim, dtype=bool)
     while leaving.size:
         alive[leaving] = False
-        indegree -= spread(np.bincount(first[leaving].ravel(), minlength=dim))
-        leaving = np.flatnonzero((indegree == 0) & alive)
+        counts.fill(0)
+        np.add.at(counts, first[leaving], 1)
+        for p in range(width):
+            indegree[p:] -= counts[:dim - p]
+        np.equal(indegree, 0, out=zero)
+        zero &= alive
+        leaving = np.flatnonzero(zero)
     return np.flatnonzero(alive)
 
 

@@ -65,8 +65,10 @@ class HighOrderMatrix(CsrMatrix):
     """Signed sparse collocation matrix in CSR form."""
 
 
-def _plan_matrix(plan: CollocationPlan, s: float) -> HighOrderMatrix:
-    return HighOrderMatrix(plan.dim, plan.indptr, plan.indices, plan.data(s))
+def _plan_matrix(plan: CollocationPlan, s: float,
+                 out: np.ndarray | None = None) -> HighOrderMatrix:
+    return HighOrderMatrix(plan.dim, plan.indptr, plan.indices,
+                           plan.data(s, out=out))
 
 
 _SETTLE_RUNS = 10  # successive changes <= tol that settle the estimate
@@ -132,37 +134,37 @@ def dominant_magnitude(mat: HighOrderMatrix, tol: float = RADIUS_TOL, *,
                             f"float64 array of shape ({dim},)")
         w = vec  # iterated in place, so it ends as the last iterate
         np.divide(vec, float(np.max(np.abs(vec))), out=w)
-    product = _product(mat)
     mv, mag = np.empty(dim), np.empty(dim)
     max_iter = 10 * dim + 2000
     est_prev = d_prev = math.inf
     settle = 0
     changes: deque[float] = deque(maxlen=_SHRINK_STEPS)
-    for step in range(1, max_iter + 1):
-        mv = product(w, mv)
-        nrm = float(np.maximum.reduce(np.abs(mv, out=mag)))
-        if nrm == 0.0:
-            return 0.0
-        est = nrm
-        np.divide(mv, nrm, out=w)
-        d = abs(est - est_prev)
-        if d <= tol * max(est, 1e-300):
-            settle += 1
-            if settle >= _SETTLE_RUNS:
+    with _product(mat) as product:
+        for step in range(1, max_iter + 1):
+            mv = product(w, mv)
+            nrm = float(np.maximum.reduce(np.abs(mv, out=mag)))
+            if nrm == 0.0:
+                return 0.0
+            est = nrm
+            np.divide(mv, nrm, out=w)
+            d = abs(est - est_prev)
+            if d <= tol * max(est, 1e-300):
+                settle += 1
+                if settle >= _SETTLE_RUNS:
+                    return est
+            else:
+                settle = 0
+            rho = d / d_prev if 0.0 < d_prev < math.inf else 1.0
+            tail = d / (1.0 - rho) if 0.0 < rho < _TAIL_RHO else math.inf
+            if sign_rel is not None and \
+                    tail <= sign_rel * abs(math.log(est)) * est:
                 return est
-        else:
-            settle = 0
-        rho = d / d_prev if 0.0 < d_prev < math.inf else 1.0
-        tail = d / (1.0 - rho) if 0.0 < rho < _TAIL_RHO else math.inf
-        if sign_rel is not None and \
-                tail <= sign_rel * abs(math.log(est)) * est:
-            return est
-        if settle >= _TAIL_RUNS and tail <= tol * est:
-            return est
-        if len(changes) == _SHRINK_STEPS and d >= changes[0]:
-            break
-        changes.append(d)
-        est_prev, d_prev = est, d
+            if settle >= _TAIL_RUNS and tail <= tol * est:
+                return est
+            if len(changes) == _SHRINK_STEPS and d >= changes[0]:
+                break
+            changes.append(d)
+            est_prev, d_prev = est, d
     if dim <= 2000:
         return float(np.max(np.abs(np.linalg.eigvals(mat.toarray()))))
     raise PowerDivergence(
@@ -185,11 +187,14 @@ def _log_magnitude(plan: CollocationPlan, radius_tol: float,
                    vec: np.ndarray):
     """s -> log |lambda(s)| on one plan.
 
-    Every solve starts from vec, the iterate of the solve before it,
-    and may stop once log |lambda| is pinned to 1%.
+    Every matrix is built into one entry buffer, so the plan's matrices
+    reuse its pages.  Every solve starts from vec, the iterate of the
+    solve before it, and may stop once log |lambda| is pinned to 1%.
     """
+    entries = np.empty(plan.weight.size)
     return lambda s: math.log(dominant_magnitude(
-        _plan_matrix(plan, s), tol=radius_tol, vec=vec, sign_rel=_SIGN_REL))
+        _plan_matrix(plan, s, entries), tol=radius_tol, vec=vec,
+        sign_rel=_SIGN_REL))
 
 
 def highorder_dimension(fam: MapFamily, mesh, degree: int, *,

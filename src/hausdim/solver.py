@@ -252,16 +252,19 @@ def _enclosures(plan, coef, radius_tol: float):
     """Memoized enclose(s, which) -> (r_lo, r_hi, converged) on one plan.
 
     coef(s, which) gives the matrix's correction coefficient (None for
-    M).  Every power solve starts from the eigenvector of the one before
-    and may stop once its enclosure settles the sign of log r to 1%.
+    M).  Every matrix is built into one entry buffer, so the plan's
+    matrices reuse its pages.  Every power solve starts from the
+    eigenvector of the one before and may stop once its enclosure
+    settles the sign of log r to 1%.
     """
     radii: dict[tuple[float, str], tuple[float, float, bool]] = {}
     seed = None  # eigenvector of the latest solve, the next one's start
+    entries = np.empty(plan.weight.size)
 
     def enclose(s: float, which: str) -> tuple[float, float, bool]:
         nonlocal seed
         if (s, which) not in radii:
-            enc = power_enclosure(plan.matrix(s, coef(s, which)),
+            enc = power_enclosure(plan.matrix(s, coef(s, which), entries),
                                   tol=radius_tol, seed_vec=seed,
                                   sign_rel=_SIGN_REL)
             seed = enc.eigvec

@@ -12,15 +12,17 @@ A solve keeps its product, ratio and iterate vectors in buffers made
 once per solve: a discretize.CsrMatrix writes M w into its buffer
 through scipy's compiled CSR loop, and the ratios and the next iterate
 are divided into theirs, the same float operations in the same order
-as fresh arrays would take.  The seed vector is copied, never written.
-Dense arrays and other objects with matvec(w) give M w in a new array.
-An array or CsrMatrix with a negative or NaN entry is refused.
-Also provides the Hilbert projective metric and a ratio-cone membership
-test used as a diagnostic.
+as fresh arrays would take.  Where the matvec splits its rows over two
+threads, one helper thread serves every step of the solve.  The seed
+vector is copied, never written.  Dense arrays and other objects with
+matvec(w) give M w in a new array.  An array or CsrMatrix with a
+negative or NaN entry is refused.  Also provides the Hilbert projective
+metric and a ratio-cone membership test used as a diagnostic.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -34,13 +36,18 @@ _STALL_LIMIT = 200
 
 
 def _product(matrix):
-    """(w, out) -> M w: a CsrMatrix writes into out, others return M w."""
+    """(w, out) -> M w for the steps of one solve, as a context manager.
+
+    A CsrMatrix writes into out, others return M w.  A CsrMatrix whose
+    matvec splits hands each second half to one helper thread, held
+    for the with block and joined when it ends (CsrMatrix._held).
+    """
     if isinstance(matrix, CsrMatrix):
-        return matrix.matvec
+        return matrix._held()
     if hasattr(matrix, "matvec"):
-        return lambda w, out: matrix.matvec(w)
+        return contextlib.nullcontext(lambda w, out: matrix.matvec(w))
     dense = np.asarray(matrix)
-    return lambda w, out: dense @ w
+    return contextlib.nullcontext(lambda w, out: dense @ w)
 
 
 def _check_nonneg(matrix) -> None:
@@ -117,36 +124,37 @@ def power_enclosure(matrix, tol: float = RADIUS_TOL,
         w = np.array(seed_vec, dtype=float)  # a copy: w is overwritten
         if w.shape != (n,) or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise NonPositiveVector("seed vector must be strictly positive")
-    product = _product(matrix)
     mv, ratios = np.empty(n), np.empty(n)
     lo, hi = -math.inf, math.inf
     best_gap = math.inf
     stall = 0
     iterations = 0
     converged = False
-    for iterations in range(1, 10 * n + 1001):
-        mv = product(w, mv)
-        np.divide(mv, w, out=ratios)
-        # Reductions as ufuncs skip ndarray.min/max's Python wrapper,
-        # a sizable share of a small step.
-        lo = float(np.minimum.reduce(ratios))
-        # w > 0, so the least ratio has the sign of the least entry of M w.
-        if lo <= 0.0:
-            raise ZeroRowSum("matrix has a zero row; enclosure iteration degenerates")
-        hi = float(np.maximum.reduce(ratios))
-        gap = (hi - lo) / hi if hi > 0.0 else math.inf
-        np.divide(mv, float(np.maximum.reduce(mv)), out=w)
-        if gap <= tol or (sign_rel is not None
-                          and _sign_settled(lo, hi, sign_rel)):
-            converged = True
-            break
-        if gap < best_gap * (1.0 - 1e-3):
-            best_gap = gap
-            stall = 0
-        else:
-            stall += 1
-            if stall >= _STALL_LIMIT:
+    with _product(matrix) as product:
+        for iterations in range(1, 10 * n + 1001):
+            mv = product(w, mv)
+            np.divide(mv, w, out=ratios)
+            # Reductions as ufuncs skip ndarray.min/max's Python wrapper,
+            # a sizable share of a small step.
+            lo = float(np.minimum.reduce(ratios))
+            # w > 0, so the least ratio has the sign of the least entry of M w.
+            if lo <= 0.0:
+                raise ZeroRowSum("matrix has a zero row; enclosure "
+                                 "iteration degenerates")
+            hi = float(np.maximum.reduce(ratios))
+            gap = (hi - lo) / hi if hi > 0.0 else math.inf
+            np.divide(mv, float(np.maximum.reduce(mv)), out=w)
+            if gap <= tol or (sign_rel is not None
+                              and _sign_settled(lo, hi, sign_rel)):
+                converged = True
                 break
+            if gap < best_gap * (1.0 - 1e-3):
+                best_gap = gap
+                stall = 0
+            else:
+                stall += 1
+                if stall >= _STALL_LIMIT:
+                    break
     return SpectralEnclosure(r_lo=lo, r_hi=hi, eigvec=w,
                              iterations=iterations, converged=converged)
 

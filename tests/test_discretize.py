@@ -1178,9 +1178,9 @@ def test_closed_plan_weighs_only_the_closed_rows(monkeypatch):
     # points in all, not one per (node, map) pair of the grid.
     seen = []
 
-    def counting(t, degree, out=None):
+    def counting(t, degree, **kwargs):
         seen.append(t.size)
-        return real(t, degree, out=out)
+        return real(t, degree, **kwargs)
 
     real = discretize._lagrange_rows
     monkeypatch.setattr(discretize, "_lagrange_rows", counting)
@@ -1226,6 +1226,9 @@ class _ThreadCount:
     def Thread(self, **kwargs):
         self.started += 1
         return threading.Thread(**kwargs)
+
+    def __getattr__(self, name):
+        return getattr(threading, name)
 
 
 def _force_split(monkeypatch, cpus):
@@ -1358,8 +1361,358 @@ def test_in_halves_runs_every_item_once(monkeypatch):
         for split in (False, True):
             seen = []
             discretize._in_halves(
-                lambda i: seen.append((i, threading.get_ident())),
+                lambda part: seen.extend((i, threading.get_ident())
+                                         for i in part),
                 range(n), split=split)
             assert sorted(i for i, _ in seen) == list(range(n))
             here = [i for i, ident in seen if ident == threading.get_ident()]
             assert here == list(range((n + 1) // 2 if split and n > 1 else n))
+
+
+# ---------------------------------------------------------------------------
+# work arrays, entry buffers and the solve's helper thread
+
+
+def _frozen_find_cells(mesh, ys):
+    # _find_cells as it was before it worked in a _Scratch, every step a
+    # new array; the in-place one must give its every bit.
+    lo, hi = mesh.span
+    tol = CLAMP_REL_TOL * (hi - lo)
+    ys = np.asarray(ys, dtype=float)
+    a, b, h, n, first = mesh._piece_arrays
+    i = 0 if b.size == 1 else np.minimum(np.searchsorted(b + tol, ys),
+                                         b.size - 1)
+    a, b, h, n, first = a[i], b[i], h[i], n[i], first[i]
+    assert ((ys >= a - tol) & (ys <= b + tol)).all()
+    nodes = mesh.nodes
+    y = np.clip(ys, a, b)
+    r = np.minimum((y - a) / h, n - 1).astype(np.intp)
+    r += first
+    r = r - (nodes[r] > y)
+    r = r + ((nodes[r + 1] <= y) & (r < first + n - 1))
+    return r, y, h
+
+
+def _frozen_hat(mesh, r, y, h, q=None):
+    # _hat as it was before it wrote into out and work.
+    nodes = mesh.nodes
+    x_r = nodes[r]
+    if q is not None:
+        np.maximum((nodes[r + 1] - y) * (y - x_r), 0.0, out=q)
+    t = np.clip((y - x_r) / h, 0.0, 1.0)
+    return 1.0 - (1.0 - t)
+
+
+def _frozen_lagrange_rows(t, degree):
+    # _lagrange_rows as it was before it kept its products in out or work.
+    out = np.empty((degree + 1, t.size))
+    denom = [(-1) ** (degree - q) * math.factorial(q)
+             * math.factorial(degree - q) for q in range(degree + 1)]
+    u = degree * t
+    left = np.empty((degree, t.size))
+    left[0] = u
+    diff = np.empty(t.size)
+    for q in range(1, degree):
+        np.subtract(u, q, out=diff)
+        np.multiply(left[q - 1], diff, out=left[q])
+    np.divide(left[degree - 1], denom[degree], out=out[degree])
+    right = np.subtract(u, degree)
+    for q in range(degree - 1, 0, -1):
+        np.multiply(left[q - 1], right, out=diff)
+        np.divide(diff, denom[q], out=out[q])
+        np.subtract(u, q, out=diff)
+        right *= diff
+    np.divide(right, denom[0], out=out[0])
+    return out
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def _points_in_reach(mesh, rng):
+    # Every node and both its ulp neighbours, the piece ends and points
+    # just inside the clamp tolerance, and points anywhere in the span,
+    # keeping those some piece reaches.
+    lo, hi = mesh.span
+    tol = CLAMP_REL_TOL * (hi - lo)
+    ends = np.array([[p.a - 0.99 * tol, p.b + 0.99 * tol]
+                     for p in mesh.pieces]).ravel()
+    ys = np.concatenate([mesh.nodes, np.nextafter(mesh.nodes, math.inf),
+                         np.nextafter(mesh.nodes, -math.inf), ends,
+                         rng.uniform(lo, hi, 3000)])
+    reached = np.zeros(ys.shape, dtype=bool)
+    for piece in mesh.pieces:
+        reached |= (ys >= piece.a - tol) & (ys <= piece.b + tol)
+    return ys[reached]
+
+
+@pytest.mark.parametrize("index", range(len(_LOCATE_MESHES)))
+def test_in_place_locate_steps_are_bit_identical(index):
+    # With or without a _Scratch, larger than the points or not, the
+    # cell and t/Q steps give the frozen ones' every bit on every mesh
+    # of _LOCATE_MESHES, the many-piece ones included.
+    mesh = _LOCATE_MESHES[index]
+    ys = _points_in_reach(mesh, np.random.default_rng(index))
+    r0, y0, h0 = _frozen_find_cells(mesh, ys)
+    q0 = np.empty(ys.size)
+    wr0 = _frozen_hat(mesh, r0, y0, h0, q0)
+    for work in (None, discretize._Scratch(ys.size),
+                 discretize._Scratch(ys.size + 7)):
+        r, y, h = discretize._find_cells(mesh, ys, work)
+        assert _same_bits(r, r0) and _same_bits(y, y0) and _same_bits(h, h0)
+        q, out = np.full(ys.size, np.nan), np.full(ys.size, np.nan)
+        assert discretize._hat(mesh, r, y, h, q, out=out, work=work) is out
+        assert _same_bits(out, wr0) and _same_bits(q, q0)
+        assert _same_bits(discretize._hat(mesh, r, y, h, work=work), wr0)
+    # The points a plan locates from may be the array its weights go to.
+    work = discretize._Scratch(ys.size)
+    images = ys.copy()
+    r, y, h = discretize._find_cells(mesh, images, work)
+    discretize._hat(mesh, r, y, h, out=images, work=work)
+    assert _same_bits(images, wr0)
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_in_place_lagrange_rows_are_bit_identical(degree):
+    # Signed zeros included, for a new, a contiguous and a strided out,
+    # with and without work, at the nodes, their ulp neighbours and
+    # anywhere in [0, 1].
+    nodes = np.arange(degree + 1) / degree
+    t = np.concatenate([
+        nodes, np.nextafter(nodes, math.inf)[:-1],
+        np.nextafter(nodes, -math.inf)[1:], [0.0, -0.0, 1.0],
+        np.random.default_rng(degree).uniform(0.0, 1.0, 5000)])
+    want = _frozen_lagrange_rows(t, degree)
+    assert _same_bits(_lagrange_rows(t, degree), want)
+    for work in (None, np.full((degree + 3, t.size + 5), np.nan)):
+        for out in (np.full((degree + 1, t.size), np.nan),
+                    np.full((t.size, degree + 1), np.nan).T):
+            assert _lagrange_rows(t, degree, out=out, work=work) is out
+            assert _same_bits(np.ascontiguousarray(out), want)
+
+
+def test_locate_steps_with_a_scratch_allocate_no_block():
+    # A 2^15-pair block located in a _Scratch allocates no block-sized
+    # array: at peak under 2^17 bytes, numpy's cast buffers of 8192
+    # elements for the bool steps (one float block is 2^18 bytes).  Each
+    # step making a new array, the same block peaked at 1.58 MB.
+    import tracemalloc
+
+    mesh = make_mesh((0.0, 1.0), n=20000)
+    ys = np.random.default_rng(0).uniform(0.0, 1.0, 1 << 15)
+    work = discretize._Scratch(ys.size)
+    q, out = np.empty(ys.size), np.empty(ys.size)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        r, y, h = discretize._find_cells(mesh, ys, work)
+        discretize._hat(mesh, r, y, h, q, out=out, work=work)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 17
+
+
+def test_plan_levels_build_every_matrix_in_one_buffer():
+    # A bracket's fine level (solver._enclosures) and a degree-d level
+    # (higher_order._log_magnitude) allocate one entry-sized array, when
+    # they start: no matrix after that allocates as much as one more at
+    # its peak, build and power solve included.
+    import tracemalloc
+
+    from hausdim import higher_order, solver
+
+    fam = make_mobius_family(range(1, 35))
+    mesh = make_mesh(fam.domain, h=2e-4)
+    plan = closed_plan(fam, mesh)
+    models = {s: error_model(fam, s, mesh.h) for s in (0.6, 0.7, 0.8)}
+    plan6 = closed_plan(fam, make_mesh(fam.domain, h=0.01), 6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        enclose, _ = solver._enclosures(
+            plan, lambda s, which: None if which == "M"
+            else solver._coef(models[s], which), RADIUS_TOL)
+        log_mag = higher_order._log_magnitude(
+            plan6, RADIUS_TOL, higher_order._start_vector(plan6.dim))
+        held = plan.weight.nbytes + plan6.weight.nbytes
+        assert tracemalloc.get_traced_memory()[0] - base >= held
+        for level, nbytes, calls in (
+                (enclose, plan.weight.nbytes,
+                 [(0.6, "B"), (0.7, "B"), (0.7, "A"), (0.8, "M")]),
+                (log_mag, plan6.weight.nbytes, [(0.6,), (0.7,), (0.8,)])):
+            for args in calls:
+                now = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                level(*args)
+                assert tracemalloc.get_traced_memory()[1] - now < nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_data_into_out_is_bit_identical_and_checked():
+    fam = make_mobius_family([1, 2, 3])
+    mesh = make_mesh(fam.domain, h=1e-3)
+    for plan in (collocation_plan(fam, mesh), closed_plan(fam, mesh, 3)):
+        coefs = [None] if plan.q is None else [None, 0.5 / plan.q_max, -3.0]
+        out = np.full(plan.weight.size, np.nan)
+        for coef in coefs:
+            want = plan.data(0.7, coef)
+            assert plan.data(0.7, coef, out=out) is out
+            assert _same_bits(out, want)
+        size = plan.weight.size
+        for bad in (np.empty(size - 1), np.empty(size, dtype=np.float32),
+                    np.empty(2 * size)[::2], np.empty((size, 1)),
+                    np.frombuffer(bytes(8 * size)), list(range(size)),
+                    plan.weight, plan.log_weight.repeat(plan.degree + 1)[:0],
+                    plan.weight[::-1]):
+            with pytest.raises(BadParams):
+                plan.data(0.7, out=bad)
+            with pytest.raises(BadParams):
+                plan.matrix(0.7, out=bad)
+
+
+def test_plan_matrix_checks_entries_where_they_are_written(monkeypatch):
+    # No rescan: each block's entries are checked on the thread that
+    # wrote them, and NegativeEntry still fires for a NaN entry, a
+    # negative one and a degree > 1 plan's signed weights, in the first
+    # block or the last, on one CPU or two.  data gives the entries
+    # without a check, as the degree-d matrices need.
+    fam = make_mobius_family([1, 2])
+    mesh = make_mesh(fam.domain, h=1e-3)
+    for cpus in (1, 2):
+        _force_split(monkeypatch, cpus)
+        plan = collocation_plan(fam, mesh)
+        assert plan.log_weight.size > 2 * discretize._BLOCK
+        matrix = plan.matrix(0.7, out=np.empty(plan.weight.size))
+        assert isinstance(matrix, SparseNonnegMatrix)
+        assert _same_bits(matrix.data, plan.data(0.7))
+        with pytest.raises(NegativeEntry):
+            plan.matrix(math.nan)
+        for entry in (0, plan.weight.size - 1):
+            for value in (-1e-300, math.nan):
+                weight = plan.weight.copy()
+                weight[entry] = value
+                bad = dataclasses.replace(plan, weight=weight)
+                assert np.isnan(bad.data(0.7)[entry]) == math.isnan(value)
+                with pytest.raises(NegativeEntry):
+                    bad.matrix(0.7)
+                with pytest.raises(NegativeEntry):
+                    SparseNonnegMatrix(bad.dim, bad.indptr, bad.indices,
+                                       bad.data(0.7))
+        signed = collocation_plan(fam, mesh, 2)
+        assert (signed.data(0.7) < 0.0).any()
+        with pytest.raises(NegativeEntry):
+            signed.matrix(0.7)
+
+
+def test_matvec_refuses_an_out_that_shares_w():
+    # Zeroing out before the sum zeroed w too: matvec(w, out=w) gave
+    # all zeros where M w has none.
+    fam = make_mobius_family([1, 2])
+    matrix = collocation_plan(fam, make_mesh(fam.domain, h=0.1)).matrix(1.0)
+    w = 1.0 + np.arange(matrix.dim)
+    want = matrix.matvec(w)
+    assert (want > 0.0).all()
+    twice = np.concatenate([w, w])
+    for v, out in ((w, w), (w, w[::-1]), (twice[1:matrix.dim + 1],
+                                          twice[:matrix.dim])):
+        kept = v.copy()
+        with pytest.raises(BadParams):
+            matrix.matvec(v, out)
+        assert _same_bits(v, kept)
+    out = np.empty(matrix.dim)
+    assert _same_bits(matrix.matvec(w, out), want)
+
+
+def test_split_power_solves_hold_one_helper_thread(monkeypatch):
+    # A split solve starts one thread for all its matvecs, joined before
+    # it returns, and its every bit is that of the solve on one CPU.
+    fam = make_mobius_family([1, 2])
+    mesh = make_mesh(fam.domain, h=1e-3)
+    results = {}
+    for cpus in (1, 2):
+        threads = _force_split(monkeypatch, cpus)
+        matrix = collocation_plan(fam, mesh).matrix(0.5)
+        signed = _plan_highorder(fam, make_mesh(fam.domain, h=0.01))
+        before, threads.started = threading.active_count(), 0
+        enc = power_enclosure(matrix, tol=1e-14)
+        vec = np.ones(signed.dim)
+        lam = dominant_magnitude(signed, vec=vec)
+        assert threads.started == (2 if cpus == 2 else 0)
+        assert threading.active_count() == before
+        assert enc.iterations > 2
+        results[cpus] = (enc.r_lo, enc.r_hi, enc.eigvec.tobytes(),
+                         enc.iterations, lam, vec.tobytes())
+    assert results[1] == results[2]
+
+
+def _plan_highorder(fam, mesh):
+    plan = collocation_plan(fam, mesh, 6)
+    return HighOrderMatrix(plan.dim, plan.indptr, plan.indices,
+                           plan.data(0.7))
+
+
+def test_split_power_solve_joins_its_helper_when_it_raises(monkeypatch):
+    # Row 1's entry 1e-200 underflows M w there to 0 at the second step,
+    # so the solve raises ZeroRowSum partway; its helper is joined.
+    from hausdim import ZeroRowSum
+
+    threads = _force_split(monkeypatch, cpus=2)
+    matrix = SparseNonnegMatrix(4, _i32(0, 1, 2, 3, 4), _i32(0, 1, 2, 3),
+                                np.array([1.0, 1e-200, 1.0, 0.5]))
+    steps = []
+    matvec = SparseNonnegMatrix.matvec
+
+    def counting(self, w, out=None):
+        steps.append(self._helper)
+        return matvec(self, w, out)
+
+    monkeypatch.setattr(SparseNonnegMatrix, "matvec", counting)
+    before = threading.active_count()
+    with pytest.raises(ZeroRowSum):
+        power_enclosure(matrix)
+    assert len(steps) == 2 and steps[0] is steps[1] is not None
+    assert steps[0]._thread.ident is not None
+    assert not steps[0]._thread.is_alive()
+    assert threads.started == 1
+    assert threading.active_count() == before
+
+
+def test_helpers_under_many_solves_and_fast_switching(monkeypatch):
+    # Four threads, more than the CPUs, each run split solves with a
+    # helper of their own while the interpreter switches threads every
+    # microsecond: a lost handoff would change a bit or hang.
+    fam = make_mobius_family([1, 2, 3])
+    mesh = make_mesh(fam.domain, h=2e-3)
+    _force_split(monkeypatch, cpus=1)
+    matrices = [collocation_plan(fam, mesh).matrix(s) for s in (0.4, 0.6)]
+    want = [power_enclosure(m, tol=1e-14).eigvec.tobytes() for m in matrices]
+    _force_split(monkeypatch, cpus=2)
+    got, errors = [], []
+
+    def solve():
+        try:
+            for _ in range(5):
+                got.append([power_enclosure(m, tol=1e-14).eigvec.tobytes()
+                            for m in matrices])
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=solve) for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not errors
+    assert got == [want] * 20

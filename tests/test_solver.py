@@ -320,6 +320,7 @@ def test_callers_reject_bad_root_tolerance_before_any_matrix(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("matrix built")
 
+    monkeypatch.setattr(CollocationPlan, "matrix", fail)
     monkeypatch.setattr(CollocationPlan, "data", fail)
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, h=0.01)
@@ -561,18 +562,18 @@ def test_bracket_builds_each_matrix_once(monkeypatch):
     import hausdim.solver as solver
 
     built, modelled = [], []
-    data = CollocationPlan.data
+    matrix = CollocationPlan.matrix
     model = solver.error_model
 
-    def counting(self, s, coef=None):
+    def counting(self, s, coef=None, out=None):
         built.append((self.dim, s, coef))
-        return data(self, s, coef)
+        return matrix(self, s, coef, out)
 
     def counting_model(fam, s, h, bound_plan=None):
         modelled.append(s)
         return model(fam, s, h, bound_plan)
 
-    monkeypatch.setattr(CollocationPlan, "data", counting)
+    monkeypatch.setattr(CollocationPlan, "matrix", counting)
     monkeypatch.setattr(solver, "error_model", counting_model)
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, n=80)
@@ -647,13 +648,13 @@ def test_bracket_solves_on_the_fine_mesh_when_the_coarse_level_stalls(
     import hausdim.solver as solver
 
     dims = []
-    data = CollocationPlan.data
+    matrix = CollocationPlan.matrix
 
-    def counting(self, s, coef=None):
+    def counting(self, s, coef=None, out=None):
         dims.append(self.dim)
-        return data(self, s, coef)
+        return matrix(self, s, coef, out)
 
-    monkeypatch.setattr(CollocationPlan, "data", counting)
+    monkeypatch.setattr(CollocationPlan, "matrix", counting)
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(fam.domain, h=0.01)
     coarse = _coarse_mesh(mesh)
@@ -726,13 +727,13 @@ def test_bracket_fine_matrix_budget(monkeypatch, case, fine_before,
     10001 and 365 of 1001 nodes).
     """
     dims = []
-    data = CollocationPlan.data
+    matrix = CollocationPlan.matrix
 
-    def counting(self, s, coef=None):
+    def counting(self, s, coef=None, out=None):
         dims.append(self.dim)
-        return data(self, s, coef)
+        return matrix(self, s, coef, out)
 
-    monkeypatch.setattr(CollocationPlan, "data", counting)
+    monkeypatch.setattr(CollocationPlan, "matrix", counting)
     fam, h = {"cf12_h1e-4": (make_mobius_family([1, 2]), 1e-4),
               "cantor05_h1e-3": (make_cantor_family(0.5), 1e-3)}[case]
     mesh = make_mesh((0.0, 1.0), h=h)
@@ -751,13 +752,13 @@ def test_bracket_skips_a_coarse_level_barely_coarser(monkeypatch):
     coarse and 6 fine matrices (7.8 ms); without it, 10 fine (4.6 ms).
     """
     dims = []
-    data = CollocationPlan.data
+    matrix = CollocationPlan.matrix
 
-    def counting(self, s, coef=None):
+    def counting(self, s, coef=None, out=None):
         dims.append(self.dim)
-        return data(self, s, coef)
+        return matrix(self, s, coef, out)
 
-    monkeypatch.setattr(CollocationPlan, "data", counting)
+    monkeypatch.setattr(CollocationPlan, "matrix", counting)
     fam = make_mobius_family([1, 2])
     mesh = make_mesh(reduce_domain(fam, 6), h=5e-4)
     assert mesh.dim == 122 and len(mesh.pieces) == 32
