@@ -743,6 +743,7 @@ def _lagrange_rows(t: np.ndarray, degree: int, out: np.ndarray | None = None,
     rows of out, or, when the caller passes work, a float array of at
     least (d+3, t.size), in its first d+1 rows; its last two rows hold
     the other two intermediates, which are new arrays without work.
+    t may be work's first row, where u overwrites it.
     """
     n = t.size
     if out is None:
@@ -1076,15 +1077,28 @@ def _build_plan(fam: MapFamily, mesh: Mesh, degree: int, closed: bool
         work = np.empty((degree + 3, min(step, kept) * n_maps))
         for start in starts:
             stop = min(start + step, kept)
-            block = slice(start, stop) if renumber is None else rows[start:stop]
             entries = slice(start * n_maps * n_basis, stop * n_maps * n_basis)
             cols = indices[entries].reshape(-1, n_basis).T
-            cols[0] = first[block].ravel()
-            if renumber is not None:
-                cols[0] = renumber[cols[0]]
+            if renumber is None:
+                cols[0] = first[start:stop].ravel()
+                images = w_right[start:stop].ravel()
+            else:
+                # Gathered into the first two work rows, whose pages
+                # _lagrange_rows touches anyway: the first columns and
+                # their renumbering as int32 in row 1, the images in row 0.
+                # mode="clip" writes into out; the default buffers a copy.
+                block, n = rows[start:stop], (stop - start) * n_maps
+                ints = work[1].view(np.int32)
+                first.take(block, axis=0, out=ints[:n].reshape(-1, n_maps),
+                           mode="clip")
+                cols[0] = renumber.take(ints[:n], out=ints[n:2 * n],
+                                        mode="clip")
+                images = w_right.take(
+                    block, axis=0, out=work[0, :n].reshape(-1, n_maps),
+                    mode="clip").ravel()
             for p in range(1, n_basis):
                 np.add(cols[0], p, out=cols[p])
-            _lagrange_rows(w_right[block].ravel(), degree,
+            _lagrange_rows(images, degree,
                            out=weight[entries].reshape(-1, n_basis).T,
                            work=work)
 

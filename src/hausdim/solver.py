@@ -23,9 +23,12 @@ Degree-d estimates (higher_order) find their own coarse root the same
 way, through _coarse_mesh and _root.
 
 Within one bracket every power solve on a mesh starts from the
-eigenvector of the one before it, and a solve away from the root stops
-as soon as its enclosure excludes 1 and pins log r to 1%, which is all
-a secant step needs there.
+eigenvectors of the last two solves of the same matrix, extrapolated
+linearly in s, or, where that vector is not strictly positive and
+finite or there is no such pair yet, from the eigenvector of the one
+before it.  A solve away from the root stops as soon as its enclosure
+excludes 1 and pins log r to 1%, which is all a secant step needs
+there, and takes power_enclosure's vector Aitken steps on the way.
 
 Both meshes of a bracket solve on discretize.closed_plan: the rows of
 the closed node set S, compacted where S keeps at most 3/4 of the
@@ -253,21 +256,41 @@ def _enclosures(plan, coef, radius_tol: float):
 
     coef(s, which) gives the matrix's correction coefficient (None for
     M).  Every matrix is built into one entry buffer, so the plan's
-    matrices reuse its pages.  Every power solve starts from the
-    eigenvector of the one before and may stop once its enclosure
-    settles the sign of log r to 1%.
+    matrices reuse its pages.  Every power solve may stop once its
+    enclosure settles the sign of log r to 1%.  It starts from the
+    eigenvectors of the last two solves of the same matrix kind,
+    extrapolated linearly to its s, where that vector is strictly
+    positive and finite, and otherwise from the eigenvector of the
+    solve before it.
     """
     radii: dict[tuple[float, str], tuple[float, float, bool]] = {}
-    seed = None  # eigenvector of the latest solve, the next one's start
+    seed = None  # eigenvector of the latest solve
+    # (s, eigenvector) of the last two solves of each matrix kind
+    history: dict[str, list[tuple[float, np.ndarray]]] = {}
     entries = np.empty(plan.weight.size)
+    guess = np.empty(plan.dim)  # the predicted start
+
+    def start(s: float, which: str):
+        pair = history.get(which, ())
+        if len(pair) < 2:
+            return seed
+        (s0, v0), (s1, v1) = pair
+        np.subtract(v1, v0, out=guess)
+        np.multiply(guess, (s - s1) / (s1 - s0), out=guess)
+        np.add(guess, v1, out=guess)
+        if float(np.minimum.reduce(guess)) > 0.0 and \
+                float(np.maximum.reduce(guess)) < math.inf:
+            return guess
+        return seed
 
     def enclose(s: float, which: str) -> tuple[float, float, bool]:
         nonlocal seed
         if (s, which) not in radii:
             enc = power_enclosure(plan.matrix(s, coef(s, which), entries),
-                                  tol=radius_tol, seed_vec=seed,
+                                  tol=radius_tol, seed_vec=start(s, which),
                                   sign_rel=_SIGN_REL)
             seed = enc.eigvec
+            history[which] = [*history.get(which, ())[-1:], (s, seed)]
             radii[s, which] = (enc.r_lo, enc.r_hi, enc.converged)
         return radii[s, which]
 

@@ -8,16 +8,22 @@ so every power-iteration step yields a two-sided enclosure.  The iteration
 starts from all-ones or from a given positive seed vector (a warm start)
 and runs until the relative gap closes below a tolerance or, on request,
 until the enclosure excludes 1 and pins log r to a relative accuracy.
-A solve keeps its product, ratio and iterate vectors in buffers made
-once per solve: a discretize.CsrMatrix writes M w into its buffer
-through scipy's compiled CSR loop, and the ratios and the next iterate
-are divided into theirs, the same float operations in the same order
-as fresh arrays would take.  Where the matvec splits its rows over two
-threads, one helper thread serves every step of the solve.  The seed
-vector is copied, never written.  Dense arrays and other objects with
-matvec(w) give M w in a new array.  An array or CsrMatrix with a
-negative or NaN entry is refused.  Also provides the Hilbert projective
-metric and a ratio-cone membership test used as a diagnostic.
+As the bound holds for any positive w, a solve asked for that early
+stop also takes a vector Aitken step every 8 steps, which sums the
+geometric tail of the leading subdominant component; the bounds it
+returns still come from the true matvec of a positive vector.  Solves
+without it are plain power iteration.  A solve keeps its product,
+ratio and iterate vectors, and the two iterates an Aitken step reads,
+in buffers made once per solve: a discretize.CsrMatrix writes M w into
+its buffer through scipy's compiled CSR loop, and the ratios and the
+next iterate are divided into theirs, the same float operations in the
+same order as fresh arrays would take.  Where the matvec splits its
+rows over two threads, one helper thread serves every step of the
+solve.  The seed vector is copied, never written.  Dense arrays and
+other objects with matvec(w) give M w in a new array.  An array or
+CsrMatrix with a negative or NaN entry is refused.  Also provides the
+Hilbert projective metric and a ratio-cone membership test used as a
+diagnostic.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .errors import BadParams, NegativeEntry, NonPositiveVector, ZeroRowSum
 
 RADIUS_TOL = 1e-13  # default relative enclosure gap of every radius solve
 _STALL_LIMIT = 200
+_AITKEN = 8  # steps between vector Aitken steps of a sign_rel solve
 
 
 def _product(matrix):
@@ -105,6 +112,9 @@ def power_enclosure(matrix, tol: float = RADIUS_TOL,
     accuracy.  If the gap stalls above tol for 200 consecutive iterations,
     or 10*dim + 1000 iterations are exhausted, the current enclosure is
     returned with converged=False; the bounds are certified either way.
+    With sign_rel, every _AITKEN-th step replaces the iterate by its
+    vector Aitken extrapolate (_aitken) where that is strictly positive
+    and finite; the next step's bounds are those of the new iterate.
 
     The bounds hold for nonnegative matrices only.  An array, or a
     CsrMatrix that is not a SparseNonnegMatrix, is checked entry by
@@ -125,6 +135,8 @@ def power_enclosure(matrix, tol: float = RADIUS_TOL,
         if w.shape != (n,) or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise NonPositiveVector("seed vector must be strictly positive")
     mv, ratios = np.empty(n), np.empty(n)
+    # The two iterates before an Aitken step, then their differences.
+    back = (np.empty(n), np.empty(n)) if sign_rel is not None else None
     lo, hi = -math.inf, math.inf
     best_gap = math.inf
     stall = 0
@@ -155,8 +167,46 @@ def power_enclosure(matrix, tol: float = RADIUS_TOL,
                 stall += 1
                 if stall >= _STALL_LIMIT:
                     break
+            if back is not None:
+                phase = iterations % _AITKEN
+                if phase >= _AITKEN - 2:
+                    np.copyto(back[phase - _AITKEN + 2], w)
+                elif phase == 0:
+                    w, spare = _aitken(w, *back, ratios)
+                    back = (spare, back[1])
     return SpectralEnclosure(r_lo=lo, r_hi=hi, eigvec=w,
                              iterations=iterations, converged=converged)
+
+
+def _aitken(w: np.ndarray, older: np.ndarray, old: np.ndarray,
+            scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(next iterate, spare buffer) after a vector Aitken step on w.
+
+    older, old and w are the last three normalized iterates.  With
+    d1 = old - older, d2 = w - old and mu = <d2, d1> / <d1, d1>, the
+    iterate becomes w + mu/(1 - mu) d2, normalized by its max, where
+    0 < mu < 0.99 and that vector is strictly positive and finite: the
+    geometric tail of the leading subdominant component, summed.  Else
+    w stays.  older, old and scratch are overwritten; the spare buffer
+    is whichever of w and older the iterate is not.  The inner products
+    are numpy's pairwise sums, not BLAS dot, whose order may depend on
+    the CPU.
+    """
+    d1 = np.subtract(old, older, out=older)
+    d2 = np.subtract(w, old, out=old)
+    norm = float(np.add.reduce(np.multiply(d1, d1, out=scratch)))
+    if not norm > 0.0:
+        return w, older
+    mu = float(np.add.reduce(np.multiply(d2, d1, out=scratch))) / norm
+    if not 0.0 < mu < 0.99:
+        return w, older
+    guess = np.multiply(d2, mu / (1.0 - mu), out=older)
+    np.add(guess, w, out=guess)
+    top = float(np.maximum.reduce(guess))
+    if not (float(np.minimum.reduce(guess)) > 0.0 and top < math.inf):
+        return w, older
+    np.divide(guess, top, out=guess)
+    return guess, w
 
 
 def _sign_settled(lo: float, hi: float, rel: float) -> bool:

@@ -781,15 +781,20 @@ def test_bracket_skips_a_coarse_level_barely_coarser(monkeypatch):
 @pytest.mark.parametrize("case,before_its,before_evals", [
     ("cf12_n200", 430, 16),
     ("cantor05_h1e-3", 1030, 18),
+    ("cantor1_h1e-4", 1021, 20),
 ])
 def test_bracket_power_iteration_budget(monkeypatch, case, before_its,
                                         before_evals):
-    """Warm starts and sign-sufficient stops cut the power iterations.
+    """Warm starts, sign-sufficient stops and Aitken steps cut the steps.
 
-    Before them every solve started from all-ones and ran to the 1e-13
-    gap: cf{1,2} at n = 200 took 430 iterations over 16 solves and
-    Cantor a = 0.5 at h = 1e-3 took 1030 over 18.  A bracket must now
-    take at most half of that, and build no more matrices.
+    Before warm starts and sign-sufficient stops every solve started
+    from all-ones and ran to the 1e-13 gap: cf{1,2} at n = 200 took 430
+    iterations over 16 solves and Cantor a = 0.5 at h = 1e-3 took 1030
+    over 18.  Cantor a = 1 at h = 1e-4, whose matrices have a real
+    lambda2/lambda1 of 0.86, took 1021 over 19 solves with them but
+    before predicted starts and Aitken steps.  A bracket must now take
+    at most half of that, and build no more matrices; the budget of the
+    a = 1 case is 20, as its moved rounding builds one matrix more.
     """
     import hausdim.solver as solver
 
@@ -807,11 +812,53 @@ def test_bracket_power_iteration_budget(monkeypatch, case, before_its,
                               make_mesh((0.0, 1.0), n=200)),
         "cantor05_h1e-3": lambda: (make_cantor_family(0.5),
                                    make_mesh((0.0, 1.0), h=1e-3)),
+        "cantor1_h1e-4": lambda: (make_cantor_family(1.0),
+                                  make_mesh((0.0, 1.0), h=1e-4)),
     }[case]()
     br = bracket_dimension(fam, mesh)
     assert br.certified
     assert len(iterations) == br.evals <= before_evals
     assert sum(iterations) <= before_its // 2
+
+
+@pytest.mark.parametrize("fam,h,initial", [
+    (make_cantor_family(1.0), 1e-3, INITIAL_BRACKET),
+    (make_cantor_family(0.5), 1e-4, INITIAL_BRACKET),
+    (make_mobius_family([1, 2]), 1e-4, INITIAL_BRACKET),
+    (make_mobius_family([1, 3]), 1e-3, INITIAL_BRACKET),
+    (make_cantor_family(1.0), 1e-2, (0.1, 0.3)),
+], ids=["cantor1_h1e-3", "cantor05_h1e-4", "cf12_h1e-4", "cf13_h1e-3",
+        "cantor1_h1e-2_from_0.1"])
+def test_bracket_solves_start_from_positive_vectors(monkeypatch, fam, h,
+                                                    initial):
+    # A solve starts from the eigenvectors of the last two solves of its
+    # matrix kind, extrapolated in s, or else from the latest one.  Every
+    # start must be strictly positive and finite, and some must be
+    # predicted.  From (0.1, 0.3), Cantor a = 1's coarse M solves at
+    # 0.1 and 0.3 extrapolate to a vector with a negative entry at 0.6,
+    # so there the solve starts from the eigenvector at 0.3 instead.
+    import hausdim.solver as solver
+
+    seeds, eigvecs = [], []
+    power = solver.power_enclosure
+
+    def recording(matrix, *args, seed_vec=None, **kwargs):
+        seeds.append(None if seed_vec is None else seed_vec.copy())
+        enc = power(matrix, *args, seed_vec=seed_vec, **kwargs)
+        eigvecs.append(enc.eigvec.tobytes())
+        return enc
+
+    monkeypatch.setattr(solver, "power_enclosure", recording)
+    br = bracket_dimension(fam, make_mesh(fam.domain, h=h), initial=initial)
+    assert br.certified
+    # The first solve of each mesh starts from all-ones.
+    started = [seed for seed in seeds if seed is not None]
+    assert len(started) >= len(seeds) - 2
+    for seed in started:
+        assert np.all(seed > 0.0) and np.all(np.isfinite(seed))
+    assert any(seed.tobytes() not in eigvecs for seed in started)
+    if initial != INITIAL_BRACKET:
+        assert eigvecs[1] == seeds[2].tobytes()
 
 
 def test_bracket_builds_bound_plan_once(poly_fam):

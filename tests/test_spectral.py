@@ -1,5 +1,6 @@
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hausdim import (
     make_mobius_family,
     power_enclosure,
 )
+from hausdim import spectral
 from hausdim.bounds import ratio_bounds
 from hausdim.discretize import CsrMatrix
 from hausdim.solver import _log_midpoint
@@ -264,6 +266,86 @@ def test_power_enclosure_stays_rigorous(system):
         log_lo, log_hi = math.log(enc.r_lo), math.log(enc.r_hi)
         assert math.log(enc.r_hi / enc.r_lo) <= sign_rel * min(
             abs(log_lo), abs(log_hi))
+
+
+@st.composite
+def _slow_systems(draw):
+    """(positive matrix with lambda2/lambda1 near 1, seed vector or None).
+
+    Two positive blocks, coupled by a factor of 1e-3 to 1e-2 and with
+    radii 3-20% apart, scaled to a radius a little off 1: power
+    iteration crawls, so a sign_rel solve runs past its Aitken steps.
+    """
+    n = draw(st.integers(4, 24))
+    mat = draw(hnp.arrays(float, (n, n), elements=st.floats(0.01, 1.0)))
+    cut = draw(st.integers(1, n - 1))
+    coupling = draw(st.floats(1e-3, 1e-2))
+    mat[:cut, cut:] *= coupling
+    mat[cut:, :cut] *= coupling
+    mat[cut:, cut:] *= draw(st.floats(0.8, 0.97)) * (
+        max(abs(np.linalg.eigvals(mat[:cut, :cut])))
+        / max(abs(np.linalg.eigvals(mat[cut:, cut:]))))
+    target = draw(st.sampled_from([0.97, 0.999, 1.001, 1.03]))
+    mat *= target / max(abs(np.linalg.eigvals(mat)))
+    seed = draw(st.none()
+                | hnp.arrays(float, n, elements=st.floats(0.1, 10.0)))
+    return mat, seed
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_slow_systems())
+def test_extrapolated_solves_enclose_the_radius(system):
+    # A sign_rel solve may replace an iterate by its Aitken extrapolate,
+    # but its bounds come from the true matvec of the positive vector
+    # after it, so they still enclose the radius.
+    mat, seed = system
+    with mock.patch.object(spectral, "_aitken",
+                           wraps=spectral._aitken) as aitken:
+        enc = power_enclosure(mat, tol=1e-13, seed_vec=seed,
+                              sign_rel=_SIGN_REL)
+    assert aitken.call_count == (enc.iterations - 1) // spectral._AITKEN
+    radius = max(abs(np.linalg.eigvals(mat)))
+    assert enc.r_lo <= radius * (1.0 + 1e-12)
+    assert radius <= enc.r_hi * (1.0 + 1e-12)
+    assert np.all(enc.eigvec > 0.0) and np.all(np.isfinite(enc.eigvec))
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0])
+@pytest.mark.parametrize("s", [0.5, 0.75, 0.9, 1.2])
+def test_extrapolated_solves_enclose_cantor_radii(a, s):
+    # The plan matrices of the perturbed Cantor maps have a real
+    # lambda2/lambda1 of 0.45-0.86, the slow solves the Aitken step is
+    # for: it must fire there, take no more steps than the same solve
+    # without it, and every enclosure must hold the radius of the
+    # dense matrix.
+    fam = make_cantor_family(a)
+    mat = collocation_plan(fam, make_mesh(fam.domain, h=1e-2)).matrix(s)
+    with mock.patch.object(spectral, "_aitken",
+                           wraps=spectral._aitken) as aitken:
+        enc = power_enclosure(mat, tol=1e-13, sign_rel=_SIGN_REL)
+    with mock.patch.object(spectral, "_AITKEN", 10**9):
+        slow = power_enclosure(mat, tol=1e-13, sign_rel=_SIGN_REL)
+    assert aitken.call_count == (enc.iterations - 1) // spectral._AITKEN > 0
+    assert enc.iterations <= slow.iterations
+    radius = _squared_radius(mat.toarray())
+    for got in (enc, slow):
+        assert got.r_lo <= radius * (1.0 + 1e-12)
+        assert radius <= got.r_hi * (1.0 + 1e-12)
+
+
+def test_plain_solves_take_no_aitken_step():
+    # Without sign_rel a solve is plain power iteration: one matvec of
+    # the last iterate per step, the same float operations as
+    # one_step_enclosures.
+    fam = make_cantor_family(1.0)
+    mat = collocation_plan(fam, make_mesh(fam.domain, h=1e-2)).matrix(0.8)
+    with mock.patch.object(spectral, "_aitken",
+                           side_effect=AssertionError("Aitken step")):
+        enc = power_enclosure(mat, tol=1e-13)
+    assert enc.iterations > 2 * spectral._AITKEN
+    bounds, w = one_step_enclosures(mat, enc.iterations)
+    assert bounds[-1] == (enc.r_lo, enc.r_hi)
+    assert w.tobytes() == enc.eigvec.tobytes()
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
