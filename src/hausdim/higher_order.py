@@ -45,7 +45,7 @@ import numpy as np
 from .discretize import (
     CollocationPlan,
     CsrMatrix,
-    _interpolate_nodal,
+    _interpolate_rows,
     closed_plan,
 )
 from .errors import BadParams, PowerDivergence
@@ -228,13 +228,9 @@ def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
             _log_magnitude(coarse_plan, radius_tol, coarse_vec),
             INITIAL_BRACKET, root_tol)
         start = (s_c, slope)
-        # NaN on the coarse mesh's degree-d nodes outside its S.
-        values = np.full(plan.degree * coarse.n + len(coarse.pieces), np.nan)
-        values[coarse_plan.rows] = coarse_vec
-        values = _interpolate_nodal(values, coarse, mesh,
-                                    plan.degree)[plan.rows]
-        if np.isfinite(values).all():
-            vec[:] = values
+        seed = _interpolate_rows(coarse_vec, coarse_plan, coarse, plan, mesh)
+        if seed is not None:
+            vec[:] = seed
     s, _, evals = _root(_log_magnitude(plan, radius_tol, vec),
                         INITIAL_BRACKET, root_tol, start)
     return HighOrderResult(s=s, degree=plan.degree,

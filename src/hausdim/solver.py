@@ -11,24 +11,32 @@ midpoint a margin of at least radius_tol outward in log r, on the side
 its certificate needs, so the enclosure found at the root certifies its
 endpoint as it stands.
 
-A bracket first finds the root of log r(M_s) on a mesh 16 times
-coarser, where a matrix costs a sixteenth as much; the A/B roots
-converge to the dimension like h**2, so that root lies close to the
-fine ones.  A coarse mesh that keeps more than a tenth of the fine
-nodes (many short pieces, two cells each) saves too little and is
-skipped, and so is a coarse root solve whose power iteration stalls.
-The fine B root then starts from it on the coarse slope, and the fine
-A root from the B root on the slope of log r(B).
+A bracket builds its fine closed plan first.  Where that plan holds at
+least 2**16 entries, the bracket first finds the root of log r(M_s) on
+a mesh 16 times coarser, where a matrix costs a sixteenth as much; the
+A/B roots converge to the dimension like h**2, so that root lies close
+to the fine ones.  A smaller plan solves faster from the initial
+bracket than the coarse level costs, and has none.  Nor has one whose
+coarse mesh keeps more than a tenth of the fine nodes (many short
+pieces, two cells each), and a coarse root solve whose power iteration
+stalls leaves the fine mesh to solve from the initial bracket.  The
+fine B root then starts from the coarse root on the coarse slope, and
+the fine A root from the B root on the slope of log r(B).
 Degree-d estimates (higher_order) find their own coarse root the same
-way, through _coarse_mesh and _root.
+way, through _coarse_mesh and _root, and both seed their first fine
+solve through discretize._interpolate_rows.
 
 Within one bracket every power solve on a mesh starts from the
 eigenvectors of the last two solves of the same matrix, extrapolated
 linearly in s, or, where that vector is not strictly positive and
 finite or there is no such pair yet, from the eigenvector of the one
-before it.  A solve away from the root stops as soon as its enclosure
-excludes 1 and pins log r to 1%, which is all a secant step needs
-there, and takes power_enclosure's vector Aitken steps on the way.
+before it.  The first solve on the fine mesh starts from the last
+coarse eigenvector interpolated onto the fine closed rows, or from
+all-ones where there is no coarse level or a row reads a coarse node
+that the coarse closed plan dropped.  A solve away from the root stops
+as soon as its enclosure excludes 1 and pins log r to 1%, which is all
+a secant step needs there, and takes power_enclosure's vector Aitken
+steps on the way.
 
 Both meshes of a bracket solve on discretize.closed_plan: the rows of
 the closed node set S, compacted where S keeps at most 3/4 of the
@@ -48,6 +56,7 @@ import numpy as np
 from .bounds import BoundPlan
 from .discretize import (
     ErrorModel,
+    _interpolate_rows,
     closed_plan,
     collocation_plan,
     error_model,
@@ -249,9 +258,18 @@ class DimensionBracket:
 
 
 _COARSEN = 16  # cell width of the coarse mesh, in fine cell widths
+# Smallest closed plan whose bracket takes the coarse level, at the
+# measured crossover.  Timed both ways (medians of 15 alternated
+# in-process brackets, the first fine solve seeded), the coarse level
+# took 1.03-1.31 times as long on plans of 3.6k-50k entries (cf{1..5},
+# cf{1..10}, Cantor a = 0 and 0.5), 0.97-1.06 on 53k-64k and 0.92-0.96
+# from 68.6k to 118k (0.86 at 216k).  Only Cantor a = 1, whose power
+# solves crawl, gained below the cut (0.92-0.99 from 12.8k entries).
+_BRACKET_MIN_ENTRIES = 1 << 16
 
 
-def _enclosures(plan, coef, radius_tol: float):
+def _enclosures(plan, coef, radius_tol: float, *,
+                seed: np.ndarray | None = None):
     """Memoized enclose(s, which) -> (r_lo, r_hi, converged) on one plan.
 
     coef(s, which) gives the matrix's correction coefficient (None for
@@ -261,10 +279,12 @@ def _enclosures(plan, coef, radius_tol: float):
     eigenvectors of the last two solves of the same matrix kind,
     extrapolated linearly to its s, where that vector is strictly
     positive and finite, and otherwise from the eigenvector of the
-    solve before it.
+    solve before it.  The first solve starts from seed, a strictly
+    positive array of shape (plan.dim,), or else from all-ones; each
+    solve copies its eigenvector into seed, so it ends as the last one.
     """
     radii: dict[tuple[float, str], tuple[float, float, bool]] = {}
-    seed = None  # eigenvector of the latest solve
+    latest = seed  # eigenvector of the latest solve
     # (s, eigenvector) of the last two solves of each matrix kind
     history: dict[str, list[tuple[float, np.ndarray]]] = {}
     entries = np.empty(plan.weight.size)
@@ -273,7 +293,7 @@ def _enclosures(plan, coef, radius_tol: float):
     def start(s: float, which: str):
         pair = history.get(which, ())
         if len(pair) < 2:
-            return seed
+            return latest
         (s0, v0), (s1, v1) = pair
         np.subtract(v1, v0, out=guess)
         np.multiply(guess, (s - s1) / (s1 - s0), out=guess)
@@ -281,16 +301,18 @@ def _enclosures(plan, coef, radius_tol: float):
         if float(np.minimum.reduce(guess)) > 0.0 and \
                 float(np.maximum.reduce(guess)) < math.inf:
             return guess
-        return seed
+        return latest
 
     def enclose(s: float, which: str) -> tuple[float, float, bool]:
-        nonlocal seed
+        nonlocal latest
         if (s, which) not in radii:
             enc = power_enclosure(plan.matrix(s, coef(s, which), entries),
                                   tol=radius_tol, seed_vec=start(s, which),
                                   sign_rel=_SIGN_REL)
-            seed = enc.eigvec
-            history[which] = [*history.get(which, ())[-1:], (s, seed)]
+            latest = enc.eigvec
+            if seed is not None:
+                np.copyto(seed, latest)
+            history[which] = [*history.get(which, ())[-1:], (s, latest)]
             radii[s, which] = (enc.r_lo, enc.r_hi, enc.converged)
         return radii[s, which]
 
@@ -313,7 +335,7 @@ def _coarse_mesh(mesh):
     # lost at every ratio from 0.078 on (1.17-2.05); at 0.062-0.069 it
     # lost on every plan under 40000 entries too and won only on larger
     # ones (0.70-0.93), not all of them.  For brackets the ratio alone
-    # does not place the crossover.
+    # does not place the crossover: _BRACKET_MIN_ENTRIES does.
     return coarse if 10 * coarse.dim <= mesh.dim else None
 
 
@@ -323,18 +345,23 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
                       ) -> DimensionBracket:
     """Bracket the dimension with certified enclosure endpoints.
 
-    The root s_c of log r(M_s) on the same intervals meshed 16 times
-    coarser is found by _root from initial, to max(root_tol,
-    4 radius_tol); that plan is dropped before the fine one is built.
-    The fine B root starts at s_c on the coarse slope; where the coarse
-    mesh would keep more than a tenth of the fine nodes (a domain of
-    many short pieces), there is no coarse level and it is found from
-    initial on the fine mesh.  So it is where a coarse power solve does
-    not converge (PowerDivergence; a few coarse rows at large s, say),
-    and the coarse matrices built still count in evals.  The A root
-    starts the same way at the B root, on the slope of log r(B).  With
-    margin = max(root_tol/10, radius_tol), each root aims its enclosure
-    midpoint at margin <= |log r| <= root_tol + 4 (margin - root_tol/10)
+    The fine closed plan is built first.  Where it holds at least
+    2**16 entries, the root s_c of log r(M_s) on the same intervals
+    meshed 16 times coarser is found by _root from initial, to
+    max(root_tol, 4 radius_tol), and that plan is dropped before the
+    fine level makes its entry buffer.  The fine B root starts at s_c on
+    the coarse slope, its first solve from the last coarse eigenvector
+    interpolated onto the fine closed rows (from all-ones where a row
+    reads a node the coarse closed plan dropped).  A smaller plan, or
+    one whose coarse mesh would keep more than a tenth of the fine nodes
+    (a domain of many short pieces), has no coarse level: the B root is
+    found from initial on the fine mesh.  So it is where a coarse power
+    solve does not converge (PowerDivergence; a few coarse rows at large
+    s, say), and the coarse matrices built still count in evals.  The A
+    root starts the same way at the B root, on the slope of log r(B).
+    With margin = max(root_tol/10, radius_tol), each root aims its
+    enclosure midpoint at
+    margin <= |log r| <= root_tol + 4 (margin - root_tol/10)
     on the side its certificate needs: s_upper at log r(B) < 0,
     s_lower at log r(A) > 0.  An enclosure that met a radius_tol below
     1/2 has its ends less than radius_tol from the midpoint in log r,
@@ -343,9 +370,9 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     s_upper and r_lo(A) >= 1 at s_lower, read from those two
     enclosures.  It fails only where a root solve ends on a collapsed
     bracket instead of in that band.
-    The fine collocation plan and the bound plan are built once and
-    serve every s the fine solves visit.  Both meshes solve on their
-    closed plans (discretize.closed_plan), whose spectral radii and
+    The fine plan and the bound plan are built once and serve every s
+    the fine solves visit.  Both meshes solve on their closed plans
+    (discretize.closed_plan), whose spectral radii and
     Collatz-Wielandt bounds are those of the full matrices.  evals
     counts the matrices built on both meshes.  BadParams unless
     0 < root_tol < inf, 0 < radius_tol < inf and
@@ -356,22 +383,27 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     _check_tols(root_tol, radius_tol)  # the coarse floor would hide root_tol
     _check_bracket(initial)
     bound_plan = BoundPlan(fam)
-    start, coarse_evals = None, 0
-    coarse = _coarse_mesh(mesh)
+    plan = closed_plan(fam, mesh)
+    start, seed, coarse_evals = None, None, 0
+    coarse = _coarse_mesh(mesh) \
+        if plan.indices.size >= _BRACKET_MIN_ENTRIES else None
     if coarse is not None:
-        enclose, coarse_radii = _enclosures(closed_plan(fam, coarse),
-                                            lambda s, which: None, radius_tol)
+        coarse_plan = closed_plan(fam, coarse)
+        last = np.ones(coarse_plan.dim)  # each coarse eigenvector in turn
+        enclose, coarse_radii = _enclosures(
+            coarse_plan, lambda s, which: None, radius_tol, seed=last)
         try:
             # log r is known to about radius_tol: no root is sought closer.
             s_c, slope, _ = _root(
                 lambda s: _log_midpoint(*enclose(s, "M"), radius_tol),
                 initial, max(root_tol, 4.0 * radius_tol))
             start = (s_c, slope)
+            seed = _interpolate_rows(last, coarse_plan, coarse, plan, mesh)
         except PowerDivergence:
             pass  # the fine mesh solves from initial instead
         coarse_evals = len(coarse_radii)
-        del enclose  # the coarse plan goes before the fine one is built
-    plan = closed_plan(fam, mesh)
+        # The coarse plan goes before the fine entry buffer is made.
+        del enclose, coarse_plan
     models: dict[float, ErrorModel] = {}  # A and B share an s at B's root
 
     def coef(s: float, which: str) -> float:
@@ -379,7 +411,7 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
             models[s] = error_model(fam, s, mesh.h, bound_plan)
         return _coef(models[s], which)
 
-    enclose, radii = _enclosures(plan, coef, radius_tol)
+    enclose, radii = _enclosures(plan, coef, radius_tol, seed=seed)
 
     def log_r(s: float, which: str) -> float:
         return _log_midpoint(*enclose(s, which), radius_tol)

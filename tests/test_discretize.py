@@ -45,6 +45,7 @@ from hausdim.spectral import RADIUS_TOL
 from hausdim.discretize import (
     _degree_nodes,
     _interpolate_nodal,
+    _interpolate_rows,
     _join,
     _lagrange_rows,
     _locate,
@@ -1045,6 +1046,31 @@ def test_interpolate_nodal_keeps_to_each_piece(degree):
         assert np.allclose(got[mine], target.nodes[mine] ** degree,
                            rtol=0, atol=1e-14)
         assert np.isnan(np.delete(got, np.arange(target.dim)[mine])).all()
+
+
+@pytest.mark.parametrize("domain", ["one piece", "reduced:2"])
+@pytest.mark.parametrize("degree", [1, 6])
+def test_interpolate_rows_reads_the_closed_rows(degree, domain):
+    # Values on a coarse closed plan's rows, NaN-filled to its mesh's
+    # nodes, read at the fine closed plan's rows: bit for bit the full
+    # interpolant's values there, or None where one of them reads a
+    # node the coarse plan dropped.
+    fam = make_mobius_family([1, 2])
+    coarse, fine = _interpolation_meshes(domain)
+    cplan = closed_plan(fam, coarse, degree)
+    plan = closed_plan(fam, fine, degree)
+    values = 1.0 + np.arange(cplan.dim) / cplan.dim
+    nodal = np.full(_degree_nodes(coarse, degree).dim, math.nan)
+    nodal[cplan.rows] = values
+    full = _interpolate_nodal(nodal, coarse, fine, degree)
+    got = _interpolate_rows(values, cplan, coarse, plan, fine)
+    assert np.isfinite(full[plan.rows]).all()
+    assert np.array_equal(got, full[plan.rows])
+    assert np.array_equal(
+        _interpolate_nodal(nodal, coarse, fine, degree, plan.rows[::3]),
+        full[plan.rows[::3]])
+    dropped = dataclasses.replace(cplan, rows=cplan.rows[1:])
+    assert _interpolate_rows(values[1:], dropped, coarse, plan, fine) is None
 
 
 def test_interpolate_nodal_rejects_mismatched_input():

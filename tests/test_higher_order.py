@@ -19,7 +19,7 @@ from hausdim import (
     make_mobius_family,
     reduce_domain,
 )
-from hausdim import higher_order
+from hausdim import discretize, higher_order
 from hausdim.discretize import (
     CollocationPlan,
     _interpolate_nodal,
@@ -359,9 +359,9 @@ def test_highorder_dimension_starts_cold_where_the_coarse_iterate_misses():
     seeded = []
 
     def missing_one(values, *args):
-        out = _interpolate_nodal(values, *args)
-        seeded.append(np.isfinite(out[plan.rows]).all())
-        out[plan.rows[len(plan.rows) // 2]] = math.nan
+        out = _interpolate_nodal(values, *args)  # read at plan.rows only
+        seeded.append(np.isfinite(out).all())
+        out[len(out) // 2] = math.nan
         return out
 
     starts = []  # (dim, start vector) of each solve, as it was passed
@@ -370,7 +370,7 @@ def test_highorder_dimension_starts_cold_where_the_coarse_iterate_misses():
         starts.append((mat.dim, vec.copy()))
         return dominant_magnitude(mat, *args, vec=vec, **kwargs)
 
-    with mock.patch.object(higher_order, "_interpolate_nodal",
+    with mock.patch.object(discretize, "_interpolate_nodal",
                            side_effect=missing_one), \
             mock.patch.object(higher_order, "dominant_magnitude",
                               side_effect=solve):

@@ -558,9 +558,11 @@ def test_bracket_builds_each_matrix_once(monkeypatch):
     # Within one bracket the root solves revisit s values, and the
     # certificate reads the enclosures they found; every (s, matrix)
     # pair is built once and evals counts them.
-    # A and B at a shared s also share one error model.
+    # A and B at a shared s also share one error model.  The plan lies
+    # below the coarse level's cut-off, which is forced on here.
     import hausdim.solver as solver
 
+    monkeypatch.setattr(solver, "_BRACKET_MIN_ENTRIES", 0)
     built, modelled = [], []
     matrix = CollocationPlan.matrix
     model = solver.error_model
@@ -617,36 +619,52 @@ def test_custom_bracket_bounds_go_through_general_constants(monkeypatch,
     assert constants[0][1].fam is poly_fam
 
 
-def test_bracket_drops_coarse_plan_before_fine_one(monkeypatch):
-    # Peak memory holds one plan at a time: the coarse plan is gone
-    # when the fine one is built.
+def test_bracket_drops_coarse_plan_before_fine_entries(monkeypatch):
+    """The coarse plan is gone before the fine level makes its entries.
+
+    A bracket builds its fine closed plan first, as the plan's size
+    decides whether the coarse level runs.  The coarse plan is released
+    before the fine level makes its entry buffer (solver._enclosures
+    makes one entry-sized array when it starts), so peak memory holds
+    the fine plan and at most one of the two.
+    """
     import weakref
 
     import hausdim.solver as solver
 
-    made = []
-    real = solver.closed_plan
+    made, alive = [], []  # (dim, ref) of each plan; which live per level
+    real_plan, real_level = solver.closed_plan, solver._enclosures
 
     def tracking(*args, **kwargs):
-        assert [ref() for ref in made] == [None] * len(made)
-        plan = real(*args, **kwargs)
-        made.append(weakref.ref(plan))
+        plan = real_plan(*args, **kwargs)
+        made.append((plan.dim, weakref.ref(plan)))
         return plan
 
+    def level(plan, *args, **kwargs):
+        alive.append([ref() is not None for _, ref in made])
+        return real_level(plan, *args, **kwargs)
+
     monkeypatch.setattr(solver, "closed_plan", tracking)
-    fam = make_mobius_family([1, 2])
-    br = bracket_dimension(fam, make_mesh(fam.domain, h=0.001))
+    monkeypatch.setattr(solver, "_enclosures", level)
+    fam = make_mobius_family(range(1, 11))
+    mesh = make_mesh(fam.domain, h=1e-4)
+    br = bracket_dimension(fam, mesh)
     assert br.certified
-    assert len(made) == 2
+    coarse = _coarse_mesh(mesh)
+    assert [dim for dim, _ in made] == [closed_plan(fam, mesh).dim,
+                                        closed_plan(fam, coarse).dim]
+    assert alive == [[True, True], [True, False]]
 
 
 def test_bracket_solves_on_the_fine_mesh_when_the_coarse_level_stalls(
         monkeypatch):
     # At s = 64 the 4-row closed coarse plan of cf{1,2} at h = 0.01 stops
     # unconverged.  The bracket is then the one found with no coarse
-    # level, and evals still counts the coarse matrices built.
+    # level, and evals still counts the coarse matrices built.  The plan
+    # lies below the cut-off, so the coarse level is forced on here.
     import hausdim.solver as solver
 
+    monkeypatch.setattr(solver, "_BRACKET_MIN_ENTRIES", 0)
     dims = []
     matrix = CollocationPlan.matrix
 
@@ -713,19 +731,21 @@ def test_bracket_certified_at_loose_radius_tol(digits, h):
     assert enclosure_at(fam, mesh, br.s_upper, "B").r_hi <= 1.0
 
 
-@pytest.mark.parametrize("case,fine_before,fine_budget", [
-    ("cf12_h1e-4", 14, 7),
-    ("cantor05_h1e-3", 13, 8),
-], ids=["cf12_h1e-4", "cantor05_h1e-3"])
-def test_bracket_fine_matrix_budget(monkeypatch, case, fine_before,
+@pytest.mark.parametrize("digits,h,fine_before,fine_budget", [
+    (range(1, 11), 1e-4, 11, 7),
+    (range(1, 35), 2e-4, 12, 7),
+], ids=["cf1-10_h1e-4", "cf1-34_h2e-4"])
+def test_bracket_fine_matrix_budget(monkeypatch, digits, h, fine_before,
                                     fine_budget):
     """The root found on the coarse mesh leaves few fine matrices.
 
-    Started from the initial bracket on the fine mesh, cf{1,2} at
-    h = 1e-4 built 14 fine matrices and Cantor a = 0.5 at h = 1e-3
-    built 13.  The fine matrices are those of the closed plan (240 of
-    10001 and 365 of 1001 nodes).
+    Both closed plans lie above the coarse level's cut-off (117980 and
+    340068 entries).  Started from the initial bracket on the fine mesh,
+    cf{1..10} at h = 1e-4 builds 11 fine matrices and cf{1..34} at
+    h = 2e-4 builds 12.
     """
+    import hausdim.solver as solver
+
     dims = []
     matrix = CollocationPlan.matrix
 
@@ -734,13 +754,90 @@ def test_bracket_fine_matrix_budget(monkeypatch, case, fine_before,
         return matrix(self, s, coef, out)
 
     monkeypatch.setattr(CollocationPlan, "matrix", counting)
-    fam, h = {"cf12_h1e-4": (make_mobius_family([1, 2]), 1e-4),
-              "cantor05_h1e-3": (make_cantor_family(0.5), 1e-3)}[case]
-    mesh = make_mesh((0.0, 1.0), h=h)
+    fam = make_mobius_family(digits)
+    mesh = make_mesh(fam.domain, h=h)
+    plan = closed_plan(fam, mesh)
+    assert plan.indices.size >= solver._BRACKET_MIN_ENTRIES
     br = bracket_dimension(fam, mesh)
     assert br.certified
     assert br.evals == len(dims)
-    assert dims.count(closed_plan(fam, mesh).dim) <= fine_budget < fine_before
+    assert len(set(dims)) == 2  # the coarse level ran
+    assert dims.count(plan.dim) <= fine_budget < fine_before
+
+
+@pytest.mark.parametrize("fam,h,evals_before,evals_budget", [
+    (make_mobius_family([1, 2]), 1e-4, 13, 10),
+    (make_cantor_family(0.5), 1e-3, 16, 12),
+], ids=["cf12_h1e-4", "cantor05_h1e-3"])
+def test_bracket_below_the_cut_off_has_no_coarse_level(
+        monkeypatch, fam, h, evals_before, evals_budget):
+    """A closed plan below the cut-off is solved on the fine mesh alone.
+
+    cf{1,2} at h = 1e-4 (960 entries) and Cantor a = 0.5 at h = 1e-3
+    (1460) built 13 and 16 matrices, coarse ones included, when every
+    bracket took the coarse level; on the fine mesh alone they build 10
+    and 12.
+    """
+    import hausdim.solver as solver
+
+    plans, dims = [], []
+    real, matrix = solver.closed_plan, CollocationPlan.matrix
+
+    def counting_plan(*args, **kwargs):
+        plans.append(args)
+        return real(*args, **kwargs)
+
+    def counting(self, s, coef=None, out=None):
+        dims.append(self.dim)
+        return matrix(self, s, coef, out)
+
+    monkeypatch.setattr(solver, "closed_plan", counting_plan)
+    monkeypatch.setattr(CollocationPlan, "matrix", counting)
+    mesh = make_mesh((0.0, 1.0), h=h)
+    assert _coarse_mesh(mesh) is not None
+    br = bracket_dimension(fam, mesh)
+    assert br.certified
+    assert len(plans) == 1
+    assert real(fam, mesh).indices.size < solver._BRACKET_MIN_ENTRIES
+    assert set(dims) == {real(fam, mesh).dim}
+    assert br.evals == len(dims) <= evals_budget < evals_before
+
+
+def test_bracket_seeds_its_first_fine_solve_from_the_coarse_level(
+        monkeypatch):
+    """The first fine solve starts from the interpolated coarse vector.
+
+    On cf{1..10} at h = 1e-4 (117980 entries, above the cut-off) the
+    last coarse M eigenvector, interpolated onto the fine closed rows,
+    seeds the first fine solve: 8 power steps, where a cold start from
+    all-ones takes 17.
+    """
+    import hausdim.solver as solver
+
+    fam = make_mobius_family(range(1, 11))
+    mesh = make_mesh(fam.domain, h=1e-4)
+    fine_dim = closed_plan(fam, mesh).dim
+    power = solver.power_enclosure
+
+    def first_fine_solve():
+        solves = []
+
+        def recording(matrix, *args, seed_vec=None, **kwargs):
+            enc = power(matrix, *args, seed_vec=seed_vec, **kwargs)
+            solves.append((matrix.dim, seed_vec, enc.iterations))
+            return enc
+
+        with mock.patch.object(solver, "power_enclosure", recording):
+            assert bracket_dimension(fam, mesh).certified
+        assert solves[0][0] != fine_dim  # the coarse level ran first
+        return next(solve for solve in solves if solve[0] == fine_dim)
+
+    _, seed, seeded_steps = first_fine_solve()
+    assert seed is not None and np.all(seed > 0.0)
+    monkeypatch.setattr(solver, "_interpolate_rows", lambda *args: None)
+    _, seed, cold_steps = first_fine_solve()
+    assert seed is None
+    assert seeded_steps < cold_steps
 
 
 def test_bracket_skips_a_coarse_level_barely_coarser(monkeypatch):
@@ -834,9 +931,10 @@ def test_bracket_solves_start_from_positive_vectors(monkeypatch, fam, h,
     # A solve starts from the eigenvectors of the last two solves of its
     # matrix kind, extrapolated in s, or else from the latest one.  Every
     # start must be strictly positive and finite, and some must be
-    # predicted.  From (0.1, 0.3), Cantor a = 1's coarse M solves at
-    # 0.1 and 0.3 extrapolate to a vector with a negative entry at 0.6,
-    # so there the solve starts from the eigenvector at 0.3 instead.
+    # predicted.  From (0.1, 0.3), Cantor a = 1's B solves at 0.1 and
+    # 0.3 (its plan has no coarse level) extrapolate to a vector with a
+    # negative entry at 0.6, so there the solve starts from the
+    # eigenvector at 0.3 instead.
     import hausdim.solver as solver
 
     seeds, eigvecs = [], []
@@ -851,7 +949,8 @@ def test_bracket_solves_start_from_positive_vectors(monkeypatch, fam, h,
     monkeypatch.setattr(solver, "power_enclosure", recording)
     br = bracket_dimension(fam, make_mesh(fam.domain, h=h), initial=initial)
     assert br.certified
-    # The first solve of each mesh starts from all-ones.
+    # The first solve of each mesh starts from all-ones, or the first
+    # fine one from the interpolated coarse eigenvector.
     started = [seed for seed in seeds if seed is not None]
     assert len(started) >= len(seeds) - 2
     for seed in started:
