@@ -40,11 +40,11 @@ the largest set whose rows read only columns in S, peeled from pass 1's
 first columns.  In the order (S, rest) every plan matrix is block lower
 triangular with a nilpotent rest block, so the spectral radii, the
 degree-d |lambda| and the Collatz-Wielandt bounds are exactly those of
-the S x S block.  Where S keeps at most 3/4 of the rows, pass 2 visits
-S's rows only (cf{1,2} at h = 1e-4 keeps 240 of 10001 nodes), and no
-dropped row is weighed; brackets and degree-d estimates solve there.
-collocation_plan keeps every row, so radius, log_radius, enclosure_at
-and --dump-matrix show the full A, M and B.
+the S x S block.  Pass 2 visits S's rows only (cf{1,2} at h = 1e-4
+keeps 240 of 10001 nodes), and no dropped row is weighed; brackets and
+degree-d estimates solve there.  collocation_plan runs the same pass 2
+with S = every node, so radius, log_radius, enclosure_at and
+--dump-matrix show the full A, M and B.
 
 The one compiled loop the pipeline runs is scipy's CSR matvec.  Its
 extension module is loaded from its file, not through scipy.sparse,
@@ -52,14 +52,14 @@ whose import would take more than the rest of hausdim's; nothing here
 imports scipy.sparse unless that file is missing or does not load.
 
 Wide plans run on two threads where the process may use two CPUs
-(_in_halves): the matvec's two row halves from _SPLIT_MATVEC_ENTRIES
-entries on, and the blocks of data and of both plan passes from
-_SPLIT_MIN_ENTRIES on.  The caller runs the first half and a helper
-thread the second.  A power solve holds one helper for all its matvecs
-(CsrMatrix._held); any other call starts its own and joins it before
-returning.  Every item writes its own part of the output with the same
-operations as the serial loop, so every bit is the same.  A custom
-family's pass 1 stays serial: its maps are the caller's callables.
+(_in_halves): from _SPLIT_MIN_ENTRIES entries on, the matvec's two row
+halves and the blocks of data and of both plan passes.  The caller runs
+the first half and a helper thread the second.  A power solve holds one
+helper for all its matvecs (CsrMatrix._held); any other call starts its
+own and joins it before returning.  Every item writes its own part of
+the output with the same operations as the serial loop, so every bit is
+the same.  A custom family's pass 1 stays serial: its maps are the
+caller's callables.
 
 Block work runs in arrays each half makes once per call (_Scratch, the
 Lagrange rows' work, data's g^s), not in new arrays per block, and a
@@ -394,6 +394,21 @@ def error_model(fam: MapFamily, s: float, h: float,
 # two threads
 
 
+# Fewest entries at which a matvec, CollocationPlan.data and each pass of
+# the plan build run on two threads, at the measured crossover.  Timed
+# both ways on 2 CPUs (medians of 9 alternated in-process rounds), data
+# took 1.13-1.23 times as long at 170k-200k hat entries, 1.00 on
+# cf{1..10}'s 210k degree-6 entries, 0.95 at 227k, 0.85 at 340k and
+# 0.67 at 1.36M; whole plans took 1.03-1.06 at 170k-210k, 0.96-0.97 at
+# 227k, 0.73-0.78 at 340k and 0.62-0.70 at 1.36M, and the degree-6 plan
+# of cf{1..34} at h = 0.002 (714k) 0.78-0.80 (data 0.89).  A power
+# solve's matvecs on its held helper (rounds of 50, cf{1..34} hat
+# plans) took 0.85-1.20 times as long at 118k entries, 0.65-0.86 at
+# 216k, 0.67-0.78 at 400k and 0.62-0.68 at 680k.  A matvec outside a
+# solve starts and joins its own thread, about 0.1 ms more.
+_SPLIT_MIN_ENTRIES = 1 << 18
+
+
 def _cpu_count() -> int:
     """How many CPUs this process may run on."""
     try:
@@ -550,16 +565,6 @@ def _load_sparsetools():
 
 _sparsetools = _load_sparsetools()
 
-# Fewest entries at which CsrMatrix.matvec sums its two row halves on two
-# threads, at the measured crossover: starting and joining the thread
-# costs about 0.1 ms.  Timed both ways on 2 CPUs (medians of 9 alternated
-# in-process rounds, cf{1..34} hat plans), the split took 1.1-1.2 times
-# as long at 272k-453k entries, 0.93-0.98 at 544k, 0.84-0.93 at 680k and
-# 0.67 at 1.36M; the degree-6 plan of cf{1..34} at h = 0.002 (714k) took
-# 0.80-0.93.
-_SPLIT_MATVEC_ENTRIES = 1 << 19
-
-
 class CsrMatrix:
     """Square matrix held as the three plain arrays of compressed rows.
 
@@ -605,7 +610,7 @@ class CsrMatrix:
         """M w, written into out (float64, shape (dim,)) when given.
 
         out must not share memory with w: it is zeroed before the sum
-        (BadParams).  From _SPLIT_MATVEC_ENTRIES entries on, two calls of
+        (BadParams).  From _SPLIT_MIN_ENTRIES entries on, two calls of
         the loop sum the rows below and from dim // 2 on two threads
         (_in_halves).  Each row is summed in the same order as by one
         call, so every output bit is the same.
@@ -623,7 +628,7 @@ class CsrMatrix:
         else:
             out.fill(0.0)
         dim = self.dim
-        if self.data.size < _SPLIT_MATVEC_ENTRIES:
+        if self.data.size < _SPLIT_MIN_ENTRIES:
             _sparsetools.csr_matvec(dim, dim, self.indptr, self.indices,
                                     self.data, w, out)
             return out
@@ -646,7 +651,7 @@ class CsrMatrix:
         started on entry and joined on exit, also when the block raises;
         otherwise this matrix's own matvec, with nothing to start.
         """
-        if self.data.size < _SPLIT_MATVEC_ENTRIES or _cpu_count() < 2:
+        if self.data.size < _SPLIT_MIN_ENTRIES or _cpu_count() < 2:
             return contextlib.nullcontext(self.matvec)
         return self._with_helper()
 
@@ -712,15 +717,6 @@ def dump_matrix(matrix: SparseNonnegMatrix, n: int, s: float,
 # collocation plan
 
 _MAX_DEGREE = 8
-# Fewest entries at which CollocationPlan.data and each pass of the plan
-# build run their blocks on two threads, at the measured crossover.
-# Timed both ways on 2 CPUs (medians of 9 alternated in-process rounds),
-# data took 1.13-1.23 times as long at 170k-200k hat entries, 1.00 on
-# cf{1..10}'s 210k degree-6 entries, 0.95 at 227k, 0.85 at 340k and
-# 0.67 at 1.36M; whole plans took 1.03-1.06 at 170k-210k, 0.96-0.97 at
-# 227k, 0.73-0.78 at 340k and 0.62-0.70 at 1.36M, and the degree-6 plan
-# of cf{1..34} at h = 0.002 (714k) 0.78-0.80 (data 0.89).
-_SPLIT_MIN_ENTRIES = 1 << 18
 # (node, map) pairs per block of the plan build and of CollocationPlan.data:
 # enough that per-map calls are few, few enough that a block's
 # temporaries stay small next to a wide plan and are reused from call to
@@ -785,9 +781,8 @@ class CollocationPlan:
     (node, map), weight one per entry.  collocation_plan and closed_plan
     fill every array in this final order, one block of _BLOCK (node,
     map) pairs at a time, and data builds the entries block by block
-    too.  rows holds the degree-d node of each row on a plan from
-    closed_plan, and is None on one from collocation_plan, whose row k
-    is node k.
+    too.  rows holds the degree-d node of each row: S on a plan from
+    closed_plan, every node on one from collocation_plan.
     """
 
     dim: int
@@ -798,7 +793,7 @@ class CollocationPlan:
     log_weight: np.ndarray
     q: np.ndarray | None
     q_max: float | None
-    rows: np.ndarray | None = None
+    rows: np.ndarray
 
     def data(self, s: float, coef: float | None = None,
              out: np.ndarray | None = None) -> np.ndarray:
@@ -968,7 +963,7 @@ def collocation_plan(fam: MapFamily, mesh: Mesh,
     NaN image ParamOutOfRange, one with an image outside the mesh
     MapEscapesDomain, and one whose log_weight is not finite at a
     collocation node ParamOutOfRange.  Built by _build_plan, every row
-    kept.
+    kept: rows is arange(dim).
     """
     return _build_plan(fam, mesh, degree, closed=False)
 
@@ -982,12 +977,11 @@ def closed_plan(fam: MapFamily, mesh: Mesh, degree: int = 1) -> CollocationPlan:
     so its block there is nilpotent: the spectral radius, the dominant
     eigenvalue and the Collatz-Wielandt bounds of the S x S block are
     those of the whole matrix, with no bound or error model changed.
-    Where S keeps at most _CLOSED_MAX_SHARE of the rows, the plan holds
-    S's rows only, their columns renumbered to S, and no basis weight or
-    column of a dropped row is computed; otherwise the plan stays whole.
-    rows holds the node of each row.  q_max stays that of the whole
-    grid, and every input error is raised as collocation_plan raises it,
-    at a dropped node too.
+    The plan holds S's rows only, their columns renumbered to S, and no
+    basis weight or column of a dropped row is computed; rows holds the
+    node of each row.  q_max stays that of the whole grid, and every
+    input error is raised as collocation_plan raises it, at a dropped
+    node too.
     """
     return _build_plan(fam, mesh, degree, closed=True)
 
@@ -1000,16 +994,17 @@ def _build_plan(fam: MapFamily, mesh: Mesh, degree: int, closed: bool
     pairs, with every input check: each block's images and log weights
     (ifs.eval_all_maps), the cell of each image (_find_cells), its right
     hat weight and, on the hat basis, Q (_hat), and the first column it
-    reads.  Each goes into a full-size array; log weights and Q become
-    the plan's own when it stays whole.  A closed plan then peels S
-    from the first columns (_closed_rows).  Pass 2 visits only the rows
-    the plan keeps, block by block, and writes their Lagrange weights
-    and column indices, renumbered to S, straight into the final arrays.
-    A pass of at least _SPLIT_MIN_ENTRIES entries runs the second half
-    of its blocks on a second thread (_in_halves), except pass 1 of a
-    custom family.  A failed pass-1 block raises _map_error's error,
-    read off every node, so the error does not depend on which block
-    failed first, or on which thread.
+    reads.  Each goes into a full-size array.  A closed plan then peels
+    S from the first columns (_closed_rows); collocation_plan's S is
+    every node.  Log weights and Q are gathered to S's rows, or kept as
+    they are where S is every node.  Pass 2 visits S's rows, block by
+    block, and writes their Lagrange weights and column indices,
+    renumbered to S, straight into the final arrays.  A pass of at
+    least _SPLIT_MIN_ENTRIES entries runs the second half of its blocks
+    on a second thread (_in_halves), except pass 1 of a custom family.
+    A failed pass-1 block raises _map_error's error, read off every
+    node, so the error does not depend on which block failed first, or
+    on which thread.
     """
     degree = _as_degree(degree)
     lo, hi = fam.domain
@@ -1058,14 +1053,11 @@ def _build_plan(fam: MapFamily, mesh: Mesh, degree: int, closed: bool
     q_max = None if q is None else float(q.max())
 
     first = first.reshape(dim, n_maps)
-    rows = _closed_rows(first, degree) if closed else None
-    if rows is None or rows.size > _CLOSED_MAX_SHARE * dim:
-        kept, renumber = dim, None
-        if closed:
-            rows = np.arange(dim)
-    else:
-        kept, renumber = rows.size, np.full(dim, -1, dtype=np.int32)
-        renumber[rows] = np.arange(kept, dtype=np.int32)
+    rows = _closed_rows(first, degree) if closed else np.arange(dim)
+    kept = rows.size
+    renumber = np.full(dim, -1, dtype=np.int32)
+    renumber[rows] = np.arange(kept, dtype=np.int32)
+    if kept < dim:
         log_weight = log_weight.reshape(dim, n_maps)[rows].ravel()
         if q is not None:
             q = q.reshape(dim, n_maps)[rows].ravel()
@@ -1075,27 +1067,22 @@ def _build_plan(fam: MapFamily, mesh: Mesh, degree: int, closed: bool
 
     def pass_2(starts):
         work = np.empty((degree + 3, min(step, kept) * n_maps))
+        ints = work[1].view(np.int32)
         for start in starts:
             stop = min(start + step, kept)
             entries = slice(start * n_maps * n_basis, stop * n_maps * n_basis)
             cols = indices[entries].reshape(-1, n_basis).T
-            if renumber is None:
-                cols[0] = first[start:stop].ravel()
-                images = w_right[start:stop].ravel()
-            else:
-                # Gathered into the first two work rows, whose pages
-                # _lagrange_rows touches anyway: the first columns and
-                # their renumbering as int32 in row 1, the images in row 0.
-                # mode="clip" writes into out; the default buffers a copy.
-                block, n = rows[start:stop], (stop - start) * n_maps
-                ints = work[1].view(np.int32)
-                first.take(block, axis=0, out=ints[:n].reshape(-1, n_maps),
-                           mode="clip")
-                cols[0] = renumber.take(ints[:n], out=ints[n:2 * n],
-                                        mode="clip")
-                images = w_right.take(
-                    block, axis=0, out=work[0, :n].reshape(-1, n_maps),
-                    mode="clip").ravel()
+            # Gathered into the first two work rows, whose pages
+            # _lagrange_rows touches anyway: the first columns and their
+            # renumbering as int32 in row 1, the images in row 0.
+            # mode="clip" writes into out; the default buffers a copy.
+            block, n = rows[start:stop], (stop - start) * n_maps
+            first.take(block, axis=0, out=ints[:n].reshape(-1, n_maps),
+                       mode="clip")
+            cols[0] = renumber.take(ints[:n], out=ints[n:2 * n], mode="clip")
+            images = w_right.take(block, axis=0,
+                                  out=work[0, :n].reshape(-1, n_maps),
+                                  mode="clip").ravel()
             for p in range(1, n_basis):
                 np.add(cols[0], p, out=cols[p])
             _lagrange_rows(images, degree,
@@ -1109,16 +1096,6 @@ def _build_plan(fam: MapFamily, mesh: Mesh, degree: int, closed: bool
         indptr=np.arange(0, indices.size + 1, n_maps * n_basis, dtype=np.int32),
         indices=indices, weight=weight, log_weight=log_weight, q=q,
         q_max=q_max, rows=rows)
-
-
-# Largest share of the rows a closed set may keep and still be compacted
-# to.  Timed both ways (medians of 9 alternated in-process brackets of
-# cf{1..k} at h = 1e-4), the compacted plans took 0.68-0.76 times as long
-# at shares 0.38-0.59, 0.87-0.90 at 0.70-0.79 and 0.97 at 0.86; cf{1..34}
-# at h = 5e-5 (0.87, 0.92 on its coarse mesh) took 1.07 times as long, as
-# its moved rounding cost two more matrices.  Above 3/4 the gain is within
-# that spread, so those plans stay whole and keep their bits.
-_CLOSED_MAX_SHARE = 0.75
 
 
 def _closed_rows(first: np.ndarray, degree: int) -> np.ndarray:

@@ -25,13 +25,12 @@ than a tenth of the nodes, the estimate has no coarse level.
 HighOrderResult.evals counts the matrices built on both meshes.
 
 Both meshes solve on discretize.closed_plan, the rows of the closed
-node set S (compacted where S keeps at most 3/4 of the degree-d
-nodes), whose dominant eigenvalue is that of the full matrix; the
-16384-entry cut-off counts the closed plan's entries.  The coarse
-iterate is spread over the coarse S, NaN elsewhere, interpolated and
-read at the fine S; where a fine node's coarse cell reaches outside
-the coarse S, the fine solve starts cold.  HighOrderResult.dim stays
-the mesh's degree-d node count.
+node set S of the degree-d nodes and no others, whose dominant
+eigenvalue is that of the full matrix; the 16384-entry cut-off counts
+the closed plan's entries.  The coarse iterate is spread over the
+coarse S, NaN elsewhere, interpolated and read at the fine S; where a
+fine node's coarse cell reaches outside the coarse S, the fine solve
+starts cold.  HighOrderResult.dim stays the mesh's degree-d node count.
 """
 
 from __future__ import annotations

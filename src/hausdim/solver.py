@@ -39,11 +39,11 @@ a secant step needs there, and takes power_enclosure's vector Aitken
 steps on the way.
 
 Both meshes of a bracket solve on discretize.closed_plan: the rows of
-the closed node set S, compacted where S keeps at most 3/4 of the
-nodes.  r(A), r(M), r(B) and the Collatz-Wielandt certificate are
-those of the full matrices, as the rows outside S form a nilpotent
-block below S's.  enclosure_at, log_radius and radius keep the full
-plan, so they show the paper's A, M and B.
+the closed node set S and no others.  r(A), r(M), r(B) and the
+Collatz-Wielandt certificate are those of the full matrices, as the
+rows outside S form a nilpotent block below S's.  enclosure_at,
+log_radius and radius keep the full plan, so they show the paper's A,
+M and B.
 """
 
 from __future__ import annotations

@@ -1121,8 +1121,7 @@ def _reference_closed(fam, mesh, degree):
 
     Starting from every node, S shrinks to the columns its rows read
     until it stops shrinking; the plan's arrays are then gathered to S's
-    rows and the columns renumbered, or left whole where S keeps more
-    than discretize._CLOSED_MAX_SHARE of the rows.
+    rows and the columns renumbered.
     """
     full = collocation_plan(fam, mesh, degree)
     reads = full.indices.reshape(full.dim, -1)
@@ -1132,8 +1131,6 @@ def _reference_closed(fam, mesh, degree):
         if kept.size == rows.size:
             break
         rows = kept
-    if rows.size > discretize._CLOSED_MAX_SHARE * full.dim:
-        return full, np.arange(full.dim), full
     column = np.full(full.dim, -1)
     column[rows] = np.arange(rows.size)
 
@@ -1146,7 +1143,7 @@ def _reference_closed(fam, mesh, degree):
         indptr=np.arange(0, per_row * rows.size + 1, per_row),
         indices=column[reads[rows]].ravel(), weight=gather(full.weight),
         log_weight=gather(full.log_weight), q=gather(full.q),
-        q_max=full.q_max)
+        q_max=full.q_max, rows=rows)
 
 
 @pytest.mark.parametrize("degree", [1, 3, 6])
@@ -1164,17 +1161,23 @@ def test_closed_plan_matches_naive_fixpoint(name, pieces, degree):
     assert 0 <= got.indices.min() and got.indices.max() < got.dim
 
 
-def test_closed_plan_cases_compact_and_stay_whole():
-    # The cases above cover both outcomes at every degree: cf{1,2} keeps
-    # under a third of its nodes, cf{1..20} all of them.
-    for name, pieces, compact in [("cf12", 0, True), ("cf1..20", 0, False),
-                                  ("cantor05", 0, True),
-                                  ("cantor05", 2, False)]:
+def test_closed_plan_holds_exactly_the_closed_set():
+    # However much of the grid S keeps, the closed plan holds S's rows
+    # and no other: cf{1..20} keeps 95% of the nodes, cantor05 on
+    # reduce_domain(., 2) 85-94%, cantor05 on one piece 64-71% and
+    # cf{1,2} under a third.  collocation_plan's rows are every node.
+    for name, pieces, share in [("cf12", 0, (0.0, 1 / 3)),
+                                ("cf1..20", 0, (0.9, 1.0)),
+                                ("cantor05", 0, (0.6, 0.75)),
+                                ("cantor05", 2, (0.75, 1.0))]:
         fam, mesh = _closed_case(name, pieces)
         for degree in (1, 3, 6):
+            full, rows, _ = _reference_closed(fam, mesh, degree)
             plan = closed_plan(fam, mesh, degree)
-            full_dim = _degree_nodes(mesh, degree).dim
-            assert (plan.dim < full_dim) == compact, (name, pieces, degree)
+            assert np.array_equal(plan.rows, rows), (name, pieces, degree)
+            assert plan.dim == rows.size
+            assert share[0] < rows.size / full.dim < share[1]
+            assert np.array_equal(full.rows, np.arange(full.dim))
 
 
 @pytest.mark.parametrize("pieces", [0, 2], ids=["one piece", "reduced:2"])
@@ -1262,7 +1265,6 @@ def _force_split(monkeypatch, cpus):
     threads = _ThreadCount()
     monkeypatch.setattr(discretize, "threading", threads)
     monkeypatch.setattr(discretize, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(discretize, "_SPLIT_MATVEC_ENTRIES", 0)
     monkeypatch.setattr(discretize, "_SPLIT_MIN_ENTRIES", 0)
     monkeypatch.setattr(discretize, "_BLOCK", 1000)
     return threads
@@ -1675,6 +1677,42 @@ def test_split_power_solves_hold_one_helper_thread(monkeypatch):
         results[cpus] = (enc.r_lo, enc.r_hi, enc.eigvec.tobytes(),
                          enc.iterations, lam, vec.tobytes())
     assert results[1] == results[2]
+
+
+def test_power_solves_split_from_the_one_threshold(monkeypatch):
+    # cf{1,2}'s hat plan on 65536 nodes has exactly _SPLIT_MIN_ENTRIES
+    # entries.  With its last entry zeroed, it is the matrix one entry
+    # shorter that drops that entry; the power solve hands each matvec's
+    # second half to its helper on the first and nothing on the second,
+    # and both give every bit of the same eigenvector.
+    fam = make_mobius_family([1, 2])
+    plan = collocation_plan(fam, make_mesh(fam.domain, n=65535))
+    assert plan.weight.size == discretize._SPLIT_MIN_ENTRIES
+    data = plan.data(0.5)
+    data[-1] = 0.0
+    shorter = plan.indptr.copy()
+    shorter[-1] -= 1
+    matrices = [SparseNonnegMatrix(plan.dim, plan.indptr, plan.indices, data),
+                SparseNonnegMatrix(plan.dim, shorter, plan.indices[:-1],
+                                   data[:-1])]
+    handed = []
+    hand = discretize._Helper.hand
+
+    def counting(self, call):
+        handed.append(call)
+        return hand(self, call)
+
+    monkeypatch.setattr(discretize._Helper, "hand", counting)
+    monkeypatch.setattr(discretize, "_cpu_count", lambda: 2)
+    vectors = []
+    for matrix, split in zip(matrices, (True, False)):
+        del handed[:]
+        enc = power_enclosure(matrix, tol=1e-14)
+        assert bool(handed) == split and enc.iterations > 2
+        if split:
+            assert len(handed) == enc.iterations
+        vectors.append(enc.eigvec.tobytes())
+    assert vectors[0] == vectors[1]
 
 
 def _plan_highorder(fam, mesh):

@@ -862,7 +862,7 @@ def test_bracket_skips_a_coarse_level_barely_coarser(monkeypatch):
     assert _coarse_mesh(mesh) is None
     br = bracket_dimension(fam, mesh)
     assert br.certified
-    assert set(dims) == {mesh.dim}
+    assert set(dims) == {closed_plan(fam, mesh).dim}
     assert br.evals == len(dims) <= 10
     # The cut sits at a tenth of the nodes: reduce_domain(cf{1,2}, 6) at
     # h = 3e-5 keeps 122 of 1194 and has no coarse level, while the
