@@ -10,27 +10,20 @@ The root of log |lambda(s)| gives a dimension estimate whose accuracy
 improves like h**(2d) but carries no certificate.
 
 As the estimate converges so fast, an estimate on a plan of 16384
-entries or more starts the way a certified bracket does: it first
-solves log |lambda(s)| = 0 on solver._coarse_mesh, the same intervals
-meshed 16 times coarser, where a matrix costs about a sixteenth as
-much, and solver._root finds every root on both meshes.  The last
-coarse iterate, interpolated onto the fine nodes piece by piece, seeds
-the first fine solve.  That solve is at the coarse root, and the root
-solve goes on from there on the coarse slope.  At degree
-6 the coarse root already meets the fine root_tol, so the fine mesh
-builds one matrix, and its seeded solve stops after a few steps, once
-the geometric tail of the estimate changes is below tol.  On a
-domain of many short pieces, where the coarse mesh would keep more
-than a tenth of the nodes, the estimate has no coarse level.
-HighOrderResult.evals counts the matrices built on both meshes.
+entries or more starts the way a certified bracket does, with the
+coarse level of solver._coarse_start on log |lambda(s)|, and
+solver._root finds every root on both meshes.  At degree 6 and the
+default tolerances the coarse root already meets the fine root_tol, so
+the fine mesh builds one matrix, and its seeded solve stops after a
+few steps, once the geometric tail of the estimate changes is below
+tol.  HighOrderResult.evals counts the matrices built on both meshes.
 
 Both meshes solve on discretize.closed_plan, the rows of the closed
 node set S of the degree-d nodes and no others, whose dominant
 eigenvalue is that of the full matrix; the 16384-entry cut-off counts
-the closed plan's entries.  The coarse iterate is spread over the
-coarse S, NaN elsewhere, interpolated and read at the fine S; where a
-fine node's coarse cell reaches outside the coarse S, the fine solve
-starts cold.  HighOrderResult.dim stays the mesh's degree-d node count.
+the closed plan's entries.  Where the coarse level leaves no seed, the
+fine solve starts cold.  HighOrderResult.dim stays the mesh's degree-d
+node count.
 """
 
 from __future__ import annotations
@@ -41,12 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import (
-    CollocationPlan,
-    CsrMatrix,
-    _interpolate_rows,
-    closed_plan,
-)
+from .discretize import CollocationPlan, CsrMatrix, closed_plan
 from .errors import BadParams, PowerDivergence
 from .ifs import MapFamily
 from .solver import (
@@ -54,7 +42,7 @@ from .solver import (
     INITIAL_BRACKET,
     ROOT_TOL,
     _check_tols,
-    _coarse_mesh,
+    _coarse_start,
     _root,
 )
 from .spectral import RADIUS_TOL, _product
@@ -202,34 +190,26 @@ def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
     """Dimension estimate: root of log |lambda_dom(s)| (no certificate).
 
     Both meshes solve on their closed plans (discretize.closed_plan).
-    A closed plan of at least 16384 entries starts on a mesh 16 times
-    coarser: the root s_c there, at the same degree, is found from
-    INITIAL_BRACKET, and the fine root from s_c on the coarse slope, its
-    first solve starting from the last coarse iterate interpolated onto
-    the fine nodes (cold where that reads a node the coarse plan
-    dropped).  A smaller plan, or one whose coarse mesh would keep more
-    than a tenth of its nodes, is solved from INITIAL_BRACKET alone.
-    Every root is found by solver._root.  evals counts the matrices
-    built on both meshes; dim is the mesh's degree-d node count, not
-    the closed plan's.  BadParams unless 0 < root_tol < inf and
-    0 < radius_tol < inf, before any plan.
+    A closed plan of at least 16384 entries may start with the coarse
+    level of solver._coarse_start, at the same degree, from
+    INITIAL_BRACKET; the fine root then starts at the level's start, or
+    else from INITIAL_BRACKET, and its first solve from the level's
+    seed, or else cold.  Every root is found by solver._root.  evals
+    counts the matrices built on both meshes; dim is the mesh's
+    degree-d node count, not the closed plan's.  BadParams unless
+    0 < root_tol < inf and 0 < radius_tol < inf, before any plan.
     """
     _check_tols(root_tol, radius_tol)
     plan = closed_plan(fam, mesh, degree)
-    vec = _start_vector(plan.dim)
-    start, coarse_evals = None, 0
-    coarse = _coarse_mesh(mesh) \
-        if plan.indices.size >= _COARSE_MIN_ENTRIES else None
-    if coarse is not None:
-        coarse_plan = closed_plan(fam, coarse, plan.degree)
-        coarse_vec = _start_vector(coarse_plan.dim)
-        s_c, slope, coarse_evals = _root(
-            _log_magnitude(coarse_plan, radius_tol, coarse_vec),
-            INITIAL_BRACKET, root_tol)
-        start = (s_c, slope)
-        seed = _interpolate_rows(coarse_vec, coarse_plan, coarse, plan, mesh)
-        if seed is not None:
-            vec[:] = seed
+
+    def level(coarse_plan):
+        vec = _start_vector(coarse_plan.dim)
+        return _log_magnitude(coarse_plan, radius_tol, vec), vec
+
+    start, seed, coarse_evals = _coarse_start(
+        fam, mesh, plan, level, INITIAL_BRACKET, root_tol, radius_tol,
+        _COARSE_MIN_ENTRIES)
+    vec = _start_vector(plan.dim) if seed is None else seed
     s, _, evals = _root(_log_magnitude(plan, radius_tol, vec),
                         INITIAL_BRACKET, root_tol, start)
     return HighOrderResult(s=s, degree=plan.degree,

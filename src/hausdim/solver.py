@@ -11,32 +11,22 @@ midpoint a margin of at least radius_tol outward in log r, on the side
 its certificate needs, so the enclosure found at the root certifies its
 endpoint as it stands.
 
-A bracket builds its fine closed plan first.  Where that plan holds at
-least 2**16 entries, the bracket first finds the root of log r(M_s) on
-a mesh 16 times coarser, where a matrix costs a sixteenth as much; the
-A/B roots converge to the dimension like h**2, so that root lies close
-to the fine ones.  A smaller plan solves faster from the initial
-bracket than the coarse level costs, and has none.  Nor has one whose
-coarse mesh keeps more than a tenth of the fine nodes (many short
-pieces, two cells each), and a coarse root solve whose power iteration
-stalls leaves the fine mesh to solve from the initial bracket.  The
-fine B root then starts from the coarse root on the coarse slope, and
-the fine A root from the B root on the slope of log r(B).
-Degree-d estimates (higher_order) find their own coarse root the same
-way, through _coarse_mesh and _root, and both seed their first fine
-solve through discretize._interpolate_rows.
+Brackets and degree-d estimates (higher_order) start the same way, in
+_coarse_start: on a large enough fine plan, the root of the driver's
+curve on a mesh 16 times coarser gives the fine root solve its start
+and its first solve a seed.  A bracket's coarse curve is log r(M_s),
+which needs no error model; the fine B root starts from the coarse
+root, and the fine A root from the B root on the slope of log r(B).
 
 Within one bracket every power solve on a mesh starts from the
 eigenvectors of the last two solves of the same matrix, extrapolated
 linearly in s, or, where that vector is not strictly positive and
 finite or there is no such pair yet, from the eigenvector of the one
-before it.  The first solve on the fine mesh starts from the last
-coarse eigenvector interpolated onto the fine closed rows, or from
-all-ones where there is no coarse level or a row reads a coarse node
-that the coarse closed plan dropped.  A solve away from the root stops
-as soon as its enclosure excludes 1 and pins log r to 1%, which is all
-a secant step needs there, and takes power_enclosure's vector Aitken
-steps on the way.
+before it.  The first solve on the fine mesh starts from the coarse
+level's seed, or from all-ones where there is none.  A solve away from
+the root stops as soon as its enclosure excludes 1 and pins log r to
+1%, which is all a secant step needs there, and takes power_enclosure's
+vector Aitken steps on the way.
 
 Both meshes of a bracket solve on discretize.closed_plan: the rows of
 the closed node set S and no others.  r(A), r(M), r(B) and the
@@ -339,26 +329,62 @@ def _coarse_mesh(mesh):
     return coarse if 10 * coarse.dim <= mesh.dim else None
 
 
+def _coarse_start(fam: MapFamily, mesh, plan, level,
+                  bracket: tuple[float, float], root_tol: float,
+                  radius_tol: float, min_entries: int):
+    """The coarse level of a root solve: (start, seed, coarse evals).
+
+    The coarse level runs where plan, the fine closed plan on mesh,
+    holds at least min_entries entries, and _coarse_mesh gives the same
+    intervals meshed 16 times coarser, where a matrix costs about a
+    sixteenth as much.  level(coarse_plan) gives the driver's curve f,
+    decreasing in s, on the closed coarse plan at plan.degree, and the
+    array that holds its latest eigenvector.  _root finds f's root s_c
+    from bracket to max(root_tol, 4 radius_tol): f is known to about
+    radius_tol, so no root is sought closer.  The fine roots converge
+    to the dimension like a power of h, so s_c lies close to them: start
+    is (s_c, f's slope near s_c), where the fine root solve begins, and
+    seed is the last coarse eigenvector interpolated onto plan's rows
+    (_interpolate_rows; None where a row's coarse cell reads a node the
+    coarse plan dropped).  Without a coarse level, or where a coarse
+    power solve stalls (PowerDivergence), start and seed are None and
+    the fine mesh solves from bracket.  coarse evals counts the coarse
+    matrices built, a stalled one included.  The coarse plan is released
+    on return, before the fine level makes its entry buffer, so peak
+    memory holds the fine plan and at most one of the two.
+    """
+    coarse = _coarse_mesh(mesh) if plan.indices.size >= min_entries \
+        else None
+    if coarse is None:
+        return None, None, 0
+    coarse_plan = closed_plan(fam, coarse, plan.degree)
+    curve, last = level(coarse_plan)
+    built = []  # the s of each coarse matrix
+
+    def f(s: float) -> float:
+        built.append(s)
+        return curve(s)
+
+    try:
+        s_c, slope, _ = _root(f, bracket, max(root_tol, 4.0 * radius_tol))
+    except PowerDivergence:
+        return None, None, len(built)
+    seed = _interpolate_rows(last, coarse_plan, coarse, plan, mesh)
+    return (s_c, slope), seed, len(built)
+
+
 def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
                       radius_tol: float = RADIUS_TOL,
                       initial: tuple[float, float] = INITIAL_BRACKET
                       ) -> DimensionBracket:
     """Bracket the dimension with certified enclosure endpoints.
 
-    The fine closed plan is built first.  Where it holds at least
-    2**16 entries, the root s_c of log r(M_s) on the same intervals
-    meshed 16 times coarser is found by _root from initial, to
-    max(root_tol, 4 radius_tol), and that plan is dropped before the
-    fine level makes its entry buffer.  The fine B root starts at s_c on
-    the coarse slope, its first solve from the last coarse eigenvector
-    interpolated onto the fine closed rows (from all-ones where a row
-    reads a node the coarse closed plan dropped).  A smaller plan, or
-    one whose coarse mesh would keep more than a tenth of the fine nodes
-    (a domain of many short pieces), has no coarse level: the B root is
-    found from initial on the fine mesh.  So it is where a coarse power
-    solve does not converge (PowerDivergence; a few coarse rows at large
-    s, say), and the coarse matrices built still count in evals.  The A
-    root starts the same way at the B root, on the slope of log r(B).
+    The fine closed plan is built first, as its size decides whether
+    the coarse level (_coarse_start, from 2**16 entries) runs, on
+    log r(M_s) from initial.  The fine B root starts at that level's
+    start, or else from initial, and its first solve from the level's
+    seed, or else from all-ones.  The A root starts the same way at the
+    B root, on the slope of log r(B).
     With margin = max(root_tol/10, radius_tol), each root aims its
     enclosure midpoint at
     margin <= |log r| <= root_tol + 4 (margin - root_tol/10)
@@ -384,26 +410,16 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     _check_bracket(initial)
     bound_plan = BoundPlan(fam)
     plan = closed_plan(fam, mesh)
-    start, seed, coarse_evals = None, None, 0
-    coarse = _coarse_mesh(mesh) \
-        if plan.indices.size >= _BRACKET_MIN_ENTRIES else None
-    if coarse is not None:
-        coarse_plan = closed_plan(fam, coarse)
+
+    def level(coarse_plan):
         last = np.ones(coarse_plan.dim)  # each coarse eigenvector in turn
-        enclose, coarse_radii = _enclosures(
-            coarse_plan, lambda s, which: None, radius_tol, seed=last)
-        try:
-            # log r is known to about radius_tol: no root is sought closer.
-            s_c, slope, _ = _root(
-                lambda s: _log_midpoint(*enclose(s, "M"), radius_tol),
-                initial, max(root_tol, 4.0 * radius_tol))
-            start = (s_c, slope)
-            seed = _interpolate_rows(last, coarse_plan, coarse, plan, mesh)
-        except PowerDivergence:
-            pass  # the fine mesh solves from initial instead
-        coarse_evals = len(coarse_radii)
-        # The coarse plan goes before the fine entry buffer is made.
-        del enclose, coarse_plan
+        enclose, _ = _enclosures(coarse_plan, lambda s, which: None,
+                                 radius_tol, seed=last)
+        return lambda s: _log_midpoint(*enclose(s, "M"), radius_tol), last
+
+    start, seed, coarse_evals = _coarse_start(
+        fam, mesh, plan, level, initial, root_tol, radius_tol,
+        _BRACKET_MIN_ENTRIES)
     models: dict[float, ErrorModel] = {}  # A and B share an s at B's root
 
     def coef(s: float, which: str) -> float:

@@ -403,6 +403,77 @@ def test_highorder_dimension_skips_a_coarse_level_barely_coarser():
     assert abs(res.s - _cold_root(plan)) <= 1e-12
 
 
+def test_highorder_dimension_falls_back_to_the_fine_mesh_on_a_coarse_stall(
+        monkeypatch):
+    # A coarse power solve that stalls (PowerDivergence) leaves the fine
+    # mesh to solve from INITIAL_BRACKET, as a bracket's does: the
+    # estimate is the one found with no coarse level, and evals still
+    # counts the coarse matrix built.
+    from hausdim import solver
+
+    fam = make_mobius_family([1, 2, 3])
+    mesh = make_mesh(fam.domain, h=0.001)
+    coarse_dim = closed_plan(fam, _coarse_mesh(mesh), 6).dim
+    solve = higher_order.dominant_magnitude
+
+    def stalling(mat, *args, **kwargs):
+        if mat.dim == coarse_dim:
+            raise PowerDivergence("coarse solve stalled")
+        return solve(mat, *args, **kwargs)
+
+    with mock.patch.object(higher_order, "dominant_magnitude", stalling):
+        res = highorder_dimension(fam, mesh, 6)
+    monkeypatch.setattr(solver, "_coarse_mesh", lambda mesh: None)
+    alone = highorder_dimension(fam, mesh, 6)
+    assert res.s == alone.s
+    assert res.evals == alone.evals + 1  # the stalled coarse matrix
+
+
+def test_highorder_dimension_drops_coarse_plan_before_fine_level(monkeypatch):
+    # The coarse plan is released before the fine level makes its entry
+    # buffer (_log_magnitude makes one entry-sized array when it
+    # starts), as a bracket's is, so peak memory holds the fine plan and
+    # at most one of the two.
+    import weakref
+
+    from hausdim import solver
+
+    made, alive = [], []  # (dim, ref) of each plan; which live per level
+    real_plan, real_level = closed_plan, higher_order._log_magnitude
+
+    def tracking(*args, **kwargs):
+        plan = real_plan(*args, **kwargs)
+        made.append((plan.dim, weakref.ref(plan)))
+        return plan
+
+    def level(plan, *args, **kwargs):
+        alive.append([ref() is not None for _, ref in made])
+        return real_level(plan, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "closed_plan", tracking)
+    monkeypatch.setattr(higher_order, "closed_plan", tracking)
+    monkeypatch.setattr(higher_order, "_log_magnitude", level)
+    fam = make_mobius_family([1, 2, 3])
+    mesh = make_mesh(fam.domain, h=0.001)
+    highorder_dimension(fam, mesh, 6)
+    assert [dim for dim, _ in made] == [
+        real_plan(fam, mesh, 6).dim, real_plan(fam, _coarse_mesh(mesh), 6).dim]
+    assert alive == [[True, True], [True, False]]
+
+
+def test_highorder_coarse_root_stops_at_the_radius_tolerance():
+    # The coarse root is sought to max(root_tol, 4 radius_tol), as a
+    # bracket's is: log |lambda| is known to about radius_tol.  At
+    # radius_tol = 1e-8 cf{1..5} at h = 0.002 builds 15 matrices, where
+    # a coarse root sought to root_tol built 26.  At the default
+    # tolerances both rules give 1e-12.
+    fam = make_mobius_family([1, 2, 3, 4, 5])
+    mesh = make_mesh(fam.domain, h=0.002)
+    loose = highorder_dimension(fam, mesh, 6, radius_tol=1e-8)
+    assert loose.evals <= 16
+    assert abs(loose.s - highorder_dimension(fam, mesh, 6).s) <= 1e-10
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-13, math.nan])
 def test_dominant_magnitude_rejects_bad_tolerance(tol):
     fam = make_mobius_family([1, 2])
