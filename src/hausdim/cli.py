@@ -345,18 +345,19 @@ _COMMANDS = {
 # argument parsing
 
 
-def _parse_digits(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad digit list {text!r}") from None
+def _comma_list(convert, noun: str):
+    """argparse type: a comma-separated list of convert(item), blanks skipped."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(p) for p in text.split(",") if p.strip() != "")
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {noun} list {text!r}") from None
+
+    return parse
 
 
-def _parse_hs(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(",") if p.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad width list {text!r}") from None
+_parse_digits = _comma_list(int, "digit")
+_parse_hs = _comma_list(float, "width")
 
 
 def _common_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,9 @@ solver._root finds every root on both meshes.  At degree 6 and the
 default tolerances the coarse root already meets the fine root_tol, so
 the fine mesh builds one matrix, and its seeded solve stops after a
 few steps, once the geometric tail of the estimate changes is below
-tol.  HighOrderResult.evals counts the matrices built on both meshes.
+tol.  Each mesh is one _SignedLevel, which owns its plan's entry
+buffer, the iterate every solve starts from and its count of matrices
+built; HighOrderResult.evals is the two levels' counts added.
 
 Both meshes solve on discretize.closed_plan, the rows of the closed
 node set S of the degree-d nodes and no others, whose dominant
@@ -69,6 +71,12 @@ _SHRINK_STEPS = 64  # steps within which the estimate changes must shrink
 # runs), the coarse start took 1.09-1.4 times as long on plans of
 # 6020-15020 entries, 0.81-1.06 times as long on 16725-21014 (cf{1,2}
 # 0.82-0.84, a net gain over the band) and 0.6-0.92 times from 25025.
+# Re-timed after power steps ran on raw CSR arrays (medians of 21
+# alternated pairs at degree 6): 1.20 and 1.11 at 5096 and 7294
+# entries, 0.99 at 13755, 1.10 at 16030, 0.92 at 21945, 0.73 at 47320
+# and 0.81 at 49504.  solver._BRACKET_MIN_ENTRIES is larger because a
+# bracket's coarse level saves fewer fine matrices; either value for
+# both drivers would slow one of them.
 _COARSE_MIN_ENTRIES = 16384
 
 
@@ -170,18 +178,28 @@ class HighOrderResult:
     evals: int
 
 
-def _log_magnitude(plan: CollocationPlan, radius_tol: float,
-                   vec: np.ndarray):
-    """s -> log |lambda(s)| on one plan.
+class _SignedLevel:
+    """One plan level of an estimate: log_r(s) = log |lambda(s)| on plan.
 
     Every matrix is built into one entry buffer, so the plan's matrices
-    reuse its pages.  Every solve starts from vec, the iterate of the
-    solve before it, and may stop once log |lambda| is pinned to 1%.
+    reuse its pages, and built counts them, a stalled one included.
+    Every solve iterates latest in place, so it starts from the iterate
+    of the solve before it (the first from the latest given, or cold),
+    and may stop once log |lambda| is pinned to 1%.
     """
-    entries = np.empty(plan.weight.size)
-    return lambda s: math.log(dominant_magnitude(
-        _plan_matrix(plan, s, entries), tol=radius_tol, vec=vec,
-        sign_rel=_SIGN_REL))
+
+    def __init__(self, plan: CollocationPlan, radius_tol: float,
+                 latest: np.ndarray | None = None):
+        self.plan, self.radius_tol = plan, radius_tol
+        self.latest = _start_vector(plan.dim) if latest is None else latest
+        self.built = 0
+        self._entries = np.empty(plan.weight.size)
+
+    def log_r(self, s: float) -> float:
+        self.built += 1
+        return math.log(dominant_magnitude(
+            _plan_matrix(self.plan, s, self._entries), tol=self.radius_tol,
+            vec=self.latest, sign_rel=_SIGN_REL))
 
 
 def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
@@ -201,18 +219,13 @@ def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
     """
     _check_tols(root_tol, radius_tol)
     plan = closed_plan(fam, mesh, degree)
-
-    def level(coarse_plan):
-        vec = _start_vector(coarse_plan.dim)
-        return _log_magnitude(coarse_plan, radius_tol, vec), vec
-
     start, seed, coarse_evals = _coarse_start(
-        fam, mesh, plan, level, INITIAL_BRACKET, root_tol, radius_tol,
-        _COARSE_MIN_ENTRIES)
-    vec = _start_vector(plan.dim) if seed is None else seed
-    s, _, evals = _root(_log_magnitude(plan, radius_tol, vec),
-                        INITIAL_BRACKET, root_tol, start)
+        fam, mesh, plan,
+        lambda coarse_plan: _SignedLevel(coarse_plan, radius_tol),
+        INITIAL_BRACKET, root_tol, radius_tol, _COARSE_MIN_ENTRIES)
+    fine = _SignedLevel(plan, radius_tol, seed)
+    s = _root(fine.log_r, INITIAL_BRACKET, root_tol, start)[0]
     return HighOrderResult(s=s, degree=plan.degree,
                            dim=plan.degree * mesh.n + len(mesh.pieces),
                            mesh_h=mesh.h, family_id=fam.family_id,
-                           evals=coarse_evals + evals)
+                           evals=coarse_evals + fine.built)

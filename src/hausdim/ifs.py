@@ -19,7 +19,7 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -291,12 +291,7 @@ def _cantor_maps(a: float) -> tuple[MapSpec, MapSpec]:
     def right_eval(x):
         return base(x) + shift
 
-    right = MapSpec(
-        label="cantor-right", eval=right_eval, d1=d1, d2=d2, d3=d3,
-        log_weight=log_w, weight_r1=r1, weight_r2=r2,
-        d1_sup=(1.0 + 3.5 * a) / den,
-    )
-    return left, right
+    return left, replace(left, label="cantor-right", eval=right_eval)
 
 
 def cantor_kappa(a: float) -> float:

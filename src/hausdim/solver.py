@@ -14,9 +14,13 @@ endpoint as it stands.
 Brackets and degree-d estimates (higher_order) start the same way, in
 _coarse_start: on a large enough fine plan, the root of the driver's
 curve on a mesh 16 times coarser gives the fine root solve its start
-and its first solve a seed.  A bracket's coarse curve is log r(M_s),
-which needs no error model; the fine B root starts from the coarse
-root, and the fine A root from the B root on the slope of log r(B).
+and its first solve a seed.  Each mesh of a root solve is one level
+object, made by the driver; a bracket's is a _Level, which owns its
+plan's entry buffer, error-model memo, predictor history, latest
+eigenvector and count of matrices built, and evals is the two levels'
+counts added.  A bracket's coarse curve is log r(M_s), which needs no
+error model; the fine B root starts from the coarse root, and the fine
+A root from the B root on the slope of log r(B).
 
 Within one bracket every power solve on a mesh starts from the
 eigenvectors of the last two solves of the same matrix, extrapolated
@@ -255,58 +259,72 @@ _COARSEN = 16  # cell width of the coarse mesh, in fine cell widths
 # cf{1..10}, Cantor a = 0 and 0.5), 0.97-1.06 on 53k-64k and 0.92-0.96
 # from 68.6k to 118k (0.86 at 216k).  Only Cantor a = 1, whose power
 # solves crawl, gained below the cut (0.92-0.99 from 12.8k entries).
+# Re-timed on table1's cf{2,4,...,34} rows (medians of 15 alternated
+# pairs): 1.15 at 19380 entries and 1.11 at 30056.  A degree-d
+# estimate's coarse root meets the fine root_tol, so its coarse level
+# saves more and pays from fewer entries (higher_order's cut-off).
 _BRACKET_MIN_ENTRIES = 1 << 16
 
 
-def _enclosures(plan, coef, radius_tol: float, *,
-                seed: np.ndarray | None = None):
-    """Memoized enclose(s, which) -> (r_lo, r_hi, converged) on one plan.
+class _Level:
+    """One plan level of a bracket: memoized enclosures of its matrices.
 
-    coef(s, which) gives the matrix's correction coefficient (None for
-    M).  Every matrix is built into one entry buffer, so the plan's
-    matrices reuse its pages.  Every power solve may stop once its
-    enclosure settles the sign of log r to 1%.  It starts from the
-    eigenvectors of the last two solves of the same matrix kind,
-    extrapolated linearly to its s, where that vector is strictly
-    positive and finite, and otherwise from the eigenvector of the
-    solve before it.  The first solve starts from seed, a strictly
-    positive array of shape (plan.dim,), or else from all-ones; each
-    solve copies its eigenvector into seed, so it ends as the last one.
+    log_r(s, which) is the log of the enclosure midpoint of r(which_s)
+    on plan, solved once per (s, which) into radii as
+    (r_lo, r_hi, converged); PowerDivergence where the solve stalled.
+    model(s), the error model at s, is called once per s and gives the A
+    and B matrices' correction coefficients; a level without one builds
+    M alone.  Every matrix is built into one entry buffer, so the plan's
+    matrices reuse its pages, and built counts them.  Every power solve
+    may stop once its enclosure settles the sign of log r to 1%.  It
+    starts from the eigenvectors of the last two solves of the same
+    matrix kind, extrapolated linearly to its s, where that vector is
+    strictly positive and finite, and otherwise from latest: the
+    eigenvector of the solve before it, or for the first solve the
+    strictly positive array of shape (plan.dim,) given, or else
+    all-ones.
     """
-    radii: dict[tuple[float, str], tuple[float, float, bool]] = {}
-    latest = seed  # eigenvector of the latest solve
-    # (s, eigenvector) of the last two solves of each matrix kind
-    history: dict[str, list[tuple[float, np.ndarray]]] = {}
-    entries = np.empty(plan.weight.size)
-    guess = np.empty(plan.dim)  # the predicted start
 
-    def start(s: float, which: str):
-        pair = history.get(which, ())
+    def __init__(self, plan, radius_tol: float, model=None,
+                 latest: np.ndarray | None = None):
+        self.plan, self.radius_tol, self.model = plan, radius_tol, model
+        self.latest = latest
+        self.radii: dict[tuple[float, str], tuple[float, float, bool]] = {}
+        self.built = 0
+        self._models: dict[float, ErrorModel] = {}  # A and B share an s
+        # (s, eigenvector) of the last two solves of each matrix kind
+        self._history: dict[str, list[tuple[float, np.ndarray]]] = {}
+        self._entries = np.empty(plan.weight.size)
+        self._guess = np.empty(plan.dim)  # the predicted start
+
+    def _start(self, s: float, which: str):
+        pair = self._history.get(which, ())
         if len(pair) < 2:
-            return latest
+            return self.latest
         (s0, v0), (s1, v1) = pair
-        np.subtract(v1, v0, out=guess)
+        guess = np.subtract(v1, v0, out=self._guess)
         np.multiply(guess, (s - s1) / (s1 - s0), out=guess)
         np.add(guess, v1, out=guess)
         if float(np.minimum.reduce(guess)) > 0.0 and \
                 float(np.maximum.reduce(guess)) < math.inf:
             return guess
-        return latest
+        return self.latest
 
-    def enclose(s: float, which: str) -> tuple[float, float, bool]:
-        nonlocal latest
-        if (s, which) not in radii:
-            enc = power_enclosure(plan.matrix(s, coef(s, which), entries),
-                                  tol=radius_tol, seed_vec=start(s, which),
+    def log_r(self, s: float, which: str = "M") -> float:
+        if (s, which) not in self.radii:
+            if which != "M" and s not in self._models:
+                self._models[s] = self.model(s)
+            coef = None if which == "M" else _coef(self._models[s], which)
+            self.built += 1
+            enc = power_enclosure(self.plan.matrix(s, coef, self._entries),
+                                  tol=self.radius_tol,
+                                  seed_vec=self._start(s, which),
                                   sign_rel=_SIGN_REL)
-            latest = enc.eigvec
-            if seed is not None:
-                np.copyto(seed, latest)
-            history[which] = [*history.get(which, ())[-1:], (s, latest)]
-            radii[s, which] = (enc.r_lo, enc.r_hi, enc.converged)
-        return radii[s, which]
-
-    return enclose, radii
+            self.latest = enc.eigvec
+            self._history[which] = [*self._history.get(which, ())[-1:],
+                                    (s, self.latest)]
+            self.radii[s, which] = (enc.r_lo, enc.r_hi, enc.converged)
+        return _log_midpoint(*self.radii[s, which], self.radius_tol)
 
 
 def _coarse_mesh(mesh):
@@ -337,40 +355,36 @@ def _coarse_start(fam: MapFamily, mesh, plan, level,
     The coarse level runs where plan, the fine closed plan on mesh,
     holds at least min_entries entries, and _coarse_mesh gives the same
     intervals meshed 16 times coarser, where a matrix costs about a
-    sixteenth as much.  level(coarse_plan) gives the driver's curve f,
-    decreasing in s, on the closed coarse plan at plan.degree, and the
-    array that holds its latest eigenvector.  _root finds f's root s_c
-    from bracket to max(root_tol, 4 radius_tol): f is known to about
+    sixteenth as much.  level(coarse_plan) gives the driver's level
+    object on the closed coarse plan at plan.degree: its log_r(s) is the
+    driver's curve, decreasing in s, latest its latest eigenvector and
+    built the matrices it has built.  _root finds log_r's root s_c from
+    bracket to max(root_tol, 4 radius_tol): log_r is known to about
     radius_tol, so no root is sought closer.  The fine roots converge
     to the dimension like a power of h, so s_c lies close to them: start
-    is (s_c, f's slope near s_c), where the fine root solve begins, and
-    seed is the last coarse eigenvector interpolated onto plan's rows
-    (_interpolate_rows; None where a row's coarse cell reads a node the
-    coarse plan dropped).  Without a coarse level, or where a coarse
+    is (s_c, log_r's slope near s_c), where the fine root solve begins,
+    and seed is the level's latest eigenvector interpolated onto plan's
+    rows (_interpolate_rows; None where a row's coarse cell reads a node
+    the coarse plan dropped).  Without a coarse level, or where a coarse
     power solve stalls (PowerDivergence), start and seed are None and
-    the fine mesh solves from bracket.  coarse evals counts the coarse
-    matrices built, a stalled one included.  The coarse plan is released
-    on return, before the fine level makes its entry buffer, so peak
-    memory holds the fine plan and at most one of the two.
+    the fine mesh solves from bracket.  coarse evals is the level's
+    built, a stalled matrix included.  The coarse level and its plan are
+    released on return, before the fine level makes its entry buffer,
+    so peak memory holds the fine plan and at most one of the two.
     """
     coarse = _coarse_mesh(mesh) if plan.indices.size >= min_entries \
         else None
     if coarse is None:
         return None, None, 0
     coarse_plan = closed_plan(fam, coarse, plan.degree)
-    curve, last = level(coarse_plan)
-    built = []  # the s of each coarse matrix
-
-    def f(s: float) -> float:
-        built.append(s)
-        return curve(s)
-
+    lvl = level(coarse_plan)
     try:
-        s_c, slope, _ = _root(f, bracket, max(root_tol, 4.0 * radius_tol))
+        s_c, slope, _ = _root(lvl.log_r, bracket,
+                              max(root_tol, 4.0 * radius_tol))
     except PowerDivergence:
-        return None, None, len(built)
-    seed = _interpolate_rows(last, coarse_plan, coarse, plan, mesh)
-    return (s_c, slope), seed, len(built)
+        return None, None, lvl.built
+    seed = _interpolate_rows(lvl.latest, coarse_plan, coarse, plan, mesh)
+    return (s_c, slope), seed, lvl.built
 
 
 def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
@@ -410,28 +424,11 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     _check_bracket(initial)
     bound_plan = BoundPlan(fam)
     plan = closed_plan(fam, mesh)
-
-    def level(coarse_plan):
-        last = np.ones(coarse_plan.dim)  # each coarse eigenvector in turn
-        enclose, _ = _enclosures(coarse_plan, lambda s, which: None,
-                                 radius_tol, seed=last)
-        return lambda s: _log_midpoint(*enclose(s, "M"), radius_tol), last
-
     start, seed, coarse_evals = _coarse_start(
-        fam, mesh, plan, level, initial, root_tol, radius_tol,
-        _BRACKET_MIN_ENTRIES)
-    models: dict[float, ErrorModel] = {}  # A and B share an s at B's root
-
-    def coef(s: float, which: str) -> float:
-        if s not in models:
-            models[s] = error_model(fam, s, mesh.h, bound_plan)
-        return _coef(models[s], which)
-
-    enclose, radii = _enclosures(plan, coef, radius_tol, seed=seed)
-
-    def log_r(s: float, which: str) -> float:
-        return _log_midpoint(*enclose(s, which), radius_tol)
-
+        fam, mesh, plan, lambda coarse_plan: _Level(coarse_plan, radius_tol),
+        initial, root_tol, radius_tol, _BRACKET_MIN_ENTRIES)
+    fine = _Level(plan, radius_tol,
+                  lambda s: error_model(fam, s, mesh.h, bound_plan), seed)
     # margin is at least radius_tol, so an accepted enclosure lies on
     # its midpoint's side of 1; at the default tolerances it is
     # root_tol/10, far above the rounding of the matrix and its solve.
@@ -440,15 +437,16 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     margin = max(0.1 * root_tol, radius_tol)
     top = root_tol + 4.0 * (margin - 0.1 * root_tol)
     aim, tol = 0.5 * (top + margin), 0.5 * (top - margin)
-    s_up = _root(lambda x: log_r(x, "B") + aim, initial, tol, start)[0]
-    b_points = {s: log_r(s, "B") for s, which in radii if which == "B"}
+    s_up = _root(lambda x: fine.log_r(x, "B") + aim, initial, tol, start)[0]
+    b_points = {s: fine.log_r(s, "B") for s, w in fine.radii if w == "B"}
     slope = _slope(b_points, s_up) if len(b_points) > 1 else start[1]
-    s_lo = _root(lambda x: log_r(x, "A") - aim, initial, tol,
+    s_lo = _root(lambda x: fine.log_r(x, "A") - aim, initial, tol,
                  (s_up, slope))[0]
     return DimensionBracket(
         s_lower=s_lo, s_upper=s_up, mesh_h=mesh.h, family_id=fam.family_id,
-        evals=coarse_evals + len(radii),
-        certified=radii[s_up, "B"][1] <= 1.0 and radii[s_lo, "A"][0] >= 1.0,
+        evals=coarse_evals + fine.built,
+        certified=fine.radii[s_up, "B"][1] <= 1.0
+        and fine.radii[s_lo, "A"][0] >= 1.0,
     )
 
 

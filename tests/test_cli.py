@@ -229,6 +229,19 @@ def test_study_brackets_each_realized_width_once(capsys):
     assert out == plain
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--cf", "1,x", "--h", "0.01", "dim"), "bad digit list '1,x'"),
+    (("--cf", "1,2", "--hs", "0.1,y", "study"), "bad width list '0.1,y'"),
+])
+def test_bad_comma_lists_are_named(capsys, args, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert message in out.err
+
+
 def test_exactly_one_family_required(capsys):
     code, _, err = run_cli(capsys, "--h", "0.01", "--s", "0.5", "radius")
     assert code == 2

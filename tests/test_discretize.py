@@ -1546,8 +1546,8 @@ def test_locate_steps_with_a_scratch_allocate_no_block():
 
 
 def test_plan_levels_build_every_matrix_in_one_buffer():
-    # A bracket's fine level (solver._enclosures) and a degree-d level
-    # (higher_order._log_magnitude) allocate one entry-sized array, when
+    # A bracket's fine level (solver._Level) and a degree-d level
+    # (higher_order._SignedLevel) allocate one entry-sized array, when
     # they start: no matrix after that allocates as much as one more at
     # its peak, build and power solve included.
     import tracemalloc
@@ -1562,11 +1562,9 @@ def test_plan_levels_build_every_matrix_in_one_buffer():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        enclose, _ = solver._enclosures(
-            plan, lambda s, which: None if which == "M"
-            else solver._coef(models[s], which), RADIUS_TOL)
-        log_mag = higher_order._log_magnitude(
-            plan6, RADIUS_TOL, higher_order._start_vector(plan6.dim))
+        enclose = solver._Level(plan, RADIUS_TOL, models.get).log_r
+        log_mag = higher_order._SignedLevel(
+            plan6, RADIUS_TOL, higher_order._start_vector(plan6.dim)).log_r
         held = plan.weight.nbytes + plan6.weight.nbytes
         assert tracemalloc.get_traced_memory()[0] - base >= held
         for level, nbytes, calls in (

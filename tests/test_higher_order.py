@@ -431,7 +431,7 @@ def test_highorder_dimension_falls_back_to_the_fine_mesh_on_a_coarse_stall(
 
 def test_highorder_dimension_drops_coarse_plan_before_fine_level(monkeypatch):
     # The coarse plan is released before the fine level makes its entry
-    # buffer (_log_magnitude makes one entry-sized array when it
+    # buffer (_SignedLevel makes one entry-sized array when it
     # starts), as a bracket's is, so peak memory holds the fine plan and
     # at most one of the two.
     import weakref
@@ -439,7 +439,7 @@ def test_highorder_dimension_drops_coarse_plan_before_fine_level(monkeypatch):
     from hausdim import solver
 
     made, alive = [], []  # (dim, ref) of each plan; which live per level
-    real_plan, real_level = closed_plan, higher_order._log_magnitude
+    real_plan, real_level = closed_plan, higher_order._SignedLevel
 
     def tracking(*args, **kwargs):
         plan = real_plan(*args, **kwargs)
@@ -452,7 +452,7 @@ def test_highorder_dimension_drops_coarse_plan_before_fine_level(monkeypatch):
 
     monkeypatch.setattr(solver, "closed_plan", tracking)
     monkeypatch.setattr(higher_order, "closed_plan", tracking)
-    monkeypatch.setattr(higher_order, "_log_magnitude", level)
+    monkeypatch.setattr(higher_order, "_SignedLevel", level)
     fam = make_mobius_family([1, 2, 3])
     mesh = make_mesh(fam.domain, h=0.001)
     highorder_dimension(fam, mesh, 6)

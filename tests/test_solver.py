@@ -624,8 +624,8 @@ def test_bracket_drops_coarse_plan_before_fine_entries(monkeypatch):
 
     A bracket builds its fine closed plan first, as the plan's size
     decides whether the coarse level runs.  The coarse plan is released
-    before the fine level makes its entry buffer (solver._enclosures
-    makes one entry-sized array when it starts), so peak memory holds
+    before the fine level makes its entry buffer (solver._Level makes
+    one entry-sized array when it starts), so peak memory holds
     the fine plan and at most one of the two.
     """
     import weakref
@@ -633,7 +633,7 @@ def test_bracket_drops_coarse_plan_before_fine_entries(monkeypatch):
     import hausdim.solver as solver
 
     made, alive = [], []  # (dim, ref) of each plan; which live per level
-    real_plan, real_level = solver.closed_plan, solver._enclosures
+    real_plan, real_level = solver.closed_plan, solver._Level
 
     def tracking(*args, **kwargs):
         plan = real_plan(*args, **kwargs)
@@ -645,7 +645,7 @@ def test_bracket_drops_coarse_plan_before_fine_entries(monkeypatch):
         return real_level(plan, *args, **kwargs)
 
     monkeypatch.setattr(solver, "closed_plan", tracking)
-    monkeypatch.setattr(solver, "_enclosures", level)
+    monkeypatch.setattr(solver, "_Level", level)
     fam = make_mobius_family(range(1, 11))
     mesh = make_mesh(fam.domain, h=1e-4)
     br = bracket_dimension(fam, mesh)
