@@ -996,8 +996,8 @@ def _build_plan(fam: MapFamily, mesh: Mesh, degree: int, closed: bool
     hat weight and, on the hat basis, Q (_hat), and the first column it
     reads.  Each goes into a full-size array.  A closed plan then peels
     S from the first columns (_closed_rows); collocation_plan's S is
-    every node.  Log weights and Q are gathered to S's rows, or kept as
-    they are where S is every node.  Pass 2 visits S's rows, block by
+    every node.  Log weights and Q are compacted to S's rows in place,
+    or kept as they are where S is every node.  Pass 2 visits S's rows, block by
     block, and writes their Lagrange weights and column indices,
     renumbered to S, straight into the final arrays.  A pass of at
     least _SPLIT_MIN_ENTRIES entries runs the second half of its blocks
@@ -1058,9 +1058,24 @@ def _build_plan(fam: MapFamily, mesh: Mesh, degree: int, closed: bool
     renumber = np.full(dim, -1, dtype=np.int32)
     renumber[rows] = np.arange(kept, dtype=np.int32)
     if kept < dim:
-        log_weight = log_weight.reshape(dim, n_maps)[rows].ravel()
+        # rows is sorted, so rows[i] >= i: copied block by block in
+        # ascending order, through one block of work, every row is read
+        # before a later block overwrites it.  Both arrays are compacted
+        # in the pages pass 1 touched, then shrunk in place to their
+        # first kept rows, which gives the rest back (no view of either
+        # is left to dangle).
+        work = np.empty(min(step, kept) * n_maps)
+        for values in (log_weight,) if q is None else (log_weight, q):
+            table = values.reshape(dim, n_maps)
+            for start in range(0, kept, step):
+                block = rows[start:start + step]
+                table[start:start + block.size] = table.take(
+                    block, axis=0, mode="clip",
+                    out=work[:block.size * n_maps].reshape(-1, n_maps))
+        del table
+        log_weight.resize(kept * n_maps, refcheck=False)
         if q is not None:
-            q = q.reshape(dim, n_maps)[rows].ravel()
+            q.resize(kept * n_maps, refcheck=False)
     w_right = w_right.reshape(dim, n_maps)
     indices = np.empty(kept * n_maps * n_basis, dtype=np.int32)
     weight = np.empty(indices.size)

@@ -12,7 +12,11 @@ improves like h**(2d) but carries no certificate.
 As the estimate converges so fast, an estimate on a plan of 16384
 entries or more starts the way a certified bracket does, with the
 coarse level of solver._coarse_start on log |lambda(s)|, and
-solver._root finds every root on both meshes.  At degree 6 and the
+solver._root finds every root on both meshes.  Without a coarse level
+the fine root starts at the plan's predicted root
+(solver._predicted_start, the root of log sum_j exp(s m_j) over the
+maps' mean log weights m_j), and from the ends of INITIAL_BRACKET
+only where that prediction falls outside it.  At degree 6 and the
 default tolerances the coarse root already meets the fine root_tol, so
 the fine mesh builds one matrix, and its seeded solve stops after a
 few steps, once the geometric tail of the estimate changes is below
@@ -209,13 +213,15 @@ def highorder_dimension(fam: MapFamily, mesh, degree: int, *,
 
     Both meshes solve on their closed plans (discretize.closed_plan).
     A closed plan of at least 16384 entries may start with the coarse
-    level of solver._coarse_start, at the same degree, from
-    INITIAL_BRACKET; the fine root then starts at the level's start, or
-    else from INITIAL_BRACKET, and its first solve from the level's
-    seed, or else cold.  Every root is found by solver._root.  evals
-    counts the matrices built on both meshes; dim is the mesh's
-    degree-d node count, not the closed plan's.  BadParams unless
-    0 < root_tol < inf and 0 < radius_tol < inf, before any plan.
+    level of solver._coarse_start, at the same degree; the fine root
+    then starts at the level's start, or else at the fine plan's
+    solver._predicted_start, and its first solve from the level's seed,
+    or else cold.  Each root starts from the ends of INITIAL_BRACKET
+    only where its plan's prediction falls outside it.  Every root is
+    found by solver._root.  evals counts the matrices built on both
+    meshes; dim is the mesh's degree-d node count, not the closed
+    plan's.  BadParams unless 0 < root_tol < inf and
+    0 < radius_tol < inf, before any plan.
     """
     _check_tols(root_tol, radius_tol)
     plan = closed_plan(fam, mesh, degree)

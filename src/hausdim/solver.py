@@ -11,16 +11,27 @@ midpoint a margin of at least radius_tol outward in log r, on the side
 its certificate needs, so the enclosure found at the root certifies its
 endpoint as it stands.
 
+Every root solve starts at a prediction read off its plan where it
+has one (_predicted_start): the root of the pressure
+log sum_j exp(s m_j), m_j the mean log weight of map j over the plan's
+rows, which is the Moran equation log sum r_j^s = 0, exact for affine
+maps.  The start bracket (initial, the CLI's --smin/--smax) decides
+only where the search begins: at the prediction where that lies
+strictly inside it, and at its two ends where it does not.
+
 Brackets and degree-d estimates (higher_order) start the same way, in
 _coarse_start: on a large enough fine plan, the root of the driver's
-curve on a mesh 16 times coarser gives the fine root solve its start
-and its first solve a seed.  Each mesh of a root solve is one level
-object, made by the driver; a bracket's is a _Level, which owns its
-plan's entry buffer, error-model memo, predictor history, latest
-eigenvector and count of matrices built, and evals is the two levels'
-counts added.  A bracket's coarse curve is log r(M_s), which needs no
-error model; the fine B root starts from the coarse root, and the fine
-A root from the B root on the slope of log r(B).
+curve on a mesh 16 times coarser, started at the coarse plan's
+prediction, gives the fine root solve its start and its first solve a
+seed; without a coarse level the fine root starts at the fine plan's
+prediction.  Each mesh of a root solve is one level object, made by
+the driver; a bracket's is a _Level, which owns its plan's entry
+buffer, error-model memo, predictor history, latest eigenvector and
+count of matrices built, and evals is the two levels' counts added.  A
+bracket's coarse curve is log r(M_s), which needs no error model.  The
+fine B root starts from the coarse root or the prediction, and the
+fine A root one Newton step below the B root, on the slope of log r(B)
+and the error model's mean gap between log r(A) and log r(B).
 
 Within one bracket every power solve on a mesh starts from the
 eigenvectors of the last two solves of the same matrix, extrapolated
@@ -272,12 +283,12 @@ class _Level:
     log_r(s, which) is the log of the enclosure midpoint of r(which_s)
     on plan, solved once per (s, which) into radii as
     (r_lo, r_hi, converged); PowerDivergence where the solve stalled.
-    model(s), the error model at s, is called once per s and gives the A
-    and B matrices' correction coefficients; a level without one builds
-    M alone.  Every matrix is built into one entry buffer, so the plan's
-    matrices reuse its pages, and built counts them.  Every power solve
-    may stop once its enclosure settles the sign of log r to 1%.  It
-    starts from the eigenvectors of the last two solves of the same
+    model(s), the error model at s, is called once per s into models
+    and gives the A and B matrices' correction coefficients; a level
+    without one builds M alone.  Every matrix is built into one entry
+    buffer, so the plan's matrices reuse its pages, and built counts
+    them.  Every power solve may stop once its enclosure settles the
+    sign of log r to 1%.  It starts from the eigenvectors of the last two solves of the same
     matrix kind, extrapolated linearly to its s, where that vector is
     strictly positive and finite, and otherwise from latest: the
     eigenvector of the solve before it, or for the first solve the
@@ -291,7 +302,7 @@ class _Level:
         self.latest = latest
         self.radii: dict[tuple[float, str], tuple[float, float, bool]] = {}
         self.built = 0
-        self._models: dict[float, ErrorModel] = {}  # A and B share an s
+        self.models: dict[float, ErrorModel] = {}  # A and B share an s
         # (s, eigenvector) of the last two solves of each matrix kind
         self._history: dict[str, list[tuple[float, np.ndarray]]] = {}
         self._entries = np.empty(plan.weight.size)
@@ -312,9 +323,9 @@ class _Level:
 
     def log_r(self, s: float, which: str = "M") -> float:
         if (s, which) not in self.radii:
-            if which != "M" and s not in self._models:
-                self._models[s] = self.model(s)
-            coef = None if which == "M" else _coef(self._models[s], which)
+            if which != "M" and s not in self.models:
+                self.models[s] = self.model(s)
+            coef = None if which == "M" else _coef(self.models[s], which)
             self.built += 1
             enc = power_enclosure(self.plan.matrix(s, coef, self._entries),
                                   tol=self.radius_tol,
@@ -347,10 +358,41 @@ def _coarse_mesh(mesh):
     return coarse if 10 * coarse.dim <= mesh.dim else None
 
 
+def _predicted_start(plan, bracket: tuple[float, float]
+                     ) -> tuple[float, float] | None:
+    """A start (s0, slope) for a root solve on plan: a Moran-type root.
+
+    With m_j the mean log weight of map j over plan's rows, s0 is the
+    root of the pressure F(s) = log sum_j exp(s m_j), which is convex
+    and decreasing from F(0) = log(n_maps), and slope is F'(s0).  For
+    affine maps F is log sum r_j^s, whose root is the dimension.  Scalar
+    Newton steps from bracket[0] find s0, at most 40 of them; as F is
+    convex they close in from below.  None where some m_j >= 0 or s0
+    is not strictly inside bracket, so that the root solve walks
+    bracket from its ends.
+    """
+    lo, hi = bracket
+    means = plan.log_weight.reshape(plan.dim, -1).mean(axis=0)
+    top = float(means.max())
+    if not top < 0.0:
+        return None
+    s = lo
+    for _ in range(_MAX_EVALS):
+        # F(s) = s top + log sum_j exp(s (m_j - top)), with no overflow.
+        powers = np.exp(s * (means - top))
+        total = float(powers.sum())
+        slope = float(powers @ means) / total
+        step = (s * top + math.log(total)) / slope
+        s -= step
+        if abs(step) <= _EPS * s:
+            break
+    return (s, slope) if lo < s < hi else None
+
+
 def _coarse_start(fam: MapFamily, mesh, plan, level,
                   bracket: tuple[float, float], root_tol: float,
                   radius_tol: float, min_entries: int):
-    """The coarse level of a root solve: (start, seed, coarse evals).
+    """The start of a root solve on plan: (start, seed, coarse evals).
 
     The coarse level runs where plan, the fine closed plan on mesh,
     holds at least min_entries entries, and _coarse_mesh gives the same
@@ -359,30 +401,33 @@ def _coarse_start(fam: MapFamily, mesh, plan, level,
     object on the closed coarse plan at plan.degree: its log_r(s) is the
     driver's curve, decreasing in s, latest its latest eigenvector and
     built the matrices it has built.  _root finds log_r's root s_c from
-    bracket to max(root_tol, 4 radius_tol): log_r is known to about
-    radius_tol, so no root is sought closer.  The fine roots converge
-    to the dimension like a power of h, so s_c lies close to them: start
-    is (s_c, log_r's slope near s_c), where the fine root solve begins,
-    and seed is the level's latest eigenvector interpolated onto plan's
-    rows (_interpolate_rows; None where a row's coarse cell reads a node
-    the coarse plan dropped).  Without a coarse level, or where a coarse
-    power solve stalls (PowerDivergence), start and seed are None and
-    the fine mesh solves from bracket.  coarse evals is the level's
-    built, a stalled matrix included.  The coarse level and its plan are
+    the coarse plan's _predicted_start, or else from bracket's ends, to
+    max(root_tol, 4 radius_tol): log_r is known to about radius_tol, so
+    no root is sought closer.  The fine roots converge to the dimension
+    like a power of h, so s_c lies close to them: start is
+    (s_c, log_r's slope near s_c), where the fine root solve begins, and
+    seed is the level's latest eigenvector interpolated onto plan's rows
+    (_interpolate_rows; None where a row's coarse cell reads a node the
+    coarse plan dropped).  Without a coarse level, or where a coarse
+    power solve stalls (PowerDivergence), start is plan's
+    _predicted_start (None where the fine root solve walks bracket from
+    its ends) and seed is None.  coarse evals is the level's built, a
+    stalled matrix included.  The coarse level and its plan are
     released on return, before the fine level makes its entry buffer,
     so peak memory holds the fine plan and at most one of the two.
     """
     coarse = _coarse_mesh(mesh) if plan.indices.size >= min_entries \
         else None
     if coarse is None:
-        return None, None, 0
+        return _predicted_start(plan, bracket), None, 0
     coarse_plan = closed_plan(fam, coarse, plan.degree)
     lvl = level(coarse_plan)
     try:
         s_c, slope, _ = _root(lvl.log_r, bracket,
-                              max(root_tol, 4.0 * radius_tol))
+                              max(root_tol, 4.0 * radius_tol),
+                              _predicted_start(coarse_plan, bracket))
     except PowerDivergence:
-        return None, None, lvl.built
+        return _predicted_start(plan, bracket), None, lvl.built
     seed = _interpolate_rows(lvl.latest, coarse_plan, coarse, plan, mesh)
     return (s_c, slope), seed, lvl.built
 
@@ -395,10 +440,14 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
 
     The fine closed plan is built first, as its size decides whether
     the coarse level (_coarse_start, from 2**16 entries) runs, on
-    log r(M_s) from initial.  The fine B root starts at that level's
-    start, or else from initial, and its first solve from the level's
-    seed, or else from all-ones.  The A root starts the same way at the
-    B root, on the slope of log r(B).
+    log r(M_s).  The fine B root starts at that level's start, or else
+    at the fine plan's _predicted_start, and its first solve from the
+    level's seed, or else from all-ones.  initial only decides where a
+    root solve begins: at the prediction where that lies strictly
+    inside it, and at its two ends where it does not.  The A root
+    starts one Newton step below the B root s_up, on the slope of
+    log r(B) near s_up: log r(A) lies below log r(B) by about
+    (coef_hi - coef_lo) mean(Q) of the error model at s_up.
     With margin = max(root_tol/10, radius_tol), each root aims its
     enclosure midpoint at
     margin <= |log r| <= root_tol + 4 (margin - root_tol/10)
@@ -440,8 +489,16 @@ def bracket_dimension(fam: MapFamily, mesh, *, root_tol: float = ROOT_TOL,
     s_up = _root(lambda x: fine.log_r(x, "B") + aim, initial, tol, start)[0]
     b_points = {s: fine.log_r(s, "B") for s, w in fine.radii if w == "B"}
     slope = _slope(b_points, s_up) if len(b_points) > 1 else start[1]
+    # log r(A) lies below log r(B) by about the mean over the entries of
+    # log((1 - coef_hi Q) / (1 - coef_lo Q)), or (coef_hi - coef_lo)
+    # mean(Q) to first order: one Newton step from s_up on that gap,
+    # held within _root's factor 2, starts the A root.
+    model = fine.models[s_up]
+    gap = (model.coef_hi - model.coef_lo) * float(plan.q.mean())
+    s_a = s_up - (fine.log_r(s_up, "B") - gap - aim) / slope \
+        if slope < 0.0 else s_up
     s_lo = _root(lambda x: fine.log_r(x, "A") - aim, initial, tol,
-                 (s_up, slope))[0]
+                 (max(s_up / _EXPAND, s_a), slope))[0]
     return DimensionBracket(
         s_lower=s_lo, s_upper=s_up, mesh_h=mesh.h, family_id=fam.family_id,
         evals=coarse_evals + fine.built,

@@ -355,12 +355,11 @@ def test_unknown_format_rejected_by_parser():
 def test_power_divergence_exit_code(capsys):
     # An unreachable tolerance forces the stall guard, but whether a
     # bracket meets it depends on the rounding of each solve: the gap
-    # of a solve near the root may close exactly.  With predicted starts
-    # and Aitken steps no cf{1,2} mesh of n = 10..120 cells stalls; on
-    # cf{1,3} at n = 95 the coarse level (7 nodes) stalls at 4.4e-16,
-    # and the fine mesh it falls back to (closed set of 21 of 96 nodes)
-    # stalls at 2.2e-16.
-    code, _, err = run_cli(capsys, "--cf", "1,3", "--n", "95",
+    # of a solve near the root may close exactly.  With root solves
+    # started at the plan's predicted root, cf{1,2} stalls at n = 27, 46
+    # and 68 of n = 10..129 cells, cf{1,3} only at 41; at n = 46 the
+    # fourth solve (closed set of 14 of 47 nodes) stalls at 3.3e-16.
+    code, _, err = run_cli(capsys, "--cf", "1,2", "--n", "46",
                            "--radius-tol", "1e-18", "dim")
     assert code == 3
     assert "numeric failure" in err

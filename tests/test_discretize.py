@@ -1161,6 +1161,25 @@ def test_closed_plan_matches_naive_fixpoint(name, pieces, degree):
     assert 0 <= got.indices.min() and got.indices.max() < got.dim
 
 
+def test_closed_plan_compacts_in_place_across_blocks():
+    # The log weights and Q are moved to S's rows block by block, in
+    # place, where S spans several blocks and drops rows in each: they
+    # equal the naive gather, and each array holds its own memory of
+    # S's size, not a view of the whole grid's.
+    fam = make_mobius_family(list(range(1, 21)))
+    mesh = make_mesh(fam.domain, n=4000)
+    full, rows, want = _reference_closed(fam, mesh, 1)
+    step = discretize._BLOCK // fam.n_maps
+    assert rows.size > 2 * step and rows.size < full.dim
+    assert (rows[:step] != np.arange(step)).any()
+    got = closed_plan(fam, mesh)
+    for field in ("log_weight", "q"):
+        a = getattr(got, field)
+        assert np.array_equal(a, getattr(want, field)), field
+        assert a.base is None and a.flags.owndata, field
+        assert a.size == rows.size * fam.n_maps, field
+
+
 def test_closed_plan_holds_exactly_the_closed_set():
     # However much of the grid S keeps, the closed plan holds S's rows
     # and no other: cf{1..20} keeps 95% of the nodes, cantor05 on

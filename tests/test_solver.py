@@ -36,6 +36,8 @@ from hausdim.bounds import mobius_ratio_bounds
 from hausdim.discretize import CollocationPlan
 from hausdim.solver import INITIAL_BRACKET, _coarse_mesh, _root
 
+from conjugate_oracle import conjugate_family, moran_root
+
 LOG2_3 = math.log(2.0) / math.log(3.0)
 EXACT_DIGITS = 40
 with mpmath.workdps(EXACT_DIGITS):
@@ -662,6 +664,8 @@ def test_bracket_solves_on_the_fine_mesh_when_the_coarse_level_stalls(
     # unconverged.  The bracket is then the one found with no coarse
     # level, and evals still counts the coarse matrices built.  The plan
     # lies below the cut-off, so the coarse level is forced on here.
+    # Both levels predict a root near 0.52, outside the start bracket,
+    # so each walks it from its ends and the coarse level reaches s = 64.
     import hausdim.solver as solver
 
     monkeypatch.setattr(solver, "_BRACKET_MIN_ENTRIES", 0)
@@ -677,12 +681,12 @@ def test_bracket_solves_on_the_fine_mesh_when_the_coarse_level_stalls(
     mesh = make_mesh(fam.domain, h=0.01)
     coarse = _coarse_mesh(mesh)
     assert closed_plan(fam, coarse).dim == 4
-    br = bracket_dimension(fam, mesh, initial=(0.1, 64.0))
+    br = bracket_dimension(fam, mesh, initial=(0.6, 64.0))
     assert br.certified
     assert br.evals == len(dims)
-    assert dims.count(4) == 2  # s = 0.1, then s = 64 stalls
+    assert dims.count(4) == 2  # s = 0.6, then s = 64 stalls
     monkeypatch.setattr(solver, "_coarse_mesh", lambda mesh: None)
-    alone = bracket_dimension(fam, mesh, initial=(0.1, 64.0))
+    alone = bracket_dimension(fam, mesh, initial=(0.6, 64.0))
     assert (br.s_lower, br.s_upper) == (alone.s_lower, alone.s_upper)
     assert br.evals == alone.evals + 2
 
@@ -775,8 +779,9 @@ def test_bracket_below_the_cut_off_has_no_coarse_level(
 
     cf{1,2} at h = 1e-4 (960 entries) and Cantor a = 0.5 at h = 1e-3
     (1460) built 13 and 16 matrices, coarse ones included, when every
-    bracket took the coarse level; on the fine mesh alone they build 10
-    and 12.
+    bracket took the coarse level; on the fine mesh alone they built 10
+    and 12 from the ends of (0.01, 1.5), and build 7 and 9 from the
+    plan's predicted root.
     """
     import hausdim.solver as solver
 
@@ -846,7 +851,8 @@ def test_bracket_skips_a_coarse_level_barely_coarser(monkeypatch):
     reduce_domain(cf{1,2}, 6) has 32 pieces, and make_mesh keeps two
     cells on each, so at h = 5e-4 the mesh 16 times coarser keeps 96
     of the 122 nodes.  With that coarse level the bracket built 7
-    coarse and 6 fine matrices (7.8 ms); without it, 10 fine (4.6 ms).
+    coarse and 6 fine matrices (7.8 ms); without it, 10 fine (4.6 ms),
+    and 8 since the roots start at the plan's predicted root.
     """
     dims = []
     matrix = CollocationPlan.matrix
@@ -1027,6 +1033,92 @@ def test_affine_bracket_contains_moran_root(ratios):
                            make_mesh((0.0, 1.0), h=0.01))
     assert br.certified
     assert _contains(br.s_lower, br.s_upper, _moran_root(ratios))
+
+
+def test_affine_bracket_starts_at_the_moran_root(monkeypatch):
+    # Every log weight of an affine family is log r_j, so the predicted
+    # start is the root of log sum r_j^s: the dimension.  r(M_s) is
+    # sum r_j^s there, and the B root, a margin away, takes one step.
+    import hausdim.solver as solver
+
+    ratios = [0.25, 0.3, 0.2]
+    fam = _affine_family(ratios)
+    mesh = make_mesh(fam.domain, h=1e-3)
+    s0, slope = solver._predicted_start(closed_plan(fam, mesh),
+                                        INITIAL_BRACKET)
+    exact = _moran_root(ratios)
+    assert abs(mpmath.mpf(s0) - exact) <= 1e-14
+    assert slope == pytest.approx(_moran_slope(ratios, s0), rel=1e-12)
+    levels = []
+
+    class Recording(solver._Level):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            levels.append(self)
+
+    monkeypatch.setattr(solver, "_Level", Recording)
+    br = bracket_dimension(fam, mesh)
+    assert br.certified
+    assert _contains(br.s_lower, br.s_upper, exact)
+    [fine] = levels
+    assert sum(which == "B" for _, which in fine.radii) <= 2
+
+
+def test_bracket_walks_an_initial_that_excludes_the_prediction(
+        monkeypatch):
+    # Cantor a = 1 at h = 1e-3 predicts 0.703, below its root near
+    # 0.7967: from (0.75, 0.9), which holds the root but not the
+    # prediction, the B root evaluates the two ends first.
+    import hausdim.solver as solver
+
+    fam = make_cantor_family(1.0)
+    mesh = make_mesh(fam.domain, h=1e-3)
+    plan = closed_plan(fam, mesh)
+    assert plan.indices.size < solver._BRACKET_MIN_ENTRIES
+    s0, _ = solver._predicted_start(plan, INITIAL_BRACKET)
+    assert s0 < 0.75
+    assert solver._predicted_start(plan, (0.75, 0.9)) is None
+    visited = []
+    matrix = CollocationPlan.matrix
+
+    def recording(self, s, coef=None, out=None):
+        visited.append(s)
+        return matrix(self, s, coef, out)
+
+    monkeypatch.setattr(CollocationPlan, "matrix", recording)
+    br = bracket_dimension(fam, mesh, initial=(0.75, 0.9))
+    assert br.certified
+    assert 0.75 < br.s_lower < br.s_upper < 0.9
+    assert visited[:2] == [0.75, 0.9]
+
+
+@st.composite
+def _disjoint_maps(draw):
+    """(ratios, offsets) of 2-4 affine maps of [0, 1] with disjoint images."""
+    n = draw(st.integers(2, 4))
+    ratios = draw(st.lists(st.floats(0.05, 0.85 / n), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=n + 1,
+                         max_size=n + 1))
+    scale, offsets, end = (1.0 - sum(ratios)) / sum(gaps), [], 0.0
+    for ratio, gap in zip(ratios, gaps):
+        offsets.append(end + gap * scale)
+        end = offsets[-1] + ratio
+    return ratios, offsets
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(_disjoint_maps(), st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+       st.sampled_from([1e-2, 1e-3, 1e-4]))
+def test_predicted_starts_keep_brackets_on_exact_roots(maps, c, h):
+    # c = 0 gives the affine (Moran) family, whose predicted start is
+    # the root; the Mobius conjugates (c > 0) share its exact root, but
+    # their mean log weights predict a root off it.  Either way every
+    # bracket is certified and contains the 40-digit root.
+    ratios, offsets = maps
+    fam = conjugate_family(ratios, offsets, c)
+    br = bracket_dimension(fam, make_mesh(fam.domain, h=h))
+    assert br.certified
+    assert _contains(br.s_lower, br.s_upper, moran_root(ratios))
 
 
 def test_solver_economy_on_discretized_curve():
